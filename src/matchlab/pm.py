@@ -28,7 +28,6 @@ from .graphs import Edge, Graph, Matching, edge_set
 
 DEFAULT_DP_LIMIT = 26
 DEFAULT_ENUM_CAP = 1_000_000
-DEFAULT_K_CAP = 64
 
 
 def _count_on_mask(g: Graph, mask: int) -> int:
@@ -100,10 +99,13 @@ def first_pm(g: Graph) -> Optional[Matching]:
 
     Same search order as enumerate_pm, stopping at the first leaf, so it
     works on graphs whose full matching count is far beyond the
-    enumeration cap.
+    enumeration cap.  Masks found to have no perfect matching are
+    remembered for the rest of the search, so each mask is expanded at
+    most once and the work is bounded by the distinct masks reached.
     """
     masks = g.neighbor_masks
     chosen: list[Edge] = []
+    dead: set[int] = set()
 
     def rec(mask: int) -> bool:
         if mask == 0:
@@ -114,10 +116,14 @@ def first_pm(g: Graph) -> Optional[Matching]:
         while avail:
             vbit = avail & -avail
             avail ^= vbit
+            child = rest ^ vbit
+            if child in dead:
+                continue
             chosen.append((u, vbit.bit_length() - 1))
-            if rec(rest ^ vbit):
+            if rec(child):
                 return True
             chosen.pop()
+        dead.add(mask)
         return False
 
     if rec((1 << g.n) - 1):
@@ -153,31 +159,32 @@ def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Ma
 
     Self-reducibility: repeatedly match the lowest unmatched vertex u,
     picking neighbour v with probability count(G - u - v)/count(G).  The
-    per-graph memo makes repeated draws cheap.
+    walk reads the per-graph memo directly.  It relies on an invariant of
+    _count_on_mask: a mask is cached only after all its children are, so
+    once the full mask is counted, every nonempty mask the walk reaches or
+    scans as a child is in the memo, and each count is a dict lookup.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
     mask = (1 << g.n) - 1
-    total = _count_on_mask(g, mask)
-    if total == 0:
+    if _count_on_mask(g, mask) == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
+    cache = g._pm_cache
     masks = g.neighbor_masks
     pairs: list[Edge] = []
     while mask:
         u = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
-        here = _count_on_mask(g, mask)
-        r = rng.randrange(here)
-        acc = 0
+        r = rng.randrange(cache[mask])
         avail = masks[u] & rest
         while avail:
             vbit = avail & -avail
             avail ^= vbit
-            sub = _count_on_mask(g, rest ^ vbit)
-            acc += sub
-            if r < acc:
+            child = rest ^ vbit
+            r -= cache[child] if child else 1
+            if r < 0:
                 pairs.append((u, vbit.bit_length() - 1))
-                mask = rest ^ vbit
+                mask = child
                 break
     return Matching(pairs)
 
@@ -201,18 +208,12 @@ class StrataCounts:
         return {str(k): str(c) for k, c in sorted(self.counts.items())}
 
 
-def stratify(
-    g: Graph,
-    reference,
-    limit: int = DEFAULT_DP_LIMIT,
-    k_cap: int = DEFAULT_K_CAP,
-) -> StrataCounts:
+def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts:
     """Split the perfect matchings of g by the number of edges shared with
     `reference` (a matching, a graph, or a raw edge set inside E(G)).
 
     Same bitmask DP as count_pm with the state widened by the running
-    intersection count; the tracked k is capped at k_cap, which is never
-    reached below the size cap (k is at most n/2).
+    intersection count, which runs from 0 to min(n/2, |reference|).
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
@@ -221,7 +222,7 @@ def stratify(
         if not g.has_edge(u, v):
             raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
 
-    kmax = min(g.n // 2, len(ref), k_cap)
+    kmax = min(g.n // 2, len(ref))
     width = kmax + 1
     masks = g.neighbor_masks
     ref_masks = [0] * g.n

@@ -158,9 +158,10 @@ def disjoint_probability(
     pairwise edge-disjoint, with the reference exp(-(n/2d) * C(r, 2)).
 
     Exact mode counts ordered r-tuples by nested enumeration (each next
-    matching is a perfect matching of the host minus the union so far);
-    it refuses politely once count^r exceeds the tuple budget.  Monte
-    Carlo mode estimates the same probability from `samples` draws.
+    matching is a perfect matching of the host minus the union so far,
+    and the last level is counted, not listed); it refuses politely once
+    count^r exceeds the tuple budget.  Monte Carlo mode estimates the
+    same probability from `samples` draws.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -183,8 +184,8 @@ def disjoint_probability(
             )
 
         def ordered_tuples(host: Graph, depth: int) -> int:
-            if depth == 0:
-                return 1
+            if depth == 1:
+                return count_pm(host)
             acc = 0
             for m in enumerate_pm(host):
                 acc += ordered_tuples(remove_edge_set(host, m), depth - 1)

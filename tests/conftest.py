@@ -12,7 +12,16 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 
-from matchlab.graphs import Graph, build_graph, complete_graph, cycle_graph, edge_set
+from matchlab.errors import NoPerfectMatchingError, TooLargeError
+from matchlab.graphs import (
+    Graph,
+    Matching,
+    build_graph,
+    complete_graph,
+    cycle_graph,
+    edge_set,
+)
+from matchlab.pm import DEFAULT_DP_LIMIT, _count_on_mask
 
 
 def all_pairings(items: list[int]):
@@ -76,6 +85,39 @@ def small_zoo() -> list[Graph]:
         gnp(10, 0.3, 14),
         gnp(7, 0.6, 15),
     ]
+
+
+# -- reference sampler ---------------------------------------------------------
+
+def reference_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Matching:
+    """Oracle for pm.sample_pm: every count, the current mask's and each
+    scanned child's, goes through _count_on_mask instead of a direct memo
+    read.  It makes the same rng calls, so it gives the same draws."""
+    if g.n > limit:
+        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    mask = (1 << g.n) - 1
+    total = _count_on_mask(g, mask)
+    if total == 0:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    masks = g.neighbor_masks
+    pairs = []
+    while mask:
+        u = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        here = _count_on_mask(g, mask)
+        r = rng.randrange(here)
+        acc = 0
+        avail = masks[u] & rest
+        while avail:
+            vbit = avail & -avail
+            avail ^= vbit
+            sub = _count_on_mask(g, rest ^ vbit)
+            acc += sub
+            if r < acc:
+                pairs.append((u, vbit.bit_length() - 1))
+                mask = rest ^ vbit
+                break
+    return Matching(pairs)
 
 
 # -- independent recheck of exchange-graph edges ------------------------------

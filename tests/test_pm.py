@@ -1,9 +1,10 @@
 import random
+import time
 from collections import Counter
 
 import pytest
 
-from conftest import gnp, oracle_count, oracle_pm_sets, small_zoo
+from conftest import gnp, oracle_count, oracle_pm_sets, reference_sample_pm, small_zoo
 from matchlab.errors import (
     EdgeNotPresentError,
     NoPerfectMatchingError,
@@ -111,6 +112,17 @@ def test_first_pm():
             assert got is None
 
 
+def test_first_pm_no_matching_interleaved_cliques_is_fast():
+    # two K11 on the even and the odd labels: every branch dead-ends, and
+    # without remembering dead masks the search revisits them exponentially
+    n = 22
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u - v) % 2 == 0]
+    g = build_graph(n, edges)
+    start = time.perf_counter()
+    assert first_pm(g) is None
+    assert time.perf_counter() - start < 1.0
+
+
 # -- forced edges -----------------------------------------------------------
 
 def test_count_containing_known():
@@ -174,6 +186,59 @@ def test_sample_frequencies_track_exact_ratios():
     for m in enumerate_pm(g):
         expected = draws / total
         assert abs(counts[m.edge_set] - expected) < 6 * (draws / total) ** 0.5 + 30
+
+
+def _sampler_hosts():
+    hosts = [g for g in small_zoo() if count_pm(g) > 0]
+    hosts += [gnp(12, 0.5, 31), gnp(14, 0.4, 32), gnp(16, 0.6, 33)]
+    hosts.append(build_graph(0, []))
+    return hosts
+
+
+def _fresh(g):
+    return build_graph(g.n, g.edges)
+
+
+def test_sample_matches_reference_sampler():
+    hosts = _sampler_hosts()
+    assert len(hosts) > 10 and any(count_pm(g) > 100 for g in hosts)
+    for seed, g in enumerate(hosts):
+        fast, slow = _fresh(g), _fresh(g)
+        rng_fast, rng_slow = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert sample_pm(fast, rng_fast) == reference_sample_pm(slow, rng_slow)
+        assert rng_fast.getstate() == rng_slow.getstate()
+
+
+def test_sample_after_partial_memo_matches_reference():
+    # a containment count fills the memo below one forced edge first; the
+    # full count must still leave every mask the walk reads memoised
+    g = gnp(12, 0.6, 34)
+    u, v = g.edges[0]
+    fast, slow = _fresh(g), _fresh(g)
+    count_pm_containing(fast, [(u, v)])
+    rng_fast, rng_slow = random.Random(9), random.Random(9)
+    for _ in range(200):
+        assert sample_pm(fast, rng_fast) == reference_sample_pm(slow, rng_slow)
+    assert rng_fast.getstate() == rng_slow.getstate()
+
+
+@pytest.mark.parametrize(
+    "g,limit,error",
+    [
+        (complete_graph(6), 4, TooLargeError),
+        (cycle_graph(5), 26, NoPerfectMatchingError),
+        (build_graph(4, [(0, 1), (0, 2), (0, 3)]), 26, NoPerfectMatchingError),
+    ],
+)
+def test_sample_errors_match_reference(g, limit, error):
+    rng_fast, rng_slow = random.Random(1), random.Random(1)
+    with pytest.raises(error) as fast:
+        sample_pm(_fresh(g), rng_fast, limit=limit)
+    with pytest.raises(error) as slow:
+        reference_sample_pm(_fresh(g), rng_slow, limit=limit)
+    assert str(fast.value) == str(slow.value)
+    assert rng_fast.getstate() == rng_slow.getstate() == random.Random(1).getstate()
 
 
 # -- stratification ----------------------------------------------------------

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from scipy.stats import poisson as scipy_poisson
 
-from conftest import gnp, oracle_pm_sets
+from conftest import gnp, oracle_pm_sets, small_zoo
 from matchlab.errors import (
     EdgeNotPresentError,
     ExactInfeasibleError,
@@ -18,6 +18,7 @@ from matchlab.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    regularity,
 )
 from matchlab.pm import count_pm, enumerate_pm
 from matchlab.stats import (
@@ -237,6 +238,22 @@ def test_disjoint_r3_exact_by_triple_enumeration():
     value, ref = disjoint_probability(g, 3)
     assert value == F(good, len(pms) ** 3)
     assert math.isclose(ref, math.exp(-0.6 * 3))
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_disjoint_exact_matches_pairing_oracle_on_zoo(r):
+    hosts = [g for g in small_zoo() if regularity(g) is not None and oracle_pm_sets(g)]
+    assert len(hosts) >= 5
+    for g in hosts:
+        pms = oracle_pm_sets(g)
+
+        def disjoint_tuples(used, depth):
+            if depth == 0:
+                return 1
+            return sum(disjoint_tuples(used | m, depth - 1) for m in pms if not used & m)
+
+        value, _ = disjoint_probability(g, r)
+        assert value == F(disjoint_tuples(frozenset(), r), len(pms) ** r)
 
 
 def test_disjoint_montecarlo_tracks_exact():
