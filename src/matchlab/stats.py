@@ -26,6 +26,7 @@ from .errors import (
 )
 from .graphs import Edge, Graph, Matching, edge_set, regularity, remove_edge_set
 from .pm import count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
+from .rational import frac_json
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
@@ -60,10 +61,7 @@ class Pmf:
     def to_json_dict(self) -> dict:
         out: dict = {"exact": self.exact, "truncation_mass": self.truncation_mass}
         if self.exact:
-            out["probs"] = {
-                str(k): {"num": str(p.numerator), "den": str(p.denominator)}
-                for k, p in sorted(self.probs.items())
-            }
+            out["probs"] = {str(k): frac_json(p) for k, p in sorted(self.probs.items())}
             out["float_mirror"] = {str(k): float(p) for k, p in sorted(self.probs.items())}
         else:
             out["probs"] = {str(k): float(p) for k, p in sorted(self.probs.items())}
@@ -159,8 +157,9 @@ def disjoint_probability(
 
     Exact mode counts ordered r-tuples by nested enumeration (each next
     matching is a perfect matching of the host minus the union so far,
-    and the last level is counted, not listed); it refuses politely once
-    count^r exceeds the tuple budget.  Monte Carlo mode estimates the
+    and the last level is counted, not listed); for r >= 3 it refuses
+    politely once count^(r-1), the number of listed prefixes it may
+    visit, exceeds the tuple budget.  Monte Carlo mode estimates the
     same probability from `samples` draws.
     """
     if r < 1:
@@ -177,10 +176,11 @@ def disjoint_probability(
 
     if mode == "exact":
         # r = 2 reduces to averaging pma(G - M) over one enumeration and
-        # needs no tuple budget; deeper nesting is gated by count^r.
-        if r >= 3 and total**r > tuple_budget:
+        # needs no tuple budget; deeper nesting lists at most count^(r-1)
+        # prefixes and counts the last level, so that is what is gated.
+        if r >= 3 and total ** (r - 1) > tuple_budget:
             raise ExactInfeasibleError(
-                f"{total}^{r} ordered tuples exceed the exact budget {tuple_budget}"
+                f"{total}^{r - 1} listed prefixes exceed the exact budget {tuple_budget}"
             )
 
         def ordered_tuples(host: Graph, depth: int) -> int:

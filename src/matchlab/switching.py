@@ -31,6 +31,7 @@ from .graphs import (
     vertices_of,
 )
 from .pm import DEFAULT_ENUM_CAP, enumerate_pm, stratify
+from .rational import frac_json
 
 
 def eligible_edge_count(reference, k: int) -> int:
@@ -276,14 +277,8 @@ class RatioReport:
             "ell": self.ell,
             "stratum_k": str(self.size_k),
             "stratum_k_minus_1": str(self.size_km1),
-            "exact_ratio": {
-                "num": str(self.exact_ratio.numerator),
-                "den": str(self.exact_ratio.denominator),
-            },
-            "predicted": {
-                "num": str(self.predicted.numerator),
-                "den": str(self.predicted.denominator),
-            },
+            "exact_ratio": frac_json(self.exact_ratio),
+            "predicted": frac_json(self.predicted),
             "left_degrees": stats(self.left_stats),
             "right_degrees": stats(self.right_stats),
             "switch_edges": self.edge_count,

@@ -1,11 +1,14 @@
 """Simple-random-walk transition matrices, exact walk and path counts,
 and quantitative mixing checks.
 
-Matrix arithmetic is exact rational throughout; floats appear only in
-the logarithm of the mixing threshold and in reported deviations.  Walk
-counts are plain integers from adjacency-matrix powering, so the
-identity count = d^len * P^len(u, v) on regular digraphs is checked as a
-rational identity, not numerically.
+Every matrix entry is an exact rational; floats appear only in the
+logarithm of the mixing threshold and in reported deviations.  Powers
+are taken in integers: with L the lcm of P's denominators, B = L*P is an
+integer matrix and P^k = B^k / L^k, so the products are plain int
+arithmetic and the result is checked to be stochastic once per power,
+not once per product.  Walk counts are plain integers from
+adjacency-matrix powering, so the identity count = d^len * P^len(u, v)
+on regular digraphs is checked as a rational identity, not numerically.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -23,7 +27,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .graphs import Digraph, Matching
-from .rational import as_fraction
+from .rational import as_fraction, frac_json
 
 DEFAULT_MATRIX_CAP = 64
 DEFAULT_PATH_BUDGET = 100_000_000
@@ -64,10 +68,7 @@ class StochasticMatrix:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "rows": [
-                [{"num": str(x.numerator), "den": str(x.denominator)} for x in row]
-                for row in self.rows
-            ],
+            "rows": [[frac_json(x) for x in row] for row in self.rows],
         }
 
 
@@ -86,37 +87,43 @@ def transition_matrix(d: Digraph) -> StochasticMatrix:
     return StochasticMatrix(tuple(rows))
 
 
-def _matmul(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
-    n = a.n
-    bt = list(zip(*b.rows))
-    rows = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.rows
-    )
-    return StochasticMatrix(rows)
-
-
 def identity_matrix(n: int) -> StochasticMatrix:
     return StochasticMatrix(
         tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
     )
 
 
+def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two square integer matrices given as lists of rows."""
+    bt = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in bt] for row in a]
+
+
 def matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> StochasticMatrix:
-    """Exact P^k by repeated squaring; rows stay exactly stochastic."""
+    """Exact P^k by repeated squaring in integers.
+
+    With L the lcm of the entries' denominators, B = L*P is an integer
+    matrix and P^k = B^k / L^k entry for entry; the result is built and
+    validated as a stochastic matrix once.
+    """
     if k < 0:
         raise ValueError("exponent must be non-negative")
     if p.n > cap:
         raise TooLargeError(f"dimension {p.n} above the exact-power cap {cap}")
-    result = identity_matrix(p.n)
-    base = p
+    if k == 0:
+        return identity_matrix(p.n)
+    scale = math.lcm(*(x.denominator for row in p.rows for x in row))
+    base = [[x.numerator * (scale // x.denominator) for x in row] for row in p.rows]
+    result = None
     e = k
     while e:
         if e & 1:
-            result = _matmul(result, base)
+            result = base if result is None else _imatmul(result, base)
         e >>= 1
         if e:
-            base = _matmul(base, base)
-    return result
+            base = _imatmul(base, base)
+    den = scale**k
+    return StochasticMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in result))
 
 
 def count_walks(d: Digraph, u: int, v: int, length: int) -> int:
@@ -199,8 +206,8 @@ class MixingParams:
 
     def to_json_dict(self) -> dict:
         return {
-            "alpha": {"num": str(self.alpha.numerator), "den": str(self.alpha.denominator)},
-            "beta": {"num": str(self.beta.numerator), "den": str(self.beta.denominator)},
+            "alpha": frac_json(self.alpha),
+            "beta": frac_json(self.beta),
             "threshold": self.threshold,
         }
 

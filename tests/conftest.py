@@ -22,6 +22,7 @@ from matchlab.graphs import (
     edge_set,
 )
 from matchlab.pm import DEFAULT_DP_LIMIT, _count_on_mask
+from matchlab.walks import DEFAULT_MATRIX_CAP, StochasticMatrix, identity_matrix
 
 
 def all_pairings(items: list[int]):
@@ -118,6 +119,38 @@ def reference_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LI
                 mask = rest ^ vbit
                 break
     return Matching(pairs)
+
+
+# -- reference matrix power ----------------------------------------------------
+
+def _matmul(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
+    n = a.n
+    bt = list(zip(*b.rows))
+    rows = tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.rows
+    )
+    return StochasticMatrix(rows)
+
+
+def reference_matrix_power(
+    p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP
+) -> StochasticMatrix:
+    """Oracle for walks.matrix_power: repeated squaring with a Fraction
+    product, every intermediate matrix rebuilt and revalidated."""
+    if k < 0:
+        raise ValueError("exponent must be non-negative")
+    if p.n > cap:
+        raise TooLargeError(f"dimension {p.n} above the exact-power cap {cap}")
+    result = identity_matrix(p.n)
+    base = p
+    e = k
+    while e:
+        if e & 1:
+            result = _matmul(result, base)
+        e >>= 1
+        if e:
+            base = _matmul(base, base)
+    return result
 
 
 # -- independent recheck of exchange-graph edges ------------------------------

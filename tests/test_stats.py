@@ -269,6 +269,26 @@ def test_disjoint_exact_budget():
         disjoint_probability(complete_graph(8), 4, tuple_budget=1000)
 
 
+def test_disjoint_exact_budget_counts_listed_prefixes():
+    # K6 has 15 perfect matchings; r = 3 lists 15^2 = 225 prefixes and
+    # counts the last level, so a budget below 15^3 = 3375 is enough
+    g = complete_graph(6)
+    pms = oracle_pm_sets(g)
+    assert len(pms) == 15
+    good = sum(
+        1
+        for a in pms
+        for b in pms
+        if not a & b
+        for c in pms
+        if not (a | b) & c
+    )
+    value, _ = disjoint_probability(g, 3, tuple_budget=1000)
+    assert value == F(good, 15**3)
+    with pytest.raises(ExactInfeasibleError, match=r"15\^2 listed"):
+        disjoint_probability(g, 3, tuple_budget=224)
+
+
 # -- empirical frequencies -----------------------------------------------------------
 
 def test_empirical_freq_zero_samples():

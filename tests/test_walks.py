@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import reference_matrix_power
 from matchlab.errors import (
     BudgetExceededError,
     NotRegularError,
@@ -83,16 +84,23 @@ def test_power_two_complete_digraph():
             assert p2.entry(i, j) == (F(1, 3) if i == j else F(2, 9))
 
 
-def test_power_preserves_stochasticity():
+def random_digraphs():
     rng = random.Random(0)
-    for seed in range(3):
+    out = []
+    for _ in range(3):
         n = rng.randint(3, 6)
         arcs = [(u, v) for u in range(n) for v in range(n)
                 if u != v and rng.random() < 0.7]
         for u in range(n):
             if not any(a == u for a, _ in arcs):
                 arcs.append((u, (u + 1) % n))
-        p = transition_matrix(build_digraph(n, arcs))
+        out.append(build_digraph(n, arcs))
+    return out
+
+
+def test_power_preserves_stochasticity():
+    for d in random_digraphs():
+        p = transition_matrix(d)
         for k in range(9):
             pk = matrix_power(p, k)
             assert all(sum(row) == 1 for row in pk.rows)
@@ -101,6 +109,79 @@ def test_power_preserves_stochasticity():
 def test_power_dimension_cap():
     with pytest.raises(TooLargeError):
         matrix_power(uniform_matrix(5), 2, cap=4)
+
+
+# -- integer power against the Fraction oracle ---------------------------------
+
+def mixed_degree_digraph():
+    # out-degrees 1, 2, 3, 1: the power's common denominator is L = 6
+    return build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)])
+
+
+def power_test_matrices():
+    digraphs = [
+        complete_digraph(4),
+        complete_digraph(5),
+        complete_digraph(6),
+        complete_digraph(8),
+        directed_cycle(5),
+        build_digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)]),
+        to_bidirected(complete_multipartite(3, 2)),
+        mixed_degree_digraph(),
+        *random_digraphs(),
+    ]
+    return [transition_matrix(d) for d in digraphs] + [
+        uniform_matrix(4),
+        uniform_matrix(5),
+        StochasticMatrix(((F(1, 4), F(3, 4)), (F(1, 2), F(1, 2)))),
+        StochasticMatrix(()),
+    ]
+
+
+def test_power_matches_reference_entry_for_entry():
+    for p in power_test_matrices():
+        for k in (0, 1, 2, 3, 7, 8):
+            assert matrix_power(p, k).rows == reference_matrix_power(p, k).rows, (p, k)
+
+
+def test_power_mixed_out_degrees():
+    p = transition_matrix(mixed_degree_digraph())
+    assert math.lcm(*(x.denominator for row in p.rows for x in row)) == 6
+    for k in range(10):
+        assert matrix_power(p, k).rows == reference_matrix_power(p, k).rows, k
+
+
+def test_power_of_a_power_matches_reference():
+    # mixing_bound_check raises P^k again to a power t
+    digraphs = (
+        complete_digraph(6),
+        mixed_degree_digraph(),
+        to_bidirected(complete_multipartite(3, 2)),
+    )
+    for d in digraphs:
+        p = transition_matrix(d)
+        for k in (2, 3, 4):
+            pk = matrix_power(p, k)
+            assert pk.rows == reference_matrix_power(p, k).rows
+            for t in (1, 2, 5, 8):
+                assert matrix_power(pk, t).rows == reference_matrix_power(pk, t).rows, (k, t)
+
+
+@pytest.mark.parametrize(
+    "p, k, cap",
+    [
+        (uniform_matrix(3), -1, 64),
+        (uniform_matrix(5), -2, 4),
+        (uniform_matrix(5), 2, 4),
+        (uniform_matrix(5), 0, 4),
+    ],
+)
+def test_power_errors_match_reference(p, k, cap):
+    with pytest.raises((ValueError, TooLargeError)) as want:
+        reference_matrix_power(p, k, cap=cap)
+    with pytest.raises(want.type) as got:
+        matrix_power(p, k, cap=cap)
+    assert got.type is want.type and str(got.value) == str(want.value)
 
 
 # -- walk counting ----------------------------------------------------------------
