@@ -17,7 +17,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -37,72 +36,29 @@ from .rational import as_fraction, fmt12, frac_str
 
 DEFAULT_SUITE_CAP = 20
 
-ANALYSES = (
-    "count",
-    "edge_prob",
-    "pmf",
-    "avoidance",
-    "disjoint",
-    "switching",
-    "walks",
-    "expander",
-    "suite_multipartite",
-    "suite_tv",
-)
 
-
-@dataclass
-class ExperimentSpec:
-    """Everything one invocation needs; mirrors the CLI flags."""
-
-    analysis: str
-    family: Optional[str] = None
-    path: Optional[str] = None
-    a: Optional[int] = None
-    b: Optional[int] = None
-    n: Optional[int] = None
-    d: Optional[int] = None
-    r: int = 2
-    k: int = 1
-    ell: Optional[int] = None
-    nu: Optional[Fraction] = None
-    tau: Optional[Fraction] = None
-    seed: int = 0
-    samples: int = 100_000
-    trials: int = 1000
-    mode: str = "exact"
-    reference: str = "pm"
-    sampled: bool = False
-    bipartite: bool = False
-    sizes: list[int] = field(default_factory=list)
-    b_max: int = 6
-    cap: int = DEFAULT_SUITE_CAP
-    fmt: str = "json"
-    out: Optional[str] = None
-
-
-def build_graph_from_spec(spec: ExperimentSpec) -> tuple[Graph, Optional[Bipartition]]:
-    if spec.family == "complete":
-        if spec.n is None:
+def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]:
+    if args.family == "complete":
+        if args.n is None:
             raise ValueError("complete family needs -n")
-        return complete_graph(spec.n), None
-    if spec.family == "multipartite":
-        if spec.a is None or spec.b is None:
+        return complete_graph(args.n), None
+    if args.family == "multipartite":
+        if args.a is None or args.b is None:
             raise ValueError("multipartite family needs -a and -b")
-        g = complete_multipartite(spec.a, spec.b)
+        g = complete_multipartite(args.a, args.b)
         part = None
-        if spec.a == 2:
-            part = Bipartition(range(spec.b), range(spec.b, 2 * spec.b))
+        if args.a == 2:
+            part = Bipartition(range(args.b), range(args.b, 2 * args.b))
         return g, part
-    if spec.family == "random_regular":
-        if spec.n is None or spec.d is None:
+    if args.family == "random_regular":
+        if args.n is None or args.d is None:
             raise ValueError("random_regular family needs -n and -d")
-        return random_regular(spec.n, spec.d, spec.seed), None
-    if spec.family == "file" or spec.path:
-        if not spec.path:
+        return random_regular(args.n, args.d, args.seed), None
+    if args.family == "file" or args.path:
+        if not args.path:
             raise ValueError("file family needs --file")
-        return read_edge_list(spec.path)
-    raise ValueError(f"unknown family {spec.family!r}")
+        return read_edge_list(args.path)
+    raise ValueError(f"unknown family {args.family!r}")
 
 
 def _reference_matching(g: Graph, kind: str):
@@ -121,23 +77,44 @@ def _require_even(g: Graph) -> None:
         raise ValueError("matching analyses need an even number of vertices")
 
 
-def _params(spec: ExperimentSpec) -> expansion.ExpansionParams:
-    if spec.nu is None or spec.tau is None:
+def _params(args: argparse.Namespace) -> expansion.ExpansionParams:
+    if args.nu is None or args.tau is None:
         raise ValueError("this analysis needs --nu and --tau")
-    if spec.nu > spec.tau:
+    params = expansion.ExpansionParams(args.nu, args.tau)
+    if params.nu > params.tau:
         print("warning: nu > tau is outside the usual hypothesis range", file=sys.stderr)
-    return expansion.ExpansionParams(spec.nu, spec.tau)
+    return params
+
+
+def _overlap_vs_poisson(g: Graph, ref, d: int):
+    """Exact PMF of |M & ref|, its Poisson reference at rate e(ref)/d
+    (0 when d is 0, as in stats.avoidance_ratio) and their TV distance."""
+    dist = stats.intersection_pmf(g, ref)
+    lam = len(ref) / d if d else 0.0
+    pois = stats.poisson_reference(lam, dist)
+    return dist, lam, pois, stats.tv_distance(dist, pois)
+
+
+def _avoidance_fields(g: Graph, ref) -> dict:
+    """Exact avoidance ratio next to its Poisson zero-term."""
+    exact, reference = stats.avoidance_ratio(g, ref)
+    return {
+        "exact": frac_str(exact),
+        "exact_float": float(exact),
+        "reference": reference,
+        "abs_diff": abs(float(exact) - reference),
+    }
 
 
 # -- analysis runners (each returns a list of flat rows) --------------------
 
-def run_count(spec: ExperimentSpec) -> list[dict]:
-    g, _ = build_graph_from_spec(spec)
+def run_count(args: argparse.Namespace) -> list[dict]:
+    g, _ = build_graph(args)
     return [{"n": g.n, "m": g.m, "count": str(pm.count_pm(g))}]
 
 
-def run_edge_prob(spec: ExperimentSpec) -> list[dict]:
-    g, _ = build_graph_from_spec(spec)
+def run_edge_prob(args: argparse.Namespace) -> list[dict]:
+    g, _ = build_graph(args)
     _require_even(g)
     d = regularity(g)
     inv = 1.0 / d if d else float("nan")
@@ -158,17 +135,14 @@ def run_edge_prob(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-def run_pmf(spec: ExperimentSpec) -> list[dict]:
-    g, _ = build_graph_from_spec(spec)
+def run_pmf(args: argparse.Namespace) -> list[dict]:
+    g, _ = build_graph(args)
     _require_even(g)
     d = regularity(g)
     if d is None:
         raise MatchlabError("pmf analysis needs a regular graph")
-    ref = _reference_matching(g, spec.reference)
-    dist = stats.intersection_pmf(g, ref)
-    lam = len(list(ref)) / d
-    pois = stats.poisson_reference(lam, dist)
-    tv = stats.tv_distance(dist, pois)
+    ref = _reference_matching(g, args.reference)
+    dist, lam, pois, tv = _overlap_vs_poisson(g, ref, d)
     rows = []
     for k in sorted(set(dist.probs) | set(pois.probs)):
         p = dist.prob(k)
@@ -186,52 +160,47 @@ def run_pmf(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-def run_avoidance(spec: ExperimentSpec) -> list[dict]:
-    g, _ = build_graph_from_spec(spec)
+def run_avoidance(args: argparse.Namespace) -> list[dict]:
+    g, _ = build_graph(args)
     _require_even(g)
-    ref = _reference_matching(g, spec.reference)
-    exact, reference = stats.avoidance_ratio(g, ref)
-    d = regularity(g)
+    ref = _reference_matching(g, args.reference)
     return [
         {
             "n": g.n,
-            "d": d,
-            "reference_edges": len(list(ref)),
-            "exact": frac_str(exact),
-            "exact_float": float(exact),
-            "reference": reference,
-            "abs_diff": abs(float(exact) - reference),
+            "d": regularity(g),
+            "reference_edges": len(ref),
+            **_avoidance_fields(g, ref),
         }
     ]
 
 
-def run_disjoint(spec: ExperimentSpec) -> list[dict]:
-    g, _ = build_graph_from_spec(spec)
+def run_disjoint(args: argparse.Namespace) -> list[dict]:
+    g, _ = build_graph(args)
     _require_even(g)
     value, reference = stats.disjoint_probability(
-        g, spec.r, mode=spec.mode, samples=spec.samples, seed=spec.seed
+        g, args.r, mode=args.mode, samples=args.samples, seed=args.seed
     )
     exact = isinstance(value, Fraction)
     return [
         {
-            "r": spec.r,
-            "mode": spec.mode,
+            "r": args.r,
+            "mode": args.mode,
             "value": frac_str(value) if exact else float(value),
             "value_float": float(value),
             "reference": reference,
-            "samples": spec.samples if spec.mode == "montecarlo" else None,
+            "samples": args.samples if args.mode == "montecarlo" else None,
         }
     ]
 
 
-def run_switching(spec: ExperimentSpec) -> list[dict]:
-    g, _ = build_graph_from_spec(spec)
+def run_switching(args: argparse.Namespace) -> list[dict]:
+    g, _ = build_graph(args)
     _require_even(g)
-    ref = _reference_matching(g, spec.reference)
-    ells = [spec.ell] if spec.ell is not None else list(range(2, g.n // 2 + 1))
+    ref = _reference_matching(g, args.reference)
+    ells = [args.ell] if args.ell is not None else list(range(2, g.n // 2 + 1))
     rows = []
     for ell in ells:
-        rep = switching.ratio_report(g, ref, spec.k, ell)
+        rep = switching.ratio_report(g, ref, args.k, ell)
         lmin, lmax, lmean = rep.left_stats
         rmin, rmax, rmean = rep.right_stats
         rows.append(
@@ -257,17 +226,17 @@ def run_switching(spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-def run_walks(spec: ExperimentSpec) -> list[dict]:
-    g, _ = build_graph_from_spec(spec)
+def run_walks(args: argparse.Namespace) -> list[dict]:
+    g, _ = build_graph(args)
     d = regularity(g)
     if d is None or d == 0:
         raise MatchlabError("walks analysis needs a regular graph with edges")
-    params = _params(spec)
+    params = _params(args)
     dg = to_bidirected(g)
     cert = expansion.certify_exact(dg, params)
     n = g.n
     nu = params.nu
-    ell = spec.ell if spec.ell is not None else min(n, math.ceil(1 / nu) + 1)
+    ell = args.ell if args.ell is not None else min(n, math.ceil(1 / nu) + 1)
     counts = [
         walks.count_walks(dg, u, v, ell) for u in range(n) for v in range(n) if u != v
     ]
@@ -275,7 +244,7 @@ def run_walks(spec: ExperimentSpec) -> list[dict]:
     delta = Fraction(d, n)
     expected = float(delta**ell * n ** (ell - 1))
     rel_err = max(abs(c / expected - 1.0) for c in counts) if counts else 0.0
-    k = spec.k if spec.k > 1 else math.ceil(1 / nu) + 1
+    k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
     p = walks.transition_matrix(dg)
     pk = walks.matrix_power(p, k)
     sigma = walks.uniform_distribution(n)
@@ -310,12 +279,12 @@ def run_walks(spec: ExperimentSpec) -> list[dict]:
     return [row]
 
 
-def run_expander(spec: ExperimentSpec) -> list[dict]:
-    g, part = build_graph_from_spec(spec)
-    params = _params(spec)
-    if spec.sampled:
-        cert = expansion.refute_sampled(g, params, spec.trials, spec.seed)
-    elif spec.bipartite or part is not None:
+def run_expander(args: argparse.Namespace) -> list[dict]:
+    g, part = build_graph(args)
+    params = _params(args)
+    if args.sampled:
+        cert = expansion.refute_sampled(g, params, args.trials, args.seed)
+    elif args.bipartite or part is not None:
         if part is None:
             raise ValueError("--bipartite needs a file with an 'A:' line or -a 2")
         cert = expansion.certify_bipartite(g, part, params)
@@ -339,19 +308,13 @@ def suite_multipartite_limit(b_max: int, cap: int = DEFAULT_SUITE_CAP) -> list[d
             if n % 2 != 0 or n < 4:
                 continue
             g = complete_multipartite(parts, b)
-            ref = pm.first_pm(g)
-            exact, reference = stats.avoidance_ratio(g, ref)
-            d = (parts - 1) * b
             rows.append(
                 {
                     "parts": parts,
                     "part_size": b,
                     "n": n,
-                    "d": d,
-                    "exact": frac_str(exact),
-                    "exact_float": float(exact),
-                    "reference": reference,
-                    "abs_diff": abs(float(exact) - reference),
+                    "d": (parts - 1) * b,
+                    **_avoidance_fields(g, pm.first_pm(g)),
                 }
             )
     rows.sort(key=lambda r: (r["n"], r["parts"]))
@@ -374,11 +337,7 @@ def suite_tv_trend(family: str, sizes: list[int], a: Optional[int] = None) -> li
         if g.n % 2 != 0:
             raise ValueError(f"size {size} gives an odd vertex count")
         d = regularity(g)
-        ref = pm.first_pm(g)
-        dist = stats.intersection_pmf(g, ref)
-        lam = len(ref) / d
-        pois = stats.poisson_reference(lam, dist)
-        tv = stats.tv_distance(dist, pois)
+        dist, lam, pois, tv = _overlap_vs_poisson(g, pm.first_pm(g), d)
         p0 = dist.prob(0)
         rows.append(
             {
@@ -396,14 +355,15 @@ def suite_tv_trend(family: str, sizes: list[int], a: Optional[int] = None) -> li
     return rows
 
 
-def run_suite_multipartite(spec: ExperimentSpec) -> list[dict]:
-    return suite_multipartite_limit(spec.b_max, spec.cap)
+def run_suite_multipartite(args: argparse.Namespace) -> list[dict]:
+    return suite_multipartite_limit(args.b_max, args.cap)
 
 
-def run_suite_tv(spec: ExperimentSpec) -> list[dict]:
-    family = spec.family or "complete"
-    sizes = spec.sizes or [6, 8, 10, 12]
-    return suite_tv_trend(family, sizes, spec.a)
+def run_suite_tv(args: argparse.Namespace) -> list[dict]:
+    # --file with no --family names the file family, which has no trend
+    family = args.family or ("file" if args.path else "complete")
+    sizes = args.sizes or [6, 8, 10, 12]
+    return suite_tv_trend(family, sizes, args.a)
 
 
 _RUNNERS = {
@@ -422,8 +382,8 @@ _RUNNERS = {
 
 # -- output -----------------------------------------------------------------
 
-def render_json(spec: ExperimentSpec, rows: list[dict]) -> str:
-    doc = {"analysis": spec.analysis, "seed": spec.seed, "rows": rows}
+def render_json(args: argparse.Namespace, rows: list[dict]) -> str:
+    doc = {"analysis": args.analysis, "seed": args.seed, "rows": rows}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -443,19 +403,19 @@ def render_csv(rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def run(spec: ExperimentSpec) -> int:
+def run(args: argparse.Namespace) -> int:
     """Execute one experiment; returns the process exit code."""
     try:
-        rows = _RUNNERS[spec.analysis](spec)
-        text = render_csv(rows) if spec.fmt == "csv" else render_json(spec, rows)
+        rows = _RUNNERS[args.analysis](args)
+        text = render_csv(rows) if args.fmt == "csv" else render_json(args, rows)
     except ResourceLimitError as exc:
         print(f"error: instance too large: {exc}", file=sys.stderr)
         return 2
-    except (MatchlabError, ValueError, OSError, KeyError) as exc:
+    except (MatchlabError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if spec.out:
-        with open(spec.out, "w", encoding="utf-8") as fh:
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -470,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact perfect-matching experiments on small graphs.",
     )
     sub = parser.add_subparsers(dest="analysis", required=True)
-    for name in ANALYSES:
+    for name in _RUNNERS:
         p = sub.add_parser(name)
         p.add_argument("--family", choices=["complete", "multipartite", "random_regular", "file"])
         p.add_argument("--file", dest="path")
@@ -478,8 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("-b", type=int)
         p.add_argument("-n", type=int)
         p.add_argument("-d", type=int)
-        p.add_argument("--nu")
-        p.add_argument("--tau")
+        p.add_argument("--nu", type=as_fraction)
+        p.add_argument("--tau", type=as_fraction)
         p.add_argument("--ell", type=int)
         p.add_argument("--k", type=int, default=1)
         p.add_argument("--r", type=int, default=2)
@@ -498,46 +458,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def spec_from_args(ns: argparse.Namespace) -> ExperimentSpec:
-    family = ns.family
-    if family is None and ns.path:
-        family = "file"
-    return ExperimentSpec(
-        analysis=ns.analysis,
-        family=family,
-        path=ns.path,
-        a=ns.a,
-        b=ns.b,
-        n=ns.n,
-        d=ns.d,
-        r=ns.r,
-        k=ns.k,
-        ell=ns.ell,
-        nu=as_fraction(ns.nu) if ns.nu is not None else None,
-        tau=as_fraction(ns.tau) if ns.tau is not None else None,
-        seed=ns.seed,
-        samples=ns.samples,
-        trials=ns.trials,
-        mode=ns.mode,
-        reference=ns.reference,
-        sampled=ns.sampled,
-        bipartite=ns.bipartite,
-        sizes=list(ns.sizes),
-        b_max=ns.b_max,
-        cap=ns.cap,
-        fmt=ns.fmt,
-        out=ns.out,
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        spec = spec_from_args(ns)
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
-    return run(spec)
+    return run(args)
 
 
 if __name__ == "__main__":

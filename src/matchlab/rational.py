@@ -12,7 +12,10 @@ from fractions import Fraction
 
 
 def as_fraction(x) -> Fraction:
-    """Coerce ints, floats, strings like '1/10' or '0.1', and Fractions."""
+    """Coerce ints, floats, strings like '1/10' or '0.1', and Fractions.
+
+    An unparsable string or a zero denominator ('1/0') raises ValueError.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
@@ -20,7 +23,10 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(repr(x))
     if isinstance(x, str):
-        return Fraction(x)
+        try:
+            return Fraction(x)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

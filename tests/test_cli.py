@@ -1,11 +1,21 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import pytest
 
+from matchlab import cli
 from matchlab.cli import main, suite_multipartite_limit, suite_tv_trend
-from matchlab.graphs import complete_graph, write_edge_list
+from matchlab.expansion import ExpansionParams, certify_bipartite, certify_exact
+from matchlab.graphs import (
+    Bipartition,
+    Graph,
+    complete_graph,
+    read_edge_list,
+    write_edge_list,
+)
+from matchlab.rational import as_fraction
 
 
 def run_cli(capsys, *argv):
@@ -183,3 +193,128 @@ def test_suite_tv_degenerate_small_flagged():
     rows = suite_tv_trend("complete", [2])
     assert rows[0]["out_of_regime"] is True
     assert rows[0]["p0_exact"] == "0"
+
+
+# -- every subcommand through main ------------------------------------------
+
+def _bipartite_file(tmp_path):
+    """K_{3,3} with an 'A:' line, so `expander` takes the bipartite sweep."""
+    path = tmp_path / "k33.el"
+    g = Graph(6, [(u, v) for u in range(3) for v in range(3, 6)])
+    write_edge_list(path, g, Bipartition(range(3), range(3, 6)))
+    return path
+
+
+SMALL_INVOCATIONS = {
+    "count": ["--family", "complete", "-n", "6"],
+    "edge_prob": ["--family", "complete", "-n", "4"],
+    "pmf": ["--family", "complete", "-n", "6"],
+    "avoidance": ["--family", "multipartite", "-a", "3", "-b", "2"],
+    "disjoint": [
+        "--family", "complete", "-n", "6", "--r", "3",
+        "--mode", "montecarlo", "--samples", "500", "--seed", "7",
+    ],
+    "switching": ["--family", "complete", "-n", "6", "--k", "1"],
+    "walks": ["--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
+    "expander": ["--family", "file", "--file", "{bipartite}", "--nu", "0.1", "--tau", "0.3"],
+    "suite_multipartite": ["--b-max", "2", "--cap", "8"],
+    "suite_tv": ["--sizes", "6", "8"],
+}
+
+
+@pytest.mark.parametrize("analysis", list(cli._RUNNERS))
+def test_every_runner_is_deterministic_in_json_and_csv(capsys, tmp_path, analysis):
+    bipartite = str(_bipartite_file(tmp_path))
+    argv = [analysis] + [a.format(bipartite=bipartite) for a in SMALL_INVOCATIONS[analysis]]
+    code1, out1 = run_cli(capsys, *argv)
+    code2, out2 = run_cli(capsys, *argv)
+    assert code1 == code2 == 0
+    assert out1 == out2
+    doc = json.loads(out1)
+    assert doc["analysis"] == analysis
+    assert doc["rows"]
+    code, text = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(text)))
+    assert len(rows) == len(doc["rows"])
+    assert list(rows[0]) == list(doc["rows"][0])
+
+
+def test_expander_file_with_a_line_takes_bipartite_sweep(capsys, tmp_path):
+    path = _bipartite_file(tmp_path)
+    doc = run_json(capsys, "expander", "--file", str(path), "--nu", "0.1", "--tau", "0.3")
+    g, part = read_edge_list(path)
+    params = ExpansionParams(Fraction(1, 10), Fraction(3, 10))
+    expected = certify_bipartite(g, part, params).sets_checked
+    assert doc["rows"][0]["sets_checked"] == expected
+    assert expected != certify_exact(g, params).sets_checked
+
+
+def test_parser_flags_and_defaults():
+    ns = cli.build_parser().parse_args(["count"])
+    assert vars(ns) == {
+        "analysis": "count", "family": None, "path": None, "a": None, "b": None,
+        "n": None, "d": None, "nu": None, "tau": None, "ell": None, "k": 1, "r": 2,
+        "samples": 100_000, "trials": 1000, "seed": 0, "mode": "exact",
+        "reference": "pm", "sampled": False, "bipartite": False, "sizes": [],
+        "b_max": 6, "cap": 20, "out": None, "fmt": "json",
+    }
+    ns = cli.build_parser().parse_args(["walks", "--nu", "0.1", "--tau", "1/3"])
+    assert (ns.nu, ns.tau) == (Fraction(1, 10), Fraction(1, 3))
+
+
+# -- inputs that used to end in a traceback ---------------------------------
+
+def test_pmf_on_empty_graph(capsys, tmp_path):
+    path = tmp_path / "empty.el"
+    path.write_text("0 0\n")
+    doc = run_json(capsys, "pmf", "--file", str(path))
+    assert doc["rows"] == [{
+        "k": 0, "exact": "1", "exact_float": 1.0, "poisson": 1.0,
+        "lambda": 0.0, "tv": 0.0, "poisson_truncation": 0.0,
+    }]
+
+
+def test_suite_tv_size_zero(capsys):
+    (row,) = run_json(capsys, "suite_tv", "--sizes", "0")["rows"]
+    assert (row["n"], row["d"], row["lambda"]) == (0, 0, 0.0)
+    assert (row["p0_exact"], row["tv"]) == ("1", 0.0)
+    assert row["out_of_regime"] is True
+
+
+@pytest.mark.parametrize("nu, tau, bad", [
+    ("abc", "0.3", "--nu"),
+    ("1/0", "0.3", "--nu"),
+    ("0.1", "1/0", "--tau"),
+])
+def test_unparsable_fraction_is_usage_error(capsys, nu, tau, bad):
+    code = main(["expander", "--family", "complete", "-n", "6", "--nu", nu, "--tau", tau])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert f"argument {bad}: invalid" in err
+
+
+def test_as_fraction_zero_denominator_is_value_error():
+    with pytest.raises(ValueError):
+        as_fraction("1/0")
+
+
+def test_invalid_nu_reports_error_without_warning(capsys):
+    code = main([
+        "expander", "--family", "complete", "-n", "6",
+        "--nu", "1.5", "--tau", "0.3",
+    ])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: nu and tau must lie strictly between 0 and 1" in err
+    assert "warning" not in err
+
+
+def test_key_error_in_runner_is_not_an_input_error(monkeypatch):
+    def broken(args):
+        raise KeyError("bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "count", broken)
+    with pytest.raises(KeyError):
+        main(["count", "--family", "complete", "-n", "4"])
