@@ -68,6 +68,8 @@ def _reference_matching(g: Graph, kind: str):
     if first is None:
         raise MatchlabError("graph has no perfect matching to use as reference")
     if kind == "edge":
+        if not first.pairs:
+            raise MatchlabError("graph has no edge to use as reference")
         return [first.pairs[0]]
     return first
 
@@ -117,7 +119,7 @@ def run_edge_prob(args: argparse.Namespace) -> list[dict]:
     g, _ = build_graph(args)
     _require_even(g)
     d = regularity(g)
-    inv = 1.0 / d if d else float("nan")
+    inv = 1.0 / d if d else None
     rows = []
     for u, v in g.edges:
         p = stats.edge_probability(g, (u, v))
@@ -129,7 +131,7 @@ def run_edge_prob(args: argparse.Namespace) -> list[dict]:
                 "exact_float": float(p),
                 "d": d,
                 "one_over_d": inv,
-                "abs_dev": abs(float(p) - inv) if d else float("nan"),
+                "abs_dev": abs(float(p) - inv) if d else None,
             }
         )
     return rows

@@ -109,23 +109,23 @@ def _window(n: int, tau: Fraction) -> tuple[int, int]:
 
 
 def _lex_subsets(universe: list[int], lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All subsets with lo <= size <= hi in lexicographic tuple order."""
+    """All subsets with lo <= size <= hi in lexicographic tuple order,
+    each with its vertex bitmask."""
     n = len(universe)
     chosen: list[int] = []
 
-    def rec(start: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    def rec(start: int, mask: int) -> Iterator[tuple[tuple[int, ...], int]]:
         for i in range(start, n):
-            chosen.append(universe[i])
+            v = universe[i]
+            chosen.append(v)
+            vmask = mask | 1 << v
             if lo <= len(chosen) <= hi:
-                mask = 0
-                for v in chosen:
-                    mask |= 1 << v
-                yield tuple(chosen), mask
+                yield tuple(chosen), vmask
             if len(chosen) < hi:
-                yield from rec(i + 1)
+                yield from rec(i + 1, vmask)
             chosen.pop()
 
-    yield from rec(0)
+    yield from rec(0, 0)
 
 
 def _violation_test(masks, scale_n: int, nu: Fraction):
@@ -143,6 +143,19 @@ def _violation_test(masks, scale_n: int, nu: Fraction):
     return violates
 
 
+def _sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> ExpansionCertificate:
+    """Check every subset of `universe` in the size window at `scale`;
+    Fail with the lexicographically first violating set, else Pass."""
+    violates = _violation_test(masks, scale, params.nu)
+    lo, hi = _window(scale, params.tau)
+    checked = 0
+    for subset, smask in _lex_subsets(universe, lo, hi):
+        checked += 1
+        if violates(smask, len(subset)):
+            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, checked)
+    return ExpansionCertificate(Verdict.PASS, params.nu, params.tau, None, checked)
+
+
 def certify_exact(
     obj: Union[Graph, Digraph],
     params: ExpansionParams,
@@ -156,14 +169,7 @@ def certify_exact(
     n = obj.n
     if n > limit:
         raise TooLargeForExactSweepError(f"n={n} above the sweep cap {limit}")
-    violates = _violation_test(_in_masks(obj), n, params.nu)
-    lo, hi = _window(n, params.tau)
-    checked = 0
-    for subset, smask in _lex_subsets(list(range(n)), lo, hi):
-        checked += 1
-        if violates(smask, len(subset)):
-            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, checked)
-    return ExpansionCertificate(Verdict.PASS, params.nu, params.tau, None, checked)
+    return _sweep(_in_masks(obj), list(range(n)), n, params)
 
 
 def refute_sampled(
@@ -210,14 +216,7 @@ def certify_bipartite(
     side = len(part.side_a)
     if side > limit:
         raise TooLargeForExactSweepError(f"side size {side} above the sweep cap {limit}")
-    violates = _violation_test(g.neighbor_masks, side, params.nu)
-    lo, hi = _window(side, params.tau)
-    checked = 0
-    for subset, smask in _lex_subsets(sorted(part.side_a), lo, hi):
-        checked += 1
-        if violates(smask, len(subset)):
-            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, checked)
-    return ExpansionCertificate(Verdict.PASS, params.nu, params.tau, None, checked)
+    return _sweep(g.neighbor_masks, sorted(part.side_a), side, params)
 
 
 def min_degree_sufficient(g: Graph, eps) -> bool:

@@ -4,8 +4,14 @@ Between the perfect matchings containing exactly k reference edges and
 those containing exactly k-1, build the bipartite exchange graph whose
 edges are single alternating cycles of a fixed length carrying exactly
 one reference edge.  Double counting its edges ties the stratum sizes
-together; the companion digraph turns alternating-path counting into
-ordinary path counting, one arc per two alternating steps.
+together.
+
+One walker, `_alternating_paths`, takes the alternating steps: a free
+edge, then a base-matching edge.  The exchange graph is generated from
+it, each left matching's neighbours read off the alternating cycles
+through its reference edges, and `count_alternating_paths` counts its
+paths.  The companion digraph has one arc per such pair of steps, so
+alternating-path counting becomes ordinary path counting.
 """
 
 from __future__ import annotations
@@ -82,47 +88,51 @@ class SwitchGraph:
         return degs
 
 
-def single_cycle_length(edges: frozenset[Edge]) -> Optional[int]:
-    """Length of `edges` when they form exactly one cycle, else None."""
-    if not edges:
-        return None
-    adj: dict[int, list[int]] = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    if any(len(nb) != 2 for nb in adj.values()):
-        return None
-    start = min(adj)
-    prev, cur = start, adj[start][0]
-    steps = 1
-    while cur != start:
-        a, b = adj[cur]
-        prev, cur = cur, (b if a == prev else a)
-        steps += 1
-    if steps != len(edges):  # closed early: more than one cycle
-        return None
-    return steps
+def _alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: frozenset[Edge]):
+    """Every simple path of `length` edges (even) from u that alternates a
+    free edge, outside `ban` and the base matching, with a base-matching
+    edge outside `ban`, starting with a free edge.
 
+    Yields (vertices, free edges, base edges) as lists that the next step
+    changes in place: copy what has to outlive it.
+    """
+    base_edges = base.edge_set
+    partner = base.partner_map()
+    path: list[int] = [u]
+    free: list[Edge] = []
+    based: list[Edge] = []
 
-def is_switch_edge(m_hi: Matching, m_lo: Matching, reference_edges: frozenset[Edge], ell: int) -> bool:
-    """The defining test for adjacency in the exchange graph."""
-    diff = m_hi.edge_set ^ m_lo.edge_set
-    if len(diff) != 2 * ell:
-        return False
-    carried = diff & reference_edges
-    if len(carried) != 1:
-        return False
-    (e,) = carried
-    if e not in m_hi.edge_set:
-        return False
-    return single_cycle_length(diff) == 2 * ell
+    def rec(x: int, pairs: int):
+        if pairs == 0:
+            yield path, free, based
+            return
+        for y in g.neighbors(x):
+            z = partner.get(y)
+            if z is None or y in path or z in path:
+                continue
+            e = (x, y) if x < y else (y, x)
+            f = (y, z) if y < z else (z, y)
+            if e in ban or e in base_edges or f in ban:
+                continue
+            path.extend((y, z))
+            free.append(e)
+            based.append(f)
+            yield from rec(z, pairs - 1)
+            del path[-2:]
+            free.pop()
+            based.pop()
+
+    return rec(u, length // 2)
 
 
 def build_switch_graph(
     g: Graph, reference, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP
 ) -> SwitchGraph:
-    """Materialize the exchange graph by pairwise tests over the two
-    enumerated strata (early exit on a wrong symmetric-difference size)."""
+    """Materialize the exchange graph by generating each left matching's
+    neighbours.  For each reference edge (a, b) of a left matching M, every
+    alternating path of 2*ell - 2 edges from b avoiding the reference that
+    closes at a by a non-reference edge gives one cycle C, and M ^ C is
+    looked up among the right matchings by edge set."""
     if k < 1:
         raise ValueError("k must be positive")
     if ell < 2 or 2 * ell > g.n:
@@ -136,11 +146,18 @@ def build_switch_graph(
             left.append(m)
         elif inter == k - 1:
             right.append(m)
+    right_index = {m.edge_set: j for j, m in enumerate(right)}
     edges = []
     for i, m in enumerate(left):
-        for j, mp in enumerate(right):
-            if is_switch_edge(m, mp, ref, ell):
-                edges.append((i, j))
+        found = []
+        for a, b in m.edge_set & ref:
+            for path, free, based in _alternating_paths(g, m, b, 2 * ell - 2, ref):
+                z = path[-1]
+                close = (a, z) if a < z else (z, a)
+                if close not in ref and g.has_edge(a, z):
+                    cycle = [(a, b), close, *free, *based]
+                    found.append(right_index[m.edge_set.symmetric_difference(cycle)])
+        edges += [(i, j) for j in sorted(found)]
     return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
 
 
@@ -159,32 +176,25 @@ def aux_vertex_set(reference, base: Matching, n: int, side=None) -> frozenset[in
 def build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph:
     """Companion digraph for alternating-path counting.
 
-    One arc x -> z per two alternating steps from x: first a free edge
-    (outside both the reference and the base matching) to some y, then
-    y's base-matching edge to z.  The digraph keeps the original vertex
-    labels; vertices outside its vertex set are simply isolated.  For
-    the bipartite variant pass the class containing the endpoints of
-    interest as `side`.
+    One arc x -> z per two alternating steps from x, as
+    `_alternating_paths` takes them with the reference banned: first a
+    free edge (outside both the reference and the base matching) to some
+    y, then y's base-matching edge, outside the reference, to z.  The
+    digraph keeps the original vertex labels; vertices outside its vertex
+    set are simply isolated.  For the bipartite variant pass the class
+    containing the endpoints of interest as `side`.
     """
     cover = vertices_of(base.edge_set)
     if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
         raise NotAPerfectMatchingError("base must be a perfect matching of the graph")
     ref = edge_set(reference)
-    shared_vertices = vertices_of(ref & base.edge_set)
-    eligible = [v not in shared_vertices for v in range(g.n)]
     verts = aux_vertex_set(reference, base, g.n, side)
-    partner = base.partner_map()
-    arcs = []
-    for x in verts:
-        for y in g.neighbors(x):
-            if not eligible[y]:
-                continue
-            exy = (x, y) if x < y else (y, x)
-            if exy in ref or exy in base.edge_set:
-                continue
-            z = partner[y]
-            if z in verts:
-                arcs.append((x, z))
+    arcs = [
+        (x, path[-1])
+        for x in verts
+        for path, _, _ in _alternating_paths(g, base, x, 2, ref)
+        if path[-1] in verts
+    ]
     return Digraph(g.n, arcs)
 
 
@@ -203,42 +213,8 @@ def count_alternating_paths(
         raise ValueError("endpoints must be distinct")
     if length % 2 != 0:
         raise ValueError("length must be even")
-    if length == 0:
-        return 0
-    ban = edge_set(forbidden)
-    base_edges = base.edge_set
-    partner = base.partner_map()
-    visited = {u}
-
-    def rec(x: int, remaining: int) -> int:
-        if remaining == 0:
-            return 1 if x == v else 0
-        if remaining % 2 == 0:
-            # free step
-            total = 0
-            for y in g.neighbors(x):
-                if y in visited:
-                    continue
-                e = (x, y) if x < y else (y, x)
-                if e in ban or e in base_edges:
-                    continue
-                visited.add(y)
-                total += rec(y, remaining - 1)
-                visited.discard(y)
-            return total
-        # matching step: at most one continuation
-        y = partner.get(x)
-        if y is None or y in visited:
-            return 0
-        e = (x, y) if x < y else (y, x)
-        if e in ban:
-            return 0
-        visited.add(y)
-        total = rec(y, remaining - 1)
-        visited.discard(y)
-        return total
-
-    return rec(u, length)
+    paths = _alternating_paths(g, base, u, length, edge_set(forbidden))
+    return sum(1 for path, _, _ in paths if path[-1] == v)
 
 
 @dataclass(frozen=True)

@@ -11,17 +11,22 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from typing import Optional
 
-from matchlab.errors import NoPerfectMatchingError, TooLargeError
+from matchlab.errors import NoPerfectMatchingError, NotAPerfectMatchingError, TooLargeError
 from matchlab.graphs import (
+    Digraph,
+    Edge,
     Graph,
     Matching,
     build_graph,
     complete_graph,
     cycle_graph,
     edge_set,
+    vertices_of,
 )
-from matchlab.pm import DEFAULT_DP_LIMIT, _count_on_mask
+from matchlab.pm import DEFAULT_DP_LIMIT, DEFAULT_ENUM_CAP, _count_on_mask, enumerate_pm
+from matchlab.switching import SwitchGraph, aux_vertex_set
 from matchlab.walks import DEFAULT_MATRIX_CAP, StochasticMatrix, identity_matrix
 
 
@@ -151,6 +156,96 @@ def reference_matrix_power(
         if e:
             base = _matmul(base, base)
     return result
+
+
+# -- reference switch graph ---------------------------------------------------
+
+def single_cycle_length(edges: frozenset[Edge]) -> Optional[int]:
+    """Length of `edges` when they form exactly one cycle, else None."""
+    if not edges:
+        return None
+    adj: dict[int, list[int]] = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    if any(len(nb) != 2 for nb in adj.values()):
+        return None
+    start = min(adj)
+    prev, cur = start, adj[start][0]
+    steps = 1
+    while cur != start:
+        a, b = adj[cur]
+        prev, cur = cur, (b if a == prev else a)
+        steps += 1
+    if steps != len(edges):  # closed early: more than one cycle
+        return None
+    return steps
+
+
+def is_switch_edge(m_hi: Matching, m_lo: Matching, reference_edges: frozenset[Edge], ell: int) -> bool:
+    """The defining test for adjacency in the exchange graph."""
+    diff = m_hi.edge_set ^ m_lo.edge_set
+    if len(diff) != 2 * ell:
+        return False
+    carried = diff & reference_edges
+    if len(carried) != 1:
+        return False
+    (e,) = carried
+    if e not in m_hi.edge_set:
+        return False
+    return single_cycle_length(diff) == 2 * ell
+
+
+def reference_build_switch_graph(
+    g: Graph, reference, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP
+) -> SwitchGraph:
+    """Oracle for switching.build_switch_graph: pairwise tests over the
+    two enumerated strata (early exit on a wrong symmetric-difference
+    size)."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if ell < 2 or 2 * ell > g.n:
+        raise ValueError("need 2 <= ell and 2*ell <= n")
+    ref = edge_set(reference)
+    left: list[Matching] = []
+    right: list[Matching] = []
+    for m in enumerate_pm(g, cap=cap):
+        inter = len(m.edge_set & ref)
+        if inter == k:
+            left.append(m)
+        elif inter == k - 1:
+            right.append(m)
+    edges = []
+    for i, m in enumerate(left):
+        for j, mp in enumerate(right):
+            if is_switch_edge(m, mp, ref, ell):
+                edges.append((i, j))
+    return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
+
+
+def reference_build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph:
+    """Oracle for switching.build_aux_digraph: its own free-edge and
+    base-edge step, with the vertices of shared edges marked ineligible."""
+    cover = vertices_of(base.edge_set)
+    if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
+        raise NotAPerfectMatchingError("base must be a perfect matching of the graph")
+    ref = edge_set(reference)
+    shared_vertices = vertices_of(ref & base.edge_set)
+    eligible = [v not in shared_vertices for v in range(g.n)]
+    verts = aux_vertex_set(reference, base, g.n, side)
+    partner = base.partner_map()
+    arcs = []
+    for x in verts:
+        for y in g.neighbors(x):
+            if not eligible[y]:
+                continue
+            exy = (x, y) if x < y else (y, x)
+            if exy in ref or exy in base.edge_set:
+                continue
+            z = partner[y]
+            if z in verts:
+                arcs.append((x, z))
+    return Digraph(g.n, arcs)
 
 
 # -- independent recheck of exchange-graph edges ------------------------------

@@ -275,6 +275,36 @@ def test_pmf_on_empty_graph(capsys, tmp_path):
     }]
 
 
+@pytest.mark.parametrize("analysis", ["pmf", "avoidance", "switching"])
+def test_edge_reference_on_graph_without_edges(capsys, tmp_path, analysis):
+    path = tmp_path / "empty.el"
+    path.write_text("0 0\n")
+    code = main([analysis, "--file", str(path), "--reference", "edge"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "Traceback" not in err
+    assert "error: graph has no edge to use as reference" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-JSON constant {name}")
+
+
+def test_edge_prob_on_irregular_graph_is_strict_json(capsys, tmp_path):
+    path = tmp_path / "kite.el"
+    path.write_text("4 4\n0 1\n1 2\n2 3\n0 2\n")
+    code, out = run_cli(capsys, "edge_prob", "--file", str(path))
+    assert code == 0
+    rows = json.loads(out, parse_constant=_reject_constant)["rows"]
+    assert len(rows) == 4
+    assert all(r["d"] is None for r in rows)
+    assert all(r["one_over_d"] is None and r["abs_dev"] is None for r in rows)
+    code, text = run_cli(capsys, "edge_prob", "--file", str(path), "--format", "csv")
+    assert code == 0
+    for row in csv.DictReader(io.StringIO(text)):
+        assert row["d"] == row["one_over_d"] == row["abs_dev"] == ""
+
+
 def test_suite_tv_size_zero(capsys):
     (row,) = run_json(capsys, "suite_tv", "--sizes", "0")["rows"]
     assert (row["n"], row["d"], row["lambda"]) == (0, 0, 0.0)

@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_switch_graph_sound
+from conftest import (
+    assert_switch_graph_sound,
+    gnp,
+    reference_build_aux_digraph,
+    reference_build_switch_graph,
+    small_zoo,
+)
 from matchlab.errors import (
     EmptyStratumError,
     NotAPerfectMatchingError,
@@ -101,6 +107,56 @@ def test_switch_graph_soundness_many_instances():
     assert checked >= 20
 
 
+def _differential_hosts():
+    hosts = [(f"zoo{i}", g) for i, g in enumerate(small_zoo())]
+    hosts += [("K8", complete_graph(8)), ("K4x2", complete_multipartite(4, 2))]
+    hosts += [("C10", cycle_graph(10))]
+    hosts += [(f"gnp10-{s}", gnp(10, 0.6, s)) for s in range(6)]
+    return [
+        pytest.param(g, id=name)
+        for name, g in hosts
+        if g.n % 2 == 0 and next(enumerate_pm(g), None)
+    ]
+
+
+def _differential_references(g, rng):
+    """One edge, a whole perfect matching, two edges of another one, the
+    empty set, and a random edge set that is not a matching (its pairs
+    need not be edges of g)."""
+    pms = list(enumerate_pm(g))
+    other = pms[-1] if len(pms) > 1 else pms[0]
+    hub, x, y = rng.sample(range(g.n), 3)
+    pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    return [
+        [pms[0].pairs[0]],
+        pms[0],
+        list(other.pairs[:2]),
+        [],
+        [(hub, x), (hub, y)] + rng.sample(pairs, 2),
+    ]
+
+
+@pytest.mark.parametrize("g", _differential_hosts())
+def test_switch_graph_matches_pairwise_oracle(g):
+    rng = random.Random(g.n * 1000 + g.m)
+    for ref in _differential_references(g, rng):
+        for k in (1, 2, 3):
+            for ell in range(2, g.n // 2 + 1):
+                got = build_switch_graph(g, ref, k=k, ell=ell)
+                want = reference_build_switch_graph(g, ref, k=k, ell=ell)
+                assert got.left == want.left
+                assert got.right == want.right
+                assert got.edges == want.edges, (g, ref, k, ell)
+
+
+@pytest.mark.parametrize("k, ell", [(0, 2), (1, 1), (1, 4)])
+def test_switch_graph_rejects_bad_parameters_like_oracle(k, ell):
+    g = complete_graph(6)
+    for build in (build_switch_graph, reference_build_switch_graph):
+        with pytest.raises(ValueError):
+            build(g, [(0, 1)], k=k, ell=ell)
+
+
 # -- companion digraph ---------------------------------------------------------
 
 def test_aux_digraph_k4_no_reference():
@@ -136,6 +192,19 @@ def test_aux_digraph_bipartite_side_golden():
     d = build_aux_digraph(g, ref, base, side=side)
     assert aux_vertex_set(ref, base, 6, side) == frozenset({1, 2})
     assert set(d.arcs) == {(1, 2), (2, 1)}
+
+
+@pytest.mark.parametrize("g", _differential_hosts())
+def test_aux_digraph_matches_oracle(g):
+    rng = random.Random(g.n * 1000 + g.m + 1)
+    pms = list(enumerate_pm(g))
+    sides = [None, range(g.n // 2), range(0, g.n, 2)]
+    for base in (pms[0], pms[-1]):
+        for ref in _differential_references(g, rng):
+            for side in sides:
+                got = build_aux_digraph(g, ref, base, side=side)
+                want = reference_build_aux_digraph(g, ref, base, side=side)
+                assert got.arcs == want.arcs, (g, base, ref, side)
 
 
 def test_aux_digraph_degree_window():
