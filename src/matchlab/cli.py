@@ -239,16 +239,18 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     n = g.n
     nu = params.nu
     ell = args.ell if args.ell is not None else min(n, math.ceil(1 / nu) + 1)
-    counts = [
-        walks.count_walks(dg, u, v, ell) for u in range(n) for v in range(n) if u != v
-    ]
+    if ell < 0:
+        raise ValueError("length must be non-negative")
+    k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
+    p = walks.transition_matrix(dg)
+    pk = walks.matrix_power(p, k)
+    # every out-degree is d, so there are d^ell * P^ell(u, v) walks
+    p_ell = pk if ell == k else walks.matrix_power(p, ell)
+    counts = [int(p_ell.entry(u, v) * d**ell) for u in range(n) for v in range(n) if u != v]
     lower = float((nu * n) ** (ell - 1))
     delta = Fraction(d, n)
     expected = float(delta**ell * n ** (ell - 1))
     rel_err = max(abs(c / expected - 1.0) for c in counts) if counts else 0.0
-    k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
-    p = walks.transition_matrix(dg)
-    pk = walks.matrix_power(p, k)
     sigma = walks.uniform_distribution(n)
     row: dict = {
         "nu": float(nu),

@@ -8,7 +8,9 @@ matched against each unmatched neighbour, giving O(2^n * n) time at the
 configured size cap.  Counts are Python ints, so arbitrary precision
 comes for free, and each Graph carries its own memo table keyed by the
 surviving-vertex bitmask, shared by counting, containment queries, and
-the sampler.
+the sampler.  Listing runs one search, in the same lowest-vertex order,
+behind both enumerate_pm and first_pm; it remembers the masks whose
+subtree held no perfect matching and never expands them again.
 """
 
 from __future__ import annotations
@@ -62,54 +64,29 @@ def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
     return _count_on_mask(g, (1 << g.n) - 1)
 
 
-def enumerate_pm(
-    g: Graph, cap: int = DEFAULT_ENUM_CAP, limit: int = DEFAULT_DP_LIMIT
-) -> Iterator[Matching]:
-    """Yield every perfect matching once, in lexicographic order of the
-    sorted edge list (the lowest unmatched vertex is matched first, its
-    partner chosen in increasing order)."""
-    total = count_pm(g, limit=limit)
-    if total > cap:
-        raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {cap}")
+def _matchings(g: Graph) -> Iterator[Matching]:
+    """Every perfect matching of g, in lexicographic order of the sorted
+    edge list: the lowest unmatched vertex is matched first, its partner
+    chosen in increasing order.
 
-    n = g.n
-    masks = g.neighbor_masks
-    chosen: list[Edge] = []
-
-    def rec(mask: int) -> Iterator[Matching]:
-        if mask == 0:
-            yield Matching(chosen)
-            return
-        u = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        avail = masks[u] & rest
-        while avail:
-            vbit = avail & -avail
-            avail ^= vbit
-            v = vbit.bit_length() - 1
-            chosen.append((u, v))
-            yield from rec(rest ^ vbit)
-            chosen.pop()
-
-    yield from rec((1 << n) - 1)
-
-
-def first_pm(g: Graph) -> Optional[Matching]:
-    """Lexicographically least perfect matching, or None.
-
-    Same search order as enumerate_pm, stopping at the first leaf, so it
-    works on graphs whose full matching count is far beyond the
-    enumeration cap.  Masks found to have no perfect matching are
-    remembered for the rest of the search, so each mask is expanded at
-    most once and the work is bounded by the distinct masks reached.
+    A mask whose subtree yielded no matching (the leaf count did not move
+    while its children were searched) is remembered and skipped for the
+    rest of the search, so a mask without a perfect matching is expanded
+    at most once.  The search is lazy: stopping after the first matching
+    costs no more than reaching it.
     """
     masks = g.neighbor_masks
     chosen: list[Edge] = []
     dead: set[int] = set()
+    leaves = 0
 
-    def rec(mask: int) -> bool:
+    def rec(mask: int) -> Iterator[Matching]:
+        nonlocal leaves
         if mask == 0:
-            return True
+            leaves += 1
+            yield Matching(chosen)
+            return
+        before = leaves
         u = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         avail = masks[u] & rest
@@ -120,15 +97,33 @@ def first_pm(g: Graph) -> Optional[Matching]:
             if child in dead:
                 continue
             chosen.append((u, vbit.bit_length() - 1))
-            if rec(child):
-                return True
+            yield from rec(child)
             chosen.pop()
-        dead.add(mask)
-        return False
+        if leaves == before:
+            dead.add(mask)
 
-    if rec((1 << g.n) - 1):
-        return Matching(chosen)
-    return None
+    yield from rec((1 << g.n) - 1)
+
+
+def enumerate_pm(
+    g: Graph, cap: int = DEFAULT_ENUM_CAP, limit: int = DEFAULT_DP_LIMIT
+) -> Iterator[Matching]:
+    """Yield every perfect matching once, in lexicographic order of the
+    sorted edge list, after checking the count against `cap`."""
+    total = count_pm(g, limit=limit)
+    if total > cap:
+        raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {cap}")
+    yield from _matchings(g)
+
+
+def first_pm(g: Graph) -> Optional[Matching]:
+    """Lexicographically least perfect matching, or None.
+
+    The first leaf of enumerate_pm's search, taken without counting, so it
+    works on graphs past the counting cap and on graphs whose matching
+    count is far beyond the enumeration cap.
+    """
+    return next(_matchings(g), None)
 
 
 def count_pm_containing(g: Graph, forced, limit: int = DEFAULT_DP_LIMIT) -> int:

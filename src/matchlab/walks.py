@@ -236,7 +236,11 @@ def mixing_params(p: StochasticMatrix, sigma: Sequence) -> MixingParams:
 
 @dataclass(frozen=True)
 class MixingReport:
-    """Outcome of checking |P^t(j, i) - sigma_i| <= (1 - alpha/2)^t sigma_i."""
+    """Outcome of checking |P^t(j, i) - sigma_i| <= (1 - alpha/2)^t sigma_i.
+
+    `passes` is that comparison made exactly, in rationals; the
+    deviations are reported as floats.
+    """
 
     t: int
     threshold: float
@@ -244,7 +248,11 @@ class MixingReport:
     max_abs_dev: float
     max_rel_dev: float
     passes: bool
-    exact_pass: bool
+
+    @property
+    def exact_pass(self) -> bool:
+        """The same verdict as `passes`, under its JSON key."""
+        return self.passes
 
     def to_json_dict(self) -> dict:
         return {
@@ -258,15 +266,11 @@ class MixingReport:
         }
 
 
-def mixing_bound_check(
-    p: StochasticMatrix, sigma: Sequence, t: int, slack: float = 1e-12
-) -> MixingReport:
+def mixing_bound_check(p: StochasticMatrix, sigma: Sequence, t: int) -> MixingReport:
     """Verify the geometric-convergence envelope at time t.
 
-    The deviations are computed exactly; `passes` compares floats with
-    the documented slack while `exact_pass` reports the pure rational
-    comparison.  Below the threshold the report is flagged but still
-    computed.
+    The deviations and the envelope are compared exactly.  Below the
+    threshold the report is flagged but still computed.
     """
     params = mixing_params(p, sigma)
     sig = _check_distribution(sigma)
@@ -275,29 +279,24 @@ def mixing_bound_check(
     factor = (1 - params.alpha / 2) ** t
     max_abs = ZERO
     max_rel = ZERO
-    ok_float = True
-    ok_exact = True
+    ok = True
     for j in range(p.n):
         for i in range(p.n):
             dev = abs(pt.entry(j, i) - sig[i])
-            bound = factor * sig[i]
             if dev > max_abs:
                 max_abs = dev
             rel = dev / sig[i]
             if rel > max_rel:
                 max_rel = rel
-            if dev > bound:
-                ok_exact = False
-            if float(dev) > float(bound) + slack:
-                ok_float = False
+            if dev > factor * sig[i]:
+                ok = False
     return MixingReport(
         t=t,
         threshold=params.threshold,
         below_threshold=below,
         max_abs_dev=float(max_abs),
         max_rel_dev=float(max_rel),
-        passes=ok_float,
-        exact_pass=ok_exact,
+        passes=ok,
     )
 
 

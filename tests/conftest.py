@@ -11,9 +11,14 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
-from typing import Optional
+from typing import Iterator, Optional
 
-from matchlab.errors import NoPerfectMatchingError, NotAPerfectMatchingError, TooLargeError
+from matchlab.errors import (
+    NoPerfectMatchingError,
+    NotAPerfectMatchingError,
+    TooLargeError,
+    TooManyMatchingsError,
+)
 from matchlab.graphs import (
     Digraph,
     Edge,
@@ -25,7 +30,7 @@ from matchlab.graphs import (
     edge_set,
     vertices_of,
 )
-from matchlab.pm import DEFAULT_DP_LIMIT, DEFAULT_ENUM_CAP, _count_on_mask, enumerate_pm
+from matchlab.pm import DEFAULT_DP_LIMIT, DEFAULT_ENUM_CAP, _count_on_mask, count_pm
 from matchlab.switching import SwitchGraph, aux_vertex_set
 from matchlab.walks import DEFAULT_MATRIX_CAP, StochasticMatrix, identity_matrix
 
@@ -91,6 +96,70 @@ def small_zoo() -> list[Graph]:
         gnp(10, 0.3, 14),
         gnp(7, 0.6, 15),
     ]
+
+
+# -- reference matching search ------------------------------------------------
+
+def reference_enumerate_pm(
+    g: Graph, cap: int = DEFAULT_ENUM_CAP, limit: int = DEFAULT_DP_LIMIT
+) -> Iterator[Matching]:
+    """Oracle for pm.enumerate_pm: its own lowest-vertex recursion, with no
+    dead-mask pruning."""
+    total = count_pm(g, limit=limit)
+    if total > cap:
+        raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {cap}")
+
+    n = g.n
+    masks = g.neighbor_masks
+    chosen: list[Edge] = []
+
+    def rec(mask: int) -> Iterator[Matching]:
+        if mask == 0:
+            yield Matching(chosen)
+            return
+        u = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        avail = masks[u] & rest
+        while avail:
+            vbit = avail & -avail
+            avail ^= vbit
+            v = vbit.bit_length() - 1
+            chosen.append((u, v))
+            yield from rec(rest ^ vbit)
+            chosen.pop()
+
+    yield from rec((1 << n) - 1)
+
+
+def reference_first_pm(g: Graph) -> Optional[Matching]:
+    """Oracle for pm.first_pm: a recursion of its own that stops at the
+    first leaf and remembers the masks with no perfect matching."""
+    masks = g.neighbor_masks
+    chosen: list[Edge] = []
+    dead: set[int] = set()
+
+    def rec(mask: int) -> bool:
+        if mask == 0:
+            return True
+        u = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        avail = masks[u] & rest
+        while avail:
+            vbit = avail & -avail
+            avail ^= vbit
+            child = rest ^ vbit
+            if child in dead:
+                continue
+            chosen.append((u, vbit.bit_length() - 1))
+            if rec(child):
+                return True
+            chosen.pop()
+        dead.add(mask)
+        return False
+
+    if rec((1 << g.n) - 1):
+        return Matching(chosen)
+    return None
 
 
 # -- reference sampler ---------------------------------------------------------
@@ -209,7 +278,7 @@ def reference_build_switch_graph(
     ref = edge_set(reference)
     left: list[Matching] = []
     right: list[Matching] = []
-    for m in enumerate_pm(g, cap=cap):
+    for m in reference_enumerate_pm(g, cap=cap):
         inter = len(m.edge_set & ref)
         if inter == k:
             left.append(m)

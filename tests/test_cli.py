@@ -13,9 +13,11 @@ from matchlab.graphs import (
     Graph,
     complete_graph,
     read_edge_list,
+    to_bidirected,
     write_edge_list,
 )
 from matchlab.rational import as_fraction
+from matchlab.walks import count_walks
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +121,18 @@ def test_walks_analysis(capsys):
     assert row["walk_bound_ok"] is True
     assert row["sandwich_ok"] is True
     assert row["mixing_passes"] is True
+
+
+@pytest.mark.parametrize("extra", [[], ["--ell", "6", "--k", "5"], ["--ell", "0"], ["--ell", "3", "--k", "3"]])
+def test_walk_counts_match_count_walks(capsys, extra):
+    argv = ["walks", "--family", "random_regular", "-n", "10", "-d", "3", "--seed", "1",
+            "--nu", "1/10", "--tau", "1/5", *extra]
+    row = run_json(capsys, *argv)["rows"][0]
+    g, _ = cli.build_graph(cli.build_parser().parse_args(argv))
+    dg = to_bidirected(g)
+    counts = [count_walks(dg, u, v, row["ell"]) for u in range(10) for v in range(10) if u != v]
+    assert (row["min_walks"], row["max_walks"]) == (min(counts), max(counts))
+    assert row["walk_bound_ok"] == all(c >= row["walk_lower_bound"] for c in counts)
 
 
 def test_csv_output_and_determinism(capsys):

@@ -4,7 +4,15 @@ from collections import Counter
 
 import pytest
 
-from conftest import gnp, oracle_count, oracle_pm_sets, reference_sample_pm, small_zoo
+from conftest import (
+    gnp,
+    oracle_count,
+    oracle_pm_sets,
+    reference_enumerate_pm,
+    reference_first_pm,
+    reference_sample_pm,
+    small_zoo,
+)
 from matchlab.errors import (
     EdgeNotPresentError,
     NoPerfectMatchingError,
@@ -112,15 +120,69 @@ def test_first_pm():
             assert got is None
 
 
+def _interleaved_cliques(k):
+    """Two K_k on the even and the odd labels: no perfect matching when k
+    is odd, and every branch of the search dead-ends only deep down."""
+    n = 2 * k
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u - v) % 2 == 0])
+
+
+def _disjoint_cliques(k):
+    n = 2 * k
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u < k) == (v < k)])
+
+
 def test_first_pm_no_matching_interleaved_cliques_is_fast():
-    # two K11 on the even and the odd labels: every branch dead-ends, and
     # without remembering dead masks the search revisits them exponentially
-    n = 22
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if (u - v) % 2 == 0]
-    g = build_graph(n, edges)
+    g = _interleaved_cliques(11)
     start = time.perf_counter()
     assert first_pm(g) is None
     assert time.perf_counter() - start < 1.0
+
+
+def test_enumerate_no_matching_interleaved_cliques_is_fast():
+    g = _interleaved_cliques(11)
+    start = time.perf_counter()
+    assert list(enumerate_pm(g)) == []
+    assert time.perf_counter() - start < 1.0
+
+
+def _search_hosts():
+    hosts = small_zoo()
+    hosts += [complete_graph(8), complete_graph(10), complete_multipartite(4, 2), cycle_graph(10)]
+    hosts += [gnp(10, p, s) for p in (0.3, 0.6) for s in range(6)]
+    hosts += [build_graph(0, []), complete_graph(7), _interleaved_cliques(5), _interleaved_cliques(7)]
+    return hosts
+
+
+def test_enumerate_matches_reference():
+    hosts = _search_hosts()
+    assert sum(count_pm(g) == 0 for g in hosts) >= 4
+    for g in hosts:
+        got = [m.pairs for m in enumerate_pm(g)]
+        assert got == [m.pairs for m in reference_enumerate_pm(g)]
+
+
+def test_first_pm_matches_reference():
+    for g in _search_hosts() + [_disjoint_cliques(19)]:
+        got, want = first_pm(g), reference_first_pm(g)
+        assert (None if got is None else got.pairs) == (None if want is None else want.pairs)
+
+
+@pytest.mark.parametrize(
+    "g,kwargs,error",
+    [
+        (complete_graph(6), {"limit": 4}, TooLargeError),
+        (_disjoint_cliques(19), {}, TooLargeError),
+        (complete_graph(6), {"cap": 10}, TooManyMatchingsError),
+    ],
+)
+def test_enumerate_errors_match_reference(g, kwargs, error):
+    with pytest.raises(error) as fast:
+        list(enumerate_pm(g, **kwargs))
+    with pytest.raises(error) as slow:
+        list(reference_enumerate_pm(g, **kwargs))
+    assert str(fast.value) == str(slow.value)
 
 
 # -- forced edges -----------------------------------------------------------

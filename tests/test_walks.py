@@ -323,6 +323,21 @@ def test_mixing_check_below_threshold_flag():
     assert rep.below_threshold
 
 
+def test_mixing_check_near_tie_is_decided_exactly():
+    # with P uniform on 2 states and sigma = (s, 1 - s), s > 1/2, the t = 1
+    # envelope holds iff 8s^2 - 7s + 1 <= 0, whose upper root is
+    # (7 + sqrt(17))/16; just above it the two sides differ by far less
+    # than a float tolerance, so only an exact comparison fails there
+    s = F((7 + math.sqrt(17)) / 16) + F(1, 10**14)
+    assert 8 * s * s - 7 * s + 1 > 0
+    rep = mixing_bound_check(uniform_matrix(2), (s, 1 - s), 1)
+    assert not rep.passes and not rep.exact_pass
+    assert not rep.to_json_dict()["passes"] and not rep.to_json_dict()["exact_pass"]
+    below = F((7 + math.sqrt(17)) / 16) - F(1, 10**14)
+    assert 8 * below * below - 7 * below + 1 < 0
+    assert mixing_bound_check(uniform_matrix(2), (below, 1 - below), 1).passes
+
+
 def test_mixing_check_powered_expander():
     dg = complete_digraph(6)
     cert = certify_exact(dg, ExpansionParams(F(1, 3), F(1, 3)))
