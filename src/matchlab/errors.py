@@ -1,8 +1,9 @@
 """Typed errors raised across the package.
 
-Two families: domain errors (bad or inconsistent inputs) and resource
-limits (instances too large for the configured exact-computation caps).
-The CLI maps the former to exit code 1 and the latter to exit code 2.
+Two families: domain errors (bad or inconsistent inputs, and a random
+generator that gave up) and resource limits (instances too large for the
+configured exact-computation caps).  The CLI maps the former to exit
+code 1 and the latter to exit code 2.
 """
 
 
@@ -68,6 +69,14 @@ class NotBipartiteError(MatchlabError):
     pass
 
 
+class GenerationTimeoutError(MatchlabError):
+    """Rejection sampling did not produce a graph within the restart cap.
+
+    A failed random draw, not an exact-computation cap: the CLI reports
+    it as an input error with the generator's own message.
+    """
+
+
 # -- resource limits ------------------------------------------------------
 
 class ResourceLimitError(MatchlabError):
@@ -92,7 +101,3 @@ class BudgetExceededError(ResourceLimitError):
 
 class ExactInfeasibleError(ResourceLimitError):
     pass
-
-
-class GenerationTimeoutError(ResourceLimitError):
-    """Rejection sampling did not produce a graph within the restart cap."""

@@ -11,10 +11,14 @@ surviving-vertex bitmask, shared by counting, containment queries, and
 the sampler.  Listing runs one search, in the same lowest-vertex order,
 behind both enumerate_pm and first_pm; it remembers the masks whose
 subtree held no perfect matching and never expands them again.
+stratify runs the counting DP with one int per mask that packs every
+stratum as a w-bit digit; w, the bit length of (n-1)!!, bounds every
+count the DP meets, so no digit carries into the next.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -207,8 +211,12 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     """Split the perfect matchings of g by the number of edges shared with
     `reference` (a matching, a graph, or a raw edge set inside E(G)).
 
-    Same bitmask DP as count_pm with the state widened by the running
-    intersection count, which runs from 0 to min(n/2, |reference|).
+    count_pm's DP, each memo entry the int sum_k s_k * 2^(k*w), where s_k
+    counts the mask's matchings sharing k reference edges: a child reached
+    through a reference edge adds its value shifted by w bits.  w is the bit
+    length of (n-1)!!, the count of K_n; each s_k is at most the mask's own
+    count, at most (|mask|-1)!! <= (n-1)!!, so no digit carries.  Kept apart
+    from _count_on_mask: a shared loop made count_pm 3-10% slower.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
@@ -216,41 +224,33 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     for u, v in ref:
         if not g.has_edge(u, v):
             raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
-
     kmax = min(g.n // 2, len(ref))
-    width = kmax + 1
+    w = math.prod(range(g.n - 1, 0, -2)).bit_length()
     masks = g.neighbor_masks
     ref_masks = [0] * g.n
     for u, v in ref:
         ref_masks[u] |= 1 << v
         ref_masks[v] |= 1 << u
-    memo: dict[int, tuple[int, ...]] = {}
-    zero = (0,) * width
-    base = (1,) + (0,) * kmax
+    memo: dict[int, int] = {}
 
-    def rec(mask: int) -> tuple[int, ...]:
+    def rec(mask: int) -> int:
         if mask == 0:
-            return base
+            return 1
         got = memo.get(mask)
         if got is not None:
             return got
         u = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         avail = masks[u] & rest
-        acc = list(zero)
+        hits = ref_masks[u]
+        total = 0
         while avail:
             vbit = avail & -avail
             avail ^= vbit
-            child = rec(rest ^ vbit)
-            if ref_masks[u] & vbit:
-                for k in range(width - 1):
-                    acc[k + 1] += child[k]
-            else:
-                for k in range(width):
-                    acc[k] += child[k]
-        out = tuple(acc)
-        memo[mask] = out
-        return out
+            c = rec(rest ^ vbit)
+            total += c << w if hits & vbit else c
+        memo[mask] = total
+        return total
 
-    by_k = rec((1 << g.n) - 1)
-    return StrataCounts({k: c for k, c in enumerate(by_k)})
+    packed = rec((1 << g.n) - 1)
+    return StrataCounts({k: packed >> (k * w) & ((1 << w) - 1) for k in range(kmax + 1)})

@@ -130,18 +130,17 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 
 def avoidance_ratio(g: Graph, reference) -> tuple[Fraction, float]:
     """Exact probability that a uniform perfect matching avoids the
-    reference edges, next to the Poisson zero-term exp(-e(N)/d)."""
+    reference edges (stratum 0 of stratify over all strata), next to the
+    Poisson zero-term exp(-e(N)/d)."""
     d = regularity(g)
     if d is None:
         raise NotRegularError("graph must be regular")
-    total = count_pm(g)
-    if total == 0:
-        raise NoPerfectMatchingError("graph has no perfect matching")
     ref = edge_set(reference)
-    stripped = remove_edge_set(g, ref)
-    exact = Fraction(count_pm(stripped), total)
+    strata = stratify(g, ref)
+    if strata.total() == 0:
+        raise NoPerfectMatchingError("graph has no perfect matching")
     lam = len(ref) / d if d else 0.0
-    return exact, math.exp(-lam)
+    return Fraction(strata.get(0), strata.total()), math.exp(-lam)
 
 
 def disjoint_probability(

@@ -270,6 +270,8 @@ def _degree_stats(degs: list[int]) -> tuple[int, int, Optional[Fraction]]:
 
 def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     """Exact stratum ratio, prediction, and exchange-graph statistics."""
+    if k < 1:
+        raise ValueError("k must be positive")
     d = regularity(g)
     if d is None:
         raise NotRegularError("host graph must be regular")

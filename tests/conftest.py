@@ -9,13 +9,17 @@ side can catch the other out.
 
 from __future__ import annotations
 
+import math
 import random
 from collections import defaultdict
+from fractions import Fraction
 from typing import Iterator, Optional
 
 from matchlab.errors import (
+    EdgeNotPresentError,
     NoPerfectMatchingError,
     NotAPerfectMatchingError,
+    NotRegularError,
     TooLargeError,
     TooManyMatchingsError,
 )
@@ -26,11 +30,21 @@ from matchlab.graphs import (
     Matching,
     build_graph,
     complete_graph,
+    complete_multipartite,
     cycle_graph,
     edge_set,
+    regularity,
+    remove_edge_set,
     vertices_of,
 )
-from matchlab.pm import DEFAULT_DP_LIMIT, DEFAULT_ENUM_CAP, _count_on_mask, count_pm
+from matchlab.pm import (
+    DEFAULT_DP_LIMIT,
+    DEFAULT_ENUM_CAP,
+    StrataCounts,
+    _count_on_mask,
+    count_pm,
+    first_pm,
+)
 from matchlab.switching import SwitchGraph, aux_vertex_set
 from matchlab.walks import DEFAULT_MATRIX_CAP, StochasticMatrix, identity_matrix
 
@@ -96,6 +110,27 @@ def small_zoo() -> list[Graph]:
         gnp(10, 0.3, 14),
         gnp(7, 0.6, 15),
     ]
+
+
+def strata_hosts() -> list[Graph]:
+    """Hosts for the strata and avoidance differential tests."""
+    hosts = small_zoo()
+    hosts += [complete_graph(8), complete_graph(10), complete_multipartite(4, 2), cycle_graph(10)]
+    hosts += [gnp(n, p, s) for n in (0, 5, 8, 12) for p in (0.3, 0.7) for s in range(2)]
+    return hosts
+
+
+def strata_references(g: Graph, rng: random.Random) -> list:
+    """One reference of each shape that g allows: its first perfect
+    matching, one edge, the whole graph, a random edge subset and none."""
+    edges = list(g.edges)
+    refs = [g, rng.sample(edges, rng.randint(0, len(edges))), []]
+    if edges:
+        refs.append([edges[0]])
+    first = first_pm(g)
+    if first is not None:
+        refs.append(first)
+    return refs
 
 
 # -- reference matching search ------------------------------------------------
@@ -193,6 +228,73 @@ def reference_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LI
                 mask = rest ^ vbit
                 break
     return Matching(pairs)
+
+
+# -- reference strata -------------------------------------------------------
+
+def reference_stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts:
+    """Oracle for pm.stratify: the same bitmask DP with a tuple of
+    kmax+1 counts per mask, summed by per-k inner loops."""
+    if g.n > limit:
+        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    ref = edge_set(reference)
+    for u, v in ref:
+        if not g.has_edge(u, v):
+            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
+
+    kmax = min(g.n // 2, len(ref))
+    width = kmax + 1
+    masks = g.neighbor_masks
+    ref_masks = [0] * g.n
+    for u, v in ref:
+        ref_masks[u] |= 1 << v
+        ref_masks[v] |= 1 << u
+    memo: dict[int, tuple[int, ...]] = {}
+    zero = (0,) * width
+    base = (1,) + (0,) * kmax
+
+    def rec(mask: int) -> tuple[int, ...]:
+        if mask == 0:
+            return base
+        got = memo.get(mask)
+        if got is not None:
+            return got
+        u = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        avail = masks[u] & rest
+        acc = list(zero)
+        while avail:
+            vbit = avail & -avail
+            avail ^= vbit
+            child = rec(rest ^ vbit)
+            if ref_masks[u] & vbit:
+                for k in range(width - 1):
+                    acc[k + 1] += child[k]
+            else:
+                for k in range(width):
+                    acc[k] += child[k]
+        out = tuple(acc)
+        memo[mask] = out
+        return out
+
+    by_k = rec((1 << g.n) - 1)
+    return StrataCounts({k: c for k, c in enumerate(by_k)})
+
+
+def reference_avoidance_ratio(g: Graph, reference) -> tuple[Fraction, float]:
+    """Oracle for stats.avoidance_ratio: stratum 0 counted a second way,
+    as the perfect matchings of g with the reference edges deleted."""
+    d = regularity(g)
+    if d is None:
+        raise NotRegularError("graph must be regular")
+    total = count_pm(g)
+    if total == 0:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    ref = edge_set(reference)
+    stripped = remove_edge_set(g, ref)
+    exact = Fraction(count_pm(stripped), total)
+    lam = len(ref) / d if d else 0.0
+    return exact, math.exp(-lam)
 
 
 # -- reference matrix power ----------------------------------------------------

@@ -171,6 +171,23 @@ def test_exit_code_too_large(capsys):
     assert code == 2
 
 
+def test_switching_k_below_one_is_input_error(capsys):
+    code = main(["switching", "--family", "complete", "-n", "4", "--k", "0"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: k must be positive\n"
+
+
+def test_generation_failure_is_input_error_not_too_large(capsys):
+    code = main(["count", "--family", "random_regular", "-n", "10", "-d", "8"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == (
+        "error: no simple pairing found for (n=10, d=8) in 10000 restarts\n"
+    )
+
+
 def test_exit_code_bad_flags(capsys):
     assert main(["bogus_analysis"]) == 1
     assert main(["count", "--family", "multipartite"]) == 1

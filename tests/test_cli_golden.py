@@ -1,0 +1,84 @@
+"""Golden CLI output: each recorded invocation must print the same bytes.
+
+The files under tests/golden/ hold the stdout of every command-line
+example in the README (the Monte Carlo one with --samples 2000), in JSON
+and in CSV, plus a few reference and stratum variants.  A change that
+means to alter a report rewrites them with
+
+    PYTHONPATH=src python tests/test_cli_golden.py
+
+and the diff of tests/golden/ shows what moved.
+"""
+
+from __future__ import annotations
+
+import io
+import sys
+from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from matchlab.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+EDGE_LIST = GOLDEN / "g.el"
+
+INVOCATIONS = {
+    "count_complete_6": ["count", "--family", "complete", "-n", "6"],
+    "avoidance_multipartite_6x1": ["avoidance", "--family", "multipartite", "-a", "6", "-b", "1"],
+    "edge_prob_complete_8": ["edge_prob", "--family", "complete", "-n", "8"],
+    "pmf_complete_12": ["pmf", "--family", "complete", "-n", "12"],
+    "disjoint_montecarlo": [
+        "disjoint", "--family", "complete", "-n", "6", "--r", "3",
+        "--mode", "montecarlo", "--samples", "2000",
+    ],
+    "switching_complete_6": ["switching", "--family", "complete", "-n", "6", "--k", "1"],
+    "expander_multipartite": [
+        "expander", "--family", "multipartite", "-a", "3", "-b", "2", "--nu", "0.1", "--tau", "0.3",
+    ],
+    "expander_file_sampled": [
+        "expander", "--family", "file", "--file", str(EDGE_LIST),
+        "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "5000",
+    ],
+    "walks_complete_6": ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
+    "suite_multipartite": ["suite_multipartite", "--b-max", "6"],
+    "suite_tv": ["suite_tv", "--sizes", "6", "8", "10", "12"],
+    "pmf_reference_edge": ["pmf", "--family", "complete", "-n", "8", "--reference", "edge"],
+    "avoidance_random_regular": [
+        "avoidance", "--family", "random_regular", "-n", "16", "-d", "5", "--seed", "2",
+    ],
+    "switching_complete_8_k2": ["switching", "--family", "complete", "-n", "8", "--k", "2"],
+}
+
+CASES = [
+    (f"{name}.{fmt}", argv + ["--format", fmt])
+    for name, argv in INVOCATIONS.items()
+    for fmt in ("json", "csv")
+]
+
+
+def _stdout_of(argv: list[str]) -> tuple[int, str]:
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    return code, buf.getvalue()
+
+
+@pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
+def test_cli_stdout_matches_golden(name, argv):
+    code, out = _stdout_of(argv)
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+def record() -> None:
+    for name, argv in CASES:
+        code, out = _stdout_of(argv)
+        if code != 0:
+            sys.exit(f"{name}: exit code {code}")
+        (GOLDEN / name).write_text(out, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    record()

@@ -11,7 +11,10 @@ from conftest import (
     reference_enumerate_pm,
     reference_first_pm,
     reference_sample_pm,
+    reference_stratify,
     small_zoo,
+    strata_hosts,
+    strata_references,
 )
 from matchlab.errors import (
     EdgeNotPresentError,
@@ -360,3 +363,27 @@ def test_stratify_reference_must_be_subset():
 def test_strata_json_shape():
     s = stratify(complete_graph(4), [(0, 1)])
     assert s.to_json_dict() == {"0": "2", "1": "1"}
+
+
+def test_stratify_matches_reference():
+    rng = random.Random(7)
+    hosts = strata_hosts()
+    assert sum(count_pm(g) == 0 for g in hosts) >= 4
+    for g in hosts:
+        for ref in strata_references(g, rng):
+            assert stratify(g, ref).counts == reference_stratify(g, ref).counts
+
+
+@pytest.mark.parametrize(
+    "g,ref,kwargs,error",
+    [
+        (complete_graph(6), [(0, 1)], {"limit": 4}, TooLargeError),
+        (cycle_graph(4), [(0, 1), (0, 2)], {}, EdgeNotPresentError),
+    ],
+)
+def test_stratify_errors_match_reference(g, ref, kwargs, error):
+    with pytest.raises(error) as fast:
+        stratify(g, ref, **kwargs)
+    with pytest.raises(error) as slow:
+        reference_stratify(g, ref, **kwargs)
+    assert str(fast.value) == str(slow.value)

@@ -5,12 +5,20 @@ from fractions import Fraction
 import pytest
 from scipy.stats import poisson as scipy_poisson
 
-from conftest import gnp, oracle_pm_sets, small_zoo
+from conftest import (
+    gnp,
+    oracle_pm_sets,
+    reference_avoidance_ratio,
+    small_zoo,
+    strata_hosts,
+    strata_references,
+)
 from matchlab.errors import (
     EdgeNotPresentError,
     ExactInfeasibleError,
     NoPerfectMatchingError,
     NotRegularError,
+    TooLargeError,
 )
 from matchlab.graphs import (
     Matching,
@@ -208,6 +216,29 @@ def test_avoidance_equals_zero_stratum():
         ref = pms[rng.randrange(len(pms))]
         exact, _ = avoidance_ratio(g, ref)
         assert exact == intersection_pmf(g, ref).prob(0)
+
+
+def test_avoidance_matches_reference():
+    rng = random.Random(8)
+    hosts = [g for g in strata_hosts() if regularity(g) is not None]
+    assert len(hosts) >= 10
+    for g in hosts:
+        for ref in strata_references(g, rng):
+            if count_pm(g) == 0:
+                with pytest.raises(NoPerfectMatchingError):
+                    avoidance_ratio(g, ref)
+                with pytest.raises(NoPerfectMatchingError):
+                    reference_avoidance_ratio(g, ref)
+            else:
+                assert avoidance_ratio(g, ref) == reference_avoidance_ratio(g, ref)
+
+
+def test_avoidance_errors_match_reference():
+    for fn in (avoidance_ratio, reference_avoidance_ratio):
+        with pytest.raises(TooLargeError, match=r"^n=28 above the counting cap 26$"):
+            fn(cycle_graph(28), [])
+        with pytest.raises(EdgeNotPresentError):
+            fn(cycle_graph(4), [(0, 2)])
 
 
 # -- disjointness ------------------------------------------------------------------

@@ -354,6 +354,16 @@ def test_ratio_report_not_regular():
         ratio_report(g, [(0, 1)], k=1, ell=2)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_ratio_report_rejects_k_below_one_first(k):
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        ratio_report(complete_graph(4), [(0, 1)], k=k, ell=2)
+    # checked before regularity, the reference and the strata
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    with pytest.raises(ValueError, match="^k must be positive$"):
+        ratio_report(g, [(1, 3)], k=k, ell=2)
+
+
 def test_ratio_report_json():
     rep = ratio_report(complete_graph(6), [(0, 1)], k=1, ell=3)
     doc = rep.to_json_dict()
