@@ -83,10 +83,11 @@ class Graph:
         return tuple(len(a) for a in self.adjacency)
 
     def has_edge(self, u: int, v: int) -> bool:
+        """False for u == v and for any vertex outside 0..n-1."""
         if u == v:
             return False
         u, v = (u, v) if u < v else (v, u)
-        return bool(self.neighbor_masks[u] >> v & 1)
+        return 0 <= u and v < self.n and bool(self.neighbor_masks[u] >> v & 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -146,7 +147,8 @@ class Digraph:
         return len(self.in_adjacency[v])
 
     def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.out_masks[u] >> v & 1)
+        """False for any vertex outside 0..n-1."""
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.out_masks[u] >> v & 1)
 
     def __eq__(self, other) -> bool:
         return (

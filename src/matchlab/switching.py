@@ -7,11 +7,12 @@ one reference edge.  Double counting its edges ties the stratum sizes
 together.
 
 One walker, `_alternating_paths`, takes the alternating steps: a free
-edge, then a base-matching edge.  The exchange graph is generated from
-it, each left matching's neighbours read off the alternating cycles
-through its reference edges, and `count_alternating_paths` counts its
-paths.  The companion digraph has one arc per such pair of steps, so
-alternating-path counting becomes ordinary path counting.
+edge, then a base-matching edge.  One pass, `_switches`, enumerates once,
+splits the two strata and reads each left matching's neighbours off the
+cycles through its reference edges, keying edge sets as ints (bit u*n + v
+per edge, u < v).  `build_switch_graph` materialises it, `ratio_report`
+only tallies degrees, and `count_alternating_paths` counts the walker's
+paths.  The companion digraph has one arc per pair of walker steps.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from .graphs import (
     Edge,
     Graph,
     Matching,
+    _check_vertex,
     edge_set,
     is_matching_shaped,
     regularity,
     vertices_of,
 )
-from .pm import DEFAULT_ENUM_CAP, enumerate_pm, stratify
+from .pm import DEFAULT_ENUM_CAP, enumerate_pm
 from .rational import frac_json
 
 
@@ -88,76 +90,84 @@ class SwitchGraph:
         return degs
 
 
-def _alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: frozenset[Edge]):
-    """Every simple path of `length` edges (even) from u that alternates a
-    free edge, outside `ban` and the base matching, with a base-matching
-    edge outside `ban`, starting with a free edge.
+def _edge_bits(g: Graph, pairs) -> int:
+    """Int key of the edges of g among `pairs`: bit u*n + v per edge, u < v."""
+    return sum(1 << (u * g.n + v) for u, v in edge_set(pairs) if g.has_edge(u, v))
 
-    Yields (vertices, free edges, base edges) as lists that the next step
-    changes in place: copy what has to outlive it.
+
+def _alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: int):
+    """Every simple path of `length` edges (even) from u that alternates a
+    free edge, outside the int key `ban` and the base matching, with a
+    base-matching edge outside `ban`, starting with a free edge.  Yields
+    (vertices, flip): the list the next step changes in place, and the XOR
+    of the path's edge bits.  A free edge on the base matching would return
+    to the path's end, so `z in path` refuses it.
     """
-    base_edges = base.edge_set
+    n = g.n
     partner = base.partner_map()
     path: list[int] = [u]
-    free: list[Edge] = []
-    based: list[Edge] = []
 
-    def rec(x: int, pairs: int):
+    def rec(x: int, pairs: int, flip: int):
         if pairs == 0:
-            yield path, free, based
+            yield path, flip
             return
         for y in g.neighbors(x):
             z = partner.get(y)
             if z is None or y in path or z in path:
                 continue
-            e = (x, y) if x < y else (y, x)
-            f = (y, z) if y < z else (z, y)
-            if e in ban or e in base_edges or f in ban:
+            e = 1 << (x * n + y if x < y else y * n + x)
+            f = 1 << (y * n + z if y < z else z * n + y)
+            if ban & (e | f):
                 continue
             path.extend((y, z))
-            free.append(e)
-            based.append(f)
-            yield from rec(z, pairs - 1)
+            yield from rec(z, pairs - 1, flip ^ e ^ f)
             del path[-2:]
-            free.pop()
-            based.pop()
 
-    return rec(u, length // 2)
+    return rec(u, length // 2, 0)
+
+
+def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
+    """The exchange graph in one pass.  Yields the strata (left, right), the
+    matchings with k and k-1 edges of `ref` in enumeration order, then the
+    list of neighbours (indices into `right`) of each left matching M: for
+    (a, b) in M & ref, each alternating path of 2*ell - 2 edges from b
+    avoiding `ref` and closing at a by an edge (z, a) outside `ref` gives
+    the neighbour keyed key(M) ^ bit(a, b) ^ bit(z, a) ^ flip."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if ell < 2 or 2 * ell > g.n:
+        raise ValueError("need 2 <= ell and 2*ell <= n")
+    strata: dict[int, list[Matching]] = {k: [], k - 1: []}
+    for m in enumerate_pm(g, cap=cap):
+        inter = len(m.edge_set & ref)
+        if inter in strata:
+            strata[inter].append(m)
+    left, right = strata[k], strata[k - 1]
+    yield left, right
+    n = g.n
+    masks = g.neighbor_masks
+    ban = _edge_bits(g, ref)
+    right_index = {_edge_bits(g, m): j for j, m in enumerate(right)}
+    for m in left:
+        found = []
+        for a, b in m.edge_set & ref:
+            opened = _edge_bits(g, m.edge_set - {(a, b)})
+            for path, flip in _alternating_paths(g, m, b, 2 * ell - 2, ban):
+                z = path[-1]
+                close = 1 << (a * n + z if a < z else z * n + a)
+                if masks[a] >> z & 1 and not ban & close:
+                    found.append(right_index[opened ^ close ^ flip])
+        yield found
 
 
 def build_switch_graph(
     g: Graph, reference, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP
 ) -> SwitchGraph:
-    """Materialize the exchange graph by generating each left matching's
-    neighbours.  For each reference edge (a, b) of a left matching M, every
-    alternating path of 2*ell - 2 edges from b avoiding the reference that
-    closes at a by a non-reference edge gives one cycle C, and M ^ C is
-    looked up among the right matchings by edge set."""
-    if k < 1:
-        raise ValueError("k must be positive")
-    if ell < 2 or 2 * ell > g.n:
-        raise ValueError("need 2 <= ell and 2*ell <= n")
-    ref = edge_set(reference)
-    left: list[Matching] = []
-    right: list[Matching] = []
-    for m in enumerate_pm(g, cap=cap):
-        inter = len(m.edge_set & ref)
-        if inter == k:
-            left.append(m)
-        elif inter == k - 1:
-            right.append(m)
-    right_index = {m.edge_set: j for j, m in enumerate(right)}
-    edges = []
-    for i, m in enumerate(left):
-        found = []
-        for a, b in m.edge_set & ref:
-            for path, free, based in _alternating_paths(g, m, b, 2 * ell - 2, ref):
-                z = path[-1]
-                close = (a, z) if a < z else (z, a)
-                if close not in ref and g.has_edge(a, z):
-                    cycle = [(a, b), close, *free, *based]
-                    found.append(right_index[m.edge_set.symmetric_difference(cycle)])
-        edges += [(i, j) for j in sorted(found)]
+    """Materialize the exchange graph of `_switches`: one (i, j) per left
+    matching i and right neighbour j, each left's in increasing j."""
+    walk = _switches(g, edge_set(reference), k, ell, cap)
+    left, right = next(walk)
+    edges = [(i, j) for i, found in enumerate(walk) for j in sorted(found)]
     return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
 
 
@@ -187,12 +197,12 @@ def build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph
     cover = vertices_of(base.edge_set)
     if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
         raise NotAPerfectMatchingError("base must be a perfect matching of the graph")
-    ref = edge_set(reference)
+    ban = _edge_bits(g, reference)
     verts = aux_vertex_set(reference, base, g.n, side)
     arcs = [
         (x, path[-1])
         for x in verts
-        for path, _, _ in _alternating_paths(g, base, x, 2, ref)
+        for path, _ in _alternating_paths(g, base, x, 2, ban)
         if path[-1] in verts
     ]
     return Digraph(g.n, arcs)
@@ -213,8 +223,12 @@ def count_alternating_paths(
         raise ValueError("endpoints must be distinct")
     if length % 2 != 0:
         raise ValueError("length must be even")
-    paths = _alternating_paths(g, base, u, length, edge_set(forbidden))
-    return sum(1 for path, _, _ in paths if path[-1] == v)
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    for x in (u, v, *vertices_of(base), *vertices_of(edge_set(forbidden))):
+        _check_vertex(x, g.n)
+    paths = _alternating_paths(g, base, u, length, _edge_bits(g, forbidden))
+    return sum(1 for path, _ in paths if path[-1] == v)
 
 
 @dataclass(frozen=True)
@@ -269,7 +283,8 @@ def _degree_stats(degs: list[int]) -> tuple[int, int, Optional[Fraction]]:
 
 
 def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
-    """Exact stratum ratio, prediction, and exchange-graph statistics."""
+    """Exact stratum ratio, prediction, and exchange-graph statistics, all
+    from one `_switches` pass that never holds the exchange graph."""
     if k < 1:
         raise ValueError("k must be positive")
     d = regularity(g)
@@ -279,16 +294,16 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     for u, v in ref:
         if not g.has_edge(u, v):
             raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
-    strata = stratify(g, ref)
-    size_k = strata.get(k)
-    size_km1 = strata.get(k - 1)
+    walk = _switches(g, ref, k, ell, DEFAULT_ENUM_CAP)
+    size_k, size_km1 = map(len, next(walk))
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k
         raise EmptyStratumError(f"stratum {empty} is empty")
-    h = build_switch_graph(g, reference, k, ell)
-    ldeg = h.left_degrees()
-    rdeg = h.right_degrees()
-    double_ok = sum(ldeg) == h.edge_count == sum(rdeg)
+    ldeg, rdeg = [], [0] * size_km1
+    for found in walk:
+        ldeg.append(len(found))
+        for j in found:
+            rdeg[j] += 1
     return RatioReport(
         k=k,
         ell=ell,
@@ -298,6 +313,6 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
         predicted=Fraction(eligible_edge_count(reference, k), k * d),
         left_stats=_degree_stats(ldeg),
         right_stats=_degree_stats(rdeg),
-        edge_count=h.edge_count,
-        double_count_ok=double_ok,
+        edge_count=sum(ldeg),
+        double_count_ok=sum(ldeg) == sum(rdeg),
     )

@@ -158,6 +158,8 @@ def count_paths(
     """
     if u == v:
         raise ValueError("endpoints must be distinct")
+    if length < 0:
+        raise ValueError("length must be non-negative")
     if length == 0:
         return 0
     partner = matching_constraint.partner_map() if matching_constraint else {}

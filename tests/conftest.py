@@ -17,6 +17,7 @@ from typing import Iterator, Optional
 
 from matchlab.errors import (
     EdgeNotPresentError,
+    EmptyStratumError,
     NoPerfectMatchingError,
     NotAPerfectMatchingError,
     NotRegularError,
@@ -44,8 +45,15 @@ from matchlab.pm import (
     _count_on_mask,
     count_pm,
     first_pm,
+    stratify,
 )
-from matchlab.switching import SwitchGraph, aux_vertex_set
+from matchlab.switching import (
+    RatioReport,
+    SwitchGraph,
+    _degree_stats,
+    aux_vertex_set,
+    eligible_edge_count,
+)
 from matchlab.walks import DEFAULT_MATRIX_CAP, StochasticMatrix, identity_matrix
 
 
@@ -392,6 +400,43 @@ def reference_build_switch_graph(
             if is_switch_edge(m, mp, ref, ell):
                 edges.append((i, j))
     return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
+
+
+def reference_ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
+    """Oracle for switching.ratio_report: the strata from pm.stratify and
+    the degrees read off the whole exchange graph that
+    reference_build_switch_graph materialises."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    d = regularity(g)
+    if d is None:
+        raise NotRegularError("host graph must be regular")
+    ref = edge_set(reference)
+    for u, v in ref:
+        if not g.has_edge(u, v):
+            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
+    strata = stratify(g, ref)
+    size_k = strata.get(k)
+    size_km1 = strata.get(k - 1)
+    if size_km1 == 0 or size_k == 0:
+        empty = k - 1 if size_km1 == 0 else k
+        raise EmptyStratumError(f"stratum {empty} is empty")
+    h = reference_build_switch_graph(g, reference, k, ell)
+    ldeg = h.left_degrees()
+    rdeg = h.right_degrees()
+    double_ok = sum(ldeg) == h.edge_count == sum(rdeg)
+    return RatioReport(
+        k=k,
+        ell=ell,
+        size_k=size_k,
+        size_km1=size_km1,
+        exact_ratio=Fraction(size_k, size_km1),
+        predicted=Fraction(eligible_edge_count(reference, k), k * d),
+        left_stats=_degree_stats(ldeg),
+        right_stats=_degree_stats(rdeg),
+        edge_count=h.edge_count,
+        double_count_ok=double_ok,
+    )
 
 
 def reference_build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph:

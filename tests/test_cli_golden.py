@@ -49,6 +49,12 @@ INVOCATIONS = {
         "avoidance", "--family", "random_regular", "-n", "16", "-d", "5", "--seed", "2",
     ],
     "switching_complete_8_k2": ["switching", "--family", "complete", "-n", "8", "--k", "2"],
+    "switching_random_regular_edge": [
+        "switching", "--family", "random_regular", "-n", "10", "-d", "3", "--seed", "1",
+        "--reference", "edge",
+    ],
+    "switching_multipartite_2x4_k2": ["switching", "--family", "multipartite", "-a", "2", "-b", "4", "--k", "2"],
+    "switching_multipartite_5x2": ["switching", "--family", "multipartite", "-a", "5", "-b", "2"],
 }
 
 CASES = [

@@ -185,6 +185,18 @@ def test_digraph_basics():
         build_digraph(3, [(0, 5)])
 
 
+def test_membership_is_false_outside_vertex_range():
+    g = complete_graph(6)
+    # -1 used to wrap to vertex 5, and 6 used to raise IndexError
+    for u, v in [(-1, 3), (3, -1), (-1, 5), (6, 7), (2, 6), (6, 2)]:
+        assert not g.has_edge(u, v)
+    assert g.has_edge(0, 5) and g.has_edge(5, 4)
+    d = directed_cycle(4)
+    for u, v in [(-1, 0), (3, -4), (4, 1), (3, 4)]:
+        assert not d.has_arc(u, v)
+    assert d.has_arc(3, 0)
+
+
 def test_to_bidirected():
     g = cycle_graph(4)
     d = to_bidirected(g)

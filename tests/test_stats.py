@@ -17,6 +17,7 @@ from matchlab.errors import (
     EdgeNotPresentError,
     ExactInfeasibleError,
     NoPerfectMatchingError,
+    NotASubMatchingError,
     NotRegularError,
     TooLargeError,
 )
@@ -28,7 +29,7 @@ from matchlab.graphs import (
     cycle_graph,
     regularity,
 )
-from matchlab.pm import count_pm, enumerate_pm
+from matchlab.pm import count_pm, count_pm_containing, enumerate_pm, stratify
 from matchlab.stats import (
     Pmf,
     avoidance_ratio,
@@ -371,3 +372,24 @@ def test_pmf_json_shape():
     doc = p.to_json_dict()
     assert doc["probs"]["0"] == {"num": "2", "den": "3"}
     assert doc["float_mirror"]["2"] == pytest.approx(1 / 3)
+
+
+@pytest.mark.parametrize("pair", [(-1, 3), (3, -1), (6, 7), (2, 6)])
+def test_pair_outside_vertex_range_is_not_an_edge(pair):
+    # a negative vertex used to shift by a negative count and one >= n to
+    # index past the neighbour masks; both are edges that are not there
+    g = complete_graph(6)
+    u, v = sorted(pair)
+    missing = rf"^reference edge \({u}, {v}\) not in graph$"
+    with pytest.raises(EdgeNotPresentError, match=missing):
+        stratify(g, [pair])
+    with pytest.raises(EdgeNotPresentError, match=missing):
+        avoidance_ratio(g, [pair])
+    with pytest.raises(EdgeNotPresentError, match=missing):
+        intersection_pmf(g, [pair])
+    with pytest.raises(EdgeNotPresentError, match=missing):
+        ratio_report(g, [pair], k=1, ell=2)
+    with pytest.raises(NotASubMatchingError, match=rf"^edge \({u}, {v}\) not in graph$"):
+        count_pm_containing(g, [pair])
+    with pytest.raises(EdgeNotPresentError, match=rf"^edge \({pair[0]}, {pair[1]}\) not in graph$"):
+        edge_probability(g, pair)

@@ -8,12 +8,17 @@ from conftest import (
     gnp,
     reference_build_aux_digraph,
     reference_build_switch_graph,
+    reference_ratio_report,
     small_zoo,
 )
+from matchlab import pm, switching
 from matchlab.errors import (
     EmptyStratumError,
+    MatchlabError,
     NotAPerfectMatchingError,
     NotRegularError,
+    TooManyMatchingsError,
+    VertexOutOfRangeError,
 )
 from matchlab.graphs import (
     Matching,
@@ -22,6 +27,7 @@ from matchlab.graphs import (
     complete_multipartite,
     cycle_graph,
     edge_set,
+    regularity,
 )
 from matchlab.pm import enumerate_pm, stratify
 from matchlab.switching import (
@@ -107,7 +113,7 @@ def test_switch_graph_soundness_many_instances():
     assert checked >= 20
 
 
-def _differential_hosts():
+def _differential_hosts(regular_only=False):
     hosts = [(f"zoo{i}", g) for i, g in enumerate(small_zoo())]
     hosts += [("K8", complete_graph(8)), ("K4x2", complete_multipartite(4, 2))]
     hosts += [("C10", cycle_graph(10))]
@@ -115,7 +121,9 @@ def _differential_hosts():
     return [
         pytest.param(g, id=name)
         for name, g in hosts
-        if g.n % 2 == 0 and next(enumerate_pm(g), None)
+        if g.n % 2 == 0
+        and next(enumerate_pm(g), None)
+        and (not regular_only or regularity(g) is not None)
     ]
 
 
@@ -247,12 +255,42 @@ def test_alternating_paths_odd_length_rejected():
         count_alternating_paths(g, Matching([(0, 1), (2, 3)]), 0, 2, 3)
 
 
-def test_alternating_paths_brute_force_cross_check():
+@pytest.mark.parametrize("length", [-2, -4])
+def test_alternating_paths_negative_length_rejected(length):
     g = complete_graph(6)
     base = Matching([(0, 1), (2, 3), (4, 5)])
-    forbidden = [(0, 2)]
+    with pytest.raises(ValueError, match="^length must be non-negative$"):
+        count_alternating_paths(g, base, 0, 2, length)
 
-    def brute(u, v, length):
+
+@pytest.mark.parametrize(
+    "base, u, v, forbidden, bad",
+    [
+        ([(0, 1), (2, 3), (4, 5)], 0, 2, [(-1, 3)], -1),
+        ([(0, 1), (2, 3), (4, 5)], 0, 2, [(0, 8)], 8),
+        ([(0, 1), (2, 3), (4, 6)], 0, 2, [], 6),
+        ([(-2, 1), (2, 3), (4, 5)], 0, 2, [], -2),
+        ([(0, 1), (2, 3), (4, 5)], -1, 2, [], -1),
+        ([(0, 1), (2, 3), (4, 5)], 0, 6, [], 6),
+    ],
+)
+def test_alternating_paths_reject_vertices_out_of_range(base, u, v, forbidden, bad):
+    g = complete_graph(6)
+    with pytest.raises(VertexOutOfRangeError, match=rf"^vertex {bad} outside 0\.\.5$"):
+        count_alternating_paths(g, Matching(base), u, v, 2, forbidden)
+
+
+def test_alternating_paths_brute_force_cross_check():
+    cases = [
+        (complete_graph(6), [(0, 1), (2, 3), (4, 5)], [(0, 2)]),
+        # (0, 1) and (2, 3) lie inside a part: non-edges, so never walked
+        (complete_multipartite(3, 2), [(0, 2), (1, 4), (3, 5)], [(0, 1), (2, 3)]),
+        (complete_multipartite(3, 2), [(0, 2), (1, 4), (3, 5)], [(0, 1), (4, 5), (1, 4)]),
+        (cycle_graph(6), [(0, 1), (2, 3), (4, 5)], [(0, 3), (1, 4), (1, 2)]),
+        (cycle_graph(6), [(1, 2), (3, 4), (0, 5)], [(0, 2), (2, 5)]),
+    ]
+
+    def brute(g, base, forbidden, u, v, length):
         total = 0
 
         def step(x, path, need_free):
@@ -274,10 +312,12 @@ def test_alternating_paths_brute_force_cross_check():
         step(u, [u], True)
         return total
 
-    for v in (2, 3, 4, 5):
-        for length in (2, 4):
-            got = count_alternating_paths(g, base, 0, v, length, forbidden)
-            assert got == brute(0, v, length)
+    for g, base, forbidden in cases:
+        base = Matching(base)
+        for v in (2, 3, 4, 5):
+            for length in (2, 4):
+                got = count_alternating_paths(g, base, 0, v, length, forbidden)
+                assert got == brute(g, base, forbidden, 0, v, length), (g, base, forbidden, v)
 
 
 def test_bijection_with_companion_digraph():
@@ -362,6 +402,58 @@ def test_ratio_report_rejects_k_below_one_first(k):
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     with pytest.raises(ValueError, match="^k must be positive$"):
         ratio_report(g, [(1, 3)], k=k, ell=2)
+
+
+@pytest.mark.parametrize("g", _differential_hosts(regular_only=True))
+def test_ratio_report_matches_previous_version(g):
+    def outcome(report, ref, k, ell):
+        try:
+            return report(g, ref, k, ell)
+        except (MatchlabError, ValueError) as exc:
+            return type(exc), str(exc)
+
+    rng = random.Random(g.n * 1000 + g.m)
+    for ref in _differential_references(g, rng):
+        for k in (1, 2, 3):
+            for ell in range(2, g.n // 2 + 1):
+                got = outcome(ratio_report, ref, k, ell)
+                want = outcome(reference_ratio_report, ref, k, ell)
+                assert got == want, (g, ref, k, ell)
+
+
+def test_ratio_report_enumerates_once_and_builds_no_switch_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("ratio_report materialised the exchange graph")
+
+    enumerations = []
+
+    def counted(*args, **kwargs):
+        enumerations.append(args)
+        return enumerate_pm(*args, **kwargs)
+
+    g = complete_graph(8)
+    want = reference_ratio_report(g, [(0, 1), (2, 3)], k=1, ell=3)
+    monkeypatch.setattr(switching, "SwitchGraph", refuse)
+    monkeypatch.setattr(switching, "build_switch_graph", refuse)
+    monkeypatch.setattr(switching, "stratify", refuse, raising=False)
+    monkeypatch.setattr(pm, "stratify", refuse)
+    monkeypatch.setattr(switching, "enumerate_pm", counted)
+    assert ratio_report(g, [(0, 1), (2, 3)], k=1, ell=3) == want
+    assert len(enumerations) == 1
+
+
+def test_ratio_report_error_order():
+    g = complete_graph(6)
+    # a bad ell is reported before the strata are split, so before an
+    # empty stratum
+    with pytest.raises(ValueError, match="^need 2 <= ell and 2[*]ell <= n$"):
+        ratio_report(g, [(0, 1)], k=2, ell=4)
+    with pytest.raises(EmptyStratumError, match="^stratum 2 is empty$"):
+        ratio_report(g, [(0, 1)], k=2, ell=3)
+    # above the enumeration cap (K16 has 2,027,025 perfect matchings) the
+    # cap wins over an empty stratum: the strata come from the enumeration
+    with pytest.raises(TooManyMatchingsError):
+        ratio_report(complete_graph(16), [], k=1, ell=2)
 
 
 def test_ratio_report_json():

@@ -288,6 +288,13 @@ def test_paths_rejects_equal_endpoints():
         count_paths(complete_digraph(4), 1, 1, 2)
 
 
+@pytest.mark.parametrize("length", [-1, -2])
+def test_paths_rejects_negative_length(length):
+    # a budget of 10 would be spent long before a walk that never ends
+    with pytest.raises(ValueError, match="^length must be non-negative$"):
+        count_paths(complete_digraph(7), 0, 1, length, budget=10)
+
+
 # -- mixing -------------------------------------------------------------------------
 
 def test_mixing_params_uniform():
