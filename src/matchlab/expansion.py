@@ -1,10 +1,12 @@
 """Robust neighbourhoods and certification of robust expansion.
 
 A set S expands robustly when the vertices seeing a positive fraction of
-S are noticeably more numerous than S itself.  The exact certifier
-sweeps every candidate set in a size window; the sampled refuter only
-ever finds counterexamples.  All threshold comparisons are exact: the
-expansion fraction and the window bounds are rationals, never rounded.
+S are noticeably more numerous than S itself.  The exact certifier is
+one recursion over vertex masks: it visits every set in a size window in
+lexicographic order and stops at the first violating set.  The sampled
+refuter reads the same count and only ever finds counterexamples.  All
+threshold comparisons are exact: nu*n and the window bounds are rounded
+once, to the integers that counts and set sizes are compared with.
 """
 
 from __future__ import annotations
@@ -14,14 +16,14 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .errors import (
     NotBipartiteError,
     TooLargeForExactSweepError,
     UnbalancedBipartitionError,
 )
-from .graphs import Bipartition, Digraph, Graph
+from .graphs import Bipartition, Digraph, Graph, _check_vertex
 from .rational import as_fraction
 
 DEFAULT_SWEEP_LIMIT = 24
@@ -83,76 +85,70 @@ def _in_masks(obj: Union[Graph, Digraph]) -> tuple[int, ...]:
 
 def robust_neighbourhood(g: Graph, subset, nu) -> frozenset[int]:
     """Vertices with at least nu*n neighbours inside `subset`."""
-    return _robust_set(g.neighbor_masks, g.n, subset, as_fraction(nu) * g.n)
+    return _robust_set(g.neighbor_masks, g.n, subset, as_fraction(nu))
 
 
 def robust_outneighbourhood(d: Digraph, subset, nu) -> frozenset[int]:
     """Vertices with at least nu*n in-neighbours inside `subset`."""
-    return _robust_set(d.in_masks, d.n, subset, as_fraction(nu) * d.n)
+    return _robust_set(d.in_masks, d.n, subset, as_fraction(nu))
 
 
-def _robust_set(masks, n: int, subset, threshold: Fraction) -> frozenset[int]:
+def _robust_set(masks, n: int, subset, nu: Fraction) -> frozenset[int]:
     smask = 0
     for v in subset:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} outside 0..{n - 1}")
+        _check_vertex(v, n)
         smask |= 1 << v
-    # Neighbour counts are integers, so count >= threshold <=> count >= ceil.
-    need = max(0, math.ceil(threshold))
+    need = _thresholds(nu, Fraction(0), n)[0]
     return frozenset(v for v in range(n) if (masks[v] & smask).bit_count() >= need)
 
 
-def _window(n: int, tau: Fraction) -> tuple[int, int]:
-    lo = math.ceil(tau * n)
-    hi = math.floor((1 - tau) * n)
-    return lo, hi
+def _thresholds(nu: Fraction, tau: Fraction, scale: int) -> tuple[int, int, int]:
+    """`(need, lo, hi)` at `scale`: a vertex is robust for S when it has at
+    least `need` neighbours in S, and the window holds sizes lo..hi."""
+    # Neighbour counts are integers, so count >= nu*scale <=> count >= ceil.
+    need = max(0, math.ceil(nu * scale))
+    return need, math.ceil(tau * scale), math.floor((1 - tau) * scale)
 
 
-def _lex_subsets(universe: list[int], lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """All subsets with lo <= size <= hi in lexicographic tuple order,
-    each with its vertex bitmask."""
-    n = len(universe)
-    chosen: list[int] = []
-
-    def rec(start: int, mask: int) -> Iterator[tuple[tuple[int, ...], int]]:
-        for i in range(start, n):
-            v = universe[i]
-            chosen.append(v)
-            vmask = mask | 1 << v
-            if lo <= len(chosen) <= hi:
-                yield tuple(chosen), vmask
-            if len(chosen) < hi:
-                yield from rec(i + 1, vmask)
-            chosen.pop()
-
-    yield from rec(0, 0)
-
-
-def _violation_test(masks, scale_n: int, nu: Fraction):
-    """Closure testing one subset; thresholds precomputed for the sweep."""
-    threshold = nu * scale_n
-    need = max(0, math.ceil(threshold))
-
-    def violates(smask: int, size: int) -> bool:
-        rn = 0
-        for mask in masks:
-            if (mask & smask).bit_count() >= need:
-                rn += 1
-        return rn < size + threshold
-
-    return violates
+def _robust_count(masks, smask: int, need: int) -> int:
+    """|RN(S)| for S = `smask`.  S violates expansion when this is below
+    |S| + nu*scale, which for integer counts means below |S| + need."""
+    rn = 0
+    for mask in masks:
+        if (mask & smask).bit_count() >= need:
+            rn += 1
+    return rn
 
 
 def _sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> ExpansionCertificate:
     """Check every subset of `universe` in the size window at `scale`;
     Fail with the lexicographically first violating set, else Pass."""
-    violates = _violation_test(masks, scale, params.nu)
-    lo, hi = _window(scale, params.tau)
+    need, lo, hi = _thresholds(params.nu, params.tau, scale)
+    top = len(universe)
     checked = 0
-    for subset, smask in _lex_subsets(universe, lo, hi):
-        checked += 1
-        if violates(smask, len(subset)):
-            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, checked)
+
+    def rec(start: int, smask: int, size: int) -> int:
+        # Each set extending `smask` by universe[start:], `size` vertices
+        # once extended, in lexicographic order; 0 when none violates.
+        nonlocal checked
+        for i in range(start, top):
+            vmask = smask | 1 << universe[i]
+            if size >= lo:
+                checked += 1
+                if _robust_count(masks, vmask, need) < size + need:
+                    return vmask
+            if size < hi:
+                found = rec(i + 1, vmask, size + 1)
+                if found:
+                    return found
+        return 0
+
+    # An empty window (lo > hi) checks nothing; the top level would
+    # otherwise test 1-sets even when hi = 0.
+    found = rec(0, 0, 1) if lo <= hi else 0
+    if found:
+        witness = tuple(v for v in universe if found >> v & 1)
+        return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, witness, checked)
     return ExpansionCertificate(Verdict.PASS, params.nu, params.tau, None, checked)
 
 
@@ -180,18 +176,15 @@ def refute_sampled(
 ) -> ExpansionCertificate:
     """Random search for a violating set; never certifies a pass."""
     n = obj.n
-    lo, hi = _window(n, params.tau)
+    need, lo, hi = _thresholds(params.nu, params.tau, n)
     if lo > hi or trials <= 0:
         return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, 0)
-    violates = _violation_test(_in_masks(obj), n, params.nu)
+    masks = _in_masks(obj)
     rng = random.Random(seed)
     for t in range(trials):
         size = rng.randint(lo, hi)
         subset = tuple(sorted(rng.sample(range(n), size)))
-        smask = 0
-        for v in subset:
-            smask |= 1 << v
-        if violates(smask, size):
+        if _robust_count(masks, sum(1 << v for v in subset), need) < size + need:
             return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, t + 1)
     return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, trials)
 

@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
     ZeroEntryError,
 )
-from .graphs import Digraph, Matching
+from .graphs import Digraph, Matching, _check_vertex
 from .rational import as_fraction, frac_json
 
 DEFAULT_MATRIX_CAP = 64
@@ -130,6 +130,8 @@ def count_walks(d: Digraph, u: int, v: int, length: int) -> int:
     """Exact number of directed (u, v)-walks of the given length."""
     if length < 0:
         raise ValueError("length must be non-negative")
+    _check_vertex(u, d.n)
+    _check_vertex(v, d.n)
     vec = [0] * d.n
     vec[u] = 1
     for _ in range(length):
@@ -160,6 +162,8 @@ def count_paths(
         raise ValueError("endpoints must be distinct")
     if length < 0:
         raise ValueError("length must be non-negative")
+    _check_vertex(u, d.n)
+    _check_vertex(v, d.n)
     if length == 0:
         return 0
     partner = matching_constraint.partner_map() if matching_constraint else {}

@@ -24,6 +24,7 @@ from matchlab.errors import (
     TooLargeError,
     TooManyMatchingsError,
 )
+from matchlab.expansion import ExpansionCertificate, ExpansionParams, Verdict
 from matchlab.graphs import (
     Digraph,
     Edge,
@@ -335,6 +336,94 @@ def reference_matrix_power(
         if e:
             base = _matmul(base, base)
     return result
+
+
+
+# -- reference expansion sweep ------------------------------------------------
+# The generator-and-closure sweep and the sampled refuter as they stood
+# before the sweep became one recursion over vertex masks, kept as oracles.
+
+def _window(n: int, tau: Fraction) -> tuple[int, int]:
+    lo = math.ceil(tau * n)
+    hi = math.floor((1 - tau) * n)
+    return lo, hi
+
+
+def _lex_subsets(universe: list[int], lo: int, hi: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    """All subsets with lo <= size <= hi in lexicographic tuple order,
+    each with its vertex bitmask."""
+    n = len(universe)
+    chosen: list[int] = []
+
+    def rec(start: int, mask: int) -> Iterator[tuple[tuple[int, ...], int]]:
+        for i in range(start, n):
+            v = universe[i]
+            chosen.append(v)
+            vmask = mask | 1 << v
+            if lo <= len(chosen) <= hi:
+                yield tuple(chosen), vmask
+            if len(chosen) < hi:
+                yield from rec(i + 1, vmask)
+            chosen.pop()
+
+    yield from rec(0, 0)
+
+
+def _violation_test(masks, scale_n: int, nu: Fraction):
+    """Closure testing one subset; thresholds precomputed for the sweep."""
+    threshold = nu * scale_n
+    need = max(0, math.ceil(threshold))
+
+    def violates(smask: int, size: int) -> bool:
+        rn = 0
+        for mask in masks:
+            if (mask & smask).bit_count() >= need:
+                rn += 1
+        return rn < size + threshold
+
+    return violates
+
+
+def reference_sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> ExpansionCertificate:
+    """Check every subset of `universe` in the size window at `scale`;
+    Fail with the lexicographically first violating set, else Pass."""
+    violates = _violation_test(masks, scale, params.nu)
+    lo, hi = _window(scale, params.tau)
+    checked = 0
+    for subset, smask in _lex_subsets(universe, lo, hi):
+        checked += 1
+        if violates(smask, len(subset)):
+            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, checked)
+    return ExpansionCertificate(Verdict.PASS, params.nu, params.tau, None, checked)
+
+
+def _in_masks(obj) -> tuple[int, ...]:
+    if isinstance(obj, Digraph):
+        return obj.in_masks
+    return obj.neighbor_masks
+
+
+def reference_certify_exact(obj, params: ExpansionParams) -> ExpansionCertificate:
+    return reference_sweep(_in_masks(obj), list(range(obj.n)), obj.n, params)
+
+
+def reference_refute_sampled(obj, params: ExpansionParams, trials: int, seed: int = 0) -> ExpansionCertificate:
+    """Random search for a violating set; never certifies a pass."""
+    n = obj.n
+    lo, hi = _window(n, params.tau)
+    if lo > hi or trials <= 0:
+        return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, 0)
+    violates = _violation_test(_in_masks(obj), n, params.nu)
+    rng = random.Random(seed)
+    for t in range(trials):
+        size = rng.randint(lo, hi)
+        subset = tuple(sorted(rng.sample(range(n), size)))
+        smask = 0
+        for v in subset:
+            smask |= 1 << v
+        if violates(smask, size):
+            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, t + 1)
+    return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, trials)
 
 
 # -- reference switch graph ---------------------------------------------------

@@ -41,6 +41,14 @@ INVOCATIONS = {
         "expander", "--family", "file", "--file", str(EDGE_LIST),
         "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "5000",
     ],
+    "expander_random_regular_fail": [
+        "expander", "--family", "random_regular", "-n", "12", "-d", "4", "--seed", "3",
+        "--nu", "0.1", "--tau", "0.3",
+    ],
+    "expander_multipartite_2x5": [
+        "expander", "--family", "multipartite", "-a", "2", "-b", "5", "--nu", "0.1", "--tau", "0.3",
+    ],
+    "expander_empty_window": ["expander", "--family", "complete", "-n", "1", "--nu", "0.1", "--tau", "0.3"],
     "walks_complete_6": ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
     "suite_multipartite": ["suite_multipartite", "--b-max", "6"],
     "suite_tv": ["suite_tv", "--sizes", "6", "8", "10", "12"],

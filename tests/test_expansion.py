@@ -4,11 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gnp, two_triangles
+from conftest import (
+    gnp,
+    reference_certify_exact,
+    reference_refute_sampled,
+    reference_sweep,
+    two_triangles,
+)
 from matchlab.errors import (
     NotBipartiteError,
     TooLargeForExactSweepError,
     UnbalancedBipartitionError,
+    VertexOutOfRangeError,
 )
 from matchlab.expansion import (
     ExpansionCertificate,
@@ -23,12 +30,14 @@ from matchlab.expansion import (
 )
 from matchlab.graphs import (
     Bipartition,
+    build_digraph,
     build_graph,
     complete_digraph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
     directed_cycle,
+    to_bidirected,
 )
 
 
@@ -85,6 +94,14 @@ def test_rn_monotone_in_subset():
 def test_out_rn_complete_digraph():
     d = complete_digraph(6)
     assert robust_outneighbourhood(d, [0, 1], 0.1) == frozenset(range(6))
+
+
+@pytest.mark.parametrize("v", [-1, 6])
+def test_rn_rejects_vertex_out_of_range(v):
+    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {v} outside 0..5$"):
+        robust_neighbourhood(complete_graph(6), [0, v], 0.1)
+    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {v} outside 0..5$"):
+        robust_outneighbourhood(complete_digraph(6), [v], 0.1)
 
 
 def test_out_rn_directed_cycle():
@@ -152,6 +169,70 @@ def test_digraph_certification():
     bad = directed_cycle(6)
     cert2 = certify_exact(bad, ExpansionParams(Fraction(1, 3), Fraction(1, 3)))
     assert cert2.verdict is Verdict.FAIL
+
+
+# -- differential: the sweep against the generator-and-closure oracle ---------
+
+def _random_digraph(n, p, seed):
+    rng = random.Random(seed)
+    return build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+
+
+def _random_bipartite(side, p, seed):
+    rng = random.Random(seed)
+    order = list(range(2 * side))
+    rng.shuffle(order)
+    a, b = order[:side], order[side:]
+    g = build_graph(2 * side, [(u, v) for u in a for v in b if rng.random() < p])
+    return g, Bipartition(a, b)
+
+
+DIFF_PARAMS = ExpansionParams(Fraction(1, 10), Fraction(3, 10))
+
+
+def test_exact_sweep_matches_reference_on_gnp():
+    for n in range(13):
+        for p in (0.3, 0.6, 0.9):
+            g = gnp(n, p, 100 * n + int(10 * p))
+            for obj in (g, to_bidirected(g)):
+                assert certify_exact(obj, DIFF_PARAMS) == reference_certify_exact(obj, DIFF_PARAMS), (n, p)
+
+
+def test_exact_sweep_matches_reference_on_random_digraphs():
+    for n in range(2, 11):
+        for s in range(3):
+            d = _random_digraph(n, 0.4 + 0.2 * s, 7 * n + s)
+            assert certify_exact(d, DIFF_PARAMS) == reference_certify_exact(d, DIFF_PARAMS), (n, s)
+
+
+def test_bipartite_sweep_matches_reference():
+    for side in range(1, 8):
+        for s in range(4):
+            g, part = _random_bipartite(side, 0.5 + 0.15 * s, 31 * side + s)
+            want = reference_sweep(g.neighbor_masks, sorted(part.side_a), side, DIFF_PARAMS)
+            assert certify_bipartite(g, part, DIFF_PARAMS) == want, (side, s)
+
+
+@pytest.mark.parametrize("nu", [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(4, 5)])
+@pytest.mark.parametrize("tau", [Fraction(1, 10), Fraction(3, 10), Fraction(2, 5), Fraction(3, 4)])
+def test_sweep_matches_reference_on_param_grid(nu, tau):
+    # tau = 3/4, and n = 1 with tau = 3/10, give empty windows (lo > hi)
+    p = ExpansionParams(nu, tau)
+    hosts = [complete_graph(n) for n in range(1, 8)] + [cycle_graph(6), two_triangles(), gnp(9, 0.5, 3)]
+    for g in hosts:
+        assert certify_exact(g, p) == reference_certify_exact(g, p), g.n
+    g, part = _random_bipartite(5, 0.6, 2)
+    want = reference_sweep(g.neighbor_masks, sorted(part.side_a), 5, p)
+    assert certify_bipartite(g, part, p) == want
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7, 200])
+@pytest.mark.parametrize("seed", [0, 1, 5])
+def test_refute_sampled_matches_reference(trials, seed):
+    hosts = [two_triangles(), complete_graph(6), complete_graph(1), gnp(10, 0.4, seed), directed_cycle(6)]
+    for obj in hosts:
+        for p in (DIFF_PARAMS, ExpansionParams(Fraction(1, 3), Fraction(1, 3))):
+            assert refute_sampled(obj, p, trials, seed) == reference_refute_sampled(obj, p, trials, seed)
 
 
 # -- sampled refutation --------------------------------------------------------

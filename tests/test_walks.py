@@ -10,6 +10,7 @@ from matchlab.errors import (
     NotRegularError,
     SinkVertexError,
     TooLargeError,
+    VertexOutOfRangeError,
     ZeroEntryError,
 )
 from matchlab.expansion import ExpansionParams, Verdict, certify_exact
@@ -293,6 +294,22 @@ def test_paths_rejects_negative_length(length):
     # a budget of 10 would be spent long before a walk that never ends
     with pytest.raises(ValueError, match="^length must be non-negative$"):
         count_paths(complete_digraph(7), 0, 1, length, budget=10)
+
+
+@pytest.mark.parametrize(
+    "count,u,v,length,bad",
+    [
+        (count_walks, -1, 0, 1, -1),
+        (count_walks, 4, 0, 1, 4),
+        (count_walks, 0, 4, 1, 4),
+        (count_paths, -1, 1, 2, -1),
+        (count_paths, 0, 4, 2, 4),
+    ],
+)
+def test_counts_reject_vertex_out_of_range(count, u, v, length, bad):
+    # -1 used to wrap to vertex 3, and 4 to miss or raise IndexError
+    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {bad} outside 0..3$"):
+        count(directed_cycle(4), u, v, length)
 
 
 # -- mixing -------------------------------------------------------------------------
