@@ -88,6 +88,12 @@ def _params(args: argparse.Namespace) -> expansion.ExpansionParams:
     return params
 
 
+def _warn_if_vacuous(cert: expansion.ExpansionCertificate) -> None:
+    # A sweep passes after no set only when its size window is empty.
+    if cert.verdict is expansion.Verdict.PASS and cert.sets_checked == 0:
+        print("warning: the size window holds no set, so the pass is vacuous", file=sys.stderr)
+
+
 def _overlap_vs_poisson(g: Graph, ref, d: int):
     """Exact PMF of |M & ref|, its Poisson reference at rate e(ref)/d
     (0 when d is 0, as in stats.avoidance_ratio) and their TV distance."""
@@ -234,13 +240,14 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     if d is None or d == 0:
         raise MatchlabError("walks analysis needs a regular graph with edges")
     params = _params(args)
-    dg = to_bidirected(g)
-    cert = expansion.certify_exact(dg, params)
     n = g.n
     nu = params.nu
     ell = args.ell if args.ell is not None else min(n, math.ceil(1 / nu) + 1)
     if ell < 0:
         raise ValueError("length must be non-negative")
+    dg = to_bidirected(g)
+    cert = expansion.certify_exact(dg, params)
+    _warn_if_vacuous(cert)
     k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
     p = walks.transition_matrix(dg)
     pk = walks.matrix_power(p, k)
@@ -294,6 +301,7 @@ def run_expander(args: argparse.Namespace) -> list[dict]:
         cert = expansion.certify_bipartite(g, part, params)
     else:
         cert = expansion.certify_exact(g, params)
+    _warn_if_vacuous(cert)
     out = cert.to_json_dict()
     out["witness"] = (
         " ".join(str(v) for v in cert.witness) if cert.witness is not None else None

@@ -2,11 +2,15 @@
 
 A set S expands robustly when the vertices seeing a positive fraction of
 S are noticeably more numerous than S itself.  The exact certifier is
-one recursion over vertex masks: it visits every set in a size window in
-lexicographic order and stops at the first violating set.  The sampled
-refuter reads the same count and only ever finds counterexamples.  All
-threshold comparisons are exact: nu*n and the window bounds are rounded
-once, to the integers that counts and set sizes are compared with.
+one recursion over vertex masks: it walks the sets of a size window in
+lexicographic order and stops at the first violating set.  |RN(S)| is
+monotone in S, so once a set's robust count reaches the window's top
+size plus nu*n, every extension of it passes; the recursion counts that
+subtree's window sets in closed form instead of visiting them.  The
+sampled refuter reads the same count and only ever finds
+counterexamples.  All threshold comparisons are exact: nu*n and the
+window bounds are rounded once, to the integers that counts and set
+sizes are compared with.
 """
 
 from __future__ import annotations
@@ -56,7 +60,11 @@ class ExpansionCertificate:
     """Outcome of an expansion check.
 
     A Fail always carries a violating witness set; a Pass can only come
-    from the exhaustive sweep, never from sampling.
+    from the exhaustive sweep, never from sampling.  For the sweep,
+    `sets_checked` is the number of window sets certified in
+    lexicographic order up to and including the witness (all of them on
+    a Pass); subtrees certified by monotonicity are counted, not
+    visited.  For the sampled refuter it is the number of trials drawn.
     """
 
     verdict: Verdict
@@ -122,7 +130,14 @@ def _robust_count(masks, smask: int, need: int) -> int:
 
 def _sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> ExpansionCertificate:
     """Check every subset of `universe` in the size window at `scale`;
-    Fail with the lexicographically first violating set, else Pass."""
+    Fail with the lexicographically first violating set, else Pass.
+
+    Every visited set gets its robust count, also below the window.  A
+    set whose count is at least hi + need has no violating extension up
+    to size hi, so its subtree is counted into `sets_checked` with
+    binomials and not visited.  The verdict, witness and count equal
+    those of a sweep that visits every window set.
+    """
     need, lo, hi = _thresholds(params.nu, params.tau, scale)
     top = len(universe)
     checked = 0
@@ -133,11 +148,18 @@ def _sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> E
         nonlocal checked
         for i in range(start, top):
             vmask = smask | 1 << universe[i]
+            rn = _robust_count(masks, vmask, need)
             if size >= lo:
                 checked += 1
-                if _robust_count(masks, vmask, need) < size + need:
+                if rn < size + need:
                     return vmask
             if size < hi:
+                if rn >= hi + need:
+                    # |RN| only grows with S, so every extension of vmask
+                    # up to size hi passes: count those in the window.
+                    first = max(lo, size + 1)
+                    checked += sum(math.comb(top - 1 - i, t - size) for t in range(first, hi + 1))
+                    continue
                 found = rec(i + 1, vmask, size + 1)
                 if found:
                     return found

@@ -379,3 +379,37 @@ def test_key_error_in_runner_is_not_an_input_error(monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "count", broken)
     with pytest.raises(KeyError):
         main(["count", "--family", "complete", "-n", "4"])
+
+
+VACUOUS = "warning: the size window holds no set, so the pass is vacuous\n"
+
+
+@pytest.mark.parametrize("key,argv", [
+    ("verdict", ["expander", "--family", "complete", "-n", "1", "--nu", "0.1", "--tau", "0.3"]),
+    ("verdict", ["expander", "--family", "multipartite", "-a", "2", "-b", "3", "--nu", "0.1", "--tau", "0.4"]),
+    ("certificate", ["walks", "--family", "complete", "-n", "3", "--nu", "0.1", "--tau", "0.4"]),
+])
+def test_empty_window_pass_warns_on_stderr(capsys, key, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == VACUOUS
+    assert json.loads(captured.out)["rows"][0][key] == "pass"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expander", "--family", "complete", "-n", "6", "--nu", "0.1", "--tau", "0.3"],
+    ["expander", "--family", "complete", "-n", "1", "--nu", "0.1", "--tau", "0.3", "--sampled"],
+    ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
+])
+def test_pass_over_a_nonempty_window_does_not_warn(capsys, argv):
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_walks_rejects_negative_ell_before_the_sweep(capsys):
+    # K26 is above the sweep cap, so a sweep run first would exit 2
+    code = main(["walks", "--family", "complete", "-n", "26", "--nu", "0.1", "--tau", "0.3", "--ell", "-1"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == "error: length must be non-negative\n"

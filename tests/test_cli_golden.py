@@ -48,6 +48,10 @@ INVOCATIONS = {
     "expander_multipartite_2x5": [
         "expander", "--family", "multipartite", "-a", "2", "-b", "5", "--nu", "0.1", "--tau", "0.3",
     ],
+    "expander_complete_24": ["expander", "--family", "complete", "-n", "24", "--nu", "0.1", "--tau", "0.3"],
+    "expander_multipartite_2x12": [
+        "expander", "--family", "multipartite", "-a", "2", "-b", "12", "--nu", "0.1", "--tau", "0.3",
+    ],
     "expander_empty_window": ["expander", "--family", "complete", "-n", "1", "--nu", "0.1", "--tau", "0.3"],
     "walks_complete_6": ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
     "suite_multipartite": ["suite_multipartite", "--b-max", "6"],

@@ -11,6 +11,7 @@ from conftest import (
     reference_sweep,
     two_triangles,
 )
+from matchlab import expansion
 from matchlab.errors import (
     NotBipartiteError,
     TooLargeForExactSweepError,
@@ -206,11 +207,64 @@ def test_exact_sweep_matches_reference_on_random_digraphs():
 
 
 def test_bipartite_sweep_matches_reference():
-    for side in range(1, 8):
+    for side in range(1, 11):
         for s in range(4):
             g, part = _random_bipartite(side, 0.5 + 0.15 * s, 31 * side + s)
             want = reference_sweep(g.neighbor_masks, sorted(part.side_a), side, DIFF_PARAMS)
             assert certify_bipartite(g, part, DIFF_PARAMS) == want, (side, s)
+
+
+# -- monotone pruning: subtrees whose robust count covers the window -----------
+
+def _calls_to_robust_count(monkeypatch):
+    calls = []
+    real = expansion._robust_count
+
+    def counting(masks, smask, need):
+        calls.append(smask)
+        return real(masks, smask, need)
+
+    monkeypatch.setattr(expansion, "_robust_count", counting)
+    return calls
+
+
+def test_pruned_sweep_matches_reference_on_dense_pass_hosts():
+    hosts = [gnp(n, 0.7 + 0.05 * (n - 13), 100 * n + 7) for n in range(13, 17)]
+    hosts.append(complete_multipartite(4, 4))
+    for g in hosts:
+        for obj in (g, to_bidirected(g)):
+            cert = certify_exact(obj, DIFF_PARAMS)
+            assert cert.verdict is Verdict.PASS, obj.n
+            assert cert == reference_certify_exact(obj, DIFF_PARAMS), obj.n
+
+
+def test_fail_witness_after_a_pruned_subtree(monkeypatch):
+    # a dense gnp whose top vertex keeps two neighbours
+    edges = [e for e in gnp(12, 0.9, 12).edges if 11 not in e]
+    g = build_graph(12, edges + [(0, 11), (1, 11)])
+    p = ExpansionParams(Fraction(1, 5), Fraction(3, 10))
+    want = reference_certify_exact(g, p)
+    calls = _calls_to_robust_count(monkeypatch)
+    cert = certify_exact(g, p)
+    assert cert == want
+    assert cert.witness == (0, 2, 5, 11)
+    # window sets (size >= ceil(3/10 * 12) = 4) certified outnumber those
+    # visited: a subtree before the witness was counted, not swept
+    visited = sum(1 for smask in calls if smask.bit_count() >= 4)
+    assert visited < cert.sets_checked == 1236
+
+
+def test_prune_counts_k16_without_visiting(monkeypatch):
+    calls = _calls_to_robust_count(monkeypatch)
+    cert = certify_exact(complete_graph(16), DIFF_PARAMS)
+    assert cert.verdict is Verdict.PASS and cert.sets_checked == 60_502
+    assert len(calls) < 6_050
+
+
+def test_k24_at_the_cap_passes_by_pruning():
+    cert = certify_exact(complete_graph(24), DIFF_PARAMS)
+    assert cert.verdict is Verdict.PASS
+    assert cert.sets_checked == 15_704_906
 
 
 @pytest.mark.parametrize("nu", [Fraction(1, 10), Fraction(1, 4), Fraction(1, 2), Fraction(4, 5)])
