@@ -181,6 +181,20 @@ class Matching:
         self.edge_set: frozenset[Edge] = frozenset(norm)
         self._partner = partner
 
+    @classmethod
+    def _from_sorted(cls, pairs: Iterable[Edge]) -> "Matching":
+        """A Matching from pairs that are already normalised (u < v),
+        sorted and vertex-disjoint, taken without the constructor's checks."""
+        m = cls.__new__(cls)
+        m.pairs = tuple(pairs)
+        m.edge_set = frozenset(m.pairs)
+        partner: dict[int, int] = {}
+        for u, v in m.pairs:
+            partner[u] = v
+            partner[v] = u
+        m._partner = partner
+        return m
+
     @property
     def vertices(self) -> frozenset[int]:
         return frozenset(self._partner)

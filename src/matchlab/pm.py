@@ -14,6 +14,12 @@ subtree held no perfect matching and never expands them again.
 stratify runs the counting DP with one int per mask that packs every
 stratum as a w-bit digit; w, the bit length of (n-1)!!, bounds every
 count the DP meets, so no digit carries into the next.
+
+A graph with a connected component of odd size has no perfect matching.
+After its input and cap checks, each entry point takes its fast paths in
+one order: the memo lookup (counting only), then that parity check on the
+entry mask, O(n) mask operations, then the DP or search.  The check never runs inside the
+recursion, whose children are read from the memo inline.
 """
 
 from __future__ import annotations
@@ -36,17 +42,44 @@ DEFAULT_DP_LIMIT = 26
 DEFAULT_ENUM_CAP = 1_000_000
 
 
+def _has_odd_component(masks, mask: int) -> bool:
+    """True when the subgraph induced on `mask` has a connected component
+    of odd size, and so no perfect matching: a flood fill over the
+    neighbour masks, O(|mask|) mask operations."""
+    while mask:
+        comp = frontier = mask & -mask
+        while frontier:
+            v = (frontier & -frontier).bit_length() - 1
+            frontier &= frontier - 1
+            new = masks[v] & mask & ~comp
+            comp |= new
+            frontier |= new
+        if comp.bit_count() & 1:
+            return True
+        mask ^= comp
+    return False
+
+
 def _count_on_mask(g: Graph, mask: int) -> int:
-    """Perfect matchings of the subgraph induced on the bitmask `mask`."""
+    """Perfect matchings of the subgraph induced on the bitmask `mask`.
+
+    The memo is read first; a mask not in it that has an odd component is
+    cached as 0 with no DP.  The recursion reads each child's memo entry
+    inline and calls itself only on a miss.
+    """
     cache = g._pm_cache
+    got = cache.get(mask)
+    if got is not None:
+        return got
     masks = g.neighbor_masks
+    if _has_odd_component(masks, mask):
+        cache[mask] = 0
+        return 0
+    lookup = cache.get
 
     def rec(m: int) -> int:
         if m == 0:
             return 1
-        got = cache.get(m)
-        if got is not None:
-            return got
         u = (m & -m).bit_length() - 1
         rest = m & (m - 1)
         avail = masks[u] & rest
@@ -54,7 +87,11 @@ def _count_on_mask(g: Graph, mask: int) -> int:
         while avail:
             vbit = avail & -avail
             avail ^= vbit
-            total += rec(rest ^ vbit)
+            child = rest ^ vbit
+            c = lookup(child)
+            if c is None:
+                c = rec(child)
+            total += c
         cache[m] = total
         return total
 
@@ -62,7 +99,9 @@ def _count_on_mask(g: Graph, mask: int) -> int:
 
 
 def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
-    """Exact number of perfect matchings; 0 whenever n is odd."""
+    """Exact number of perfect matchings; 0 whenever some connected
+    component has an odd number of vertices (odd n included), found
+    without the DP."""
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
     return _count_on_mask(g, (1 << g.n) - 1)
@@ -73,13 +112,17 @@ def _matchings(g: Graph) -> Iterator[Matching]:
     edge list: the lowest unmatched vertex is matched first, its partner
     chosen in increasing order.
 
-    A mask whose subtree yielded no matching (the leaf count did not move
-    while its children were searched) is remembered and skipped for the
-    rest of the search, so a mask without a perfect matching is expanded
-    at most once.  The search is lazy: stopping after the first matching
-    costs no more than reaching it.
+    A graph with an odd component yields nothing and is not searched.
+    Otherwise a mask whose subtree yielded no matching (the leaf count did
+    not move while its children were searched) is remembered and skipped
+    for the rest of the search, so a mask without a perfect matching is
+    expanded at most once.  The search is lazy: stopping after the first
+    matching costs no more than reaching it.
     """
     masks = g.neighbor_masks
+    full = (1 << g.n) - 1
+    if _has_odd_component(masks, full):
+        return
     chosen: list[Edge] = []
     dead: set[int] = set()
     leaves = 0
@@ -88,7 +131,7 @@ def _matchings(g: Graph) -> Iterator[Matching]:
         nonlocal leaves
         if mask == 0:
             leaves += 1
-            yield Matching(chosen)
+            yield Matching._from_sorted(chosen)
             return
         before = leaves
         u = (mask & -mask).bit_length() - 1
@@ -106,7 +149,7 @@ def _matchings(g: Graph) -> Iterator[Matching]:
         if leaves == before:
             dead.add(mask)
 
-    yield from rec((1 << g.n) - 1)
+    yield from rec(full)
 
 
 def enumerate_pm(
@@ -185,7 +228,7 @@ def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Ma
                 pairs.append((u, vbit.bit_length() - 1))
                 mask = child
                 break
-    return Matching(pairs)
+    return Matching._from_sorted(pairs)
 
 
 @dataclass(frozen=True)
@@ -216,7 +259,9 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     through a reference edge adds its value shifted by w bits.  w is the bit
     length of (n-1)!!, the count of K_n; each s_k is at most the mask's own
     count, at most (|mask|-1)!! <= (n-1)!!, so no digit carries.  Kept apart
-    from _count_on_mask: a shared loop made count_pm 3-10% slower.
+    from _count_on_mask: a shared loop made count_pm 3-10% slower.  As
+    there, a graph with an odd component skips the DP (every stratum is 0)
+    and each child's memo entry is read inline.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
@@ -225,20 +270,19 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
         if not g.has_edge(u, v):
             raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
     kmax = min(g.n // 2, len(ref))
-    w = math.prod(range(g.n - 1, 0, -2)).bit_length()
     masks = g.neighbor_masks
+    full = (1 << g.n) - 1
+    if _has_odd_component(masks, full):
+        return StrataCounts({k: 0 for k in range(kmax + 1)})
+    w = math.prod(range(g.n - 1, 0, -2)).bit_length()
     ref_masks = [0] * g.n
     for u, v in ref:
         ref_masks[u] |= 1 << v
         ref_masks[v] |= 1 << u
-    memo: dict[int, int] = {}
+    memo: dict[int, int] = {0: 1}
+    lookup = memo.get
 
     def rec(mask: int) -> int:
-        if mask == 0:
-            return 1
-        got = memo.get(mask)
-        if got is not None:
-            return got
         u = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         avail = masks[u] & rest
@@ -247,10 +291,13 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
         while avail:
             vbit = avail & -avail
             avail ^= vbit
-            c = rec(rest ^ vbit)
+            child = rest ^ vbit
+            c = lookup(child)
+            if c is None:
+                c = rec(child)
             total += c << w if hits & vbit else c
         memo[mask] = total
         return total
 
-    packed = rec((1 << g.n) - 1)
+    packed = rec(full) if full else 1
     return StrataCounts({k: packed >> (k * w) & ((1 << w) - 1) for k in range(kmax + 1)})

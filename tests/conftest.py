@@ -43,7 +43,6 @@ from matchlab.pm import (
     DEFAULT_DP_LIMIT,
     DEFAULT_ENUM_CAP,
     StrataCounts,
-    _count_on_mask,
     count_pm,
     first_pm,
     stratify,
@@ -142,6 +141,64 @@ def strata_references(g: Graph, rng: random.Random) -> list:
     return refs
 
 
+def disconnected_hosts() -> list[Graph]:
+    """Hosts with more than one component, odd n and no vertices: odd
+    components (K3+K5, two interleaved K5, K4+K3+K1, K5 beside an isolated
+    vertex, K7, C9), even ones (K4+K4, C6+K2, and the star K_{1,3}+K2, which
+    has no perfect matching all the same), plus the 0-vertex graph."""
+
+    def union(*parts: Graph) -> Graph:
+        edges, base = [], 0
+        for h in parts:
+            edges += [(u + base, v + base) for u, v in h.edges]
+            base += h.n
+        return build_graph(base, edges)
+
+    interleaved_k5 = build_graph(
+        10, [(u, v) for u in range(10) for v in range(u + 1, 10) if (u - v) % 2 == 0]
+    )
+    return [
+        union(complete_graph(3), complete_graph(5)),
+        interleaved_k5,
+        union(complete_graph(4), complete_graph(3), build_graph(1, [])),
+        union(build_graph(1, []), complete_graph(5)),
+        complete_graph(7),
+        cycle_graph(9),
+        union(complete_graph(4), complete_graph(4)),
+        union(cycle_graph(6), complete_graph(2)),
+        union(build_graph(4, [(0, 1), (0, 2), (0, 3)]), complete_graph(2)),
+        build_graph(0, []),
+    ]
+
+
+# -- reference matching DP -----------------------------------------------------
+
+def reference_count_on_mask(g: Graph, mask: int) -> int:
+    """Oracle for pm._count_on_mask: the lowest-vertex DP with no parity
+    check, one call per child, filling g's memo with every mask it meets."""
+    cache = g._pm_cache
+    masks = g.neighbor_masks
+
+    def rec(m: int) -> int:
+        if m == 0:
+            return 1
+        got = cache.get(m)
+        if got is not None:
+            return got
+        u = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        avail = masks[u] & rest
+        total = 0
+        while avail:
+            vbit = avail & -avail
+            avail ^= vbit
+            total += rec(rest ^ vbit)
+        cache[m] = total
+        return total
+
+    return rec(mask)
+
+
 # -- reference matching search ------------------------------------------------
 
 def reference_enumerate_pm(
@@ -210,12 +267,13 @@ def reference_first_pm(g: Graph) -> Optional[Matching]:
 
 def reference_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Matching:
     """Oracle for pm.sample_pm: every count, the current mask's and each
-    scanned child's, goes through _count_on_mask instead of a direct memo
-    read.  It makes the same rng calls, so it gives the same draws."""
+    scanned child's, goes through reference_count_on_mask instead of a
+    direct memo read.  It makes the same rng calls, so it gives the same
+    draws."""
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
     mask = (1 << g.n) - 1
-    total = _count_on_mask(g, mask)
+    total = reference_count_on_mask(g, mask)
     if total == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
     masks = g.neighbor_masks
@@ -223,14 +281,14 @@ def reference_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LI
     while mask:
         u = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
-        here = _count_on_mask(g, mask)
+        here = reference_count_on_mask(g, mask)
         r = rng.randrange(here)
         acc = 0
         avail = masks[u] & rest
         while avail:
             vbit = avail & -avail
             avail ^= vbit
-            sub = _count_on_mask(g, rest ^ vbit)
+            sub = reference_count_on_mask(g, rest ^ vbit)
             acc += sub
             if r < acc:
                 pairs.append((u, vbit.bit_length() - 1))

@@ -2,8 +2,9 @@
 
 The files under tests/golden/ hold the stdout of every command-line
 example in the README (the Monte Carlo one with --samples 2000), in JSON
-and in CSV, plus a few reference and stratum variants.  A change that
-means to alter a report rewrites them with
+and in CSV, plus a few reference and stratum variants and a count on an
+edge list whose two components are odd.  A change that means to alter a
+report rewrites them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -23,9 +24,11 @@ from matchlab.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 EDGE_LIST = GOLDEN / "g.el"
+ODD_COMPONENTS = GOLDEN / "odd_components.el"
 
 INVOCATIONS = {
     "count_complete_6": ["count", "--family", "complete", "-n", "6"],
+    "count_odd_components": ["count", "--family", "file", "--file", str(ODD_COMPONENTS)],
     "avoidance_multipartite_6x1": ["avoidance", "--family", "multipartite", "-a", "6", "-b", "1"],
     "edge_prob_complete_8": ["edge_prob", "--family", "complete", "-n", "8"],
     "pmf_complete_12": ["pmf", "--family", "complete", "-n", "12"],

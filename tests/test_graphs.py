@@ -155,6 +155,14 @@ def test_matching_validation():
         Matching([(1, 1)])
 
 
+@pytest.mark.parametrize("pairs", [[], [(0, 1)], [(0, 3), (1, 2), (4, 7)], [(0, 5), (1, 4), (2, 3)]])
+def test_matching_from_sorted_equals_constructor(pairs):
+    fast, slow = Matching._from_sorted(pairs), Matching(pairs)
+    assert fast.pairs == slow.pairs and fast.edge_set == slow.edge_set
+    assert list(fast.partner_map().items()) == list(slow.partner_map().items())
+    assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+
+
 def test_edge_set_and_matching_shape():
     assert edge_set([(1, 0)]) == frozenset({(0, 1)})
     assert is_matching_shaped(Matching([(0, 1)]))

@@ -5,9 +5,11 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    disconnected_hosts,
     gnp,
     oracle_count,
     oracle_pm_sets,
+    reference_count_on_mask,
     reference_enumerate_pm,
     reference_first_pm,
     reference_sample_pm,
@@ -77,6 +79,105 @@ def test_count_double_factorial_growth():
 def test_count_size_cap():
     with pytest.raises(TooLargeError):
         count_pm(complete_graph(6), limit=4)
+
+
+# -- odd components -----------------------------------------------------------
+
+def _has_odd_part(g, mask):
+    """Some component of the subgraph induced on `mask` has odd size, found
+    by a search over adjacency lists rather than neighbour masks."""
+    left = {v for v in range(g.n) if mask >> v & 1}
+    while left:
+        stack = [left.pop()]
+        size = 0
+        while stack:
+            x = stack.pop()
+            size += 1
+            for y in g.neighbors(x):
+                if y in left:
+                    left.remove(y)
+                    stack.append(y)
+        if size % 2:
+            return True
+    return False
+
+
+def _reference_count_checking_memo(fast, mask):
+    """The reference DP's count on `mask`, after checking the memo of `fast`,
+    which has counted only `mask`: that mask alone, as 0, when it has an odd
+    component, and otherwise the very memo the DP without the check builds."""
+    slow = _fresh(fast)
+    want = reference_count_on_mask(slow, mask)
+    if _has_odd_part(fast, mask):
+        assert fast._pm_cache == {mask: 0}
+    else:
+        assert fast._pm_cache == slow._pm_cache
+    return want
+
+
+def _dp_hosts():
+    return small_zoo() + disconnected_hosts()
+
+
+def test_count_matches_reference_dp():
+    hosts = _dp_hosts()
+    full = [(1 << g.n) - 1 for g in hosts]
+    odd = [_has_odd_part(g, m) for g, m in zip(hosts, full)]
+    assert sum(odd) >= 8 and sum(not o and count_pm(g) == 0 for g, o in zip(hosts, odd)) >= 1
+    for g, mask in zip(hosts, full):
+        fast = _fresh(g)
+        got = count_pm(fast)
+        assert got == _reference_count_checking_memo(fast, mask) == oracle_count(g)
+
+
+def _random_matching(g, rng):
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    used, out = set(), []
+    for u, v in edges:
+        if u not in used and v not in used:
+            used |= {u, v}
+            out.append((u, v))
+    return out[: rng.randint(0, len(out))]
+
+
+def test_count_containing_matches_reference_dp():
+    rng = random.Random(5)
+    for g in _dp_hosts():
+        pms = oracle_pm_sets(g)
+        shared, slow = _fresh(g), _fresh(g)
+        for forced in [[e] for e in g.edges] + [_random_matching(g, rng) for _ in range(10)]:
+            mask = (1 << g.n) - 1
+            for u, v in forced:
+                mask ^= 1 << u | 1 << v
+            want = reference_count_on_mask(slow, mask)
+            assert want == sum(set(forced) <= m for m in pms)
+            # one memo shared by every call, zeros from short cuts included
+            assert count_pm_containing(shared, forced) == want
+            fast = _fresh(g)
+            got = count_pm_containing(fast, forced)
+            assert got == _reference_count_checking_memo(fast, mask) == want
+
+
+def test_stratify_matches_reference_on_disconnected_hosts():
+    rng = random.Random(6)
+    for g in disconnected_hosts():
+        for ref in strata_references(g, rng):
+            got = stratify(g, ref)
+            assert got.counts == reference_stratify(g, ref).counts
+            assert got.total() == count_pm(g)
+
+
+def test_odd_component_hosts_skip_the_dp():
+    # two interleaved K13 and K25: the DP proves "no perfect matching" in
+    # about a second; the component check takes O(n) mask operations
+    hosts = [_interleaved_cliques(13), complete_graph(25)]
+    start = time.perf_counter()
+    for g in hosts:
+        assert count_pm(g) == 0
+        assert stratify(g, [g.edges[0]]).counts == {0: 0, 1: 0}
+        assert first_pm(g) is None
+    assert time.perf_counter() - start < 1.0
 
 
 # -- enumeration ------------------------------------------------------------
@@ -155,15 +256,17 @@ def _search_hosts():
     hosts += [complete_graph(8), complete_graph(10), complete_multipartite(4, 2), cycle_graph(10)]
     hosts += [gnp(10, p, s) for p in (0.3, 0.6) for s in range(6)]
     hosts += [build_graph(0, []), complete_graph(7), _interleaved_cliques(5), _interleaved_cliques(7)]
-    return hosts
+    return hosts + disconnected_hosts()
 
 
 def test_enumerate_matches_reference():
     hosts = _search_hosts()
     assert sum(count_pm(g) == 0 for g in hosts) >= 4
     for g in hosts:
-        got = [m.pairs for m in enumerate_pm(g)]
-        assert got == [m.pairs for m in reference_enumerate_pm(g)]
+        got = list(enumerate_pm(g))
+        assert [m.pairs for m in got] == [m.pairs for m in reference_enumerate_pm(g)]
+        for m in got:
+            assert list(m.partner_map().items()) == list(Matching(m.pairs).partner_map().items())
 
 
 def test_first_pm_matches_reference():
@@ -286,6 +389,29 @@ def test_sample_after_partial_memo_matches_reference():
     for _ in range(200):
         assert sample_pm(fast, rng_fast) == reference_sample_pm(slow, rng_slow)
     assert rng_fast.getstate() == rng_slow.getstate()
+
+
+def _with_pendant(g):
+    """g plus an edge (0, 1) and a new vertex hung on vertex 1, so every
+    perfect matching uses the pendant edge, and forcing (0, 1) strands the
+    new vertex: that count is cut short at a child of the full mask."""
+    return build_graph(g.n + 1, list(g.edges) + [(0, 1), (1, g.n)])
+
+
+def test_sample_after_short_circuited_containment_matches_reference():
+    for seed, host in enumerate([gnp(11, 0.6, 35), gnp(13, 0.5, 36), complete_graph(9)]):
+        g = _with_pendant(host)
+        fast, slow = _fresh(g), _fresh(g)
+        child = (1 << g.n) - 1 ^ 0b11
+        assert count_pm_containing(fast, [(0, 1)]) == 0
+        assert fast._pm_cache == {child: 0}
+        assert count_pm(fast) == reference_count_on_mask(slow, (1 << g.n) - 1) > 0
+        rng_fast, rng_slow = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            drawn = sample_pm(fast, rng_fast)
+            assert drawn == reference_sample_pm(slow, rng_slow)
+            assert (1, g.n - 1) in drawn
+        assert rng_fast.getstate() == rng_slow.getstate()
 
 
 @pytest.mark.parametrize(
