@@ -7,10 +7,11 @@ one reference edge.  Double counting its edges ties the stratum sizes
 together.
 
 One walker, `_alternating_paths`, takes the alternating steps: a free
-edge, then a base-matching edge.  One pass, `_switches`, enumerates once,
-splits the two strata and reads each left matching's neighbours off the
-cycles through its reference edges, keying edge sets as ints (bit u*n + v
-per edge, u < v).  `build_switch_graph` materialises it, `ratio_report`
+edge, then a base-matching edge.  It keeps its visited vertices in an
+int mask and yields only each path's end and the XOR of its edge bits.
+One pass, `_switches`, enumerates once, splits the two strata and reads
+each left matching's neighbours off the cycles through its reference
+edges, keying edge sets as ints (bit u*n + v per edge, u < v).  `build_switch_graph` materialises it, `ratio_report`
 only tallies degrees, and `count_alternating_paths` counts the walker's
 paths.  The companion digraph has one arc per pair of walker steps.
 """
@@ -99,31 +100,28 @@ def _alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: int):
     """Every simple path of `length` edges (even) from u that alternates a
     free edge, outside the int key `ban` and the base matching, with a
     base-matching edge outside `ban`, starting with a free edge.  Yields
-    (vertices, flip): the list the next step changes in place, and the XOR
-    of the path's edge bits.  A free edge on the base matching would return
-    to the path's end, so `z in path` refuses it.
+    (end, flip): the path's last vertex and the XOR of its edge bits.  The
+    visited vertices are the int mask `seen`; a free edge on the base
+    matching would return to the path's end, so the test on z refuses it.
     """
     n = g.n
     partner = base.partner_map()
-    path: list[int] = [u]
 
-    def rec(x: int, pairs: int, flip: int):
+    def rec(x: int, seen: int, pairs: int, flip: int):
         if pairs == 0:
-            yield path, flip
+            yield x, flip
             return
         for y in g.neighbors(x):
             z = partner.get(y)
-            if z is None or y in path or z in path:
+            if z is None or seen >> y & 1 or seen >> z & 1:
                 continue
             e = 1 << (x * n + y if x < y else y * n + x)
             f = 1 << (y * n + z if y < z else z * n + y)
             if ban & (e | f):
                 continue
-            path.extend((y, z))
-            yield from rec(z, pairs - 1, flip ^ e ^ f)
-            del path[-2:]
+            yield from rec(z, seen | 1 << y | 1 << z, pairs - 1, flip ^ e ^ f)
 
-    return rec(u, length // 2, 0)
+    return rec(u, 1 << u, length // 2, 0)
 
 
 def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
@@ -150,10 +148,10 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
     right_index = {_edge_bits(g, m): j for j, m in enumerate(right)}
     for m in left:
         found = []
+        key = _edge_bits(g, m)
         for a, b in m.edge_set & ref:
-            opened = _edge_bits(g, m.edge_set - {(a, b)})
-            for path, flip in _alternating_paths(g, m, b, 2 * ell - 2, ban):
-                z = path[-1]
+            opened = key ^ 1 << (a * n + b)
+            for z, flip in _alternating_paths(g, m, b, 2 * ell - 2, ban):
                 close = 1 << (a * n + z if a < z else z * n + a)
                 if masks[a] >> z & 1 and not ban & close:
                     found.append(right_index[opened ^ close ^ flip])
@@ -200,10 +198,7 @@ def build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph
     ban = _edge_bits(g, reference)
     verts = aux_vertex_set(reference, base, g.n, side)
     arcs = [
-        (x, path[-1])
-        for x in verts
-        for path, _ in _alternating_paths(g, base, x, 2, ban)
-        if path[-1] in verts
+        (x, z) for x in verts for z, _ in _alternating_paths(g, base, x, 2, ban) if z in verts
     ]
     return Digraph(g.n, arcs)
 
@@ -228,7 +223,7 @@ def count_alternating_paths(
     for x in (u, v, *vertices_of(base), *vertices_of(edge_set(forbidden))):
         _check_vertex(x, g.n)
     paths = _alternating_paths(g, base, u, length, _edge_bits(g, forbidden))
-    return sum(1 for path, _ in paths if path[-1] == v)
+    return sum(1 for end, _ in paths if end == v)
 
 
 @dataclass(frozen=True)

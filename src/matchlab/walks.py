@@ -26,7 +26,7 @@ from .errors import (
     TooLargeError,
     ZeroEntryError,
 )
-from .graphs import Digraph, Matching, _check_vertex
+from .graphs import Digraph, Matching, _check_vertex, vertices_of
 from .rational import as_fraction, frac_json
 
 DEFAULT_MATRIX_CAP = 64
@@ -156,25 +156,26 @@ def count_paths(
     """Simple directed (u, v)-paths of the given length, visiting at most
     one endpoint of each constraint edge.
 
-    Depth-first enumeration; each extension attempt consumes budget.
+    u, v and every constraint vertex must lie in the digraph.  Depth-first
+    enumeration over an int mask of visited vertices; each extension
+    attempt consumes budget.
     """
     if u == v:
         raise ValueError("endpoints must be distinct")
     if length < 0:
         raise ValueError("length must be non-negative")
-    _check_vertex(u, d.n)
-    _check_vertex(v, d.n)
+    pairs = matching_constraint or ()
+    for x in (u, v, *vertices_of(pairs)):
+        _check_vertex(x, d.n)
     if length == 0:
         return 0
-    partner = matching_constraint.partner_map() if matching_constraint else {}
-    visited = {u}
+    block = [1 << x for x in range(d.n)]
+    for a, b in pairs:
+        block[a] |= 1 << b
+        block[b] |= 1 << a
     steps = 0
 
-    def blocked(x: int) -> bool:
-        mate = partner.get(x)
-        return mate is not None and mate in visited
-
-    def rec(x: int, remaining: int) -> int:
+    def rec(x: int, seen: int, remaining: int) -> int:
         nonlocal steps
         if remaining == 0:
             return 1 if x == v else 0
@@ -183,14 +184,11 @@ def count_paths(
             steps += 1
             if steps > budget:
                 raise BudgetExceededError(f"path enumeration exceeded {budget} steps")
-            if y in visited or blocked(y):
-                continue
-            visited.add(y)
-            total += rec(y, remaining - 1)
-            visited.discard(y)
+            if not seen & block[y]:
+                total += rec(y, seen | 1 << y, remaining - 1)
         return total
 
-    return rec(u, length)
+    return rec(u, 1 << u, length)
 
 
 def uniform_distribution(n: int) -> tuple[Fraction, ...]:

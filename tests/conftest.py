@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from matchlab.errors import (
+    BudgetExceededError,
     EdgeNotPresentError,
     EmptyStratumError,
     NoPerfectMatchingError,
@@ -30,6 +31,7 @@ from matchlab.graphs import (
     Edge,
     Graph,
     Matching,
+    _check_vertex,
     build_graph,
     complete_graph,
     complete_multipartite,
@@ -54,7 +56,12 @@ from matchlab.switching import (
     aux_vertex_set,
     eligible_edge_count,
 )
-from matchlab.walks import DEFAULT_MATRIX_CAP, StochasticMatrix, identity_matrix
+from matchlab.walks import (
+    DEFAULT_MATRIX_CAP,
+    DEFAULT_PATH_BUDGET,
+    StochasticMatrix,
+    identity_matrix,
+)
 
 
 def all_pairings(items: list[int]):
@@ -609,6 +616,77 @@ def reference_build_aux_digraph(g: Graph, reference, base: Matching, side=None) 
             if z in verts:
                 arcs.append((x, z))
     return Digraph(g.n, arcs)
+
+
+def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: int):
+    """Oracle for switching._alternating_paths: the list-walking walker it
+    replaced, yielding (last vertex, edge-bit XOR) in the same order."""
+    n = g.n
+    partner = base.partner_map()
+    path: list[int] = [u]
+
+    def rec(x: int, pairs: int, flip: int):
+        if pairs == 0:
+            yield path[-1], flip
+            return
+        for y in g.neighbors(x):
+            z = partner.get(y)
+            if z is None or y in path or z in path:
+                continue
+            e = 1 << (x * n + y if x < y else y * n + x)
+            f = 1 << (y * n + z if y < z else z * n + y)
+            if ban & (e | f):
+                continue
+            path.extend((y, z))
+            yield from rec(z, pairs - 1, flip ^ e ^ f)
+            del path[-2:]
+
+    return rec(u, length // 2, 0)
+
+
+def reference_count_paths(
+    d: Digraph,
+    u: int,
+    v: int,
+    length: int,
+    matching_constraint: Optional[Matching] = None,
+    budget: int = DEFAULT_PATH_BUDGET,
+) -> int:
+    """Oracle for walks.count_paths: the visited-set search it replaced,
+    spending one budget step per extension attempt at the same points."""
+    if u == v:
+        raise ValueError("endpoints must be distinct")
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    _check_vertex(u, d.n)
+    _check_vertex(v, d.n)
+    if length == 0:
+        return 0
+    partner = matching_constraint.partner_map() if matching_constraint else {}
+    visited = {u}
+    steps = 0
+
+    def blocked(x: int) -> bool:
+        mate = partner.get(x)
+        return mate is not None and mate in visited
+
+    def rec(x: int, remaining: int) -> int:
+        nonlocal steps
+        if remaining == 0:
+            return 1 if x == v else 0
+        total = 0
+        for y in d.out_neighbors(x):
+            steps += 1
+            if steps > budget:
+                raise BudgetExceededError(f"path enumeration exceeded {budget} steps")
+            if y in visited or blocked(y):
+                continue
+            visited.add(y)
+            total += rec(y, remaining - 1)
+            visited.discard(y)
+        return total
+
+    return rec(u, length)
 
 
 # -- independent recheck of exchange-graph edges ------------------------------

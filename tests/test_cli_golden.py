@@ -64,6 +64,7 @@ INVOCATIONS = {
         "avoidance", "--family", "random_regular", "-n", "16", "-d", "5", "--seed", "2",
     ],
     "switching_complete_8_k2": ["switching", "--family", "complete", "-n", "8", "--k", "2"],
+    "switching_complete_10_k2": ["switching", "--family", "complete", "-n", "10", "--k", "2"],
     "switching_random_regular_edge": [
         "switching", "--family", "random_regular", "-n", "10", "-d", "3", "--seed", "1",
         "--reference", "edge",

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     assert_switch_graph_sound,
     gnp,
+    reference_alternating_paths,
     reference_build_aux_digraph,
     reference_build_switch_graph,
     reference_ratio_report,
@@ -27,6 +28,7 @@ from matchlab.graphs import (
     complete_multipartite,
     cycle_graph,
     edge_set,
+    random_regular,
     regularity,
 )
 from matchlab.pm import enumerate_pm, stratify
@@ -318,6 +320,38 @@ def test_alternating_paths_brute_force_cross_check():
             for length in (2, 4):
                 got = count_alternating_paths(g, base, 0, v, length, forbidden)
                 assert got == brute(g, base, forbidden, 0, v, length), (g, base, forbidden, v)
+
+
+def _walker_bans(g, base, other):
+    """No ban, one free edge, a whole perfect matching, and a set holding
+    non-edges of g (which the int key drops) next to one base edge."""
+    free = [e for e in g.edges if e not in base.edge_set][:1]
+    non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
+    return [[], free, list(other.pairs), non_edges[:4] + [(g.n, g.n + 1), base.pairs[0]]]
+
+
+def test_alternating_walker_matches_reference():
+    # the mask walker yields the (end, flip) sequence of the list walker it
+    # replaced, order included, from every start and at every length
+    hosts = small_zoo() + [
+        complete_graph(8),
+        complete_multipartite(3, 2),
+        cycle_graph(6),
+        random_regular(10, 3, 1),
+    ]
+    walked = 0
+    for g in hosts:
+        pms = list(enumerate_pm(g))[:2]
+        for i, base in enumerate(pms):
+            for ban in _walker_bans(g, base, pms[1 - i] if len(pms) == 2 else base):
+                key = switching._edge_bits(g, ban)
+                for u in range(g.n):
+                    for length in range(g.n + 1):
+                        got = list(switching._alternating_paths(g, base, u, length, key))
+                        want = list(reference_alternating_paths(g, base, u, length, key))
+                        assert got == want, (g.edges, base.pairs, ban, u, length)
+                        walked += len(want)
+    assert walked > 10_000
 
 
 def test_bijection_with_companion_digraph():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_matrix_power
+from conftest import reference_count_paths, reference_matrix_power
 from matchlab.errors import (
     BudgetExceededError,
     NotRegularError,
@@ -18,10 +18,16 @@ from matchlab.graphs import (
     Matching,
     build_digraph,
     complete_digraph,
+    complete_graph,
     complete_multipartite,
+    cycle_graph,
     directed_cycle,
+    edge_set,
+    random_regular,
     to_bidirected,
 )
+from matchlab.pm import enumerate_pm
+from matchlab.switching import aux_vertex_set, build_aux_digraph
 from matchlab.walks import (
     StochasticMatrix,
     count_paths,
@@ -276,6 +282,74 @@ def test_paths_with_matching_constraint():
     for ell in (1, 2, 3, 4):
         got = count_paths(d, 0, 5, ell, matching_constraint=constraint)
         assert got == brute(0, 5, ell, [(1, 2), (3, 4)])
+
+
+def _path_count_or_trip(count, *args):
+    try:
+        return count(*args)
+    except BudgetExceededError as exc:
+        return str(exc)
+
+
+def _companion_cases():
+    """(digraph, vertices, constraint) for the companion digraphs of a few
+    hosts, with and without a banned reference edge, and for the complete
+    digraph on 6 vertices with and without a constraint."""
+    cases = [
+        (complete_digraph(6), range(6), None),
+        (complete_digraph(6), range(6), Matching([(1, 2), (3, 4)])),
+    ]
+    hosts = [complete_graph(6), complete_graph(8), complete_multipartite(3, 2), cycle_graph(6)]
+    for g in hosts + [random_regular(10, 3, 1)]:
+        for base in list(enumerate_pm(g))[:2]:
+            for ref in ([], [base.pairs[0]]):
+                d = build_aux_digraph(g, ref, base)
+                constraint = Matching(base.edge_set - edge_set(ref))
+                verts = sorted(aux_vertex_set(ref, base, g.n))
+                cases.append((d, verts, constraint))
+    return cases
+
+
+def test_paths_match_reference():
+    # the mask search counts what the visited-set search it replaced counts
+    probes = 0
+    for d, verts, constraint in _companion_cases():
+        for u in verts:
+            for v in verts:
+                if u == v:
+                    continue
+                for ell in range(4):
+                    want = reference_count_paths(d, u, v, ell, constraint)
+                    assert count_paths(d, u, v, ell, constraint) == want, (d.arcs, u, v, ell)
+                    probes += want > 0
+    assert probes > 500
+
+
+def test_paths_budget_trips_where_reference_trips():
+    # every budget from 1 up to the step count trips (or not) with the same
+    # message, and the first budget that suffices is the same
+    rng = random.Random(21)
+    for d, verts, constraint in _companion_cases():
+        for _ in range(3):
+            u, v = rng.sample(list(verts), 2)
+            ell = rng.randint(1, 4)
+            budget = 1
+            while True:
+                args = (d, u, v, ell, constraint, budget)
+                want = _path_count_or_trip(reference_count_paths, *args)
+                assert _path_count_or_trip(count_paths, *args) == want, (d.arcs, u, v, ell, budget)
+                if isinstance(want, int):
+                    break
+                budget += 1
+
+
+@pytest.mark.parametrize("pairs,bad", [([(0, 9)], 9), ([(1, 2), (3, 4)], 4), ([(-1, 2)], -1)])
+@pytest.mark.parametrize("length", [0, 2])
+def test_paths_reject_constraint_vertex_out_of_range(pairs, bad, length):
+    # a constraint pair off the digraph used to be ignored, and is checked
+    # before the length-0 answer like the endpoints
+    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {bad} outside 0..3$"):
+        count_paths(complete_digraph(4), 0, 1, length, matching_constraint=Matching(pairs))
 
 
 def test_paths_budget():
