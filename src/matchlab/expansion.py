@@ -202,12 +202,14 @@ def refute_sampled(
     if lo > hi or trials <= 0:
         return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, 0)
     masks = _in_masks(obj)
+    bit = [1 << v for v in range(n)].__getitem__
     rng = random.Random(seed)
     for t in range(trials):
         size = rng.randint(lo, hi)
-        subset = tuple(sorted(rng.sample(range(n), size)))
-        if _robust_count(masks, sum(1 << v for v in subset), need) < size + need:
-            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, subset, t + 1)
+        picked = rng.sample(range(n), size)
+        if _robust_count(masks, sum(map(bit, picked)), need) < size + need:
+            witness = tuple(sorted(picked))
+            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, witness, t + 1)
     return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, trials)
 
 

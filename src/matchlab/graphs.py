@@ -104,9 +104,15 @@ class Graph:
 
 
 class Digraph:
-    """Directed graph without self-loops; in/out adjacency kept in sync."""
+    """Directed graph without self-loops; in/out adjacency kept in sync.
 
-    __slots__ = ("n", "arcs", "out_adjacency", "in_adjacency", "out_masks", "in_masks")
+    `_walk_rows` memoises `walks.count_walks`: one tuple of walk counts
+    per (source, length) asked.
+    """
+
+    __slots__ = (
+        "n", "arcs", "out_adjacency", "in_adjacency", "out_masks", "in_masks", "_walk_rows",
+    )
 
     def __init__(self, n: int, arcs: Iterable[Edge]):
         if n < 0:
@@ -133,6 +139,7 @@ class Digraph:
         self.in_adjacency = tuple(tuple(sorted(a)) for a in inn)
         self.out_masks = tuple(omask)
         self.in_masks = tuple(imask)
+        self._walk_rows: dict[tuple[int, int], tuple[int, ...]] = {}
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self.out_adjacency[v]
@@ -393,7 +400,7 @@ def to_bidirected(g: Graph) -> Digraph:
 # -- edge-list text format ---------------------------------------------------
 # First line "n m", then m lines "u v" with u < v.  Lines starting with "#"
 # are comments.  An optional line "A: i1 i2 ..." names one side of a
-# bipartition.
+# bipartition; it may appear once, with distinct vertices in 0..n-1.
 
 def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
     header: Optional[tuple[int, int]] = None
@@ -404,6 +411,8 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
         if not line or line.startswith("#"):
             continue
         if line.startswith("A:"):
+            if side_a is not None:
+                raise ValueError(f"second 'A:' line: {raw!r}")
             side_a = [int(tok) for tok in line[2:].split()]
             continue
         parts = line.split()
@@ -423,7 +432,12 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
     g = Graph(n, edges)
     part = None
     if side_a is not None:
-        a = set(side_a)
+        a = set()
+        for v in side_a:
+            _check_vertex(v, n)
+            if v in a:
+                raise ValueError(f"vertex {v} repeated on the 'A:' line")
+            a.add(v)
         part = Bipartition(a, set(range(n)) - a)
     return g, part
 

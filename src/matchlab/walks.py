@@ -6,9 +6,12 @@ logarithm of the mixing threshold and in reported deviations.  Powers
 are taken in integers: with L the lcm of P's denominators, B = L*P is an
 integer matrix and P^k = B^k / L^k, so the products are plain int
 arithmetic and the result is checked to be stochastic once per power,
-not once per product.  Walk counts are plain integers from
-adjacency-matrix powering, so the identity count = d^len * P^len(u, v)
-on regular digraphs is checked as a rational identity, not numerically.
+not once per product.  Walk counts are plain integers: `count_walks`
+propagates the vector of counts from a source along out-arcs and keeps
+the resulting row on the digraph, one row per (source, length), so every
+target of a source is answered from one propagation.  The identity
+count = d^len * P^len(u, v) on regular digraphs is then checked as a
+rational identity, not numerically.
 """
 
 from __future__ import annotations
@@ -127,22 +130,37 @@ def matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> 
 
 
 def count_walks(d: Digraph, u: int, v: int, length: int) -> int:
-    """Exact number of directed (u, v)-walks of the given length."""
+    """Exact number of directed (u, v)-walks of the given length.
+
+    The walk counts from u to every vertex form one row, a tuple of n
+    ints, propagated along out-arcs `length` times.  The digraph keeps
+    one such row per (source, length) asked, so the n targets of one
+    source cost one propagation.
+    """
     if length < 0:
         raise ValueError("length must be non-negative")
     _check_vertex(u, d.n)
     _check_vertex(v, d.n)
-    vec = [0] * d.n
+    rows = d._walk_rows
+    row = rows.get((u, length))
+    if row is None:
+        row = rows[u, length] = _walk_row(d.out_adjacency, u, length)
+    return row[v]
+
+
+def _walk_row(adjacency, u: int, length: int) -> tuple[int, ...]:
+    """Walk counts of the given length from u to every vertex."""
+    n = len(adjacency)
+    vec = [0] * n
     vec[u] = 1
     for _ in range(length):
-        nxt = [0] * d.n
-        for x in range(d.n):
-            c = vec[x]
+        nxt = [0] * n
+        for x, c in enumerate(vec):
             if c:
-                for y in d.out_neighbors(x):
+                for y in adjacency[x]:
                     nxt[y] += c
         vec = nxt
-    return vec[v]
+    return tuple(vec)
 
 
 def count_paths(

@@ -403,6 +403,27 @@ def reference_matrix_power(
     return result
 
 
+# -- reference walk counts ----------------------------------------------------
+
+def reference_count_walks(d: Digraph, u: int, v: int, length: int) -> int:
+    """Oracle for walks.count_walks: the walk vector from u propagated
+    afresh on every call, with no memo."""
+    if length < 0:
+        raise ValueError("length must be non-negative")
+    _check_vertex(u, d.n)
+    _check_vertex(v, d.n)
+    vec = [0] * d.n
+    vec[u] = 1
+    for _ in range(length):
+        nxt = [0] * d.n
+        for x in range(d.n):
+            c = vec[x]
+            if c:
+                for y in d.out_neighbors(x):
+                    nxt[y] += c
+        vec = nxt
+    return vec[v]
+
 
 # -- reference expansion sweep ------------------------------------------------
 # The generator-and-closure sweep and the sampled refuter as they stood

@@ -281,6 +281,22 @@ def test_expander_file_with_a_line_takes_bipartite_sweep(capsys, tmp_path):
     assert expected != certify_exact(g, params).sets_checked
 
 
+@pytest.mark.parametrize("a_lines, message", [
+    ("A: 0 1 9\n", "error: vertex 9 outside 0..5"),
+    ("A: 0 1 1\n", "error: vertex 1 repeated on the 'A:' line"),
+    ("A: 0 1 2\nA: 3\n", "error: second 'A:' line: 'A: 3'"),
+], ids=["out_of_range", "repeated", "second_line"])
+def test_expander_file_with_bad_a_line_is_input_error(capsys, tmp_path, a_lines, message):
+    path = tmp_path / "bad.el"
+    edges = "".join(f"{u} {v}\n" for u in range(3) for v in range(3, 6))
+    path.write_text("6 9\n" + edges + a_lines)
+    code = main(["expander", "--file", str(path), "--nu", "0.1", "--tau", "0.3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == message + "\n"
+
+
 def test_parser_flags_and_defaults():
     ns = cli.build_parser().parse_args(["count"])
     assert vars(ns) == {

@@ -280,16 +280,40 @@ def test_sweep_matches_reference_on_param_grid(nu, tau):
     assert certify_bipartite(g, part, p) == want
 
 
+def _two_relabelled_cliques(k, seed):
+    """Two disjoint K_k under a seeded vertex relabelling."""
+    perm = list(range(2 * k))
+    random.Random(seed).shuffle(perm)
+    edges = [
+        (perm[b + i], perm[b + j]) for b in (0, k) for i in range(k) for j in range(i + 1, k)
+    ]
+    return build_graph(2 * k, edges)
+
+
 @pytest.mark.parametrize("trials", [0, 1, 7, 200])
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_refute_sampled_matches_reference(trials, seed):
-    hosts = [two_triangles(), complete_graph(6), complete_graph(1), gnp(10, 0.4, seed), directed_cycle(6)]
+    hosts = [
+        two_triangles(), complete_graph(6), complete_graph(1), gnp(10, 0.4, seed),
+        directed_cycle(6), _two_relabelled_cliques(9, 3),
+    ]
     for obj in hosts:
         for p in (DIFF_PARAMS, ExpansionParams(Fraction(1, 3), Fraction(1, 3))):
             assert refute_sampled(obj, p, trials, seed) == reference_refute_sampled(obj, p, trials, seed)
 
 
 # -- sampled refutation --------------------------------------------------------
+
+def test_refute_sampled_fails_late_on_two_cliques():
+    # the host the differential test above uses with n >= 16: violating
+    # sets are rare, so at seed 1 the witness comes from trial 120
+    g = _two_relabelled_cliques(9, 3)
+    cert = refute_sampled(g, DIFF_PARAMS, 200, 1)
+    assert cert.verdict is Verdict.FAIL and cert.sets_checked == 120
+    assert cert.witness == tuple(sorted(cert.witness))
+    rn = robust_neighbourhood(g, cert.witness, DIFF_PARAMS.nu)
+    assert len(rn) < len(cert.witness) + DIFF_PARAMS.nu * g.n
+
 
 def test_refute_sampled_finds_triangle_violation():
     cert = refute_sampled(two_triangles(), ExpansionParams(0.1, 0.3), trials=500, seed=1)

@@ -240,6 +240,32 @@ def test_edge_list_comments_and_errors():
         parse_edge_list("")
 
 
+def test_edge_list_a_line_vertex_out_of_range():
+    # used to fail with "bipartition sides must cover 0..n-1"
+    with pytest.raises(VertexOutOfRangeError, match="^vertex 7 outside 0..3$"):
+        parse_edge_list("4 1\n0 1\nA: 0 7\n")
+    with pytest.raises(VertexOutOfRangeError, match="^vertex -1 outside 0..3$"):
+        parse_edge_list("A: -1 2\n4 1\n0 1\n")
+
+
+def test_edge_list_a_line_repeated_vertex():
+    # the repeat used to be dropped silently
+    with pytest.raises(ValueError, match="^vertex 2 repeated on the 'A:' line$"):
+        parse_edge_list("4 1\n0 1\nA: 0 2 2\n")
+
+
+def test_edge_list_second_a_line():
+    # the second line used to replace the first silently
+    with pytest.raises(ValueError, match="^second 'A:' line: 'A: 1 3'$"):
+        parse_edge_list("4 1\n0 1\nA: 0 2\nA: 1 3\n")
+
+
+def test_edge_list_a_line_accepted():
+    g, part = parse_edge_list("A: 2 0\n4 1\n0 1\n")
+    assert g.m == 1
+    assert part.side_a == frozenset({0, 2}) and part.side_b == frozenset({1, 3})
+
+
 def test_format_edge_list_is_canonical():
     g = build_graph(4, [(3, 2), (1, 0)])
     assert format_edge_list(g) == "4 2\n0 1\n2 3\n"

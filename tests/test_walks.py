@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import reference_count_paths, reference_matrix_power
+from conftest import gnp, reference_count_paths, reference_count_walks, reference_matrix_power
+from matchlab import walks
 from matchlab.errors import (
     BudgetExceededError,
     NotRegularError,
@@ -236,6 +237,71 @@ def test_walks_equal_scaled_power_on_regular():
         for u in (0, 3):
             for v in range(6):
                 assert count_walks(d, u, v, ell) == deg**ell * pl.entry(u, v)
+
+
+def _walk_hosts(seed):
+    sink = build_digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (1, 4)])
+    circulant = build_digraph(9, [(i, (i + s) % 9) for i in range(9) for s in (1, 2, 4)])
+    return [
+        complete_digraph(5),
+        directed_cycle(6),
+        sink,
+        to_bidirected(gnp(9, 0.5, seed)),
+        circulant,
+    ]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_memoised_walk_counts_match_reference(seed):
+    # one object per digraph, every (u, v, ell <= 6) asked in a shuffled
+    # order that mixes lengths, so a row served for the wrong source or
+    # length shows
+    rng = random.Random(seed)
+    for d in _walk_hosts(seed):
+        queries = [(u, v, ell) for u in range(d.n) for v in range(d.n) for ell in range(7)]
+        rng.shuffle(queries)
+        for u, v, ell in queries:
+            assert count_walks(d, u, v, ell) == reference_count_walks(d, u, v, ell)
+        assert len(d._walk_rows) == 7 * d.n
+
+
+def test_walk_rows_propagate_once_per_source_and_length(monkeypatch):
+    calls = []
+    propagate = walks._walk_row
+
+    def counted(adjacency, u, length):
+        calls.append((u, length))
+        return propagate(adjacency, u, length)
+
+    monkeypatch.setattr(walks, "_walk_row", counted)
+    d = to_bidirected(complete_multipartite(3, 2))
+    for ell in (3, 2, 3):
+        for u in range(6):
+            for v in range(6):
+                count_walks(d, u, v, ell)
+    assert calls == [(u, ell) for ell in (3, 2) for u in range(6)]
+
+
+def test_warm_walk_memo_still_checks_inputs():
+    d = directed_cycle(4)
+    for u in range(4):
+        for ell in range(3):
+            count_walks(d, u, 0, ell)
+    for u, v, bad in [(0, -1, -1), (0, 4, 4), (-1, 0, -1), (4, 0, 4)]:
+        with pytest.raises(VertexOutOfRangeError, match=f"^vertex {bad} outside 0..3$"):
+            count_walks(d, u, v, 1)
+    with pytest.raises(ValueError, match="^length must be non-negative$"):
+        count_walks(d, 0, 1, -1)
+
+
+def test_equal_digraphs_keep_separate_walk_memos():
+    a, b = complete_digraph(4), complete_digraph(4)
+    assert a == b
+    assert count_walks(a, 0, 1, 3) == 7
+    assert a._walk_rows == {(0, 3): (6, 7, 7, 7)}
+    assert b._walk_rows == {}
+    assert count_walks(b, 0, 0, 3) == 6
+    assert a._walk_rows == b._walk_rows
 
 
 # -- path counting ------------------------------------------------------------------
