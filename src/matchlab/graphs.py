@@ -43,9 +43,12 @@ class Graph:
     `adjacency[v]` is the sorted tuple of neighbours of v and
     `neighbor_masks[v]` the same set as a bitmask, which is what the
     subset sweeps and the matching DP operate on.
+
+    `_pm_cache` memoises the matching count per vertex mask, and
+    `_draw_rows` the sampler's cumulative row per mask (see `pm`).
     """
 
-    __slots__ = ("n", "edges", "adjacency", "neighbor_masks", "_pm_cache", "_hash")
+    __slots__ = ("n", "edges", "adjacency", "neighbor_masks", "_pm_cache", "_draw_rows", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -67,6 +70,7 @@ class Graph:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self.neighbor_masks: tuple[int, ...] = tuple(masks)
         self._pm_cache: dict[int, int] = {}
+        self._draw_rows: dict = {}
         self._hash = hash((n, self.edges))
 
     @property
@@ -172,7 +176,11 @@ class Digraph:
 
 
 class Matching:
-    """A set of pairwise vertex-disjoint undirected edges."""
+    """A set of pairwise vertex-disjoint undirected edges.
+
+    The partner dict behind `partner`, `partner_map` and `vertices` is
+    built on first use when the matching comes from `_from_sorted`.
+    """
 
     __slots__ = ("pairs", "edge_set", "_partner")
 
@@ -195,22 +203,27 @@ class Matching:
         m = cls.__new__(cls)
         m.pairs = tuple(pairs)
         m.edge_set = frozenset(m.pairs)
-        partner: dict[int, int] = {}
-        for u, v in m.pairs:
-            partner[u] = v
-            partner[v] = u
-        m._partner = partner
+        m._partner = None
         return m
+
+    def _partners(self) -> dict[int, int]:
+        partner = self._partner
+        if partner is None:
+            partner = self._partner = {}
+            for u, v in self.pairs:
+                partner[u] = v
+                partner[v] = u
+        return partner
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._partner)
+        return frozenset(self._partners())
 
     def partner(self, v: int) -> Optional[int]:
-        return self._partner.get(v)
+        return self._partners().get(v)
 
     def partner_map(self) -> dict[int, int]:
-        return dict(self._partner)
+        return dict(self._partners())
 
     def to_json_list(self) -> list[list[int]]:
         """Sorted list of sorted pairs, the wire shape for matchings."""

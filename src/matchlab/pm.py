@@ -8,12 +8,22 @@ matched against each unmatched neighbour, giving O(2^n * n) time at the
 configured size cap.  Counts are Python ints, so arbitrary precision
 comes for free, and each Graph carries its own memo table keyed by the
 surviving-vertex bitmask, shared by counting, containment queries, and
-the sampler.  Listing runs one search, in the same lowest-vertex order,
-behind both enumerate_pm and first_pm; it remembers the masks whose
-subtree held no perfect matching and never expands them again.
-stratify runs the counting DP with one int per mask that packs every
+the sampler, which relies on its one invariant: a mask is cached only
+after all its children are.  Listing runs one search, in the same
+lowest-vertex order, behind both enumerate_pm and first_pm; it remembers
+the masks whose subtree held no perfect matching and never expands them
+again.  stratify runs the counting DP with one int per mask that packs every
 stratum as a w-bit digit; w, the bit length of (n-1)!!, bounds every
 count the DP meets, so no digit carries into the next.
+
+The sampler keeps a second per-graph memo, Graph._draw_rows: for each
+mask it has visited, the cumulative counts of the mask's children in
+scan order, each packed with its partner as `cum << s | v` for
+s = n.bit_length(), children with no perfect matching dropped.  A row is
+an array('q'), 8 bytes an entry, while its counts fit in 63 bits (every
+graph under the default cap) and a list past that.  A step is one
+randrange on the mask's count and one bisect of its row; it draws the
+child a scan over the children would, from the same rng stream.
 
 A graph with a connected component of odd size has no perfect matching.
 After its input and cap checks, each entry point takes its fast paths in
@@ -26,6 +36,8 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -196,15 +208,52 @@ def count_pm_containing(g: Graph, forced, limit: int = DEFAULT_DP_LIMIT) -> int:
     return _count_on_mask(g, mask)
 
 
+def _draw_row(g: Graph, mask: int, s: int):
+    """The sampler's row for `mask`: the cumulative counts of its children
+    in scan order, each packed with its partner v as `cum << s | v`.
+
+    The children are those of the lowest vertex u of `mask`, one per
+    neighbour v in increasing order; a child with no perfect matching is
+    dropped.  The row is an `array('q')` while its last entry fits in 63
+    bits, which covers every graph under the default cap, and a list
+    otherwise; bisect searches either.
+    """
+    cache = g._pm_cache
+    u = (mask & -mask).bit_length() - 1
+    rest = mask & (mask - 1)
+    avail = g.neighbor_masks[u] & rest
+    acc = 0
+    row = []
+    while avail:
+        vbit = avail & -avail
+        avail ^= vbit
+        child = rest ^ vbit
+        c = cache[child] if child else 1
+        if c:
+            acc += c
+            row.append(acc << s | vbit.bit_length() - 1)
+    return array("q", row) if row[-1] < 1 << 63 else row
+
+
 def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Matching:
     """Exactly uniform draw from the perfect matchings of g.
 
-    Self-reducibility: repeatedly match the lowest unmatched vertex u,
-    picking neighbour v with probability count(G - u - v)/count(G).  The
-    walk reads the per-graph memo directly.  It relies on an invariant of
-    _count_on_mask: a mask is cached only after all its children are, so
-    once the full mask is counted, every nonempty mask the walk reaches or
-    scans as a child is in the memo, and each count is a dict lookup.
+    Self-reducibility (Jerrum, Valiant and Vazirani): repeatedly match the
+    lowest unmatched vertex u, picking neighbour v with probability
+    count(G - u - v)/count(G).  A step draws r = randrange(count(mask))
+    and takes the first child, in increasing v, whose cumulative count
+    exceeds r.  That child is found by one bisect of the mask's row in
+    `g._draw_rows` (see `_draw_row`), built the first time the sampler
+    reaches the mask: with s = n.bit_length() bits below each count,
+    `r << s | (1 << s) - 1` sorts after every entry whose count is at most
+    r and before every entry whose count exceeds it.  So the draws, and
+    the rng calls, are those of a scan that subtracts each child's count
+    from r in turn; rows exist only for masks a draw has reached.
+
+    The rows read the per-graph memo directly.  They rely on an invariant
+    of _count_on_mask: a mask is cached only after all its children are,
+    so once the full mask is counted, every nonempty mask the walk reaches
+    or lists as a child is in the memo.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
@@ -212,22 +261,20 @@ def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Ma
     if _count_on_mask(g, mask) == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
     cache = g._pm_cache
-    masks = g.neighbor_masks
+    rows = g._draw_rows
+    s = g.n.bit_length()
+    low = (1 << s) - 1
     pairs: list[Edge] = []
     while mask:
-        u = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
         r = rng.randrange(cache[mask])
-        avail = masks[u] & rest
-        while avail:
-            vbit = avail & -avail
-            avail ^= vbit
-            child = rest ^ vbit
-            r -= cache[child] if child else 1
-            if r < 0:
-                pairs.append((u, vbit.bit_length() - 1))
-                mask = child
-                break
+        try:
+            row = rows[mask]
+        except KeyError:
+            row = rows[mask] = _draw_row(g, mask, s)
+        ubit = mask & -mask
+        v = row[bisect_right(row, r << s | low)] & low
+        pairs.append((ubit.bit_length() - 1, v))
+        mask ^= ubit | 1 << v
     return Matching._from_sorted(pairs)
 
 

@@ -159,10 +159,16 @@ def disjoint_probability(
     and the last level is counted, not listed); for r >= 3 it refuses
     politely once count^(r-1), the number of listed prefixes it may
     visit, exceeds the tuple budget.  Monte Carlo mode estimates the
-    same probability from `samples` draws.
+    same probability from `samples` draws.  `r`, `mode` and, in Monte
+    Carlo mode, `samples` are checked before anything is counted, on every
+    host and every r.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
+    if mode not in ("exact", "montecarlo"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "montecarlo" and samples < 1:
+        raise ValueError("montecarlo mode needs at least one sample")
     d = regularity(g)
     if d is None:
         raise NotRegularError("graph must be regular")
@@ -193,35 +199,33 @@ def disjoint_probability(
         good = ordered_tuples(g, r)
         return Fraction(good, total**r), reference
 
-    if mode == "montecarlo":
-        if samples < 1:
-            raise ValueError("montecarlo mode needs at least one sample")
-        rng = random.Random(seed)
-        hits = 0
-        for _ in range(samples):
-            draws = [sample_pm(g, rng) for _ in range(r)]
-            used: set[Edge] = set()
-            ok = True
-            for m in draws:
-                if used & m.edge_set:
-                    ok = False
-                    break
-                used |= m.edge_set
-            if ok:
-                hits += 1
-        return hits / samples, reference
-
-    raise ValueError(f"unknown mode {mode!r}")
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(samples):
+        draws = [sample_pm(g, rng) for _ in range(r)]
+        used: set[Edge] = set()
+        ok = True
+        for m in draws:
+            if used & m.edge_set:
+                ok = False
+                break
+            used |= m.edge_set
+        if ok:
+            hits += 1
+    return hits / samples, reference
 
 
 def empirical_edge_freq(g: Graph, samples: int, seed: int = 0) -> dict[Edge, float]:
     """Per-edge inclusion frequency over exactly uniform draws; with
-    zero samples every frequency is reported as 0."""
+    zero samples every frequency is reported as 0.  A negative `samples`
+    raises ValueError before anything is counted."""
+    if samples < 0:
+        raise ValueError("samples must be non-negative")
     if count_pm(g) == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    freq = {e: 0 for e in g.edges}
-    if samples <= 0:
+    if samples == 0:
         return {e: 0.0 for e in g.edges}
+    freq = {e: 0 for e in g.edges}
     rng = random.Random(seed)
     for _ in range(samples):
         for e in sample_pm(g, rng):

@@ -37,6 +37,7 @@ from matchlab.graphs import (
     complete_multipartite,
     cycle_graph,
     edge_set,
+    random_regular,
     regularity,
     remove_edge_set,
     vertices_of,
@@ -45,6 +46,7 @@ from matchlab.pm import (
     DEFAULT_DP_LIMIT,
     DEFAULT_ENUM_CAP,
     StrataCounts,
+    _count_on_mask,
     count_pm,
     first_pm,
     stratify,
@@ -125,6 +127,18 @@ def small_zoo() -> list[Graph]:
         gnp(10, 0.3, 14),
         gnp(7, 0.6, 15),
     ]
+
+
+def dense_regular(n: int, seed: int) -> Graph:
+    """An (n-4)-regular host on n vertices: the complement of
+    random_regular(n, 3, seed), relabelled by a seeded shuffle, the shape
+    of the benchmark's dense sampling hosts."""
+    sparse = set(random_regular(n, 3, seed=seed).edges)
+    perm = list(range(n))
+    random.Random(seed).shuffle(perm)
+    return build_graph(
+        n, [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse]
+    )
 
 
 def strata_hosts() -> list[Graph]:
@@ -302,6 +316,36 @@ def reference_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LI
                 mask = rest ^ vbit
                 break
     return Matching(pairs)
+
+
+def scan_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Matching:
+    """Oracle for pm.sample_pm: the sampler before its per-mask rows, which
+    scans the lowest vertex's children in a Python loop, subtracting each
+    child's memo count from r until r goes negative.  It reads the memo
+    directly, as pm.sample_pm does, and makes the same rng calls."""
+    if g.n > limit:
+        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    mask = (1 << g.n) - 1
+    if _count_on_mask(g, mask) == 0:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    cache = g._pm_cache
+    masks = g.neighbor_masks
+    pairs: list[Edge] = []
+    while mask:
+        u = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        r = rng.randrange(cache[mask])
+        avail = masks[u] & rest
+        while avail:
+            vbit = avail & -avail
+            avail ^= vbit
+            child = rest ^ vbit
+            r -= cache[child] if child else 1
+            if r < 0:
+                pairs.append((u, vbit.bit_length() - 1))
+                mask = child
+                break
+    return Matching._from_sorted(pairs)
 
 
 # -- reference strata -------------------------------------------------------

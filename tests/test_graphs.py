@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from matchlab.errors import (
@@ -28,6 +30,7 @@ from matchlab.graphs import (
     to_bidirected,
     write_edge_list,
 )
+from matchlab.pm import enumerate_pm, first_pm, sample_pm
 
 
 def test_build_graph_complete():
@@ -161,6 +164,42 @@ def test_matching_from_sorted_equals_constructor(pairs):
     assert fast.pairs == slow.pairs and fast.edge_set == slow.edge_set
     assert list(fast.partner_map().items()) == list(slow.partner_map().items())
     assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+
+
+def _partner_sources():
+    """(make, lazy): matchings from every way the package makes them, each
+    made afresh so that no accessor has run on it yet; `lazy` when the
+    partner dict is left for first use."""
+    yield lambda: Matching([(2, 3), (0, 1), (4, 7)]), False
+    yield lambda: Matching([]), False
+    yield lambda: Matching._from_sorted([(0, 5), (1, 4), (2, 3)]), True
+    yield lambda: Matching._from_sorted([]), True
+    yield lambda: list(enumerate_pm(complete_graph(6)))[7], True
+    yield lambda: first_pm(cycle_graph(8)), True
+    yield lambda: sample_pm(complete_multipartite(3, 2), random.Random(4)), True
+    yield lambda: sample_pm(build_graph(0, []), random.Random(4)), True
+
+
+@pytest.mark.parametrize("first", ["partner", "partner_map", "vertices"])
+def test_lazy_partner_map_matches_eager(first):
+    for make, lazy in _partner_sources():
+        m = make()
+        assert (m._partner is None) == lazy
+        eager = {}
+        for u, v in m.pairs:
+            eager[u] = v
+            eager[v] = u
+        top = max(eager, default=0) + 2
+        if first == "partner":
+            assert [m.partner(v) for v in range(-1, top)] == [eager.get(v) for v in range(-1, top)]
+        elif first == "partner_map":
+            assert m.partner_map() == eager
+        else:
+            assert m.vertices == frozenset(eager)
+        assert m.partner_map() == eager and m.vertices == frozenset(eager)
+        assert [m.partner(v) for v in range(top)] == [eager.get(v) for v in range(top)]
+        m.partner_map()[0] = 99
+        assert m.partner_map() == eager
 
 
 def test_edge_set_and_matching_shape():

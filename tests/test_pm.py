@@ -1,10 +1,12 @@
 import random
 import time
+from array import array
 from collections import Counter
 
 import pytest
 
 from conftest import (
+    dense_regular,
     disconnected_hosts,
     gnp,
     oracle_count,
@@ -14,6 +16,7 @@ from conftest import (
     reference_first_pm,
     reference_sample_pm,
     reference_stratify,
+    scan_sample_pm,
     small_zoo,
     strata_hosts,
     strata_references,
@@ -33,6 +36,7 @@ from matchlab.graphs import (
     cycle_graph,
 )
 from matchlab.pm import (
+    _draw_row,
     count_pm,
     count_pm_containing,
     enumerate_pm,
@@ -367,15 +371,95 @@ def _fresh(g):
     return build_graph(g.n, g.edges)
 
 
+def _assert_matches_oracles(fast, scan, slow, seed, draws=200):
+    """sample_pm on `fast`, the scan-loop oracle on `scan` and the
+    reference oracle on `slow`, each with its own Random(seed): the same
+    draws and the same final rng state.  Returns the draws."""
+    rngs = [random.Random(seed) for _ in range(3)]
+    drawn = []
+    for _ in range(draws):
+        m = sample_pm(fast, rngs[0])
+        assert scan_sample_pm(scan, rngs[1]) == m
+        assert reference_sample_pm(slow, rngs[2]) == m
+        drawn.append(m)
+    assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+    return drawn
+
+
+def _assert_rows_consistent(g):
+    """Every row of g's row memo ends at its mask's count, rises strictly
+    and lists only partners of the mask's lowest vertex."""
+    s = g.n.bit_length()
+    low = (1 << s) - 1
+    for mask, row in g._draw_rows.items():
+        assert isinstance(row, array) and row.typecode == "q"
+        counts = [x >> s for x in row]
+        assert counts[-1] == g._pm_cache[mask]
+        assert all(a < b for a, b in zip(counts, counts[1:]))
+        u = (mask & -mask).bit_length() - 1
+        assert all((g.neighbor_masks[u] & mask) >> (x & low) & 1 for x in row)
+
+
 def test_sample_matches_reference_sampler():
     hosts = _sampler_hosts()
     assert len(hosts) > 10 and any(count_pm(g) > 100 for g in hosts)
     for seed, g in enumerate(hosts):
-        fast, slow = _fresh(g), _fresh(g)
-        rng_fast, rng_slow = random.Random(seed), random.Random(seed)
-        for _ in range(200):
-            assert sample_pm(fast, rng_fast) == reference_sample_pm(slow, rng_slow)
-        assert rng_fast.getstate() == rng_slow.getstate()
+        fast = _fresh(g)
+        _assert_matches_oracles(fast, _fresh(g), _fresh(g), seed)
+        _assert_rows_consistent(fast)
+
+
+def test_sample_matches_oracles_on_dense_regular_hosts():
+    for seed, n in enumerate((12, 14, 16, 18, 20)):
+        g = dense_regular(n, seed)
+        assert set(g.degrees()) == {n - 4}
+        fast = _fresh(g)
+        _assert_matches_oracles(fast, _fresh(g), _fresh(g), seed, draws=300)
+        _assert_rows_consistent(fast)
+
+
+def test_sample_builds_rows_only_for_visited_masks():
+    g = complete_graph(6)
+    drawn = sample_pm(g, random.Random(3))
+    full = (1 << 6) - 1
+    visited, mask = [], full
+    for u, v in drawn.pairs:
+        visited.append(mask)
+        mask ^= 1 << u | 1 << v
+    assert sorted(g._draw_rows) == sorted(visited)
+    assert list(g._draw_rows[full]) == [(3 * k) << 3 | v for k, v in enumerate(range(1, 6), 1)]
+
+
+def test_draw_row_falls_back_to_a_list_past_63_bits():
+    # K4 with s = 3: the full mask's children, for v = 1, 2, 3, are the
+    # masks 0b1100, 0b1010 and 0b0110; the memo below is synthetic
+    g = complete_graph(4)
+    cache = g._pm_cache
+    cache.update({0b1100: 2**58, 0b1010: 0, 0b0110: 2**60 - 1 - 2**58})
+    row = _draw_row(g, 0b1111, 3)
+    assert isinstance(row, array) and list(row) == [2**58 << 3 | 1, (2**60 - 1) << 3 | 3]
+    assert row[-1] == 2**63 - 5
+    cache[0b0110] += 1
+    row = _draw_row(g, 0b1111, 3)
+    assert type(row) is list and row == [2**58 << 3 | 1, 2**60 << 3 | 3]
+    cache.update({0b1100: 2**70, 0b0110: 5})
+    assert _draw_row(g, 0b1111, 3) == [2**70 << 3 | 1, (2**70 + 5) << 3 | 3]
+
+
+def test_sample_with_list_rows_matches_oracles():
+    # the rows a graph past 63 bits would hold, on a host small enough to
+    # check: every row a list, the draws unchanged
+    for seed, g in enumerate([dense_regular(16, 5), gnp(12, 0.6, 37), complete_graph(10)]):
+        fast = _fresh(g)
+        count_pm(fast)
+        s = g.n.bit_length()
+        for mask, c in fast._pm_cache.items():
+            if c:
+                fast._draw_rows[mask] = list(_draw_row(fast, mask, s))
+        before = dict(fast._draw_rows)
+        _assert_matches_oracles(fast, _fresh(g), _fresh(g), seed)
+        assert fast._draw_rows == before
+        assert all(type(row) is list for row in fast._draw_rows.values())
 
 
 def test_sample_after_partial_memo_matches_reference():
@@ -383,12 +467,11 @@ def test_sample_after_partial_memo_matches_reference():
     # full count must still leave every mask the walk reads memoised
     g = gnp(12, 0.6, 34)
     u, v = g.edges[0]
-    fast, slow = _fresh(g), _fresh(g)
+    fast, scan, slow = _fresh(g), _fresh(g), _fresh(g)
     count_pm_containing(fast, [(u, v)])
-    rng_fast, rng_slow = random.Random(9), random.Random(9)
-    for _ in range(200):
-        assert sample_pm(fast, rng_fast) == reference_sample_pm(slow, rng_slow)
-    assert rng_fast.getstate() == rng_slow.getstate()
+    count_pm_containing(scan, [(u, v)])
+    _assert_matches_oracles(fast, scan, slow, 9)
+    _assert_rows_consistent(fast)
 
 
 def _with_pendant(g):
@@ -399,19 +482,20 @@ def _with_pendant(g):
 
 
 def test_sample_after_short_circuited_containment_matches_reference():
-    for seed, host in enumerate([gnp(11, 0.6, 35), gnp(13, 0.5, 36), complete_graph(9)]):
+    dense = dense_regular(16, 38)
+    hosts = [gnp(11, 0.6, 35), gnp(13, 0.5, 36), complete_graph(9)]
+    hosts.append(build_graph(15, [e for e in dense.edges if 15 not in e]))
+    for seed, host in enumerate(hosts):
         g = _with_pendant(host)
-        fast, slow = _fresh(g), _fresh(g)
+        fast, scan, slow = _fresh(g), _fresh(g), _fresh(g)
         child = (1 << g.n) - 1 ^ 0b11
-        assert count_pm_containing(fast, [(0, 1)]) == 0
-        assert fast._pm_cache == {child: 0}
+        for h in (fast, scan):
+            assert count_pm_containing(h, [(0, 1)]) == 0
+            assert h._pm_cache == {child: 0}
         assert count_pm(fast) == reference_count_on_mask(slow, (1 << g.n) - 1) > 0
-        rng_fast, rng_slow = random.Random(seed), random.Random(seed)
-        for _ in range(200):
-            drawn = sample_pm(fast, rng_fast)
-            assert drawn == reference_sample_pm(slow, rng_slow)
+        for drawn in _assert_matches_oracles(fast, scan, slow, seed):
             assert (1, g.n - 1) in drawn
-        assert rng_fast.getstate() == rng_slow.getstate()
+        _assert_rows_consistent(fast)
 
 
 @pytest.mark.parametrize(
@@ -423,13 +507,14 @@ def test_sample_after_short_circuited_containment_matches_reference():
     ],
 )
 def test_sample_errors_match_reference(g, limit, error):
-    rng_fast, rng_slow = random.Random(1), random.Random(1)
-    with pytest.raises(error) as fast:
-        sample_pm(_fresh(g), rng_fast, limit=limit)
-    with pytest.raises(error) as slow:
-        reference_sample_pm(_fresh(g), rng_slow, limit=limit)
-    assert str(fast.value) == str(slow.value)
-    assert rng_fast.getstate() == rng_slow.getstate() == random.Random(1).getstate()
+    rngs = [random.Random(1) for _ in range(3)]
+    messages = []
+    for sampler, rng in zip((sample_pm, scan_sample_pm, reference_sample_pm), rngs):
+        with pytest.raises(error) as got:
+            sampler(_fresh(g), rng, limit=limit)
+        messages.append(str(got.value))
+    assert len(set(messages)) == 1
+    assert all(rng.getstate() == random.Random(1).getstate() for rng in rngs)
 
 
 # -- stratification ----------------------------------------------------------

@@ -321,7 +321,48 @@ def test_disjoint_exact_budget_counts_listed_prefixes():
         disjoint_probability(g, 3, tuple_budget=224)
 
 
+# K5 has no perfect matching and C5 plus a chord is not regular: a check
+# made after counting, or after the regularity check, raises something else
+_UNCOUNTED_HOSTS = [
+    complete_graph(5),
+    build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]),
+    complete_graph(6),
+]
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
+def test_disjoint_rejects_unknown_mode_before_counting(g, r):
+    g = build_graph(g.n, g.edges)
+    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+        disjoint_probability(g, r, mode="bogus")
+    assert g._pm_cache == {}
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
+def test_disjoint_montecarlo_rejects_no_samples_before_counting(g, r, samples):
+    g = build_graph(g.n, g.edges)
+    with pytest.raises(ValueError, match="at least one sample"):
+        disjoint_probability(g, r, mode="montecarlo", samples=samples)
+    assert g._pm_cache == {}
+
+
+def test_disjoint_exact_ignores_samples():
+    g = complete_graph(4)
+    assert disjoint_probability(g, 2, samples=0) == disjoint_probability(g, 2)
+
+
 # -- empirical frequencies -----------------------------------------------------------
+
+@pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5)])
+def test_empirical_freq_rejects_negative_samples_before_counting(g):
+    g = build_graph(g.n, g.edges)
+    with pytest.raises(ValueError, match="non-negative"):
+        empirical_edge_freq(g, -1)
+    assert g._pm_cache == {}
+
 
 def test_empirical_freq_zero_samples():
     freqs = empirical_edge_freq(complete_graph(4), 0)
