@@ -249,15 +249,17 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     cert = expansion.certify_exact(dg, params)
     _warn_if_vacuous(cert)
     k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
-    p = walks.transition_matrix(dg)
-    pk = walks.matrix_power(p, k)
-    # every out-degree is d, so there are d^ell * P^ell(u, v) walks
-    p_ell = pk if ell == k else walks.matrix_power(p, ell)
-    counts = [int(p_ell.entry(u, v) * d**ell) for u in range(n) for v in range(n) if u != v]
-    lower = float((nu * n) ** (ell - 1))
+    pk = walks.matrix_power(walks.transition_matrix(dg), k)
     delta = Fraction(d, n)
-    expected = float(delta**ell * n ** (ell - 1))
-    rel_err = max(abs(c / expected - 1.0) for c in counts) if counts else 0.0
+    try:
+        # the float bounds first: an ell past the float range is refused
+        # before the walks are counted, which costs ell steps on big ints
+        lower = float((nu * n) ** (ell - 1))
+        expected = float(delta**ell * n ** (ell - 1))
+        counts = [walks.count_walks(dg, u, v, ell) for u in range(n) for v in range(n) if u != v]
+        rel_err = max(abs(c / expected - 1.0) for c in counts) if counts else 0.0
+    except OverflowError:
+        raise MatchlabError(f"--ell {ell} is too large: the walk counts leave the float range") from None
     sigma = walks.uniform_distribution(n)
     row: dict = {
         "nu": float(nu),
@@ -348,8 +350,11 @@ def suite_tv_trend(family: str, sizes: list[int], a: Optional[int] = None) -> li
             raise ValueError(f"unknown family {family!r}")
         if g.n % 2 != 0:
             raise ValueError(f"size {size} gives an odd vertex count")
+        ref = pm.first_pm(g)
+        if ref is None:
+            raise MatchlabError(f"size {size} gives a graph with no perfect matching")
         d = regularity(g)
-        dist, lam, pois, tv = _overlap_vs_poisson(g, pm.first_pm(g), d)
+        dist, lam, pois, tv = _overlap_vs_poisson(g, ref, d)
         p0 = dist.prob(0)
         rows.append(
             {

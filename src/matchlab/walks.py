@@ -9,9 +9,9 @@ arithmetic and the result is checked to be stochastic once per power,
 not once per product.  Walk counts are plain integers: `count_walks`
 propagates the vector of counts from a source along out-arcs and keeps
 the resulting row on the digraph, one row per (source, length), so every
-target of a source is answered from one propagation.  The identity
-count = d^len * P^len(u, v) on regular digraphs is then checked as a
-rational identity, not numerically.
+target of a source is answered from one propagation.  On a d-regular
+digraph a row is d^len * P^len(u, .), so the sandwich bound is tested on
+the rows in integers and P is powered only for the mixing checks.
 """
 
 from __future__ import annotations
@@ -130,22 +130,25 @@ def matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> 
 
 
 def count_walks(d: Digraph, u: int, v: int, length: int) -> int:
-    """Exact number of directed (u, v)-walks of the given length.
-
-    The walk counts from u to every vertex form one row, a tuple of n
-    ints, propagated along out-arcs `length` times.  The digraph keeps
-    one such row per (source, length) asked, so the n targets of one
-    source cost one propagation.
-    """
+    """Exact number of directed (u, v)-walks of the given length: entry
+    v of the walk row of u."""
     if length < 0:
         raise ValueError("length must be non-negative")
     _check_vertex(u, d.n)
     _check_vertex(v, d.n)
+    return _walk_counts(d, u, length)[v]
+
+
+def _walk_counts(d: Digraph, u: int, length: int) -> tuple[int, ...]:
+    """The walk counts from u to every vertex, a tuple of n ints propagated
+    along out-arcs `length` times.  The digraph keeps one such row per
+    (source, length) asked, so the n targets of one source cost one
+    propagation."""
     rows = d._walk_rows
     row = rows.get((u, length))
     if row is None:
         row = rows[u, length] = _walk_row(d.out_adjacency, u, length)
-    return row[v]
+    return row
 
 
 def _walk_row(adjacency, u: int, length: int) -> tuple[int, ...]:
@@ -326,8 +329,9 @@ def sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
     """Two-sided bound on the k-step chain of a regular digraph.
 
     True when every entry of n*P^k lies in [nu^(k-1) * delta^(-k),
-    delta^(-1)], compared exactly.  The digraph must be delta*n-regular
-    for the supplied delta.
+    delta^(-1)].  The digraph must be deg-regular with deg = delta*n; then
+    P^k = W_k / deg^k for the integer walk rows W_k, and the test is
+    (nu*n)^(k-1) <= W_k(i, j) <= deg^(k-1).
     """
     nu = as_fraction(nu)
     delta = as_fraction(delta)
@@ -338,13 +342,11 @@ def sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
     deg = degs.pop()
     if delta * n != deg:
         raise NotRegularError(f"degree {deg} does not equal delta*n = {delta * n}")
-    p = transition_matrix(d)
-    pk = matrix_power(p, k)
-    lower = nu ** (k - 1) * delta ** (-k)
-    upper = 1 / delta
-    for i in range(n):
-        for j in range(n):
-            scaled = n * pk.entry(i, j)
-            if not lower <= scaled <= upper:
-                return False
-    return True
+    if deg == 0:
+        raise SinkVertexError("vertex 0 has out-degree 0")
+    if k < 0:
+        raise ValueError("exponent must be non-negative")
+    lower = (nu * n) ** (k - 1)
+    upper = Fraction(deg) ** (k - 1)
+    rows = (_walk_counts(d, u, k) for u in range(n))
+    return all(lower <= min(row) and max(row) <= upper for row in rows)

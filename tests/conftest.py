@@ -58,11 +58,14 @@ from matchlab.switching import (
     aux_vertex_set,
     eligible_edge_count,
 )
+from matchlab.rational import as_fraction
 from matchlab.walks import (
     DEFAULT_MATRIX_CAP,
     DEFAULT_PATH_BUDGET,
     StochasticMatrix,
     identity_matrix,
+    matrix_power,
+    transition_matrix,
 )
 
 
@@ -467,6 +470,32 @@ def reference_count_walks(d: Digraph, u: int, v: int, length: int) -> int:
                     nxt[y] += c
         vec = nxt
     return vec[v]
+
+
+# -- reference sandwich check ------------------------------------------------
+
+def reference_sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
+    """Oracle for walks.sandwich_check: the Fraction bound on n*P^k as it
+    stood before the check read the integer walk rows."""
+    nu = as_fraction(nu)
+    delta = as_fraction(delta)
+    n = d.n
+    degs = {d.out_degree(v) for v in range(n)} | {d.in_degree(v) for v in range(n)}
+    if len(degs) != 1:
+        raise NotRegularError("digraph is not regular")
+    deg = degs.pop()
+    if delta * n != deg:
+        raise NotRegularError(f"degree {deg} does not equal delta*n = {delta * n}")
+    p = transition_matrix(d)
+    pk = matrix_power(p, k)
+    lower = nu ** (k - 1) * delta ** (-k)
+    upper = 1 / delta
+    for i in range(n):
+        for j in range(n):
+            scaled = n * pk.entry(i, j)
+            if not lower <= scaled <= upper:
+                return False
+    return True
 
 
 # -- reference expansion sweep ------------------------------------------------

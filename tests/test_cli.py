@@ -17,7 +17,7 @@ from matchlab.graphs import (
     write_edge_list,
 )
 from matchlab.rational import as_fraction
-from matchlab.walks import count_walks
+from matchlab.walks import matrix_power, transition_matrix
 
 
 def run_cli(capsys, *argv):
@@ -129,10 +129,29 @@ def test_walk_counts_match_count_walks(capsys, extra):
             "--nu", "1/10", "--tau", "1/5", *extra]
     row = run_json(capsys, *argv)["rows"][0]
     g, _ = cli.build_graph(cli.build_parser().parse_args(argv))
-    dg = to_bidirected(g)
-    counts = [count_walks(dg, u, v, row["ell"]) for u in range(10) for v in range(10) if u != v]
+    # every out-degree is 3, so there are 3^ell * P^ell(u, v) walks
+    ell = row["ell"]
+    p_ell = matrix_power(transition_matrix(to_bidirected(g)), ell)
+    counts = [3**ell * p_ell.entry(u, v) for u in range(10) for v in range(10) if u != v]
+    assert all(c.denominator == 1 for c in counts)
     assert (row["min_walks"], row["max_walks"]) == (min(counts), max(counts))
     assert row["walk_bound_ok"] == all(c >= row["walk_lower_bound"] for c in counts)
+
+
+def test_walks_with_an_ell_past_the_float_range_is_input_error(capsys, monkeypatch):
+    # 5^500 / 6 walks are expected between two vertices of K6, above the
+    # largest float; that is seen before any walk is counted
+    def no_counts(*args):
+        raise AssertionError("walks counted for an ell past the float range")
+
+    monkeypatch.setattr(cli.walks, "count_walks", no_counts)
+    code = main(["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3", "--ell", "500"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --ell 500 is too large: the walk counts leave the float range\n"
+    monkeypatch.undo()
+    assert main(["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3", "--ell", "400"]) == 0
 
 
 def test_csv_output_and_determinism(capsys):
@@ -164,6 +183,15 @@ def test_exit_code_input_error(capsys):
     assert code == 1
     code = main(["avoidance", "--family", "complete", "-n", "5"])
     assert code == 1
+
+
+def test_suite_tv_without_a_perfect_matching_is_input_error(capsys):
+    # K_{1x2} is two isolated vertices: even, but with no perfect matching
+    code = main(["suite_tv", "--family", "multipartite", "-a", "1", "--sizes", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: size 2 gives a graph with no perfect matching\n"
 
 
 def test_exit_code_too_large(capsys):

@@ -57,6 +57,10 @@ INVOCATIONS = {
     ],
     "expander_empty_window": ["expander", "--family", "complete", "-n", "1", "--nu", "0.1", "--tau", "0.3"],
     "walks_complete_6": ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
+    "walks_random_regular_ell6_k5": [
+        "walks", "--family", "random_regular", "-n", "10", "-d", "3", "--seed", "1",
+        "--nu", "1/10", "--tau", "1/5", "--ell", "6", "--k", "5",
+    ],
     "suite_multipartite": ["suite_multipartite", "--b-max", "6"],
     "suite_tv": ["suite_tv", "--sizes", "6", "8", "10", "12"],
     "pmf_reference_edge": ["pmf", "--family", "complete", "-n", "8", "--reference", "edge"],

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import gnp, reference_count_paths, reference_count_walks, reference_matrix_power
+from conftest import (
+    gnp,
+    reference_count_paths,
+    reference_count_walks,
+    reference_matrix_power,
+    reference_sandwich_check,
+)
 from matchlab import walks
 from matchlab.errors import (
     BudgetExceededError,
@@ -539,6 +545,93 @@ def test_sandwich_not_regular():
         sandwich_check(d, 2, F(1, 3), F(1, 2))
     with pytest.raises(NotRegularError):
         sandwich_check(complete_digraph(4), 2, F(1, 4), F(1, 2))
+
+
+def circulant(n, shifts):
+    return build_digraph(n, [(i, (i + s) % n) for i in range(n) for s in shifts])
+
+
+def sandwich_hosts():
+    """Regular digraphs: complete digraphs, directed cycles, bidirected
+    random regular graphs and 2-shift circulants."""
+    hosts = [complete_digraph(n) for n in range(2, 9)]
+    hosts += [directed_cycle(n) for n in range(2, 9)]
+    hosts += [
+        to_bidirected(random_regular(n, deg, seed))
+        for n in range(4, 13)
+        for deg in (2, 3)
+        if n * deg % 2 == 0
+        for seed in (0, 1)
+    ]
+    hosts += [circulant(n, (1, 2)) for n in range(3, 12)]
+    return hosts
+
+
+def test_sandwich_matches_reference_verdicts():
+    # the integer test on the walk rows against the Fraction test on n*P^k
+    verdicts = []
+    for d in sandwich_hosts():
+        n = d.n
+        delta = F(d.out_degree(0), n)
+        for nu in (F(1, 10), F(1, 3), F(1, 2), F(1, n), F(2, n)):
+            for k in range(9):
+                want = reference_sandwich_check(d, k, nu, delta)
+                assert sandwich_check(d, k, nu, delta) is want, (d.arcs, k, nu)
+                verdicts.append(want)
+    assert len(verdicts) > 2000
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize(
+    "d, k, delta",
+    [
+        (build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)]), 2, F(1, 2)),
+        (complete_digraph(4), 2, F(1, 2)),
+        (build_digraph(3, []), 2, F(0)),
+        (build_digraph(3, []), -1, F(0)),
+        (complete_digraph(4), -1, F(3, 4)),
+    ],
+    ids=["not_regular", "delta_mismatch", "degree_zero", "degree_zero_k_negative", "k_negative"],
+)
+def test_sandwich_errors_match_reference(d, k, delta):
+    with pytest.raises((NotRegularError, SinkVertexError, ValueError)) as want:
+        reference_sandwich_check(d, k, F(1, 3), delta)
+    with pytest.raises(want.type) as got:
+        sandwich_check(d, k, F(1, 3), delta)
+    assert got.type is want.type and str(got.value) == str(want.value)
+
+
+def test_sandwich_reads_the_row_of_every_source():
+    # in three steps source 1 never comes back to itself, and every other
+    # source reaches every vertex in 1 to 4 = deg^2 ways; the rotations
+    # move that one failing row through every position, the last included
+    arcs = [(0, 2), (0, 3), (1, 3), (1, 5), (2, 0), (2, 5),
+            (3, 1), (3, 4), (4, 0), (4, 2), (5, 1), (5, 4)]
+    for r in range(6):
+        d = build_digraph(6, [((u + r) % 6, (v + r) % 6) for u, v in arcs])
+        assert count_walks(d, (1 + r) % 6, (1 + r) % 6, 3) == 0
+        assert not reference_sandwich_check(d, 3, F(1, 6), F(1, 3))
+        assert not sandwich_check(d, 3, F(1, 6), F(1, 3))
+
+
+def test_sandwich_answers_above_the_matrix_cap():
+    # no n x n matrix is built, so n = 70 answers where the reference
+    # refuses; the circulant's rows are shifts of row 0, whose Fraction
+    # bound is rechecked from the unmemoised walk counts
+    n, deg = 70, 35
+    d = circulant(n, range(1, deg + 1))
+    delta = F(deg, n)
+    for k, nu in ((2, F(1, 10)), (3, F(1, 70)), (3, F(1, 10))):
+        with pytest.raises(TooLargeError):
+            reference_sandwich_check(d, k, nu, delta)
+        lower, upper = nu ** (k - 1) * delta ** (-k), 1 / delta
+        want = all(
+            lower <= n * F(reference_count_walks(d, 0, v, k), deg**k) <= upper for v in range(n)
+        )
+        assert sandwich_check(d, k, nu, delta) is want, (k, nu)
+    # two steps return to the start only as 35 + 35
+    assert not sandwich_check(d, 2, F(1, 10), delta)
+    assert sandwich_check(d, 3, F(1, 70), delta)
 
 
 # -- walk lower bound on certified outexpanders ---------------------------------------
