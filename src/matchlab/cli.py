@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import expansion, pm, stats, switching, walks
-from .errors import MatchlabError, ResourceLimitError
+from .errors import BudgetExceededError, MatchlabError, ResourceLimitError
 from .graphs import (
     Bipartition,
     Graph,
@@ -35,6 +35,8 @@ from .graphs import (
 from .rational import as_fraction, fmt12, frac_str
 
 DEFAULT_SUITE_CAP = 20
+# walk-count propagation steps `walks` may take: ell per source vertex
+WALK_STEP_BUDGET = 100_000
 
 
 def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]:
@@ -251,11 +253,18 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
     pk = walks.matrix_power(walks.transition_matrix(dg), k)
     delta = Fraction(d, n)
+    bound = (nu * n) ** (ell - 1)
     try:
         # the float bounds first: an ell past the float range is refused
         # before the walks are counted, which costs ell steps on big ints
-        lower = float((nu * n) ** (ell - 1))
+        lower = float(bound)
         expected = float(delta**ell * n ** (ell - 1))
+        if ell * n > WALK_STEP_BUDGET:
+            # only a 1-regular host gets here with a large ell: its counts
+            # stay in the float range at every length
+            raise BudgetExceededError(
+                f"walk counts need {ell * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
+            )
         counts = [walks.count_walks(dg, u, v, ell) for u in range(n) for v in range(n) if u != v]
         rel_err = max(abs(c / expected - 1.0) for c in counts) if counts else 0.0
     except OverflowError:
@@ -269,7 +278,7 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
         "min_walks": min(counts) if counts else 0,
         "max_walks": max(counts) if counts else 0,
         "walk_lower_bound": lower,
-        "walk_bound_ok": all(c >= (nu * n) ** (ell - 1) for c in counts),
+        "walk_bound_ok": all(c >= bound for c in counts),
         "max_rel_err_vs_regular_count": rel_err,
         "k": k,
         "sandwich_ok": walks.sandwich_check(dg, k, nu, delta),

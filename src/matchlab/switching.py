@@ -6,14 +6,23 @@ edges are single alternating cycles of a fixed length carrying exactly
 one reference edge.  Double counting its edges ties the stratum sizes
 together.
 
-One walker, `_alternating_paths`, takes the alternating steps: a free
-edge, then a base-matching edge.  It keeps its visited vertices in an
-int mask and yields only each path's end and the XOR of its edge bits.
-One pass, `_switches`, enumerates once, splits the two strata and reads
-each left matching's neighbours off the cycles through its reference
-edges, keying edge sets as ints (bit u*n + v per edge, u < v).  `build_switch_graph` materialises it, `ratio_report`
-only tallies degrees, and `count_alternating_paths` counts the walker's
-paths.  The companion digraph has one arc per pair of walker steps.
+Every alternating walk reads a step table built once per base matching
+(`_step_table`): row x lists, in neighbour order, each pair of steps
+from x that a walk may take, a free edge to y and then y's base-matching
+edge to z, as (z, the visited bits of y and z, the two edge bits).  Edge
+sets are int keys (bit u*n + v per edge, u < v) and the visited vertices
+an int mask.  One plain recursion, `_walk`, follows the rows and hands
+each path's last pair of steps to its caller:
+
+- `_switches` enumerates once, splits the two strata and reads each left
+  matching's neighbours off the cycles through its reference edges,
+  testing each closing edge as it takes the last step.
+  `build_switch_graph` materialises them and `ratio_report` only tallies
+  degrees.
+- `count_alternating_paths` counts the paths ending at v, and
+  `_alternating_paths` lists every path's (end, flip).
+- `build_aux_digraph` has one arc x -> z per table entry inside its
+  vertex set.
 """
 
 from __future__ import annotations
@@ -96,32 +105,86 @@ def _edge_bits(g: Graph, pairs) -> int:
     return sum(1 << (u * g.n + v) for u, v in edge_set(pairs) if g.has_edge(u, v))
 
 
+def _free_steps(g: Graph, ban: int) -> list[list[tuple[int, int]]]:
+    """Row x holds one (y, bit(x, y)) per neighbour y of x, in
+    `g.neighbors(x)` order, whose edge lies outside the int key `ban`."""
+    n = g.n
+    rows = []
+    for x in range(n):
+        row = []
+        for y in g.neighbors(x):
+            e = 1 << (x * n + y if x < y else y * n + x)
+            if not ban & e:
+                row.append((y, e))
+        rows.append(row)
+    return rows
+
+
+def _step_table(free: list, base: Matching, ban: int) -> list[list[tuple[int, int, int]]]:
+    """The alternating steps out of every vertex for one base matching.
+
+    Row x holds, in the order of the free row x (`_free_steps`), one
+    (z, bits, flip) per free edge e = (x, y) whose y has a base partner z
+    other than x by a base edge f = (y, z) outside the int key `ban`:
+    bits = 1<<y | 1<<z marks the two vertices the step visits, and
+    flip = e ^ f holds its two edge bits.  A free edge on the base matching
+    would lead back to x, so it has no entry.
+    """
+    n = len(free)
+    step: list = [None] * n
+    for u, v in base.pairs:
+        f = 1 << (u * n + v)
+        if not ban & f:
+            bits = 1 << u | 1 << v
+            step[u] = (v, bits, f)
+            step[v] = (u, bits, f)
+    table = []
+    for x, row in enumerate(free):
+        steps = []
+        for y, e in row:
+            s = step[y]
+            if s is not None and s[0] != x:
+                steps.append((s[0], s[1], e | s[2]))
+        table.append(steps)
+    return table
+
+
+def _walk(table, x: int, seen: int, pairs: int, flip: int, last) -> None:
+    """Take `pairs` steps of `table` from x without revisiting the int mask
+    `seen`, then hand each path to last(end, seen, flip), which takes the
+    final step itself."""
+    if pairs == 0:
+        last(x, seen, flip)
+        return
+    for z, bits, f in table[x]:
+        if not seen & bits:
+            _walk(table, z, seen | bits, pairs - 1, flip ^ f, last)
+
+
 def _alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: int):
     """Every simple path of `length` edges (even) from u that alternates a
     free edge, outside the int key `ban` and the base matching, with a
-    base-matching edge outside `ban`, starting with a free edge.  Yields
-    (end, flip): the path's last vertex and the XOR of its edge bits.  The
-    visited vertices are the int mask `seen`; a free edge on the base
-    matching would return to the path's end, so the test on z refuses it.
+    base-matching edge outside `ban`, starting with a free edge: the list
+    of (end, flip), the path's last vertex and the XOR of its edge bits.
+
+    The paths come from one step table of `base` and `ban`: `_walk` takes
+    every pair of steps but the last from row to row, and the last is read
+    off the end's row here.  They are listed depth first, each row in
+    `g.neighbors` order.
     """
-    n = g.n
-    partner = base.partner_map()
+    pairs = length // 2
+    if pairs == 0:
+        return [(u, 0)]
+    table = _step_table(_free_steps(g, ban), base, ban)
+    out = []
 
-    def rec(x: int, seen: int, pairs: int, flip: int):
-        if pairs == 0:
-            yield x, flip
-            return
-        for y in g.neighbors(x):
-            z = partner.get(y)
-            if z is None or seen >> y & 1 or seen >> z & 1:
-                continue
-            e = 1 << (x * n + y if x < y else y * n + x)
-            f = 1 << (y * n + z if y < z else z * n + y)
-            if ban & (e | f):
-                continue
-            yield from rec(z, seen | 1 << y | 1 << z, pairs - 1, flip ^ e ^ f)
+    def last(x: int, seen: int, flip: int) -> None:
+        for z, bits, f in table[x]:
+            if not seen & bits:
+                out.append((z, flip ^ f))
 
-    return rec(u, 1 << u, length // 2, 0)
+    _walk(table, u, 1 << u, pairs - 1, 0, last)
+    return out
 
 
 def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
@@ -130,7 +193,10 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
     list of neighbours (indices into `right`) of each left matching M: for
     (a, b) in M & ref, each alternating path of 2*ell - 2 edges from b
     avoiding `ref` and closing at a by an edge (z, a) outside `ref` gives
-    the neighbour keyed key(M) ^ bit(a, b) ^ bit(z, a) ^ flip."""
+    the neighbour keyed key(M) ^ bit(a, b) ^ bit(z, a) ^ flip.  Each left
+    matching gets one step table.  The final step of each path looks its
+    end z up in a's free row as a dict, z -> bit(z, a), and appends the
+    neighbour there."""
     if k < 1:
         raise ValueError("k must be positive")
     if ell < 2 or 2 * ell > g.n:
@@ -143,18 +209,26 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
     left, right = strata[k], strata[k - 1]
     yield left, right
     n = g.n
-    masks = g.neighbor_masks
     ban = _edge_bits(g, ref)
-    right_index = {_edge_bits(g, m): j for j, m in enumerate(right)}
+    right_index = {sum(1 << (u * n + v) for u, v in m.pairs): j for j, m in enumerate(right)}
+    free = _free_steps(g, ban)
+    closers = [dict(row) for row in free]
     for m in left:
         found = []
-        key = _edge_bits(g, m)
+        key = sum(1 << (u * n + v) for u, v in m.pairs)
+        table = _step_table(free, m, ban)
         for a, b in m.edge_set & ref:
+            closing = closers[a]
             opened = key ^ 1 << (a * n + b)
-            for z, flip in _alternating_paths(g, m, b, 2 * ell - 2, ban):
-                close = 1 << (a * n + z if a < z else z * n + a)
-                if masks[a] >> z & 1 and not ban & close:
-                    found.append(right_index[opened ^ close ^ flip])
+
+            def last(x: int, seen: int, flip: int) -> None:
+                for z, bits, f in table[x]:
+                    if not seen & bits:
+                        c = closing.get(z)
+                        if c is not None:
+                            found.append(right_index[opened ^ c ^ flip ^ f])
+
+            _walk(table, b, 1 << b, ell - 2, 0, last)
         yield found
 
 
@@ -184,22 +258,21 @@ def aux_vertex_set(reference, base: Matching, n: int, side=None) -> frozenset[in
 def build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph:
     """Companion digraph for alternating-path counting.
 
-    One arc x -> z per two alternating steps from x, as
-    `_alternating_paths` takes them with the reference banned: first a
-    free edge (outside both the reference and the base matching) to some
-    y, then y's base-matching edge, outside the reference, to z.  The
-    digraph keeps the original vertex labels; vertices outside its vertex
-    set are simply isolated.  For the bipartite variant pass the class
-    containing the endpoints of interest as `side`.
+    One arc x -> z per entry of row x of the step table with the
+    reference banned: first a free edge (outside both the reference and
+    the base matching) to some y, then y's base-matching edge, outside the
+    reference, to z.  The digraph keeps the original vertex labels;
+    vertices outside its vertex set are simply isolated.  For the
+    bipartite variant pass the class containing the endpoints of interest
+    as `side`.
     """
     cover = vertices_of(base.edge_set)
     if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
         raise NotAPerfectMatchingError("base must be a perfect matching of the graph")
     ban = _edge_bits(g, reference)
+    table = _step_table(_free_steps(g, ban), base, ban)
     verts = aux_vertex_set(reference, base, g.n, side)
-    arcs = [
-        (x, z) for x in verts for z, _ in _alternating_paths(g, base, x, 2, ban) if z in verts
-    ]
+    arcs = [(x, z) for x in verts for z, _, _ in table[x] if z in verts]
     return Digraph(g.n, arcs)
 
 
@@ -222,8 +295,21 @@ def count_alternating_paths(
         raise ValueError("length must be non-negative")
     for x in (u, v, *vertices_of(base), *vertices_of(edge_set(forbidden))):
         _check_vertex(x, g.n)
-    paths = _alternating_paths(g, base, u, length, _edge_bits(g, forbidden))
-    return sum(1 for end, _ in paths if end == v)
+    pairs = length // 2
+    if pairs == 0:
+        return 0
+    ban = _edge_bits(g, forbidden)
+    table = _step_table(_free_steps(g, ban), base, ban)
+    total = 0
+
+    def last(x: int, seen: int, flip: int) -> None:
+        nonlocal total
+        for z, bits, _ in table[x]:
+            if z == v and not seen & bits:
+                total += 1
+
+    _walk(table, u, 1 << u, pairs - 1, 0, last)
+    return total
 
 
 @dataclass(frozen=True)

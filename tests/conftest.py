@@ -48,6 +48,7 @@ from matchlab.pm import (
     StrataCounts,
     _count_on_mask,
     count_pm,
+    enumerate_pm,
     first_pm,
     stratify,
 )
@@ -55,6 +56,7 @@ from matchlab.switching import (
     RatioReport,
     SwitchGraph,
     _degree_stats,
+    _edge_bits,
     aux_vertex_set,
     eligible_edge_count,
 )
@@ -736,6 +738,37 @@ def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, b
             del path[-2:]
 
     return rec(u, length // 2, 0)
+
+
+def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
+    """Oracle for switching._switches: the generator-walker pass it
+    replaced, verbatim but for the walker, reference_alternating_paths,
+    which yields the same (end, flip) sequence."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if ell < 2 or 2 * ell > g.n:
+        raise ValueError("need 2 <= ell and 2*ell <= n")
+    strata: dict[int, list[Matching]] = {k: [], k - 1: []}
+    for m in enumerate_pm(g, cap=cap):
+        inter = len(m.edge_set & ref)
+        if inter in strata:
+            strata[inter].append(m)
+    left, right = strata[k], strata[k - 1]
+    yield left, right
+    n = g.n
+    masks = g.neighbor_masks
+    ban = _edge_bits(g, ref)
+    right_index = {_edge_bits(g, m): j for j, m in enumerate(right)}
+    for m in left:
+        found = []
+        key = _edge_bits(g, m)
+        for a, b in m.edge_set & ref:
+            opened = key ^ 1 << (a * n + b)
+            for z, flip in reference_alternating_paths(g, m, b, 2 * ell - 2, ban):
+                close = 1 << (a * n + z if a < z else z * n + a)
+                if masks[a] >> z & 1 and not ban & close:
+                    found.append(right_index[opened ^ close ^ flip])
+        yield found
 
 
 def reference_count_paths(

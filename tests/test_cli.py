@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import time
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,35 @@ def test_walks_with_an_ell_past_the_float_range_is_input_error(capsys, monkeypat
     assert captured.err == "error: --ell 500 is too large: the walk counts leave the float range\n"
     monkeypatch.undo()
     assert main(["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3", "--ell", "400"]) == 0
+
+
+def test_walks_on_a_one_regular_host_refuses_a_large_ell_by_its_step_budget(capsys, monkeypatch):
+    # K2 has at most one walk between two vertices at any length, so no
+    # float bound stops a large ell; the step budget does, before any walk
+    # is counted and within a second
+    def no_counts(*args):
+        raise AssertionError("walks counted past the step budget")
+
+    argv = ["walks", "--family", "complete", "-n", "2", "--nu", "1/3", "--tau", "1/3", "--ell"]
+    monkeypatch.setattr(cli.walks, "count_walks", no_counts)
+    start = time.perf_counter()
+    code = main([*argv, "1000000"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: instance too large: walk counts need 2000000 propagation steps, "
+        "over the budget of 100000\n"
+    )
+    assert main([*argv, str(cli.WALK_STEP_BUDGET // 2 + 1)]) == 2
+    capsys.readouterr()
+    monkeypatch.undo()
+    # an even length never ends at the other vertex; the budget admits
+    # exactly ell * n = WALK_STEP_BUDGET
+    for ell in ("1000", str(cli.WALK_STEP_BUDGET // 2)):
+        row = run_json(capsys, *argv, ell)["rows"][0]
+        assert (row["ell"], row["min_walks"], row["max_walks"]) == (int(ell), 0, 0)
 
 
 def test_csv_output_and_determinism(capsys):

@@ -10,6 +10,7 @@ from conftest import (
     reference_build_aux_digraph,
     reference_build_switch_graph,
     reference_ratio_report,
+    reference_switches,
     small_zoo,
 )
 from matchlab import pm, switching
@@ -31,7 +32,7 @@ from matchlab.graphs import (
     random_regular,
     regularity,
 )
-from matchlab.pm import enumerate_pm, stratify
+from matchlab.pm import DEFAULT_ENUM_CAP, enumerate_pm, stratify
 from matchlab.switching import (
     aux_vertex_set,
     build_aux_digraph,
@@ -157,6 +158,20 @@ def test_switch_graph_matches_pairwise_oracle(g):
                 assert got.left == want.left
                 assert got.right == want.right
                 assert got.edges == want.edges, (g, ref, k, ell)
+
+
+@pytest.mark.parametrize("g", _differential_hosts())
+def test_switches_match_the_generator_pass(g):
+    # the table-driven pass gives the strata and every left matching's
+    # neighbour list of the generator-walker pass, order included
+    rng = random.Random(g.n * 1000 + g.m + 2)
+    for ref in _differential_references(g, rng):
+        ref = edge_set(ref)
+        for k in (1, 2, 3):
+            for ell in range(2, g.n // 2 + 1):
+                got = list(switching._switches(g, ref, k, ell, DEFAULT_ENUM_CAP))
+                want = list(reference_switches(g, ref, k, ell, DEFAULT_ENUM_CAP))
+                assert got == want, (g, sorted(ref), k, ell)
 
 
 @pytest.mark.parametrize("k, ell", [(0, 2), (1, 1), (1, 4)])
@@ -323,11 +338,18 @@ def test_alternating_paths_brute_force_cross_check():
 
 
 def _walker_bans(g, base, other):
-    """No ban, one free edge, a whole perfect matching, and a set holding
-    non-edges of g (which the int key drops) next to one base edge."""
+    """No ban, one free edge, one base edge, a whole perfect matching, and
+    a set holding non-edges of g (which the int key drops) next to a base
+    edge."""
     free = [e for e in g.edges if e not in base.edge_set][:1]
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
-    return [[], free, list(other.pairs), non_edges[:4] + [(g.n, g.n + 1), base.pairs[0]]]
+    return [
+        [],
+        free,
+        [base.pairs[-1]],
+        list(other.pairs),
+        non_edges[:4] + [(g.n, g.n + 1), base.pairs[0]],
+    ]
 
 
 def test_alternating_walker_matches_reference():
@@ -342,15 +364,19 @@ def test_alternating_walker_matches_reference():
     walked = 0
     for g in hosts:
         pms = list(enumerate_pm(g))[:2]
-        for i, base in enumerate(pms):
-            for ban in _walker_bans(g, base, pms[1 - i] if len(pms) == 2 else base):
-                key = switching._edge_bits(g, ban)
-                for u in range(g.n):
-                    for length in range(g.n + 1):
-                        got = list(switching._alternating_paths(g, base, u, length, key))
-                        want = list(reference_alternating_paths(g, base, u, length, key))
-                        assert got == want, (g.edges, base.pairs, ban, u, length)
-                        walked += len(want)
+        for i, pm_base in enumerate(pms):
+            other = pms[1 - i] if len(pms) == 2 else pm_base
+            # the perfect matching, and two non-perfect ones that leave
+            # two and half of the vertices without a partner
+            for base in (pm_base, Matching(pm_base.pairs[1:]), Matching(pm_base.pairs[::2])):
+                for ban in _walker_bans(g, base, other):
+                    key = switching._edge_bits(g, ban)
+                    for u in range(g.n):
+                        for length in range(g.n + 1):
+                            got = list(switching._alternating_paths(g, base, u, length, key))
+                            want = list(reference_alternating_paths(g, base, u, length, key))
+                            assert got == want, (g.edges, base.pairs, ban, u, length)
+                            walked += len(want)
     assert walked > 10_000
 
 
