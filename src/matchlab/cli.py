@@ -35,7 +35,8 @@ from .graphs import (
 from .rational import as_fraction, fmt12, frac_str
 
 DEFAULT_SUITE_CAP = 20
-# walk-count propagation steps `walks` may take: ell per source vertex
+# walk-count propagation steps `walks` may take: ell per source vertex,
+# and k per vertex for the k-step checks
 WALK_STEP_BUDGET = 100_000
 
 
@@ -251,6 +252,11 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     cert = expansion.certify_exact(dg, params)
     _warn_if_vacuous(cert)
     k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
+    if k * n > WALK_STEP_BUDGET:
+        # P^k, the k-step walk rows and the mixing checks all grow with k
+        raise BudgetExceededError(
+            f"the k-step checks need {k * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
+        )
     pk = walks.matrix_power(walks.transition_matrix(dg), k)
     delta = Fraction(d, n)
     bound = (nu * n) ** (ell - 1)

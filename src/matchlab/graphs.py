@@ -44,11 +44,13 @@ class Graph:
     `neighbor_masks[v]` the same set as a bitmask, which is what the
     subset sweeps and the matching DP operate on.
 
-    `_pm_cache` memoises the matching count per vertex mask, and
-    `_draw_rows` the sampler's cumulative row per mask (see `pm`).
+    `_pm_cache` memoises the matching count per vertex mask,
+    `_draw_rows` the sampler's cumulative row per mask, and `_poly_cache`
+    the complement's packed matching polynomial per mask, which dense
+    hosts count through (see `pm`).
     """
 
-    __slots__ = ("n", "edges", "adjacency", "neighbor_masks", "_pm_cache", "_draw_rows", "_hash")
+    __slots__ = ("n", "edges", "adjacency", "neighbor_masks", "_pm_cache", "_draw_rows", "_poly_cache", "_hash")
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -71,6 +73,7 @@ class Graph:
         self.neighbor_masks: tuple[int, ...] = tuple(masks)
         self._pm_cache: dict[int, int] = {}
         self._draw_rows: dict = {}
+        self._poly_cache: dict[int, int] = {}
         self._hash = hash((n, self.edges))
 
     @property

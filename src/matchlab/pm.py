@@ -7,14 +7,25 @@ bitmask of still-unmatched vertices: the lowest unmatched vertex is
 matched against each unmatched neighbour, giving O(2^n * n) time at the
 configured size cap.  Counts are Python ints, so arbitrary precision
 comes for free, and each Graph carries its own memo table keyed by the
-surviving-vertex bitmask, shared by counting, containment queries, and
-the sampler, which relies on its one invariant: a mask is cached only
-after all its children are.  Listing runs one search, in the same
-lowest-vertex order, behind both enumerate_pm and first_pm; it remembers
-the masks whose subtree held no perfect matching and never expands them
-again.  stratify runs the counting DP with one int per mask that packs every
-stratum as a w-bit digit; w, the bit length of (n-1)!!, bounds every
-count the DP meets, so no digit carries into the next.
+surviving-vertex bitmask, shared by the sampler, which relies on its one
+invariant (a mask is cached only after all its children are), and by
+counting and containment queries on hosts that are not dense (below).
+Listing runs one search, in the same lowest-vertex order, behind both
+enumerate_pm and first_pm; it remembers the masks whose subtree held no
+perfect matching and never expands them again.  stratify runs the
+counting DP with one int per mask that packs every stratum as a w-bit
+digit; w, the bit length of (n-1)!!, bounds every count the DP meets, so
+no digit carries into the next.
+
+Dense hosts count through their complement H instead.  When
+2*e(H) < e(G), count_pm, count_pm_containing and stratify use Godsil's
+duality (Combinatorica 1981): pm(G[S]) = sum_k (-1)^k m_k(H[S])
+(|S|-2k-1)!!, m_k the k-edge matchings of H[S].  One kernel,
+_poly_on_mask, computes those m_k by the matching-polynomial DP (the
+lowest vertex may also stay uncovered), each m_k a w-bit digit with w the
+bit length of C(e, e//2) for the e edges it may use, so no digit
+carries.  On K_n it walks n + 1 masks where the DP walks F(n+1).  Its
+count memo is Graph._poly_cache; the DP memo stays the sampler's.
 
 The sampler keeps a second per-graph memo, Graph._draw_rows: for each
 mask it has visited, the cumulative counts of the mask's children in
@@ -27,8 +38,9 @@ child a scan over the children would, from the same rng stream.
 
 A graph with a connected component of odd size has no perfect matching.
 After its input and cap checks, each entry point takes its fast paths in
-one order: the memo lookup (counting only), then that parity check on the
-entry mask, O(n) mask operations, then the DP or search.  The check never runs inside the
+one order: the DP memo lookup (counting only), then that parity check on
+the entry mask, O(n) mask operations, then the complement's polynomial,
+the DP or the search.  The check never runs inside the
 recursion, whose children are read from the memo inline.
 """
 
@@ -110,13 +122,113 @@ def _count_on_mask(g: Graph, mask: int) -> int:
     return rec(mask)
 
 
+def _is_dense(g: Graph) -> bool:
+    """True when the complement H of g has fewer than half as many edges
+    as g, 2*e(H) < e(G): then counting goes through H's matching
+    polynomial instead of the lowest-vertex DP on g."""
+    return 2 * (g.n * (g.n - 1) // 2 - g.m) < g.m
+
+
+def _poly_on_mask(masks, hits, lo: int, hi: int, mask: int, memo: dict) -> int:
+    """Matching polynomial of the graph with neighbour masks `masks`,
+    induced on `mask`, packed into one int: the matchings using a edges
+    outside `hits` and b edges inside it add 1 << (a*lo + b*hi).
+
+    The lowest vertex u of a mask either stays uncovered or is matched to
+    a neighbour, one child each, so every matching, perfect or not, is
+    reached once.  `memo` maps masks to their packed values and must hold
+    {0: 1}; the recursion reads each child's entry inline.
+    """
+    lookup = memo.get
+
+    def rec(m: int) -> int:
+        u = (m & -m).bit_length() - 1
+        rest = m & (m - 1)
+        total = lookup(rest)
+        if total is None:
+            total = rec(rest)
+        avail = masks[u] & rest
+        ref = hits[u]
+        while avail:
+            vbit = avail & -avail
+            avail ^= vbit
+            child = rest ^ vbit
+            c = lookup(child)
+            if c is None:
+                c = rec(child)
+            total += c << (hi if ref & vbit else lo)
+        memo[m] = total
+        return total
+
+    got = lookup(mask)
+    return rec(mask) if got is None else got
+
+
+def _complement_masks(g: Graph) -> list[int]:
+    full = (1 << g.n) - 1
+    return [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
+
+
+def _dual_sum(packed: int, w: int, half: int) -> int:
+    """sum_k (-1)^k m_k (2*(half-k)-1)!! for the w-bit digits m_k of
+    `packed`: the perfect matchings of a 2*half-vertex graph whose
+    complement has m_k k-edge matchings."""
+    low = (1 << w) - 1
+    total = 0
+    f = 1  # (2j-1)!!, the perfect matchings of K_2j, for j = half - k
+    for j in range(half + 1):
+        k = half - j
+        c = (packed >> (k * w) & low) * f
+        total += -c if k & 1 else c
+        f *= 2 * j + 1
+    return total
+
+
+def _complement_count(g: Graph, mask: int) -> int:
+    """Perfect matchings of g induced on `mask`, an even vertex set S, by
+    Godsil's duality: pm(G[S]) = sum_k (-1)^k m_k(H[S]) (|S|-2k-1)!!, m_k
+    the k-edge matchings of the complement H.  The packed polynomials of
+    H, one w-bit digit per k with w the bit length of C(e, e//2) for
+    e = e(H), bound every m_k, so no digit carries; they are memoised per
+    mask in g._poly_cache, which every count on g shares."""
+    e = g.n * (g.n - 1) // 2 - g.m
+    w = math.comb(e, e // 2).bit_length()
+    memo = g._poly_cache
+    if not memo:
+        memo[0] = 1
+    packed = _poly_on_mask(_complement_masks(g), [0] * g.n, w, 0, mask, memo)
+    return _dual_sum(packed, w, mask.bit_count() // 2)
+
+
+def _count(g: Graph, mask: int) -> int:
+    """The count on `mask` for count_pm and count_pm_containing: on a dense
+    host the memo lookup, the parity check, then the complement's
+    polynomial; on any other host _count_on_mask, which takes the same
+    steps before its DP."""
+    if not _is_dense(g):
+        return _count_on_mask(g, mask)
+    got = g._pm_cache.get(mask)
+    if got is not None:
+        return got
+    if _has_odd_component(g.neighbor_masks, mask):
+        return 0
+    return _complement_count(g, mask)
+
+
 def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
     """Exact number of perfect matchings; 0 whenever some connected
     component has an odd number of vertices (odd n included), found
-    without the DP."""
+    without counting.
+
+    A host whose complement H has fewer than half its edges (2*e(H) <
+    e(G)) is counted through H's matching polynomial (_complement_count),
+    which walks H's few edges instead of g's many; any other host runs
+    the lowest-vertex DP.  A count already in the DP memo, as after a
+    draw, is read from it on either path.
+    """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
-    return _count_on_mask(g, (1 << g.n) - 1)
+    return _count(g, (1 << g.n) - 1)
 
 
 def _matchings(g: Graph) -> Iterator[Matching]:
@@ -188,8 +300,10 @@ def first_pm(g: Graph) -> Optional[Matching]:
 def count_pm_containing(g: Graph, forced, limit: int = DEFAULT_DP_LIMIT) -> int:
     """Perfect matchings containing every edge of `forced`.
 
-    Equals the count on the graph with the forced endpoints deleted.
-    `forced` must be a matching inside E(G).
+    Equals the count on the graph with the forced endpoints deleted, taken
+    as count_pm takes it: on a dense host every call on g shares one memo
+    of the complement's polynomials.  `forced` must be a matching inside
+    E(G).
     """
     edges = edge_set(forced)
     seen: set[int] = set()
@@ -205,7 +319,7 @@ def count_pm_containing(g: Graph, forced, limit: int = DEFAULT_DP_LIMIT) -> int:
     mask = (1 << g.n) - 1
     for v in seen:
         mask ^= 1 << v
-    return _count_on_mask(g, mask)
+    return _count(g, mask)
 
 
 def _draw_row(g: Graph, mask: int, s: int):
@@ -297,6 +411,36 @@ class StrataCounts:
         return {str(k): str(c) for k, c in sorted(self.counts.items())}
 
 
+def _complement_strata(g: Graph, ref_masks: list[int], r: int, kmax: int) -> dict[int, int]:
+    """stratify on a dense host, by the duality behind _complement_count.
+
+    Weigh each pair of K_n by 1 + [in R](x-1) - [in H] for the complement
+    H and the reference R, r edges inside E(G), so disjoint from H.  A
+    perfect matching of g then weighs x^(shared edges), and expanding the
+    product over the pairs of K_n's perfect matchings gives
+        sum_M x^|M & R| = sum_{a,b} m_{a,b} (-1)^a (x-1)^b (n-2a-2b-1)!!,
+    m_{a,b} the matchings of H + R with a edges of H and b of R.  One
+    _poly_on_mask pass over H + R packs m_{a,b} at bit a*w + b*w_ref, w
+    the bit length of C(e, e//2) for e = e(H) + r (no m_{a,b} exceeds it)
+    and w_ref = w*(n//2 + 1), past every a.  R may be any edge set: its
+    edges may share vertices.
+    """
+    n = g.n
+    e = n * (n - 1) // 2 - g.m + r
+    w = math.comb(e, e // 2).bit_length()
+    w_ref = w * (n // 2 + 1)
+    both = [c | h for c, h in zip(_complement_masks(g), ref_masks)]
+    packed = _poly_on_mask(both, ref_masks, w, w_ref, (1 << n) - 1, {0: 1})
+    strata = [0] * (kmax + 1)
+    for b in range(kmax + 1):
+        # the coefficient of (x-1)^b
+        c = _dual_sum(packed >> (b * w_ref), w, n // 2 - b)
+        for k in range(b + 1):
+            term = math.comb(b, k) * c
+            strata[k] += -term if (b - k) & 1 else term
+    return dict(enumerate(strata))
+
+
 def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts:
     """Split the perfect matchings of g by the number of edges shared with
     `reference` (a matching, a graph, or a raw edge set inside E(G)).
@@ -309,6 +453,10 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     from _count_on_mask: a shared loop made count_pm 3-10% slower.  As
     there, a graph with an odd component skips the DP (every stratum is 0)
     and each child's memo entry is read inline.
+
+    A dense host (2*e(H) < e(G) for the complement H) skips this DP too:
+    _complement_strata runs _poly_on_mask on H + reference and expands the
+    duality pm = sum_k (-1)^k m_k (n-2k-1)!! by the reference edges used.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
@@ -321,11 +469,13 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     full = (1 << g.n) - 1
     if _has_odd_component(masks, full):
         return StrataCounts({k: 0 for k in range(kmax + 1)})
-    w = math.prod(range(g.n - 1, 0, -2)).bit_length()
     ref_masks = [0] * g.n
     for u, v in ref:
         ref_masks[u] |= 1 << v
         ref_masks[v] |= 1 << u
+    if _is_dense(g):
+        return StrataCounts(_complement_strata(g, ref_masks, len(ref), kmax))
+    w = math.prod(range(g.n - 1, 0, -2)).bit_length()
     memo: dict[int, int] = {0: 1}
     lookup = memo.get
 

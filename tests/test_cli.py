@@ -184,6 +184,31 @@ def test_walks_on_a_one_regular_host_refuses_a_large_ell_by_its_step_budget(caps
         assert (row["ell"], row["min_walks"], row["max_walks"]) == (int(ell), 0, 0)
 
 
+def test_walks_refuses_a_large_k_by_its_step_budget(capsys, monkeypatch):
+    # P^k, the k-step walk rows and the mixing checks all grow with k: a
+    # k past the step budget is refused before P is powered, within a second
+    def no_power(*args):
+        raise AssertionError("P powered past the step budget")
+
+    argv = ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3", "--ell", "2", "--k"]
+    monkeypatch.setattr(cli.walks, "matrix_power", no_power)
+    start = time.perf_counter()
+    code = main([*argv, "40000"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: instance too large: the k-step checks need 240000 propagation steps, "
+        "over the budget of 100000\n"
+    )
+    assert main([*argv, str(cli.WALK_STEP_BUDGET // 6 + 1)]) == 2
+    capsys.readouterr()
+    monkeypatch.undo()
+    row = run_json(capsys, *argv, "4000")["rows"][0]
+    assert row["k"] == 4000
+
+
 def test_csv_output_and_determinism(capsys):
     code1, out1 = run_cli(capsys, "suite_tv", "--sizes", "6", "8", "--format", "csv")
     code2, out2 = run_cli(capsys, "suite_tv", "--sizes", "6", "8", "--format", "csv")

@@ -75,6 +75,9 @@ INVOCATIONS = {
     ],
     "switching_multipartite_2x4_k2": ["switching", "--family", "multipartite", "-a", "2", "-b", "4", "--k", "2"],
     "switching_multipartite_5x2": ["switching", "--family", "multipartite", "-a", "5", "-b", "2"],
+    "pmf_multipartite_10x2": ["pmf", "--family", "multipartite", "-a", "10", "-b", "2"],
+    "edge_prob_multipartite_6x2": ["edge_prob", "--family", "multipartite", "-a", "6", "-b", "2"],
+    "count_complete_26": ["count", "--family", "complete", "-n", "26"],
 }
 
 CASES = [

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from array import array
@@ -36,7 +37,9 @@ from matchlab.graphs import (
     cycle_graph,
 )
 from matchlab.pm import (
+    _count_on_mask,
     _draw_row,
+    _is_dense,
     count_pm,
     count_pm_containing,
     enumerate_pm,
@@ -108,8 +111,9 @@ def _has_odd_part(g, mask):
 
 def _reference_count_checking_memo(fast, mask):
     """The reference DP's count on `mask`, after checking the memo of `fast`,
-    which has counted only `mask`: that mask alone, as 0, when it has an odd
-    component, and otherwise the very memo the DP without the check builds."""
+    on which _count_on_mask has counted only `mask`: that mask alone, as 0,
+    when it has an odd component, and otherwise the very memo the DP
+    without the check builds."""
     slow = _fresh(fast)
     want = reference_count_on_mask(slow, mask)
     if _has_odd_part(fast, mask):
@@ -130,8 +134,11 @@ def test_count_matches_reference_dp():
     assert sum(odd) >= 8 and sum(not o and count_pm(g) == 0 for g, o in zip(hosts, odd)) >= 1
     for g, mask in zip(hosts, full):
         fast = _fresh(g)
-        got = count_pm(fast)
+        got = _count_on_mask(fast, mask)
         assert got == _reference_count_checking_memo(fast, mask) == oracle_count(g)
+        # count_pm takes the complement's path on dense hosts: the oracle
+        # checks its count, the DP memo test above stays with the DP
+        assert count_pm(_fresh(g)) == got
 
 
 def _random_matching(g, rng):
@@ -159,8 +166,9 @@ def test_count_containing_matches_reference_dp():
             # one memo shared by every call, zeros from short cuts included
             assert count_pm_containing(shared, forced) == want
             fast = _fresh(g)
-            got = count_pm_containing(fast, forced)
+            got = _count_on_mask(fast, mask)
             assert got == _reference_count_checking_memo(fast, mask) == want
+            assert count_pm_containing(_fresh(g), forced) == want
 
 
 def test_stratify_matches_reference_on_disconnected_hosts():
@@ -181,6 +189,126 @@ def test_odd_component_hosts_skip_the_dp():
         assert count_pm(g) == 0
         assert stratify(g, [g.edges[0]]).counts == {0: 0, 1: 0}
         assert first_pm(g) is None
+    assert time.perf_counter() - start < 1.0
+
+
+# -- dense hosts: the complement's matching polynomial -------------------------
+
+def _less_edges(n, t, seed):
+    """K_n less t edges picked by a seeded shuffle: its complement has t edges."""
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    random.Random(seed).shuffle(pairs)
+    return build_graph(n, pairs[t:])
+
+
+def _tutte_blocked():
+    """A dense connected host on 12 vertices with no perfect matching: 5
+    vertices joined to everything, 7 independent ones.  Deleting the 5
+    leaves 7 odd components (Tutte), but the host itself is connected, so
+    the parity check does not answer and the alternating sum must give 0."""
+    return build_graph(12, [(u, v) for u in range(5) for v in range(u + 1, 12)])
+
+
+def _rule_hosts():
+    """Hosts on both sides of the rule 2*e(H) < e(G), and exactly at it
+    (K_10 and K_12 less a third of their pairs), where the DP runs."""
+    hosts = [complete_graph(n) for n in range(13)]
+    hosts += [complete_multipartite(a, b) for a, b in ((2, 4), (3, 2), (4, 2), (6, 2), (4, 3), (3, 4))]
+    hosts += [dense_regular(n, seed) for n, seed in ((10, 1), (12, 2), (14, 3))]
+    hosts += [gnp(n, p, seed) for n in (9, 10, 12) for p in (0.7, 0.85) for seed in (41, 42)]
+    hosts += [_less_edges(n, n * (n - 1) // 6 + d, 43) for n in (10, 12) for d in (-1, 0, 1)]
+    hosts.append(_tutte_blocked())
+    return hosts
+
+
+def test_dense_rule_is_strict():
+    for n in (10, 12):
+        at = n * (n - 1) // 6
+        assert [_is_dense(_less_edges(n, at + d, 0)) for d in (-1, 0, 1)] == [True, False, False]
+    assert not _is_dense(complete_graph(0)) and not _is_dense(complete_graph(1))
+    assert _is_dense(complete_graph(2)) and _is_dense(_tutte_blocked())
+
+
+def test_dense_counts_match_reference_dp_and_oracle():
+    hosts = _rule_hosts()
+    dense = [_is_dense(g) for g in hosts]
+    assert sum(dense) >= 25 and len(hosts) - sum(dense) >= 8
+    for g, on_h in zip(hosts, dense):
+        full = (1 << g.n) - 1
+        fast = _fresh(g)
+        got = count_pm(fast)
+        assert got == reference_count_on_mask(_fresh(g), full)
+        if g.n <= 12:
+            assert got == oracle_count(g)
+        if on_h:
+            # the complement's path leaves the DP memo to the DP
+            assert fast._pm_cache == {}
+            assert bool(fast._poly_cache) == (g.n > 0 and not _has_odd_part(g, full))
+        else:
+            assert fast._poly_cache == {}
+    assert count_pm(_tutte_blocked()) == 0
+
+
+def test_dense_containing_counts_match_reference_dp():
+    rng = random.Random(8)
+    for g in _rule_hosts():
+        shared, slow = _fresh(g), _fresh(g)
+        for forced in [[e] for e in g.edges] + [_random_matching(g, rng) for _ in range(10)]:
+            mask = (1 << g.n) - 1
+            for u, v in forced:
+                mask ^= 1 << u | 1 << v
+            want = reference_count_on_mask(slow, mask)
+            # one polynomial memo shared by every call, and a fresh one
+            assert count_pm_containing(shared, forced) == want
+            assert count_pm_containing(_fresh(g), forced) == want
+        if _is_dense(g):
+            assert shared._pm_cache == {}
+
+
+def test_dense_strata_match_reference():
+    rng = random.Random(9)
+    for g in _rule_hosts():
+        # the graph itself, a random edge subset and a star share vertices
+        star = [e for e in g.edges if e[0] == 0]
+        for ref in strata_references(g, rng) + [star]:
+            got = stratify(g, ref)
+            assert got.counts == reference_stratify(g, ref).counts
+            assert got.total() == count_pm(g)
+
+
+def test_dense_counts_read_the_sampler_memo():
+    # after a draw the DP memo holds the full mask and its children: the
+    # counts come from it, and the complement's polynomial is never built
+    g = dense_regular(12, 4)
+    assert _is_dense(g)
+    sample_pm(g, random.Random(0))
+    full = (1 << g.n) - 1
+    assert count_pm(g) == g._pm_cache[full] == reference_count_on_mask(_fresh(g), full)
+    for v in g.neighbors(0):
+        assert count_pm_containing(g, [(0, v)]) == g._pm_cache[full ^ (1 | 1 << v)]
+    assert g._poly_cache == {}
+
+
+def test_sample_after_dense_counts_matches_oracles():
+    for seed, n in enumerate((12, 14)):
+        g = dense_regular(n, seed + 20)
+        fast = _fresh(g)
+        count_pm(fast)
+        for e in fast.edges[:12]:
+            count_pm_containing(fast, [e])
+        stratify(fast, first_pm(fast))
+        assert fast._pm_cache == {} and fast._poly_cache
+        _assert_matches_oracles(fast, _fresh(g), _fresh(g), seed, draws=100)
+        _assert_rows_consistent(fast)
+
+
+def test_dense_hosts_at_the_cap_count_quickly():
+    # K_26 and K_{13x2} at n = 26: the DP walks 196,417 and over 10^5
+    # masks; the complement walks n + 1 and a few hundred
+    start = time.perf_counter()
+    assert count_pm(complete_graph(26)) == math.prod(range(25, 0, -2))
+    cocktail = complete_multipartite(13, 2)
+    assert count_pm(cocktail) == stratify(cocktail, first_pm(cocktail)).total() > 0
     assert time.perf_counter() - start < 1.0
 
 
@@ -451,7 +579,7 @@ def test_sample_with_list_rows_matches_oracles():
     # check: every row a list, the draws unchanged
     for seed, g in enumerate([dense_regular(16, 5), gnp(12, 0.6, 37), complete_graph(10)]):
         fast = _fresh(g)
-        count_pm(fast)
+        _count_on_mask(fast, (1 << g.n) - 1)
         s = g.n.bit_length()
         for mask, c in fast._pm_cache.items():
             if c:
@@ -489,8 +617,9 @@ def test_sample_after_short_circuited_containment_matches_reference():
         g = _with_pendant(host)
         fast, scan, slow = _fresh(g), _fresh(g), _fresh(g)
         child = (1 << g.n) - 1 ^ 0b11
+        assert count_pm_containing(_fresh(g), [(0, 1)]) == 0
         for h in (fast, scan):
-            assert count_pm_containing(h, [(0, 1)]) == 0
+            assert _count_on_mask(h, child) == 0
             assert h._pm_cache == {child: 0}
         assert count_pm(fast) == reference_count_on_mask(slow, (1 << g.n) - 1) > 0
         for drawn in _assert_matches_oracles(fast, scan, slow, seed):

@@ -336,7 +336,7 @@ def test_disjoint_rejects_unknown_mode_before_counting(g, r):
     g = build_graph(g.n, g.edges)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         disjoint_probability(g, r, mode="bogus")
-    assert g._pm_cache == {}
+    assert g._pm_cache == {} and g._poly_cache == {}
 
 
 @pytest.mark.parametrize("samples", [0, -3])
@@ -346,7 +346,7 @@ def test_disjoint_montecarlo_rejects_no_samples_before_counting(g, r, samples):
     g = build_graph(g.n, g.edges)
     with pytest.raises(ValueError, match="at least one sample"):
         disjoint_probability(g, r, mode="montecarlo", samples=samples)
-    assert g._pm_cache == {}
+    assert g._pm_cache == {} and g._poly_cache == {}
 
 
 def test_disjoint_exact_ignores_samples():
@@ -361,7 +361,7 @@ def test_empirical_freq_rejects_negative_samples_before_counting(g):
     g = build_graph(g.n, g.edges)
     with pytest.raises(ValueError, match="non-negative"):
         empirical_edge_freq(g, -1)
-    assert g._pm_cache == {}
+    assert g._pm_cache == {} and g._poly_cache == {}
 
 
 def test_empirical_freq_zero_samples():
