@@ -211,7 +211,7 @@ def run_switching(args: argparse.Namespace) -> list[dict]:
     ells = [args.ell] if args.ell is not None else list(range(2, g.n // 2 + 1))
     rows = []
     for ell in ells:
-        rep = switching.ratio_report(g, ref, args.k, ell)
+        rep = switching.ratio_report(g, ref, 1 if args.k is None else args.k, ell)
         lmin, lmax, lmean = rep.left_stats
         rmin, rmax, rmean = rep.right_stats
         rows.append(
@@ -248,10 +248,12 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     ell = args.ell if args.ell is not None else min(n, math.ceil(1 / nu) + 1)
     if ell < 0:
         raise ValueError("length must be non-negative")
+    k = args.k if args.k is not None else math.ceil(1 / nu) + 1
+    if k < 1:
+        raise ValueError("--k must be at least 1")
     dg = to_bidirected(g)
     cert = expansion.certify_exact(dg, params)
     _warn_if_vacuous(cert)
-    k = args.k if args.k > 1 else math.ceil(1 / nu) + 1
     if k * n > WALK_STEP_BUDGET:
         # P^k, the k-step walk rows and the mixing checks all grow with k
         raise BudgetExceededError(
@@ -473,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--nu", type=as_fraction)
         p.add_argument("--tau", type=as_fraction)
         p.add_argument("--ell", type=int)
-        p.add_argument("--k", type=int, default=1)
+        p.add_argument("--k", type=int)
         p.add_argument("--r", type=int, default=2)
         p.add_argument("--samples", type=int, default=100_000)
         p.add_argument("--trials", type=int, default=1000)

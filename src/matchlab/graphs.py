@@ -44,10 +44,12 @@ class Graph:
     `neighbor_masks[v]` the same set as a bitmask, which is what the
     subset sweeps and the matching DP operate on.
 
-    `_pm_cache` memoises the matching count per vertex mask,
-    `_draw_rows` the sampler's cumulative row per mask, and `_poly_cache`
-    the complement's packed matching polynomial per mask, which dense
-    hosts count through (see `pm`).
+    Three memos, each with one owner (see `pm`): `_pm_cache`, the
+    matching count per vertex mask, is the lowest-vertex DP's, read by
+    the sampler and by counts on hosts that are not dense; `_draw_rows`,
+    the cumulative row per mask, is the sampler's; and `_poly_cache`, the
+    complement's packed matching polynomial per mask, is the memo of
+    counts on dense hosts, which never read `_pm_cache`.
     """
 
     __slots__ = ("n", "edges", "adjacency", "neighbor_masks", "_pm_cache", "_draw_rows", "_poly_cache", "_hash")

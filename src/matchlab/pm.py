@@ -6,10 +6,12 @@ is checked against.  The counting core is a dynamic program over the
 bitmask of still-unmatched vertices: the lowest unmatched vertex is
 matched against each unmatched neighbour, giving O(2^n * n) time at the
 configured size cap.  Counts are Python ints, so arbitrary precision
-comes for free, and each Graph carries its own memo table keyed by the
-surviving-vertex bitmask, shared by the sampler, which relies on its one
-invariant (a mask is cached only after all its children are), and by
-counting and containment queries on hosts that are not dense (below).
+comes for free, and each Graph carries its own memo table,
+Graph._pm_cache, keyed by the surviving-vertex bitmask.  Only the DP
+(_count_on_mask) reads and writes it: for the sampler, which relies on
+its one invariant (a mask is cached only after all its children are),
+and for counting and containment queries on hosts that are not dense
+(below).
 Listing runs one search, in the same lowest-vertex order, behind both
 enumerate_pm and first_pm; it remembers the masks whose subtree held no
 perfect matching and never expands them again.  stratify runs the
@@ -24,8 +26,11 @@ duality (Combinatorica 1981): pm(G[S]) = sum_k (-1)^k m_k(H[S])
 _poly_on_mask, computes those m_k by the matching-polynomial DP (the
 lowest vertex may also stay uncovered), each m_k a w-bit digit with w the
 bit length of C(e, e//2) for the e edges it may use, so no digit
-carries.  On K_n it walks n + 1 masks where the DP walks F(n+1).  Its
-count memo is Graph._poly_cache; the DP memo stays the sampler's.
+carries.  On K_n it walks n + 1 masks where the DP walks F(n+1).  One
+helper, _complement_strata, takes the duality for counts and strata
+alike.  Dense counts memoise their polynomials per mask in
+Graph._poly_cache and never touch the DP memo; stratify takes a fresh
+memo per call.
 
 The sampler keeps a second per-graph memo, Graph._draw_rows: for each
 mask it has visited, the cumulative counts of the mask's children in
@@ -38,10 +43,11 @@ child a scan over the children would, from the same rng stream.
 
 A graph with a connected component of odd size has no perfect matching.
 After its input and cap checks, each entry point takes its fast paths in
-one order: the DP memo lookup (counting only), then that parity check on
-the entry mask, O(n) mask operations, then the complement's polynomial,
-the DP or the search.  The check never runs inside the
-recursion, whose children are read from the memo inline.
+one order: that parity check on the entry mask, O(n) mask operations,
+then the complement's polynomial, the DP or the search; the DP reads its
+memo before the check, so a count already made is answered first.  The
+check never runs inside the recursion, whose children are read from the
+memo inline.
 """
 
 from __future__ import annotations
@@ -184,35 +190,17 @@ def _dual_sum(packed: int, w: int, half: int) -> int:
     return total
 
 
-def _complement_count(g: Graph, mask: int) -> int:
-    """Perfect matchings of g induced on `mask`, an even vertex set S, by
-    Godsil's duality: pm(G[S]) = sum_k (-1)^k m_k(H[S]) (|S|-2k-1)!!, m_k
-    the k-edge matchings of the complement H.  The packed polynomials of
-    H, one w-bit digit per k with w the bit length of C(e, e//2) for
-    e = e(H), bound every m_k, so no digit carries; they are memoised per
-    mask in g._poly_cache, which every count on g shares."""
-    e = g.n * (g.n - 1) // 2 - g.m
-    w = math.comb(e, e // 2).bit_length()
-    memo = g._poly_cache
-    if not memo:
-        memo[0] = 1
-    packed = _poly_on_mask(_complement_masks(g), [0] * g.n, w, 0, mask, memo)
-    return _dual_sum(packed, w, mask.bit_count() // 2)
-
-
 def _count(g: Graph, mask: int) -> int:
     """The count on `mask` for count_pm and count_pm_containing: on a dense
-    host the memo lookup, the parity check, then the complement's
-    polynomial; on any other host _count_on_mask, which takes the same
-    steps before its DP."""
+    host the parity check, then the complement's polynomial, memoised per
+    mask in g._poly_cache and shared by every count on g; on any other
+    host _count_on_mask, the DP and its memo."""
     if not _is_dense(g):
         return _count_on_mask(g, mask)
-    got = g._pm_cache.get(mask)
-    if got is not None:
-        return got
     if _has_odd_component(g.neighbor_masks, mask):
         return 0
-    return _complement_count(g, mask)
+    g._poly_cache.setdefault(0, 1)
+    return _complement_strata(g, [0] * g.n, 0, 0, mask, g._poly_cache)[0]
 
 
 def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
@@ -221,10 +209,10 @@ def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
     without counting.
 
     A host whose complement H has fewer than half its edges (2*e(H) <
-    e(G)) is counted through H's matching polynomial (_complement_count),
-    which walks H's few edges instead of g's many; any other host runs
-    the lowest-vertex DP.  A count already in the DP memo, as after a
-    draw, is read from it on either path.
+    e(G)) is counted through H's matching polynomial (_complement_strata
+    with no reference), which walks H's few edges instead of g's many,
+    memoised in g._poly_cache; any other host runs the lowest-vertex DP
+    on g._pm_cache, the sampler's memo.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
@@ -302,7 +290,8 @@ def count_pm_containing(g: Graph, forced, limit: int = DEFAULT_DP_LIMIT) -> int:
 
     Equals the count on the graph with the forced endpoints deleted, taken
     as count_pm takes it: on a dense host every call on g shares one memo
-    of the complement's polynomials.  `forced` must be a matching inside
+    of the complement's polynomials, g._poly_cache, and on any other host
+    the DP memo.  `forced` must be a matching inside
     E(G).
     """
     edges = edge_set(forced)
@@ -411,34 +400,42 @@ class StrataCounts:
         return {str(k): str(c) for k, c in sorted(self.counts.items())}
 
 
-def _complement_strata(g: Graph, ref_masks: list[int], r: int, kmax: int) -> dict[int, int]:
-    """stratify on a dense host, by the duality behind _complement_count.
+def _complement_strata(
+    g: Graph, ref_masks: list[int], r: int, kmax: int, mask: int, memo: dict
+) -> list[int]:
+    """Strata 0..kmax of the perfect matchings of g induced on `mask`, an
+    even vertex set S, by the reference R (r edges inside E(G), given by
+    their neighbour masks), through the complement H of g.
 
-    Weigh each pair of K_n by 1 + [in R](x-1) - [in H] for the complement
-    H and the reference R, r edges inside E(G), so disjoint from H.  A
-    perfect matching of g then weighs x^(shared edges), and expanding the
-    product over the pairs of K_n's perfect matchings gives
-        sum_M x^|M & R| = sum_{a,b} m_{a,b} (-1)^a (x-1)^b (n-2a-2b-1)!!,
+    Godsil's duality (Combinatorica 1981): pm(G[S]) = sum_k (-1)^k
+    m_k(H[S]) (|S|-2k-1)!!, m_k the k-edge matchings of H[S].  Weigh each
+    pair of K_S by 1 + [in R](x-1) - [in H], H and R being disjoint.  A
+    perfect matching of G[S] then weighs x^(shared edges), and expanding
+    the product over the pairs of K_S's perfect matchings gives
+        sum_M x^|M & R| = sum_{a,b} m_{a,b} (-1)^a (x-1)^b (|S|-2a-2b-1)!!,
     m_{a,b} the matchings of H + R with a edges of H and b of R.  One
-    _poly_on_mask pass over H + R packs m_{a,b} at bit a*w + b*w_ref, w
-    the bit length of C(e, e//2) for e = e(H) + r (no m_{a,b} exceeds it)
-    and w_ref = w*(n//2 + 1), past every a.  R may be any edge set: its
-    edges may share vertices.
+    _poly_on_mask pass over H + R, memoised in `memo` (which must hold
+    {0: 1}), packs m_{a,b} at bit a*w + b*w_ref, w the bit length of
+    C(e, e//2) for e = e(H) + r (no m_{a,b} exceeds it) and
+    w_ref = w*(|S|/2 + 1), past every a.  R may be any edge set: its edges
+    may share vertices.  With no reference and kmax 0 this is the count.
     """
-    n = g.n
-    e = n * (n - 1) // 2 - g.m + r
+    e = g.n * (g.n - 1) // 2 - g.m + r
     w = math.comb(e, e // 2).bit_length()
-    w_ref = w * (n // 2 + 1)
-    both = [c | h for c, h in zip(_complement_masks(g), ref_masks)]
-    packed = _poly_on_mask(both, ref_masks, w, w_ref, (1 << n) - 1, {0: 1})
+    half = mask.bit_count() // 2
+    w_ref = w * (half + 1)
+    both = _complement_masks(g)
+    if r:
+        both = [c | h for c, h in zip(both, ref_masks)]
+    packed = _poly_on_mask(both, ref_masks, w, w_ref, mask, memo)
     strata = [0] * (kmax + 1)
     for b in range(kmax + 1):
         # the coefficient of (x-1)^b
-        c = _dual_sum(packed >> (b * w_ref), w, n // 2 - b)
+        c = _dual_sum(packed >> (b * w_ref), w, half - b)
         for k in range(b + 1):
             term = math.comb(b, k) * c
             strata[k] += -term if (b - k) & 1 else term
-    return dict(enumerate(strata))
+    return strata
 
 
 def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts:
@@ -455,8 +452,9 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     and each child's memo entry is read inline.
 
     A dense host (2*e(H) < e(G) for the complement H) skips this DP too:
-    _complement_strata runs _poly_on_mask on H + reference and expands the
-    duality pm = sum_k (-1)^k m_k (n-2k-1)!! by the reference edges used.
+    _complement_strata runs _poly_on_mask on H + reference, with a memo of
+    its own, and expands the duality pm = sum_k (-1)^k m_k (n-2k-1)!! by
+    the reference edges used.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
@@ -474,7 +472,8 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
         ref_masks[u] |= 1 << v
         ref_masks[v] |= 1 << u
     if _is_dense(g):
-        return StrataCounts(_complement_strata(g, ref_masks, len(ref), kmax))
+        strata = _complement_strata(g, ref_masks, len(ref), kmax, full, {0: 1})
+        return StrataCounts(dict(enumerate(strata)))
     w = math.prod(range(g.n - 1, 0, -2)).bit_length()
     memo: dict[int, int] = {0: 1}
     lookup = memo.get

@@ -130,17 +130,14 @@ def tv_distance(p: Pmf, q: Pmf) -> float:
 
 def avoidance_ratio(g: Graph, reference) -> tuple[Fraction, float]:
     """Exact probability that a uniform perfect matching avoids the
-    reference edges (stratum 0 of stratify over all strata), next to the
-    Poisson zero-term exp(-e(N)/d)."""
+    reference edges (stratum 0 of intersection_pmf), next to the Poisson
+    zero-term exp(-e(N)/d)."""
     d = regularity(g)
     if d is None:
         raise NotRegularError("graph must be regular")
     ref = edge_set(reference)
-    strata = stratify(g, ref)
-    if strata.total() == 0:
-        raise NoPerfectMatchingError("graph has no perfect matching")
     lam = len(ref) / d if d else 0.0
-    return Fraction(strata.get(0), strata.total()), math.exp(-lam)
+    return intersection_pmf(g, ref).prob(0), math.exp(-lam)
 
 
 def disjoint_probability(
@@ -159,9 +156,10 @@ def disjoint_probability(
     and the last level is counted, not listed); for r >= 3 it refuses
     politely once count^(r-1), the number of listed prefixes it may
     visit, exceeds the tuple budget.  Monte Carlo mode estimates the
-    same probability from `samples` draws.  `r`, `mode` and, in Monte
-    Carlo mode, `samples` are checked before anything is counted, on every
-    host and every r.
+    same probability from `samples` draws and counts nothing: its first
+    draw raises on a host with no perfect matching or past the cap.
+    `r`, `mode` and, in Monte Carlo mode, `samples` are checked before
+    anything is counted or drawn, on every host and every r.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -175,11 +173,11 @@ def disjoint_probability(
     reference = math.exp(-(g.n / (2 * d)) * math.comb(r, 2)) if d else 1.0
     if r == 1:
         return Fraction(1), reference
-    total = count_pm(g)
-    if total == 0:
-        raise NoPerfectMatchingError("graph has no perfect matching")
 
     if mode == "exact":
+        total = count_pm(g)
+        if total == 0:
+            raise NoPerfectMatchingError("graph has no perfect matching")
         # r = 2 reduces to averaging pma(G - M) over one enumeration and
         # needs no tuple budget; deeper nesting lists at most count^(r-1)
         # prefixes and counts the last level, so that is what is gated.
@@ -217,13 +215,15 @@ def disjoint_probability(
 
 def empirical_edge_freq(g: Graph, samples: int, seed: int = 0) -> dict[Edge, float]:
     """Per-edge inclusion frequency over exactly uniform draws; with
-    zero samples every frequency is reported as 0.  A negative `samples`
-    raises ValueError before anything is counted."""
+    zero samples every frequency is reported as 0, after a count that
+    raises on a host with no perfect matching (with samples, the first
+    draw raises instead).  A negative `samples` raises ValueError before
+    anything is counted."""
     if samples < 0:
         raise ValueError("samples must be non-negative")
-    if count_pm(g) == 0:
-        raise NoPerfectMatchingError("graph has no perfect matching")
     if samples == 0:
+        if count_pm(g) == 0:
+            raise NoPerfectMatchingError("graph has no perfect matching")
         return {e: 0.0 for e in g.edges}
     freq = {e: 0 for e in g.edges}
     rng = random.Random(seed)

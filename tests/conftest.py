@@ -46,7 +46,10 @@ from matchlab.pm import (
     DEFAULT_DP_LIMIT,
     DEFAULT_ENUM_CAP,
     StrataCounts,
+    _complement_masks,
     _count_on_mask,
+    _dual_sum,
+    _poly_on_mask,
     count_pm,
     enumerate_pm,
     first_pm,
@@ -223,6 +226,24 @@ def reference_count_on_mask(g: Graph, mask: int) -> int:
         return total
 
     return rec(mask)
+
+
+# The dense count as one standalone function: the oracle for the counts
+# pm._count takes on a dense host and for the g._poly_cache they leave.
+def reference_complement_count(g: Graph, mask: int) -> int:
+    """Perfect matchings of g induced on `mask`, an even vertex set S, by
+    Godsil's duality: pm(G[S]) = sum_k (-1)^k m_k(H[S]) (|S|-2k-1)!!, m_k
+    the k-edge matchings of the complement H.  The packed polynomials of
+    H, one w-bit digit per k with w the bit length of C(e, e//2) for
+    e = e(H), bound every m_k, so no digit carries; they are memoised per
+    mask in g._poly_cache, which every count on g shares."""
+    e = g.n * (g.n - 1) // 2 - g.m
+    w = math.comb(e, e // 2).bit_length()
+    memo = g._poly_cache
+    if not memo:
+        memo[0] = 1
+    packed = _poly_on_mask(_complement_masks(g), [0] * g.n, w, 0, mask, memo)
+    return _dual_sum(packed, w, mask.bit_count() // 2)
 
 
 # -- reference matching search ------------------------------------------------

@@ -384,7 +384,7 @@ def test_parser_flags_and_defaults():
     ns = cli.build_parser().parse_args(["count"])
     assert vars(ns) == {
         "analysis": "count", "family": None, "path": None, "a": None, "b": None,
-        "n": None, "d": None, "nu": None, "tau": None, "ell": None, "k": 1, "r": 2,
+        "n": None, "d": None, "nu": None, "tau": None, "ell": None, "k": None, "r": 2,
         "samples": 100_000, "trials": 1000, "seed": 0, "mode": "exact",
         "reference": "pm", "sampled": False, "bipartite": False, "sizes": [],
         "b_max": 6, "cap": 20, "out": None, "fmt": "json",
@@ -512,3 +512,21 @@ def test_walks_rejects_negative_ell_before_the_sweep(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: length must be non-negative\n"
+
+
+_WALKS_K6 = ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"]
+
+
+def test_walks_takes_k_one_as_one_step(capsys):
+    # with no --k the k-step checks take ceil(1/nu) + 1 = 4 steps (the
+    # golden); a given --k of 1 is taken as it is
+    assert run_json(capsys, *_WALKS_K6, "--k", "1")["rows"][0]["k"] == 1
+
+
+@pytest.mark.parametrize("k", ["0", "-3"])
+def test_walks_rejects_k_below_one(capsys, k):
+    code = main([*_WALKS_K6, "--k", k])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --k must be at least 1\n"

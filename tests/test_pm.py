@@ -12,6 +12,7 @@ from conftest import (
     gnp,
     oracle_count,
     oracle_pm_sets,
+    reference_complement_count,
     reference_count_on_mask,
     reference_enumerate_pm,
     reference_first_pm,
@@ -276,17 +277,45 @@ def test_dense_strata_match_reference():
             assert got.total() == count_pm(g)
 
 
-def test_dense_counts_read_the_sampler_memo():
-    # after a draw the DP memo holds the full mask and its children: the
-    # counts come from it, and the complement's polynomial is never built
+def _reference_dense_count(g, mask):
+    """A dense count as pm._count takes it: the parity check, then the
+    complement's polynomial on g's memo."""
+    if _has_odd_part(g, mask):
+        return 0
+    return reference_complement_count(g, mask)
+
+
+def test_dense_counts_and_memo_match_reference_complement_count():
+    rng = random.Random(10)
+    for g in filter(_is_dense, _rule_hosts()):
+        fast, slow = _fresh(g), _fresh(g)
+        full = (1 << g.n) - 1
+        assert count_pm(fast) == _reference_dense_count(slow, full)
+        assert fast._poly_cache == slow._poly_cache
+        for forced in [[e] for e in g.edges] + [_random_matching(g, rng) for _ in range(10)]:
+            mask = full
+            for u, v in forced:
+                mask ^= 1 << u | 1 << v
+            assert count_pm_containing(fast, forced) == _reference_dense_count(slow, mask)
+            assert fast._poly_cache == slow._poly_cache
+        assert fast._pm_cache == {}
+
+
+def test_dense_counts_leave_the_sampler_memo_alone():
+    # after a draw the DP memo holds the full mask and its children, but a
+    # dense count reads only its own memo, the complement's polynomials
     g = dense_regular(12, 4)
     assert _is_dense(g)
     sample_pm(g, random.Random(0))
+    drawn = dict(g._pm_cache)
     full = (1 << g.n) - 1
-    assert count_pm(g) == g._pm_cache[full] == reference_count_on_mask(_fresh(g), full)
+    slow = _fresh(g)
+    assert count_pm(g) == _reference_dense_count(slow, full)
     for v in g.neighbors(0):
-        assert count_pm_containing(g, [(0, v)]) == g._pm_cache[full ^ (1 | 1 << v)]
-    assert g._poly_cache == {}
+        mask = full ^ (1 | 1 << v)
+        assert count_pm_containing(g, [(0, v)]) == _reference_dense_count(slow, mask)
+    assert g._pm_cache == drawn
+    assert g._poly_cache and g._poly_cache == slow._poly_cache
 
 
 def test_sample_after_dense_counts_matches_oracles():

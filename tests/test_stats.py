@@ -5,10 +5,13 @@ from fractions import Fraction
 import pytest
 from scipy.stats import poisson as scipy_poisson
 
+import matchlab.stats as stats
 from conftest import (
+    dense_regular,
     gnp,
     oracle_pm_sets,
     reference_avoidance_ratio,
+    reference_sample_pm,
     small_zoo,
     strata_hosts,
     strata_references,
@@ -29,7 +32,7 @@ from matchlab.graphs import (
     cycle_graph,
     regularity,
 )
-from matchlab.pm import count_pm, count_pm_containing, enumerate_pm, stratify
+from matchlab.pm import _is_dense, count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
 from matchlab.stats import (
     Pmf,
     avoidance_ratio,
@@ -240,6 +243,10 @@ def test_avoidance_errors_match_reference():
             fn(cycle_graph(28), [])
         with pytest.raises(EdgeNotPresentError):
             fn(cycle_graph(4), [(0, 2)])
+        with pytest.raises(NotRegularError):
+            fn(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), [])
+        with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
+            fn(complete_graph(5), [(0, 1)])
 
 
 # -- disjointness ------------------------------------------------------------------
@@ -380,6 +387,65 @@ def test_empirical_freq_k4_three_sigma():
     sigma = math.sqrt((1 / 3) * (2 / 3) / 3000)
     for value in freqs.values():
         assert abs(value - 1 / 3) <= 3.5 * sigma
+
+
+_MONTECARLO_RUNS = {
+    "edge_freq": lambda g: empirical_edge_freq(g, 40, seed=3),
+    "disjoint": lambda g: disjoint_probability(g, 3, mode="montecarlo", samples=15, seed=3),
+}
+
+
+@pytest.mark.parametrize("run", _MONTECARLO_RUNS.values(), ids=_MONTECARLO_RUNS)
+def test_montecarlo_on_a_dense_host_samples_without_counting(monkeypatch, run):
+    # no count before the draws: the complement's memo stays empty, and the
+    # draws and the final rng state are those of the reference sampler
+    g = dense_regular(12, 5)
+    assert _is_dense(g)
+    drawn, rngs = [], set()
+
+    def recorded(host, rng):
+        rngs.add(rng)
+        drawn.append(sample_pm(host, rng))
+        return drawn[-1]
+
+    monkeypatch.setattr(stats, "sample_pm", recorded)
+    run(g)
+    assert g._poly_cache == {}
+    rng = random.Random(3)
+    slow = build_graph(g.n, g.edges)
+    assert drawn == [reference_sample_pm(slow, rng) for _ in drawn]
+    assert len(rngs) == 1 and rngs.pop().getstate() == rng.getstate()
+
+
+_TWO_TRIANGLES = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+
+
+@pytest.mark.parametrize("run", _MONTECARLO_RUNS.values(), ids=_MONTECARLO_RUNS)
+def test_montecarlo_errors_come_from_the_first_draw(run):
+    # K5 and two triangles have odd components (both are regular, as the
+    # disjointness check needs), and K28 is past the counting cap
+    for g in (complete_graph(5), _TWO_TRIANGLES):
+        with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
+            run(g)
+    with pytest.raises(TooLargeError, match=r"^n=28 above the counting cap 26$"):
+        run(complete_graph(28))
+
+
+def test_edge_freq_on_a_connected_host_without_a_matching_raises_at_the_first_draw():
+    # 5 hubs joined to everything and 7 leaves: connected, so only the DP
+    # under the first draw finds that there is no perfect matching
+    blocked = build_graph(12, [(u, v) for u in range(5) for v in range(u + 1, 12)])
+    with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
+        empirical_edge_freq(blocked, 10)
+    assert blocked._pm_cache[(1 << 12) - 1] == 0 and blocked._poly_cache == {}
+
+
+def test_counting_paths_keep_their_count():
+    for g in (complete_graph(5), _TWO_TRIANGLES):
+        with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
+            empirical_edge_freq(g, 0)
+        with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
+            disjoint_probability(g, 2)
 
 
 # -- pipeline: ratios reproduce the distribution --------------------------------------
