@@ -5,8 +5,13 @@ runs the corresponding module operations, and emits JSON (stdout by
 default) or CSV.  All randomness sits behind an explicit --seed, so
 reports are byte-deterministic given the same invocation.
 
-Exit codes: 0 success, 1 input error, 2 instance too large for the
-configured exact caps.
+Each subcommand parses only the flags its runner reads (build_parser):
+--seed, --out and --format everywhere, the host flags (--family, --file,
+-a, -b, -n, -d) wherever the runner calls build_graph, which is all but
+the two suites, and the analysis's own flags.  Any other flag is refused.
+
+Exit codes: 0 success, 1 input error (a refused flag included), 2
+instance too large for the configured exact caps.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ WALK_STEP_BUDGET = 100_000
 
 
 def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]:
+    if args.path and args.family not in (None, "file"):
+        raise ValueError("--file needs --family file or no --family")
     if args.family == "complete":
         if args.n is None:
             raise ValueError("complete family needs -n")
@@ -394,10 +401,7 @@ def run_suite_multipartite(args: argparse.Namespace) -> list[dict]:
 
 
 def run_suite_tv(args: argparse.Namespace) -> list[dict]:
-    # --file with no --family names the file family, which has no trend
-    family = args.family or ("file" if args.path else "complete")
-    sizes = args.sizes or [6, 8, 10, 12]
-    return suite_tv_trend(family, sizes, args.a)
+    return suite_tv_trend(args.family, args.sizes, args.a)
 
 
 _RUNNERS = {
@@ -464,31 +468,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact perfect-matching experiments on small graphs.",
     )
     sub = parser.add_subparsers(dest="analysis", required=True)
-    for name in _RUNNERS:
-        p = sub.add_parser(name)
-        p.add_argument("--family", choices=["complete", "multipartite", "random_regular", "file"])
-        p.add_argument("--file", dest="path")
-        p.add_argument("-a", type=int)
-        p.add_argument("-b", type=int)
-        p.add_argument("-n", type=int)
-        p.add_argument("-d", type=int)
-        p.add_argument("--nu", type=as_fraction)
-        p.add_argument("--tau", type=as_fraction)
-        p.add_argument("--ell", type=int)
-        p.add_argument("--k", type=int)
-        p.add_argument("--r", type=int, default=2)
-        p.add_argument("--samples", type=int, default=100_000)
-        p.add_argument("--trials", type=int, default=1000)
+    subs = {name: sub.add_parser(name) for name in _RUNNERS}
+    for name, p in subs.items():
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
-        p.add_argument("--reference", choices=["pm", "edge"], default="pm")
-        p.add_argument("--sampled", action="store_true")
-        p.add_argument("--bipartite", action="store_true")
-        p.add_argument("--sizes", type=int, nargs="*", default=[])
-        p.add_argument("--b-max", dest="b_max", type=int, default=6)
-        p.add_argument("--cap", type=int, default=DEFAULT_SUITE_CAP)
         p.add_argument("--out")
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
+        if name.startswith("suite_"):
+            continue
+        p.add_argument("--family", choices=["complete", "multipartite", "random_regular", "file"])
+        p.add_argument("--file", dest="path")
+        for flag in ("-a", "-b", "-n", "-d"):
+            p.add_argument(flag, type=int)
+    for name in ("pmf", "avoidance", "switching"):
+        subs[name].add_argument("--reference", choices=["pm", "edge"], default="pm")
+    for name in ("switching", "walks"):
+        subs[name].add_argument("--ell", type=int)
+        subs[name].add_argument("--k", type=int)
+    for name in ("walks", "expander"):
+        subs[name].add_argument("--nu", type=as_fraction)
+        subs[name].add_argument("--tau", type=as_fraction)
+    p = subs["disjoint"]
+    p.add_argument("--r", type=int, default=2)
+    p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
+    p.add_argument("--samples", type=int, default=100_000)
+    p = subs["expander"]
+    sweep = p.add_mutually_exclusive_group()
+    sweep.add_argument("--sampled", action="store_true")
+    sweep.add_argument("--bipartite", action="store_true")
+    p.add_argument("--trials", type=int, default=1000)
+    p = subs["suite_multipartite"]
+    p.add_argument("--b-max", dest="b_max", type=int, default=6)
+    p.add_argument("--cap", type=int, default=DEFAULT_SUITE_CAP)
+    p = subs["suite_tv"]
+    p.add_argument("--family", choices=["complete", "multipartite"], default="complete")
+    p.add_argument("-a", type=int)
+    p.add_argument("--sizes", type=int, nargs="+", default=[6, 8, 10, 12])
     return parser
 
 

@@ -49,10 +49,15 @@ class Graph:
     the sampler and by counts on hosts that are not dense; `_draw_rows`,
     the cumulative row per mask, is the sampler's; and `_poly_cache`, the
     complement's packed matching polynomial per mask, is the memo of
-    counts on dense hosts, which never read `_pm_cache`.
+    counts on dense hosts, which never read `_pm_cache`.  Beside it,
+    `_co_masks` holds the complement's neighbour masks, None until a
+    dense count or stratify first needs them.
     """
 
-    __slots__ = ("n", "edges", "adjacency", "neighbor_masks", "_pm_cache", "_draw_rows", "_poly_cache", "_hash")
+    __slots__ = (
+        "n", "edges", "adjacency", "neighbor_masks",
+        "_pm_cache", "_draw_rows", "_poly_cache", "_co_masks", "_hash",
+    )
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
@@ -76,6 +81,7 @@ class Graph:
         self._pm_cache: dict[int, int] = {}
         self._draw_rows: dict = {}
         self._poly_cache: dict[int, int] = {}
+        self._co_masks: Optional[list[int]] = None
         self._hash = hash((n, self.edges))
 
     @property

@@ -30,7 +30,7 @@ carries.  On K_n it walks n + 1 masks where the DP walks F(n+1).  One
 helper, _complement_strata, takes the duality for counts and strata
 alike.  Dense counts memoise their polynomials per mask in
 Graph._poly_cache and never touch the DP memo; stratify takes a fresh
-memo per call.
+memo per call.  Both read H's masks, built once per graph (_co_masks).
 
 The sampler keeps a second per-graph memo, Graph._draw_rows: for each
 mask it has visited, the cumulative counts of the mask's children in
@@ -171,8 +171,13 @@ def _poly_on_mask(masks, hits, lo: int, hi: int, mask: int, memo: dict) -> int:
 
 
 def _complement_masks(g: Graph) -> list[int]:
-    full = (1 << g.n) - 1
-    return [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
+    """The complement's neighbour masks, built on first use and kept in
+    g._co_masks."""
+    masks = g._co_masks
+    if masks is None:
+        full = (1 << g.n) - 1
+        masks = g._co_masks = [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
+    return masks
 
 
 def _dual_sum(packed: int, w: int, half: int) -> int:

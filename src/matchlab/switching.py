@@ -19,8 +19,7 @@ each path's last pair of steps to its caller:
   testing each closing edge as it takes the last step.
   `build_switch_graph` materialises them and `ratio_report` only tallies
   degrees.
-- `count_alternating_paths` counts the paths ending at v, and
-  `_alternating_paths` lists every path's (end, flip).
+- `count_alternating_paths` counts the paths ending at v.
 - `build_aux_digraph` has one arc x -> z per table entry inside its
   vertex set.
 """
@@ -159,32 +158,6 @@ def _walk(table, x: int, seen: int, pairs: int, flip: int, last) -> None:
     for z, bits, f in table[x]:
         if not seen & bits:
             _walk(table, z, seen | bits, pairs - 1, flip ^ f, last)
-
-
-def _alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: int):
-    """Every simple path of `length` edges (even) from u that alternates a
-    free edge, outside the int key `ban` and the base matching, with a
-    base-matching edge outside `ban`, starting with a free edge: the list
-    of (end, flip), the path's last vertex and the XOR of its edge bits.
-
-    The paths come from one step table of `base` and `ban`: `_walk` takes
-    every pair of steps but the last from row to row, and the last is read
-    off the end's row here.  They are listed depth first, each row in
-    `g.neighbors` order.
-    """
-    pairs = length // 2
-    if pairs == 0:
-        return [(u, 0)]
-    table = _step_table(_free_steps(g, ban), base, ban)
-    out = []
-
-    def last(x: int, seen: int, flip: int) -> None:
-        for z, bits, f in table[x]:
-            if not seen & bits:
-                out.append((z, flip ^ f))
-
-    _walk(table, u, 1 << u, pairs - 1, 0, last)
-    return out
 
 
 def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):

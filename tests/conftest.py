@@ -46,7 +46,6 @@ from matchlab.pm import (
     DEFAULT_DP_LIMIT,
     DEFAULT_ENUM_CAP,
     StrataCounts,
-    _complement_masks,
     _count_on_mask,
     _dual_sum,
     _poly_on_mask,
@@ -242,7 +241,9 @@ def reference_complement_count(g: Graph, mask: int) -> int:
     memo = g._poly_cache
     if not memo:
         memo[0] = 1
-    packed = _poly_on_mask(_complement_masks(g), [0] * g.n, w, 0, mask, memo)
+    full = (1 << g.n) - 1
+    h_masks = [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
+    packed = _poly_on_mask(h_masks, [0] * g.n, w, 0, mask, memo)
     return _dual_sum(packed, w, mask.bit_count() // 2)
 
 
@@ -736,8 +737,12 @@ def reference_build_aux_digraph(g: Graph, reference, base: Matching, side=None) 
 
 
 def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, ban: int):
-    """Oracle for switching._alternating_paths: the list-walking walker it
-    replaced, yielding (last vertex, edge-bit XOR) in the same order."""
+    """Every simple path of `length` edges (even) from u that alternates a
+    free edge with a base-matching edge, both outside the int key `ban`,
+    starting with a free edge: the list-walking walker, yielding (last
+    vertex, edge-bit XOR) depth first, each row in `g.neighbors` order.
+    The oracle for count_alternating_paths (the paths ending at v) and,
+    inside reference_switches, for the walks of switching._switches."""
     n = g.n
     partner = base.partner_map()
     path: list[int] = [u]
@@ -764,7 +769,7 @@ def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, b
 def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
     """Oracle for switching._switches: the generator-walker pass it
     replaced, verbatim but for the walker, reference_alternating_paths,
-    which yields the same (end, flip) sequence."""
+    the list walker."""
     if k < 1:
         raise ValueError("k must be positive")
     if ell < 2 or 2 * ell > g.n:

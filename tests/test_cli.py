@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -383,14 +384,80 @@ def test_expander_file_with_bad_a_line_is_input_error(capsys, tmp_path, a_lines,
 def test_parser_flags_and_defaults():
     ns = cli.build_parser().parse_args(["count"])
     assert vars(ns) == {
-        "analysis": "count", "family": None, "path": None, "a": None, "b": None,
-        "n": None, "d": None, "nu": None, "tau": None, "ell": None, "k": None, "r": 2,
-        "samples": 100_000, "trials": 1000, "seed": 0, "mode": "exact",
-        "reference": "pm", "sampled": False, "bipartite": False, "sizes": [],
-        "b_max": 6, "cap": 20, "out": None, "fmt": "json",
+        "analysis": "count", "seed": 0, "out": None, "fmt": "json",
+        "family": None, "path": None, "a": None, "b": None, "n": None, "d": None,
     }
     ns = cli.build_parser().parse_args(["walks", "--nu", "0.1", "--tau", "1/3"])
     assert (ns.nu, ns.tau) == (Fraction(1, 10), Fraction(1, 3))
+
+
+_REPORT_FLAGS = {"seed": 0, "out": None, "fmt": "json"}
+_HOST_FLAGS = {"family": None, "path": None, "a": None, "b": None, "n": None, "d": None}
+_OWN_FLAGS = {
+    "count": {},
+    "edge_prob": {},
+    "pmf": {"reference": "pm"},
+    "avoidance": {"reference": "pm"},
+    "disjoint": {"r": 2, "mode": "exact", "samples": 100_000},
+    "switching": {"reference": "pm", "ell": None, "k": None},
+    "walks": {"ell": None, "k": None, "nu": None, "tau": None},
+    "expander": {"nu": None, "tau": None, "sampled": False, "bipartite": False, "trials": 1000},
+    "suite_multipartite": {"b_max": 6, "cap": 20},
+    "suite_tv": {"family": "complete", "a": None, "sizes": [6, 8, 10, 12]},
+}
+
+
+def test_each_subcommand_offers_only_the_flags_its_runner_reads():
+    (subparsers,) = [
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    offered = {
+        name: {a.dest: a.default for a in p._actions if a.dest != "help"}
+        for name, p in subparsers.choices.items()
+    }
+    assert list(offered) == list(cli._RUNNERS)
+    for name, flags in offered.items():
+        host = {} if name.startswith("suite_") else _HOST_FLAGS
+        assert flags == {**_REPORT_FLAGS, **host, **_OWN_FLAGS[name]}, name
+    assert sum(map(len, offered.values())) == 100
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--family", "complete", "-n", "6", "--nu", "1/2"],
+    ["expander", "--family", "complete", "-n", "6", "--nu", "0.1", "--tau", "0.3", "--sampled", "--samples", "50"],
+    ["suite_tv", "--file", "g.el"],
+    ["suite_multipartite", "--b-max", "2", "--cap", "8", "-n", "6"],
+    ["pmf", "--family", "complete", "-n", "6", "--k", "2"],
+    ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3", "--reference", "edge"],
+], ids=lambda argv: argv[0])
+def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
+
+
+@pytest.mark.parametrize("family", ["complete", "multipartite", "random_regular"])
+def test_file_with_a_generated_family_is_input_error(capsys, tmp_path, family):
+    path = tmp_path / "k4.el"
+    write_edge_list(path, complete_graph(4))
+    code = main(["count", "--family", family, "-n", "6", "-a", "3", "-b", "2", "-d", "3", "--file", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: --file needs --family file or no --family\n"
+
+
+def test_expander_sampled_and_bipartite_are_exclusive(capsys):
+    code = main([
+        "expander", "--family", "multipartite", "-a", "2", "-b", "3",
+        "--nu", "0.1", "--tau", "0.3", "--sampled", "--bipartite",
+    ])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "argument --bipartite: not allowed with argument --sampled" in captured.err
 
 
 # -- inputs that used to end in a traceback ---------------------------------

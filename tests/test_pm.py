@@ -301,6 +301,37 @@ def test_dense_counts_and_memo_match_reference_complement_count():
         assert fast._pm_cache == {}
 
 
+def test_complement_masks_are_built_once_per_graph():
+    # the count, every containment count and stratify read one mask list
+    rng = random.Random(11)
+    for g in filter(_is_dense, _rule_hosts()):
+        fast, slow = _fresh(g), _fresh(g)
+        full = (1 << g.n) - 1
+        assert fast._co_masks is None
+        builds = []
+
+        def note():
+            masks = fast._co_masks
+            if masks is not None and not any(masks is b for b in builds):
+                builds.append(masks)
+
+        assert count_pm(fast) == _reference_dense_count(slow, full)
+        note()
+        for forced in [[e] for e in g.edges] + [_random_matching(g, rng) for _ in range(10)]:
+            mask = full
+            for u, v in forced:
+                mask ^= 1 << u | 1 << v
+            assert count_pm_containing(fast, forced) == _reference_dense_count(slow, mask)
+            note()
+        for ref in strata_references(g, rng):
+            assert stratify(fast, ref).counts == reference_stratify(g, ref).counts
+            note()
+        assert fast._poly_cache == slow._poly_cache
+        assert len(builds) == (0 if _has_odd_part(g, full) else 1)
+        if builds:
+            assert builds[0] == [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
+
+
 def test_dense_counts_leave_the_sampler_memo_alone():
     # after a draw the DP memo holds the full mask and its children, but a
     # dense count reads only its own memo, the complement's polynomials
