@@ -2,13 +2,17 @@
 
 One binary with subcommands; every analysis loads or generates a graph,
 runs the corresponding module operations, and emits JSON (stdout by
-default) or CSV.  All randomness sits behind an explicit --seed, so
-reports are byte-deterministic given the same invocation.
+default) or CSV.  The library returns typed exact values; this module
+alone renders them, as flat rows with rationals as 'num/den' strings.
+All randomness sits behind an explicit --seed, so reports are
+byte-deterministic given the same invocation.
 
 Each subcommand parses only the flags its runner reads (build_parser):
 --seed, --out and --format everywhere, the host flags (--family, --file,
 -a, -b, -n, -d) wherever the runner calls build_graph, which is all but
-the two suites, and the analysis's own flags.  Any other flag is refused.
+the two suites, and the analysis's own flags.  Any other flag is refused,
+as are a size flag the family does not use and --samples or --trials on
+the branch that does not sample.
 
 Exit codes: 0 success, 1 input error (a refused flag included), 2
 instance too large for the configured exact caps.
@@ -43,32 +47,35 @@ DEFAULT_SUITE_CAP = 20
 # walk-count propagation steps `walks` may take: ell per source vertex,
 # and k per vertex for the k-step checks
 WALK_STEP_BUDGET = 100_000
+# the size flags each host family reads; a bare --file is the file family
+_FAMILY_FLAGS = {"complete": "n", "multipartite": "ab", "random_regular": "nd", "file": ""}
 
 
 def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]:
     if args.path and args.family not in (None, "file"):
         raise ValueError("--file needs --family file or no --family")
-    if args.family == "complete":
-        if args.n is None:
-            raise ValueError("complete family needs -n")
+    family = "file" if args.path else args.family
+    if family not in _FAMILY_FLAGS:
+        raise ValueError(f"unknown family {args.family!r}")
+    takes = _FAMILY_FLAGS[family]
+    unused = [f"-{f}" for f in "abnd" if f not in takes and getattr(args, f) is not None]
+    if unused:
+        raise ValueError(f"{family} family does not take {' '.join(unused)}")
+    if any(getattr(args, f) is None for f in takes):
+        raise ValueError(f"{family} family needs {' and '.join('-' + f for f in takes)}")
+    if family == "complete":
         return complete_graph(args.n), None
-    if args.family == "multipartite":
-        if args.a is None or args.b is None:
-            raise ValueError("multipartite family needs -a and -b")
+    if family == "multipartite":
         g = complete_multipartite(args.a, args.b)
         part = None
         if args.a == 2:
             part = Bipartition(range(args.b), range(args.b, 2 * args.b))
         return g, part
-    if args.family == "random_regular":
-        if args.n is None or args.d is None:
-            raise ValueError("random_regular family needs -n and -d")
+    if family == "random_regular":
         return random_regular(args.n, args.d, args.seed), None
-    if args.family == "file" or args.path:
-        if not args.path:
-            raise ValueError("file family needs --file")
-        return read_edge_list(args.path)
-    raise ValueError(f"unknown family {args.family!r}")
+    if not args.path:
+        raise ValueError("file family needs --file")
+    return read_edge_list(args.path)
 
 
 def _reference_matching(g: Graph, kind: str):
@@ -96,6 +103,14 @@ def _params(args: argparse.Namespace) -> expansion.ExpansionParams:
     if params.nu > params.tau:
         print("warning: nu > tau is outside the usual hypothesis range", file=sys.stderr)
     return params
+
+
+def _branch_flag(value: Optional[int], default: int, read: bool, flag: str, branch: str) -> int:
+    """A flag that only one branch of a runner reads: its value, or its
+    default, where `read`; refused where it would be ignored."""
+    if value is not None and not read:
+        raise ValueError(f"{flag} needs {branch}")
+    return default if value is None else value
 
 
 def _warn_if_vacuous(cert: expansion.ExpansionCertificate) -> None:
@@ -193,10 +208,12 @@ def run_avoidance(args: argparse.Namespace) -> list[dict]:
 
 
 def run_disjoint(args: argparse.Namespace) -> list[dict]:
+    montecarlo = args.mode == "montecarlo"
+    samples = _branch_flag(args.samples, 100_000, montecarlo, "--samples", "--mode montecarlo")
     g, _ = build_graph(args)
     _require_even(g)
     value, reference = stats.disjoint_probability(
-        g, args.r, mode=args.mode, samples=args.samples, seed=args.seed
+        g, args.r, mode=args.mode, samples=samples, seed=args.seed
     )
     exact = isinstance(value, Fraction)
     return [
@@ -206,7 +223,7 @@ def run_disjoint(args: argparse.Namespace) -> list[dict]:
             "value": frac_str(value) if exact else float(value),
             "value_float": float(value),
             "reference": reference,
-            "samples": args.samples if args.mode == "montecarlo" else None,
+            "samples": samples if montecarlo else None,
         }
     ]
 
@@ -317,10 +334,11 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
 
 
 def run_expander(args: argparse.Namespace) -> list[dict]:
+    trials = _branch_flag(args.trials, 1000, args.sampled, "--trials", "--sampled")
     g, part = build_graph(args)
     params = _params(args)
     if args.sampled:
-        cert = expansion.refute_sampled(g, params, args.trials, args.seed)
+        cert = expansion.refute_sampled(g, params, trials, args.seed)
     elif args.bipartite or part is not None:
         if part is None:
             raise ValueError("--bipartite needs a file with an 'A:' line or -a 2")
@@ -328,11 +346,15 @@ def run_expander(args: argparse.Namespace) -> list[dict]:
     else:
         cert = expansion.certify_exact(g, params)
     _warn_if_vacuous(cert)
-    out = cert.to_json_dict()
-    out["witness"] = (
-        " ".join(str(v) for v in cert.witness) if cert.witness is not None else None
-    )
-    return [out]
+    return [
+        {
+            "verdict": cert.verdict.value,
+            "nu": float(cert.nu),
+            "tau": float(cert.tau),
+            "witness": " ".join(map(str, cert.witness)) if cert.witness is not None else None,
+            "sets_checked": cert.sets_checked,
+        }
+    ]
 
 
 def suite_multipartite_limit(b_max: int, cap: int = DEFAULT_SUITE_CAP) -> list[dict]:
@@ -362,6 +384,8 @@ def suite_multipartite_limit(b_max: int, cap: int = DEFAULT_SUITE_CAP) -> list[d
 def suite_tv_trend(family: str, sizes: list[int], a: Optional[int] = None) -> list[dict]:
     """Distance between the exact overlap distribution (reference: one
     fixed perfect matching) and its Poisson reference across sizes."""
+    if family == "complete" and a is not None:
+        raise ValueError("complete family does not take -a")
     rows = []
     for size in sizes:
         if family == "complete":
@@ -462,12 +486,23 @@ def run(args: argparse.Namespace) -> int:
 
 # -- argument parsing ---------------------------------------------------------
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """Refuses a flag it does not take with its own usage, which lists the
+    flags the subcommand does take, rather than with the top level's."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return namespace, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matchlab",
         description="Exact perfect-matching experiments on small graphs.",
     )
-    sub = parser.add_subparsers(dest="analysis", required=True)
+    sub = parser.add_subparsers(dest="analysis", required=True, parser_class=_SubcommandParser)
     subs = {name: sub.add_parser(name) for name in _RUNNERS}
     for name, p in subs.items():
         p.add_argument("--seed", type=int, default=0)
@@ -490,12 +525,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs["disjoint"]
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
-    p.add_argument("--samples", type=int, default=100_000)
+    p.add_argument("--samples", type=int)
     p = subs["expander"]
     sweep = p.add_mutually_exclusive_group()
     sweep.add_argument("--sampled", action="store_true")
     sweep.add_argument("--bipartite", action="store_true")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int)
     p = subs["suite_multipartite"]
     p.add_argument("--b-max", dest="b_max", type=int, default=6)
     p.add_argument("--cap", type=int, default=DEFAULT_SUITE_CAP)

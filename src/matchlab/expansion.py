@@ -73,15 +73,6 @@ class ExpansionCertificate:
     witness: Optional[tuple[int, ...]]
     sets_checked: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "verdict": self.verdict.value,
-            "nu": float(self.nu),
-            "tau": float(self.tau),
-            "witness": list(self.witness) if self.witness is not None else None,
-            "sets_checked": self.sets_checked,
-        }
-
 
 def _in_masks(obj: Union[Graph, Digraph]) -> tuple[int, ...]:
     # Undirected graphs use plain neighbourhoods; digraphs count

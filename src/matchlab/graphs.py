@@ -236,10 +236,6 @@ class Matching:
     def partner_map(self) -> dict[int, int]:
         return dict(self._partners())
 
-    def to_json_list(self) -> list[list[int]]:
-        """Sorted list of sorted pairs, the wire shape for matchings."""
-        return [[u, v] for u, v in self.pairs]
-
     def __len__(self) -> int:
         return len(self.pairs)
 

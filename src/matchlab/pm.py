@@ -401,9 +401,6 @@ class StrataCounts:
     def max_k(self) -> int:
         return max(self.counts) if self.counts else 0
 
-    def to_json_dict(self) -> dict:
-        return {str(k): str(c) for k, c in sorted(self.counts.items())}
-
 
 def _complement_strata(
     g: Graph, ref_masks: list[int], r: int, kmax: int, mask: int, memo: dict

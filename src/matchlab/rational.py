@@ -37,11 +37,6 @@ def frac_str(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def frac_json(q: Fraction) -> dict:
-    """JSON shape used for exact rationals: decimal strings for num/den."""
-    return {"num": str(q.numerator), "den": str(q.denominator)}
-
-
 def fmt12(x: float) -> str:
     """Floats in CSV output carry 12 significant digits."""
     return format(float(x), ".12g")

@@ -26,7 +26,6 @@ from .errors import (
 )
 from .graphs import Edge, Graph, Matching, edge_set, regularity, remove_edge_set
 from .pm import count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
-from .rational import frac_json
 
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
@@ -57,15 +56,6 @@ class Pmf:
 
     def total(self) -> Prob:
         return sum(self.probs.values())
-
-    def to_json_dict(self) -> dict:
-        out: dict = {"exact": self.exact, "truncation_mass": self.truncation_mass}
-        if self.exact:
-            out["probs"] = {str(k): frac_json(p) for k, p in sorted(self.probs.items())}
-            out["float_mirror"] = {str(k): float(p) for k, p in sorted(self.probs.items())}
-        else:
-            out["probs"] = {str(k): float(p) for k, p in sorted(self.probs.items())}
-        return out
 
 
 def edge_probability(g: Graph, e: Edge) -> Fraction:

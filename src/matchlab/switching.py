@@ -48,7 +48,6 @@ from .graphs import (
     vertices_of,
 )
 from .pm import DEFAULT_ENUM_CAP, enumerate_pm
-from .rational import frac_json
 
 
 def eligible_edge_count(reference, k: int) -> int:
@@ -306,28 +305,6 @@ class RatioReport:
     right_stats: tuple[int, int, Optional[Fraction]]
     edge_count: int
     double_count_ok: bool
-
-    def to_json_dict(self) -> dict:
-        def stats(s):
-            lo, hi, mean = s
-            return {
-                "min": lo,
-                "max": hi,
-                "mean": None if mean is None else float(mean),
-            }
-
-        return {
-            "k": self.k,
-            "ell": self.ell,
-            "stratum_k": str(self.size_k),
-            "stratum_k_minus_1": str(self.size_km1),
-            "exact_ratio": frac_json(self.exact_ratio),
-            "predicted": frac_json(self.predicted),
-            "left_degrees": stats(self.left_stats),
-            "right_degrees": stats(self.right_stats),
-            "switch_edges": self.edge_count,
-            "double_count_ok": self.double_count_ok,
-        }
 
 
 def _degree_stats(degs: list[int]) -> tuple[int, int, Optional[Fraction]]:

@@ -30,7 +30,7 @@ from .errors import (
     ZeroEntryError,
 )
 from .graphs import Digraph, Matching, _check_vertex, vertices_of
-from .rational import as_fraction, frac_json
+from .rational import as_fraction
 
 DEFAULT_MATRIX_CAP = 64
 DEFAULT_PATH_BUDGET = 100_000_000
@@ -67,12 +67,6 @@ class StochasticMatrix:
 
     def max_entry(self) -> Fraction:
         return max(max(row) for row in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [[frac_json(x) for x in row] for row in self.rows],
-        }
 
 
 def transition_matrix(d: Digraph) -> StochasticMatrix:
@@ -229,13 +223,6 @@ class MixingParams:
     beta: Fraction
     threshold: float
 
-    def to_json_dict(self) -> dict:
-        return {
-            "alpha": frac_json(self.alpha),
-            "beta": frac_json(self.beta),
-            "threshold": self.threshold,
-        }
-
 
 def _check_distribution(sigma: Sequence) -> tuple[Fraction, ...]:
     out = tuple(as_fraction(s) for s in sigma)
@@ -276,19 +263,8 @@ class MixingReport:
 
     @property
     def exact_pass(self) -> bool:
-        """The same verdict as `passes`, under its JSON key."""
+        """The same verdict as `passes`, a comparison made in rationals."""
         return self.passes
-
-    def to_json_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "threshold": self.threshold,
-            "below_threshold": self.below_threshold,
-            "max_abs_dev": self.max_abs_dev,
-            "max_rel_dev": self.max_rel_dev,
-            "passes": self.passes,
-            "exact_pass": self.exact_pass,
-        }
 
 
 def mixing_bound_check(p: StochasticMatrix, sigma: Sequence, t: int) -> MixingReport:

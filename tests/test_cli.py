@@ -398,10 +398,10 @@ _OWN_FLAGS = {
     "edge_prob": {},
     "pmf": {"reference": "pm"},
     "avoidance": {"reference": "pm"},
-    "disjoint": {"r": 2, "mode": "exact", "samples": 100_000},
+    "disjoint": {"r": 2, "mode": "exact", "samples": None},
     "switching": {"reference": "pm", "ell": None, "k": None},
     "walks": {"ell": None, "k": None, "nu": None, "tau": None},
-    "expander": {"nu": None, "tau": None, "sampled": False, "bipartite": False, "trials": 1000},
+    "expander": {"nu": None, "tau": None, "sampled": False, "bipartite": False, "trials": None},
     "suite_multipartite": {"b_max": 6, "cap": 20},
     "suite_tv": {"family": "complete", "a": None, "sizes": [6, 8, 10, 12]},
 }
@@ -435,7 +435,65 @@ def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
+    # the subcommand's usage, which lists the flags it does take
+    assert captured.err.startswith(f"usage: matchlab {argv[0]} [-h]")
+    assert f"matchlab {argv[0]}: error: unrecognized arguments: " in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["count", "--family", "complete", "-n", "6", "-d", "3", "-a", "9"], "complete family does not take -a -d"),
+    (["count", "--family", "multipartite", "-a", "3", "-b", "2", "-n", "6"], "multipartite family does not take -n"),
+    (["count", "--family", "random_regular", "-n", "6", "-d", "3", "-b", "2"], "random_regular family does not take -b"),
+    (["count", "--file", "{k4}", "-n", "4"], "file family does not take -n"),
+    (["count", "--family", "file", "--file", "{k4}", "-d", "3"], "file family does not take -d"),
+    (["suite_tv", "--family", "complete", "-a", "3"], "complete family does not take -a"),
+], ids=["complete", "multipartite", "random_regular", "bare_file", "file", "suite_tv"])
+def test_a_size_flag_the_family_does_not_use_is_refused(capsys, tmp_path, argv, message):
+    k4 = tmp_path / "k4.el"
+    write_edge_list(k4, complete_graph(4))
+    code = main([a.format(k4=k4) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["disjoint", "--family", "complete", "-n", "6", "--samples", "5"], "--samples needs --mode montecarlo"),
+    (["expander", "--family", "complete", "-n", "6", "--nu", "0.1", "--tau", "0.3", "--trials", "5"],
+     "--trials needs --sampled"),
+], ids=["samples", "trials"])
+def test_a_flag_read_only_on_the_other_branch_is_refused(capsys, argv, message):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_branch_flags_default_where_they_are_read(capsys):
+    doc = run_json(capsys, "disjoint", "--family", "complete", "-n", "6", "--r", "1", "--mode", "montecarlo")
+    assert doc["rows"][0]["samples"] == 100_000
+    doc = run_json(
+        capsys, "expander", "--family", "complete", "-n", "6", "--nu", "0.1", "--tau", "0.3", "--sampled"
+    )
+    assert doc["rows"][0]["sets_checked"] == 1000
+
+
+@pytest.mark.parametrize("edges, verdict, witness", [
+    ([(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)], "fail", "0 1 2"),
+    ([(u, v) for u in range(6) for v in range(u + 1, 6)], "pass", None),
+], ids=["two_triangles", "k6"])
+def test_expander_row(capsys, tmp_path, edges, verdict, witness):
+    path = tmp_path / "host.el"
+    g = Graph(6, edges)
+    write_edge_list(path, g)
+    doc = run_json(capsys, "expander", "--file", str(path), "--nu", "0.1", "--tau", "0.3")
+    cert = certify_exact(g, ExpansionParams(Fraction(1, 10), Fraction(3, 10)))
+    assert doc["rows"] == [
+        {"verdict": verdict, "nu": 0.1, "tau": 0.3, "witness": witness, "sets_checked": cert.sets_checked}
+    ]
+    assert list(doc["rows"][0]) == ["verdict", "nu", "tau", "witness", "sets_checked"]
 
 
 @pytest.mark.parametrize("family", ["complete", "multipartite", "random_regular"])

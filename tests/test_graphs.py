@@ -151,7 +151,6 @@ def test_matching_validation():
     m = Matching([(2, 3), (0, 1)])
     assert m.pairs == ((0, 1), (2, 3))
     assert m.partner(0) == 1 and m.partner(3) == 2
-    assert m.to_json_list() == [[0, 1], [2, 3]]
     with pytest.raises(NotAMatchingError):
         Matching([(0, 1), (1, 2)])
     with pytest.raises(SelfLoopError):

@@ -527,7 +527,6 @@ def test_ratio_report_error_order():
 
 def test_ratio_report_json():
     rep = ratio_report(complete_graph(6), [(0, 1)], k=1, ell=3)
-    doc = rep.to_json_dict()
-    assert doc["exact_ratio"] == {"num": "1", "den": "4"}
-    assert doc["predicted"] == {"num": "1", "den": "5"}
-    assert isinstance(doc["double_count_ok"], bool)
+    assert rep.exact_ratio == Fraction(1, 4)
+    assert rep.predicted == Fraction(1, 5)
+    assert isinstance(rep.double_count_ok, bool)

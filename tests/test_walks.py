@@ -502,7 +502,6 @@ def test_mixing_check_near_tie_is_decided_exactly():
     assert 8 * s * s - 7 * s + 1 > 0
     rep = mixing_bound_check(uniform_matrix(2), (s, 1 - s), 1)
     assert not rep.passes and not rep.exact_pass
-    assert not rep.to_json_dict()["passes"] and not rep.to_json_dict()["exact_pass"]
     below = F((7 + math.sqrt(17)) / 16) - F(1, 10**14)
     assert 8 * below * below - 7 * below + 1 < 0
     assert mixing_bound_check(uniform_matrix(2), (below, 1 - below), 1).passes
