@@ -16,15 +16,12 @@ from .expansion import (
     min_degree_sufficient,
     refute_sampled,
     robust_neighbourhood,
-    robust_outneighbourhood,
 )
 from .graphs import (
     Bipartition,
     Digraph,
     Graph,
     Matching,
-    build_digraph,
-    build_graph,
     complete_digraph,
     complete_graph,
     complete_multipartite,

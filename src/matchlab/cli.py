@@ -41,7 +41,7 @@ from .graphs import (
     regularity,
     to_bidirected,
 )
-from .rational import as_fraction, fmt12, frac_str
+from .rational import as_fraction, fmt12
 
 DEFAULT_SUITE_CAP = 20
 # walk-count propagation steps `walks` may take: ell per source vertex,
@@ -55,8 +55,8 @@ def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]
     if args.path and args.family not in (None, "file"):
         raise ValueError("--file needs --family file or no --family")
     family = "file" if args.path else args.family
-    if family not in _FAMILY_FLAGS:
-        raise ValueError(f"unknown family {args.family!r}")
+    if family is None:
+        raise ValueError("a host needs --family or --file")
     takes = _FAMILY_FLAGS[family]
     unused = [f"-{f}" for f in "abnd" if f not in takes and getattr(args, f) is not None]
     if unused:
@@ -132,7 +132,7 @@ def _avoidance_fields(g: Graph, ref) -> dict:
     """Exact avoidance ratio next to its Poisson zero-term."""
     exact, reference = stats.avoidance_ratio(g, ref)
     return {
-        "exact": frac_str(exact),
+        "exact": str(exact),
         "exact_float": float(exact),
         "reference": reference,
         "abs_diff": abs(float(exact) - reference),
@@ -149,6 +149,8 @@ def run_count(args: argparse.Namespace) -> list[dict]:
 def run_edge_prob(args: argparse.Namespace) -> list[dict]:
     g, _ = build_graph(args)
     _require_even(g)
+    if pm.count_pm(g) == 0:
+        raise MatchlabError("graph has no perfect matching")
     d = regularity(g)
     inv = 1.0 / d if d else None
     rows = []
@@ -158,7 +160,7 @@ def run_edge_prob(args: argparse.Namespace) -> list[dict]:
             {
                 "u": u,
                 "v": v,
-                "exact": frac_str(p),
+                "exact": str(p),
                 "exact_float": float(p),
                 "d": d,
                 "one_over_d": inv,
@@ -182,7 +184,7 @@ def run_pmf(args: argparse.Namespace) -> list[dict]:
         rows.append(
             {
                 "k": k,
-                "exact": frac_str(p),
+                "exact": str(p),
                 "exact_float": float(p),
                 "poisson": float(pois.prob(k)),
                 "lambda": lam,
@@ -220,7 +222,7 @@ def run_disjoint(args: argparse.Namespace) -> list[dict]:
         {
             "r": args.r,
             "mode": args.mode,
-            "value": frac_str(value) if exact else float(value),
+            "value": str(value) if exact else float(value),
             "value_float": float(value),
             "reference": reference,
             "samples": samples if montecarlo else None,
@@ -233,6 +235,8 @@ def run_switching(args: argparse.Namespace) -> list[dict]:
     _require_even(g)
     ref = _reference_matching(g, args.reference)
     ells = [args.ell] if args.ell is not None else list(range(2, g.n // 2 + 1))
+    if not ells:
+        raise ValueError("switching needs n >= 4, so that some ell has 2 <= ell and 2*ell <= n")
     rows = []
     for ell in ells:
         rep = switching.ratio_report(g, ref, 1 if args.k is None else args.k, ell)
@@ -244,17 +248,17 @@ def run_switching(args: argparse.Namespace) -> list[dict]:
                 "ell": rep.ell,
                 "stratum_k": str(rep.size_k),
                 "stratum_k_minus_1": str(rep.size_km1),
-                "exact_ratio": frac_str(rep.exact_ratio),
+                "exact_ratio": str(rep.exact_ratio),
                 "exact_float": float(rep.exact_ratio),
-                "predicted": frac_str(rep.predicted),
+                "predicted": str(rep.predicted),
                 "predicted_float": float(rep.predicted),
                 "switch_edges": rep.edge_count,
                 "left_min": lmin,
                 "left_max": lmax,
-                "left_mean": float(lmean) if lmean is not None else None,
+                "left_mean": float(lmean),
                 "right_min": rmin,
                 "right_max": rmax,
-                "right_mean": float(rmean) if rmean is not None else None,
+                "right_mean": float(rmean),
                 "double_count_ok": rep.double_count_ok,
             }
         )
@@ -298,7 +302,7 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
                 f"walk counts need {ell * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
             )
         counts = [walks.count_walks(dg, u, v, ell) for u in range(n) for v in range(n) if u != v]
-        rel_err = max(abs(c / expected - 1.0) for c in counts) if counts else 0.0
+        rel_err = max(abs(c / expected - 1.0) for c in counts)
     except OverflowError:
         raise MatchlabError(f"--ell {ell} is too large: the walk counts leave the float range") from None
     sigma = walks.uniform_distribution(n)
@@ -307,8 +311,8 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
         "tau": float(params.tau),
         "certificate": cert.verdict.value,
         "ell": ell,
-        "min_walks": min(counts) if counts else 0,
-        "max_walks": max(counts) if counts else 0,
+        "min_walks": min(counts),
+        "max_walks": max(counts),
         "walk_lower_bound": lower,
         "walk_bound_ok": all(c >= bound for c in counts),
         "max_rel_err_vs_regular_count": rel_err,
@@ -357,13 +361,13 @@ def run_expander(args: argparse.Namespace) -> list[dict]:
     ]
 
 
-def suite_multipartite_limit(b_max: int, cap: int = DEFAULT_SUITE_CAP) -> list[dict]:
+def run_suite_multipartite(args: argparse.Namespace) -> list[dict]:
     """Avoidance ratios across the balanced complete multipartite family,
     from the bipartite end (two parts) to the complete graph (parts of
     size one)."""
     rows = []
-    for b in range(1, b_max + 1):
-        for parts in range(2, cap // b + 1):
+    for b in range(1, args.b_max + 1):
+        for parts in range(2, args.cap // b + 1):
             n = parts * b
             if n % 2 != 0 or n < 4:
                 continue
@@ -381,21 +385,17 @@ def suite_multipartite_limit(b_max: int, cap: int = DEFAULT_SUITE_CAP) -> list[d
     return rows
 
 
-def suite_tv_trend(family: str, sizes: list[int], a: Optional[int] = None) -> list[dict]:
+def run_suite_tv(args: argparse.Namespace) -> list[dict]:
     """Distance between the exact overlap distribution (reference: one
     fixed perfect matching) and its Poisson reference across sizes."""
+    family, a = args.family, args.a
     if family == "complete" and a is not None:
         raise ValueError("complete family does not take -a")
+    if family == "multipartite" and a is None:
+        raise ValueError("multipartite trend needs -a")
     rows = []
-    for size in sizes:
-        if family == "complete":
-            g = complete_graph(size)
-        elif family == "multipartite":
-            if a is None:
-                raise ValueError("multipartite trend needs -a")
-            g = complete_multipartite(a, size)
-        else:
-            raise ValueError(f"unknown family {family!r}")
+    for size in args.sizes:
+        g = complete_graph(size) if family == "complete" else complete_multipartite(a, size)
         if g.n % 2 != 0:
             raise ValueError(f"size {size} gives an odd vertex count")
         ref = pm.first_pm(g)
@@ -411,21 +411,13 @@ def suite_tv_trend(family: str, sizes: list[int], a: Optional[int] = None) -> li
                 "d": d,
                 "lambda": lam,
                 "tv": tv,
-                "p0_exact": frac_str(p0),
+                "p0_exact": str(p0),
                 "p0_float": float(p0),
                 "poisson_truncation": pois.truncation_mass,
                 "out_of_regime": g.n < 4,
             }
         )
     return rows
-
-
-def run_suite_multipartite(args: argparse.Namespace) -> list[dict]:
-    return suite_multipartite_limit(args.b_max, args.cap)
-
-
-def run_suite_tv(args: argparse.Namespace) -> list[dict]:
-    return suite_tv_trend(args.family, args.sizes, args.a)
 
 
 _RUNNERS = {

@@ -82,22 +82,16 @@ def _in_masks(obj: Union[Graph, Digraph]) -> tuple[int, ...]:
     return obj.neighbor_masks
 
 
-def robust_neighbourhood(g: Graph, subset, nu) -> frozenset[int]:
-    """Vertices with at least nu*n neighbours inside `subset`."""
-    return _robust_set(g.neighbor_masks, g.n, subset, as_fraction(nu))
-
-
-def robust_outneighbourhood(d: Digraph, subset, nu) -> frozenset[int]:
-    """Vertices with at least nu*n in-neighbours inside `subset`."""
-    return _robust_set(d.in_masks, d.n, subset, as_fraction(nu))
-
-
-def _robust_set(masks, n: int, subset, nu: Fraction) -> frozenset[int]:
+def robust_neighbourhood(obj: Union[Graph, Digraph], subset, nu) -> frozenset[int]:
+    """Vertices with at least nu*n neighbours inside `subset`: neighbours
+    in a Graph, in-neighbours in a Digraph (its robust out-neighbourhood)."""
+    n = obj.n
     smask = 0
     for v in subset:
         _check_vertex(v, n)
         smask |= 1 << v
-    need = _thresholds(nu, Fraction(0), n)[0]
+    need = _thresholds(as_fraction(nu), Fraction(0), n)[0]
+    masks = _in_masks(obj)
     return frozenset(v for v in range(n) if (masks[v] & smask).bit_count() >= need)
 
 

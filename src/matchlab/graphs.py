@@ -56,7 +56,7 @@ class Graph:
 
     __slots__ = (
         "n", "edges", "adjacency", "neighbor_masks",
-        "_pm_cache", "_draw_rows", "_poly_cache", "_co_masks", "_hash",
+        "_pm_cache", "_draw_rows", "_poly_cache", "_co_masks",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge]):
@@ -82,7 +82,6 @@ class Graph:
         self._draw_rows: dict = {}
         self._poly_cache: dict[int, int] = {}
         self._co_masks: Optional[list[int]] = None
-        self._hash = hash((n, self.edges))
 
     @property
     def m(self) -> int:
@@ -112,7 +111,7 @@ class Graph:
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.n, self.edges))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -187,25 +186,20 @@ class Digraph:
 
 
 class Matching:
-    """A set of pairwise vertex-disjoint undirected edges.
+    """A set of pairwise vertex-disjoint undirected edges."""
 
-    The partner dict behind `partner`, `partner_map` and `vertices` is
-    built on first use when the matching comes from `_from_sorted`.
-    """
-
-    __slots__ = ("pairs", "edge_set", "_partner")
+    __slots__ = ("pairs", "edge_set")
 
     def __init__(self, edges: Iterable[Edge]):
         norm = sorted({_norm_edge(u, v) for u, v in edges})
-        partner: dict[int, int] = {}
+        seen: set[int] = set()
         for u, v in norm:
-            if u in partner or v in partner:
+            if u in seen or v in seen:
                 raise NotAMatchingError(f"vertex reused by edge ({u}, {v})")
-            partner[u] = v
-            partner[v] = u
+            seen.add(u)
+            seen.add(v)
         self.pairs: tuple[Edge, ...] = tuple(norm)
         self.edge_set: frozenset[Edge] = frozenset(norm)
-        self._partner = partner
 
     @classmethod
     def _from_sorted(cls, pairs: Iterable[Edge]) -> "Matching":
@@ -214,27 +208,22 @@ class Matching:
         m = cls.__new__(cls)
         m.pairs = tuple(pairs)
         m.edge_set = frozenset(m.pairs)
-        m._partner = None
         return m
-
-    def _partners(self) -> dict[int, int]:
-        partner = self._partner
-        if partner is None:
-            partner = self._partner = {}
-            for u, v in self.pairs:
-                partner[u] = v
-                partner[v] = u
-        return partner
 
     @property
     def vertices(self) -> frozenset[int]:
-        return frozenset(self._partners())
+        return vertices_of(self.pairs)
 
     def partner(self, v: int) -> Optional[int]:
-        return self._partners().get(v)
+        return self.partner_map().get(v)
 
     def partner_map(self) -> dict[int, int]:
-        return dict(self._partners())
+        """v -> partner, in the order u0, v0, u1, v1, ... of `pairs`."""
+        partner = {}
+        for u, v in self.pairs:
+            partner[u] = v
+            partner[v] = u
+        return partner
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -309,11 +298,6 @@ def vertices_of(edges: Iterable[Edge]) -> frozenset[int]:
 
 
 # -- constructors and generators -------------------------------------------
-
-def build_graph(n: int, edges: Iterable[Edge]) -> Graph:
-    """Validated construction; duplicate edges collapse, self-loops raise."""
-    return Graph(n, edges)
-
 
 def complete_graph(n: int) -> Graph:
     return Graph(n, ((u, v) for u in range(n) for v in range(u + 1, n)))
@@ -393,10 +377,6 @@ def remove_edge_set(g: Graph, removed) -> Graph:
 
 
 # -- digraph constructors ---------------------------------------------------
-
-def build_digraph(n: int, arcs: Iterable[Edge]) -> Digraph:
-    return Digraph(n, arcs)
-
 
 def complete_digraph(n: int) -> Digraph:
     return Digraph(n, ((u, v) for u in range(n) for v in range(n) if u != v))

@@ -30,13 +30,6 @@ def as_fraction(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-def frac_str(q: Fraction) -> str:
-    """Render as 'num/den' ('3' when the denominator is 1)."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def fmt12(x: float) -> str:
     """Floats in CSV output carry 12 significant digits."""
     return format(float(x), ".12g")

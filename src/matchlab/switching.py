@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import (
     EdgeNotPresentError,
@@ -168,9 +167,13 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
     the neighbour keyed key(M) ^ bit(a, b) ^ bit(z, a) ^ flip.  Each left
     matching gets one step table.  The final step of each path looks its
     end z up in a's free row as a dict, z -> bit(z, a), and appends the
-    neighbour there."""
+    neighbour there.  A reference edge outside E(G) is refused, for
+    `build_switch_graph` and `ratio_report` alike."""
     if k < 1:
         raise ValueError("k must be positive")
+    for u, v in ref:
+        if not g.has_edge(u, v):
+            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
     if ell < 2 or 2 * ell > g.n:
         raise ValueError("need 2 <= ell and 2*ell <= n")
     strata: dict[int, list[Matching]] = {k: [], k - 1: []}
@@ -301,15 +304,14 @@ class RatioReport:
     size_km1: int
     exact_ratio: Fraction
     predicted: Fraction
-    left_stats: tuple[int, int, Optional[Fraction]]
-    right_stats: tuple[int, int, Optional[Fraction]]
+    left_stats: tuple[int, int, Fraction]
+    right_stats: tuple[int, int, Fraction]
     edge_count: int
     double_count_ok: bool
 
 
-def _degree_stats(degs: list[int]) -> tuple[int, int, Optional[Fraction]]:
-    if not degs:
-        return (0, 0, None)
+def _degree_stats(degs: list[int]) -> tuple[int, int, Fraction]:
+    """(min, max, mean) of a non-empty degree list."""
     return (min(degs), max(degs), Fraction(sum(degs), len(degs)))
 
 
@@ -321,11 +323,7 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     d = regularity(g)
     if d is None:
         raise NotRegularError("host graph must be regular")
-    ref = edge_set(reference)
-    for u, v in ref:
-        if not g.has_edge(u, v):
-            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
-    walk = _switches(g, ref, k, ell, DEFAULT_ENUM_CAP)
+    walk = _switches(g, edge_set(reference), k, ell, DEFAULT_ENUM_CAP)
     size_k, size_km1 = map(len, next(walk))
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k

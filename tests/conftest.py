@@ -32,7 +32,6 @@ from matchlab.graphs import (
     Graph,
     Matching,
     _check_vertex,
-    build_graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -105,11 +104,11 @@ def gnp(n: int, p: float, seed: int) -> Graph:
     edges = [
         (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
     ]
-    return build_graph(n, edges)
+    return Graph(n, edges)
 
 
 def two_triangles() -> Graph:
-    return build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    return Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
 def small_zoo() -> list[Graph]:
@@ -126,8 +125,8 @@ def small_zoo() -> list[Graph]:
         complete_multipartite(3, 2),
         complete_multipartite(2, 4),
         two_triangles(),
-        build_graph(4, [(0, 1), (2, 3)]),
-        build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
+        Graph(4, [(0, 1), (2, 3)]),
+        Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)]),
         gnp(8, 0.5, 11),
         gnp(8, 0.7, 12),
         gnp(10, 0.5, 13),
@@ -143,7 +142,7 @@ def dense_regular(n: int, seed: int) -> Graph:
     sparse = set(random_regular(n, 3, seed=seed).edges)
     perm = list(range(n))
     random.Random(seed).shuffle(perm)
-    return build_graph(
+    return Graph(
         n, [(perm[u], perm[v]) for u in range(n) for v in range(u + 1, n) if (u, v) not in sparse]
     )
 
@@ -180,22 +179,22 @@ def disconnected_hosts() -> list[Graph]:
         for h in parts:
             edges += [(u + base, v + base) for u, v in h.edges]
             base += h.n
-        return build_graph(base, edges)
+        return Graph(base, edges)
 
-    interleaved_k5 = build_graph(
+    interleaved_k5 = Graph(
         10, [(u, v) for u in range(10) for v in range(u + 1, 10) if (u - v) % 2 == 0]
     )
     return [
         union(complete_graph(3), complete_graph(5)),
         interleaved_k5,
-        union(complete_graph(4), complete_graph(3), build_graph(1, [])),
-        union(build_graph(1, []), complete_graph(5)),
+        union(complete_graph(4), complete_graph(3), Graph(1, [])),
+        union(Graph(1, []), complete_graph(5)),
         complete_graph(7),
         cycle_graph(9),
         union(complete_graph(4), complete_graph(4)),
         union(cycle_graph(6), complete_graph(2)),
-        union(build_graph(4, [(0, 1), (0, 2), (0, 3)]), complete_graph(2)),
-        build_graph(0, []),
+        union(Graph(4, [(0, 1), (0, 2), (0, 3)]), complete_graph(2)),
+        Graph(0, []),
     ]
 
 

@@ -15,8 +15,8 @@ from scipy.stats import chi2
 from conftest import assert_switch_graph_sound, gnp
 from matchlab.expansion import ExpansionParams, Verdict, certify_exact, robust_neighbourhood
 from matchlab.graphs import (
+    Graph,
     Matching,
-    build_graph,
     complete_digraph,
     complete_graph,
     complete_multipartite,
@@ -322,7 +322,7 @@ def test_criterion_12_expansion_certificates():
     gate = Gate(12, "expansion certificates with revalidating witnesses", 10)
     params = ExpansionParams(0.1, 0.3)
     ok = certify_exact(complete_graph(6), params).verdict is Verdict.PASS
-    triangles = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+    triangles = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
     cert = certify_exact(triangles, params)
     ok &= cert.verdict is Verdict.FAIL and cert.witness is not None
     rn = robust_neighbourhood(triangles, cert.witness, params.nu)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from matchlab import cli
-from matchlab.cli import main, suite_multipartite_limit, suite_tv_trend
+from matchlab.cli import main
 from matchlab.expansion import ExpansionParams, certify_bipartite, certify_exact
 from matchlab.graphs import (
     Bipartition,
@@ -287,8 +287,8 @@ def test_nu_greater_than_tau_warns(capsys):
     assert "warning" in captured.err
 
 
-def test_suite_multipartite_contains_known_rows():
-    rows = suite_multipartite_limit(b_max=3, cap=12)
+def test_suite_multipartite_contains_known_rows(capsys):
+    rows = run_json(capsys, "suite_multipartite", "--b-max", "3", "--cap", "12")["rows"]
     index = {(r["parts"], r["part_size"]): r for r in rows}
     assert index[(6, 1)]["exact"] == "8/15"
     assert index[(2, 3)]["exact"] == "1/3"  # three-element derangements
@@ -297,15 +297,15 @@ def test_suite_multipartite_contains_known_rows():
         assert row["abs_diff"] < 0.2
 
 
-def test_suite_tv_trend_shrinks():
-    rows = suite_tv_trend("complete", [6, 8, 10, 12])
+def test_suite_tv_trend_shrinks(capsys):
+    rows = run_json(capsys, "suite_tv", "--sizes", "6", "8", "10", "12")["rows"]
     tvs = [r["tv"] for r in rows]
     assert tvs == sorted(tvs, reverse=True)
     assert all(not r["out_of_regime"] for r in rows)
 
 
-def test_suite_tv_degenerate_small_flagged():
-    rows = suite_tv_trend("complete", [2])
+def test_suite_tv_degenerate_small_flagged(capsys):
+    rows = run_json(capsys, "suite_tv", "--sizes", "2")["rows"]
     assert rows[0]["out_of_regime"] is True
     assert rows[0]["p0_exact"] == "0"
 
@@ -539,6 +539,66 @@ def test_edge_reference_on_graph_without_edges(capsys, tmp_path, analysis):
     assert code == 1
     assert "Traceback" not in err
     assert "error: graph has no edge to use as reference" in err
+
+
+_PATH_P3 = "4 2\n0 1\n1 2\n"
+_TWO_TRIANGLES = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
+
+# Every input error a user can reach, with its whole stderr; "FILE" in argv
+# stands for a file holding the row's edge-list text.
+_INPUT_ERRORS = {
+    "family_file_without_file": (["count", "--family", "file"], None, "file family needs --file"),
+    "bad_header_line": (["count", "--file", "FILE"], "1 2 3\n", "bad header line: '1 2 3'"),
+    "bad_edge_line": (["count", "--file", "FILE"], "4 1\n0 1 2\n", "bad edge line: '0 1 2'"),
+    "pmf_irregular": (["pmf", "--file", "FILE"], _PATH_P3, "pmf analysis needs a regular graph"),
+    "walks_irregular": (
+        ["walks", "--file", "FILE", "--nu", "0.1", "--tau", "0.3"], _PATH_P3,
+        "walks analysis needs a regular graph with edges",
+    ),
+    "disjoint_irregular": (["disjoint", "--file", "FILE"], _PATH_P3, "graph must be regular"),
+    "pmf_regular_without_pm": (
+        ["pmf", "--file", "FILE"], _TWO_TRIANGLES, "graph has no perfect matching to use as reference",
+    ),
+    "walks_without_tau": (
+        ["walks", "--family", "complete", "-n", "6", "--nu", "0.1"], None, "this analysis needs --nu and --tau",
+    ),
+    "expander_without_nu_tau": (
+        ["expander", "--family", "complete", "-n", "6"], None, "this analysis needs --nu and --tau",
+    ),
+    "expander_bipartite_without_bipartition": (
+        ["expander", "--family", "complete", "-n", "6", "--bipartite", "--nu", "0.1", "--tau", "0.3"], None,
+        "--bipartite needs a file with an 'A:' line or -a 2",
+    ),
+    "disjoint_r_zero": (["disjoint", "--family", "complete", "-n", "6", "--r", "0"], None, "r must be at least 1"),
+    "suite_tv_multipartite_without_a": (["suite_tv", "--family", "multipartite"], None, "multipartite trend needs -a"),
+    "suite_tv_odd_size": (["suite_tv", "--sizes", "7"], None, "size 7 gives an odd vertex count"),
+    "no_family_nor_file": (["count", "-n", "6"], None, "a host needs --family or --file"),
+    "bare_count": (["count"], None, "a host needs --family or --file"),
+    "edge_prob_without_pm": (
+        ["edge_prob", "--family", "random_regular", "-n", "8", "-d", "0"], None, "graph has no perfect matching",
+    ),
+    "edge_prob_file_without_pm": (["edge_prob", "--file", "FILE"], "4 1\n0 1\n", "graph has no perfect matching"),
+    "switching_without_an_ell": (
+        ["switching", "--family", "complete", "-n", "2"], None,
+        "switching needs n >= 4, so that some ell has 2 <= ell and 2*ell <= n",
+    ),
+}
+
+
+@pytest.mark.parametrize("argv,text,message", _INPUT_ERRORS.values(), ids=_INPUT_ERRORS)
+def test_reachable_input_errors(capsys, tmp_path, argv, text, message):
+    if text is not None:
+        path = tmp_path / "host.el"
+        path.write_text(text)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+
+
+def test_edge_prob_on_k0_is_an_empty_report(capsys):
+    # K0 has one perfect matching, the empty one, and no edge to report
+    assert run_json(capsys, "edge_prob", "--family", "complete", "-n", "0")["rows"] == []
 
 
 def _reject_constant(name):

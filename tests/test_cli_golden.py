@@ -63,6 +63,7 @@ INVOCATIONS = {
     ],
     "suite_multipartite": ["suite_multipartite", "--b-max", "6"],
     "suite_tv": ["suite_tv", "--sizes", "6", "8", "10", "12"],
+    "suite_tv_multipartite_3": ["suite_tv", "--family", "multipartite", "-a", "3", "--sizes", "2", "4", "6"],
     "pmf_reference_edge": ["pmf", "--family", "complete", "-n", "8", "--reference", "edge"],
     "avoidance_random_regular": [
         "avoidance", "--family", "random_regular", "-n", "16", "-d", "5", "--seed", "2",

@@ -25,12 +25,11 @@ from matchlab.expansion import (
     min_degree_sufficient,
     refute_sampled,
     robust_neighbourhood,
-    robust_outneighbourhood,
 )
 from matchlab.graphs import (
     Bipartition,
-    build_digraph,
-    build_graph,
+    Digraph,
+    Graph,
     complete_digraph,
     complete_graph,
     complete_multipartite,
@@ -58,7 +57,7 @@ def test_rn_complete_graph():
 
 def test_rn_empty_set():
     assert robust_neighbourhood(complete_graph(6), [], 0.1) == frozenset()
-    assert robust_outneighbourhood(complete_digraph(6), [], 0.1) == frozenset()
+    assert robust_neighbourhood(complete_digraph(6), [], 0.1) == frozenset()
 
 
 def test_rn_two_triangles():
@@ -92,7 +91,7 @@ def test_rn_monotone_in_subset():
 
 def test_out_rn_complete_digraph():
     d = complete_digraph(6)
-    assert robust_outneighbourhood(d, [0, 1], 0.1) == frozenset(range(6))
+    assert robust_neighbourhood(d, [0, 1], 0.1) == frozenset(range(6))
 
 
 @pytest.mark.parametrize("v", [-1, 6])
@@ -100,12 +99,12 @@ def test_rn_rejects_vertex_out_of_range(v):
     with pytest.raises(VertexOutOfRangeError, match=f"^vertex {v} outside 0..5$"):
         robust_neighbourhood(complete_graph(6), [0, v], 0.1)
     with pytest.raises(VertexOutOfRangeError, match=f"^vertex {v} outside 0..5$"):
-        robust_outneighbourhood(complete_digraph(6), [v], 0.1)
+        robust_neighbourhood(complete_digraph(6), [v], 0.1)
 
 
 def test_out_rn_directed_cycle():
     d = directed_cycle(6)
-    assert robust_outneighbourhood(d, [0, 1, 2], 0.1) == frozenset({1, 2, 3})
+    assert robust_neighbourhood(d, [0, 1, 2], 0.1) == frozenset({1, 2, 3})
 
 
 # -- exact certification ------------------------------------------------------
@@ -162,6 +161,14 @@ def test_exact_sweep_cap():
         certify_exact(complete_graph(8), ExpansionParams(0.1, 0.3), limit=6)
 
 
+@pytest.mark.parametrize("side,kwargs,cap", [(4, {"limit": 3}, 3), (25, {}, 24)])
+def test_bipartite_sweep_cap(side, kwargs, cap):
+    g = complete_multipartite(2, side)
+    part = Bipartition(range(side), range(side, 2 * side))
+    with pytest.raises(TooLargeForExactSweepError, match=rf"^side size {side} above the sweep cap {cap}$"):
+        certify_bipartite(g, part, ExpansionParams(0.1, 0.3), **kwargs)
+
+
 def test_digraph_certification():
     cert = certify_exact(complete_digraph(6), ExpansionParams(Fraction(1, 3), Fraction(1, 3)))
     assert cert.verdict is Verdict.PASS
@@ -174,7 +181,7 @@ def test_digraph_certification():
 
 def _random_digraph(n, p, seed):
     rng = random.Random(seed)
-    return build_digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
+    return Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p])
 
 
 def _random_bipartite(side, p, seed):
@@ -182,7 +189,7 @@ def _random_bipartite(side, p, seed):
     order = list(range(2 * side))
     rng.shuffle(order)
     a, b = order[:side], order[side:]
-    g = build_graph(2 * side, [(u, v) for u in a for v in b if rng.random() < p])
+    g = Graph(2 * side, [(u, v) for u in a for v in b if rng.random() < p])
     return g, Bipartition(a, b)
 
 
@@ -239,7 +246,7 @@ def test_pruned_sweep_matches_reference_on_dense_pass_hosts():
 def test_fail_witness_after_a_pruned_subtree(monkeypatch):
     # a dense gnp whose top vertex keeps two neighbours
     edges = [e for e in gnp(12, 0.9, 12).edges if 11 not in e]
-    g = build_graph(12, edges + [(0, 11), (1, 11)])
+    g = Graph(12, edges + [(0, 11), (1, 11)])
     p = ExpansionParams(Fraction(1, 5), Fraction(3, 10))
     want = reference_certify_exact(g, p)
     calls = _calls_to_robust_count(monkeypatch)
@@ -285,7 +292,7 @@ def _two_relabelled_cliques(k, seed):
     edges = [
         (perm[b + i], perm[b + j]) for b in (0, k) for i in range(k) for j in range(i + 1, k)
     ]
-    return build_graph(2 * k, edges)
+    return Graph(2 * k, edges)
 
 
 @pytest.mark.parametrize("trials", [0, 1, 7, 200])
@@ -357,7 +364,7 @@ def test_bipartite_c6_golden():
 
 def test_bipartite_fail_case():
     # two disjoint 4-cycles, bipartized: one side's half expands poorly
-    g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
+    g = Graph(8, [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4)])
     part = Bipartition([0, 2, 4, 6], [1, 3, 5, 7])
     cert = certify_bipartite(g, part, ExpansionParams(0.25, 0.25))
     assert cert.verdict is Verdict.FAIL
@@ -368,7 +375,7 @@ def test_bipartite_errors():
     g = complete_multipartite(2, 3)
     with pytest.raises(UnbalancedBipartitionError):
         certify_bipartite(g, Bipartition([0], range(1, 6)), ExpansionParams(0.1, 0.3))
-    tri = build_graph(4, [(0, 1), (1, 2), (0, 2)])
+    tri = Graph(4, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(NotBipartiteError):
         certify_bipartite(tri, Bipartition([0, 3], [1, 2]), ExpansionParams(0.1, 0.3))
 

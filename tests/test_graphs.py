@@ -11,9 +11,9 @@ from matchlab.errors import (
 )
 from matchlab.graphs import (
     Bipartition,
+    Digraph,
+    Graph,
     Matching,
-    build_digraph,
-    build_graph,
     complete_digraph,
     complete_graph,
     complete_multipartite,
@@ -34,25 +34,25 @@ from matchlab.pm import enumerate_pm, first_pm, sample_pm
 
 
 def test_build_graph_complete():
-    g = build_graph(4, [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)])
+    g = Graph(4, [(0, 1), (2, 3), (0, 2), (1, 3), (0, 3), (1, 2)])
     assert g.n == 4 and g.m == 6
     assert g == complete_graph(4)
 
 
 def test_build_graph_edgeless_and_dedup():
-    g = build_graph(2, [])
+    g = Graph(2, [])
     assert g.n == 2 and g.m == 0
-    h = build_graph(3, [(0, 1), (1, 0), (0, 1)])
+    h = Graph(3, [(0, 1), (1, 0), (0, 1)])
     assert h.m == 1
 
 
 def test_build_graph_errors():
     with pytest.raises(SelfLoopError):
-        build_graph(3, [(0, 0)])
+        Graph(3, [(0, 0)])
     with pytest.raises(VertexOutOfRangeError):
-        build_graph(3, [(0, 3)])
+        Graph(3, [(0, 3)])
     with pytest.raises(VertexOutOfRangeError):
-        build_graph(3, [(-1, 2)])
+        Graph(3, [(-1, 2)])
 
 
 def test_adjacency_is_symmetric_and_sorted():
@@ -118,9 +118,9 @@ def test_random_regular_timeout():
 
 def test_regularity():
     assert regularity(complete_graph(4)) == 3
-    assert regularity(build_graph(3, [(0, 1), (1, 2)])) is None
+    assert regularity(Graph(3, [(0, 1), (1, 2)])) is None
     assert regularity(complete_multipartite(3, 2)) == 4
-    assert regularity(build_graph(3, [])) == 0
+    assert regularity(Graph(3, [])) == 0
 
 
 def test_remove_edge_set_k4_to_c4():
@@ -138,7 +138,7 @@ def test_remove_edge_set_identity_and_roundtrip():
     assert remove_edge_set(g, []) == g
     removed = [(0, 1), (2, 3)]
     stripped = remove_edge_set(g, removed)
-    back = build_graph(g.n, list(stripped.edges) + removed)
+    back = Graph(g.n, list(stripped.edges) + removed)
     assert back == g
 
 
@@ -166,24 +166,22 @@ def test_matching_from_sorted_equals_constructor(pairs):
 
 
 def _partner_sources():
-    """(make, lazy): matchings from every way the package makes them, each
-    made afresh so that no accessor has run on it yet; `lazy` when the
-    partner dict is left for first use."""
-    yield lambda: Matching([(2, 3), (0, 1), (4, 7)]), False
-    yield lambda: Matching([]), False
-    yield lambda: Matching._from_sorted([(0, 5), (1, 4), (2, 3)]), True
-    yield lambda: Matching._from_sorted([]), True
-    yield lambda: list(enumerate_pm(complete_graph(6)))[7], True
-    yield lambda: first_pm(cycle_graph(8)), True
-    yield lambda: sample_pm(complete_multipartite(3, 2), random.Random(4)), True
-    yield lambda: sample_pm(build_graph(0, []), random.Random(4)), True
+    """Matchings from every way the package makes them, each made afresh
+    so that no accessor has run on it yet."""
+    yield lambda: Matching([(2, 3), (0, 1), (4, 7)])
+    yield lambda: Matching([])
+    yield lambda: Matching._from_sorted([(0, 5), (1, 4), (2, 3)])
+    yield lambda: Matching._from_sorted([])
+    yield lambda: list(enumerate_pm(complete_graph(6)))[7]
+    yield lambda: first_pm(cycle_graph(8))
+    yield lambda: sample_pm(complete_multipartite(3, 2), random.Random(4))
+    yield lambda: sample_pm(Graph(0, []), random.Random(4))
 
 
 @pytest.mark.parametrize("first", ["partner", "partner_map", "vertices"])
 def test_lazy_partner_map_matches_eager(first):
-    for make, lazy in _partner_sources():
+    for make in _partner_sources():
         m = make()
-        assert (m._partner is None) == lazy
         eager = {}
         for u, v in m.pairs:
             eager[u] = v
@@ -195,7 +193,7 @@ def test_lazy_partner_map_matches_eager(first):
             assert m.partner_map() == eager
         else:
             assert m.vertices == frozenset(eager)
-        assert m.partner_map() == eager and m.vertices == frozenset(eager)
+        assert list(m.partner_map().items()) == list(eager.items()) and m.vertices == frozenset(eager)
         assert [m.partner(v) for v in range(top)] == [eager.get(v) for v in range(top)]
         m.partner_map()[0] = 99
         assert m.partner_map() == eager
@@ -206,7 +204,7 @@ def test_edge_set_and_matching_shape():
     assert is_matching_shaped(Matching([(0, 1)]))
     assert is_matching_shaped([(0, 1), (2, 3)])
     assert not is_matching_shaped([(0, 1), (1, 2)])
-    assert is_matching_shaped(build_graph(4, [(0, 1), (2, 3)]))
+    assert is_matching_shaped(Graph(4, [(0, 1), (2, 3)]))
     assert not is_matching_shaped(cycle_graph(4))
 
 
@@ -226,9 +224,9 @@ def test_digraph_basics():
     assert c.out_neighbors(4) == (0,)
     assert c.in_neighbors(0) == (4,)
     with pytest.raises(SelfLoopError):
-        build_digraph(3, [(1, 1)])
+        Digraph(3, [(1, 1)])
     with pytest.raises(VertexOutOfRangeError):
-        build_digraph(3, [(0, 5)])
+        Digraph(3, [(0, 5)])
 
 
 def test_membership_is_false_outside_vertex_range():
@@ -305,5 +303,5 @@ def test_edge_list_a_line_accepted():
 
 
 def test_format_edge_list_is_canonical():
-    g = build_graph(4, [(3, 2), (1, 0)])
+    g = Graph(4, [(3, 2), (1, 0)])
     assert format_edge_list(g) == "4 2\n0 1\n2 3\n"

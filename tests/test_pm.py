@@ -31,8 +31,8 @@ from matchlab.errors import (
     TooManyMatchingsError,
 )
 from matchlab.graphs import (
+    Graph,
     Matching,
-    build_graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -73,7 +73,7 @@ def test_count_matches_pairing_oracle_on_zoo():
 
 def test_count_odd_n_is_zero():
     assert count_pm(complete_graph(5)) == 0
-    assert count_pm(build_graph(3, [(0, 1), (1, 2)])) == 0
+    assert count_pm(Graph(3, [(0, 1), (1, 2)])) == 0
 
 
 def test_count_double_factorial_growth():
@@ -199,7 +199,7 @@ def _less_edges(n, t, seed):
     """K_n less t edges picked by a seeded shuffle: its complement has t edges."""
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     random.Random(seed).shuffle(pairs)
-    return build_graph(n, pairs[t:])
+    return Graph(n, pairs[t:])
 
 
 def _tutte_blocked():
@@ -207,7 +207,7 @@ def _tutte_blocked():
     vertices joined to everything, 7 independent ones.  Deleting the 5
     leaves 7 odd components (Tutte), but the host itself is connected, so
     the parity check does not answer and the alternating sum must give 0."""
-    return build_graph(12, [(u, v) for u in range(5) for v in range(u + 1, 12)])
+    return Graph(12, [(u, v) for u in range(5) for v in range(u + 1, 12)])
 
 
 def _rule_hosts():
@@ -420,12 +420,12 @@ def _interleaved_cliques(k):
     """Two K_k on the even and the odd labels: no perfect matching when k
     is odd, and every branch of the search dead-ends only deep down."""
     n = 2 * k
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u - v) % 2 == 0])
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u - v) % 2 == 0])
 
 
 def _disjoint_cliques(k):
     n = 2 * k
-    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u < k) == (v < k)])
+    return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if (u < k) == (v < k)])
 
 
 def test_first_pm_no_matching_interleaved_cliques_is_fast():
@@ -447,7 +447,7 @@ def _search_hosts():
     hosts = small_zoo()
     hosts += [complete_graph(8), complete_graph(10), complete_multipartite(4, 2), cycle_graph(10)]
     hosts += [gnp(10, p, s) for p in (0.3, 0.6) for s in range(6)]
-    hosts += [build_graph(0, []), complete_graph(7), _interleaved_cliques(5), _interleaved_cliques(7)]
+    hosts += [Graph(0, []), complete_graph(7), _interleaved_cliques(5), _interleaved_cliques(7)]
     return hosts + disconnected_hosts()
 
 
@@ -516,7 +516,7 @@ def test_every_pm_uses_vertex_once():
 # -- sampling ---------------------------------------------------------------
 
 def test_sample_unique_pm_graph():
-    g = build_graph(4, [(0, 1), (2, 3)])
+    g = Graph(4, [(0, 1), (2, 3)])
     rng = random.Random(0)
     only = Matching([(0, 1), (2, 3)])
     for _ in range(20):
@@ -551,12 +551,12 @@ def test_sample_frequencies_track_exact_ratios():
 def _sampler_hosts():
     hosts = [g for g in small_zoo() if count_pm(g) > 0]
     hosts += [gnp(12, 0.5, 31), gnp(14, 0.4, 32), gnp(16, 0.6, 33)]
-    hosts.append(build_graph(0, []))
+    hosts.append(Graph(0, []))
     return hosts
 
 
 def _fresh(g):
-    return build_graph(g.n, g.edges)
+    return Graph(g.n, g.edges)
 
 
 def _assert_matches_oracles(fast, scan, slow, seed, draws=200):
@@ -666,13 +666,13 @@ def _with_pendant(g):
     """g plus an edge (0, 1) and a new vertex hung on vertex 1, so every
     perfect matching uses the pendant edge, and forcing (0, 1) strands the
     new vertex: that count is cut short at a child of the full mask."""
-    return build_graph(g.n + 1, list(g.edges) + [(0, 1), (1, g.n)])
+    return Graph(g.n + 1, list(g.edges) + [(0, 1), (1, g.n)])
 
 
 def test_sample_after_short_circuited_containment_matches_reference():
     dense = dense_regular(16, 38)
     hosts = [gnp(11, 0.6, 35), gnp(13, 0.5, 36), complete_graph(9)]
-    hosts.append(build_graph(15, [e for e in dense.edges if 15 not in e]))
+    hosts.append(Graph(15, [e for e in dense.edges if 15 not in e]))
     for seed, host in enumerate(hosts):
         g = _with_pendant(host)
         fast, scan, slow = _fresh(g), _fresh(g), _fresh(g)
@@ -692,7 +692,7 @@ def test_sample_after_short_circuited_containment_matches_reference():
     [
         (complete_graph(6), 4, TooLargeError),
         (cycle_graph(5), 26, NoPerfectMatchingError),
-        (build_graph(4, [(0, 1), (0, 2), (0, 3)]), 26, NoPerfectMatchingError),
+        (Graph(4, [(0, 1), (0, 2), (0, 3)]), 26, NoPerfectMatchingError),
     ],
 )
 def test_sample_errors_match_reference(g, limit, error):
@@ -772,6 +772,12 @@ def test_stratify_matches_reference():
     for g in hosts:
         for ref in strata_references(g, rng):
             assert stratify(g, ref).counts == reference_stratify(g, ref).counts
+
+
+@pytest.mark.parametrize("n,kwargs,cap", [(6, {"limit": 4}, 4), (28, {}, 26)])
+def test_count_pm_containing_refuses_a_host_past_its_cap(n, kwargs, cap):
+    with pytest.raises(TooLargeError, match=rf"^n={n} above the counting cap {cap}$"):
+        count_pm_containing(complete_graph(n), [(0, 1)], **kwargs)
 
 
 @pytest.mark.parametrize(

@@ -25,8 +25,8 @@ from matchlab.errors import (
     TooLargeError,
 )
 from matchlab.graphs import (
+    Graph,
     Matching,
-    build_graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -80,7 +80,7 @@ def test_edge_probability_errors():
     with pytest.raises(EdgeNotPresentError):
         edge_probability(cycle_graph(4), (0, 2))
     with pytest.raises(NoPerfectMatchingError):
-        edge_probability(build_graph(4, [(0, 1), (1, 2), (1, 3)]), (0, 1))
+        edge_probability(Graph(4, [(0, 1), (1, 2), (1, 3)]), (0, 1))
 
 
 # -- overlap distribution -------------------------------------------------------
@@ -208,7 +208,7 @@ def test_avoidance_empty_reference():
 
 
 def test_avoidance_requires_regular():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     with pytest.raises(NotRegularError):
         avoidance_ratio(g, [(0, 1)])
 
@@ -244,7 +244,7 @@ def test_avoidance_errors_match_reference():
         with pytest.raises(EdgeNotPresentError):
             fn(cycle_graph(4), [(0, 2)])
         with pytest.raises(NotRegularError):
-            fn(build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), [])
+            fn(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), [])
         with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
             fn(complete_graph(5), [(0, 1)])
 
@@ -332,7 +332,7 @@ def test_disjoint_exact_budget_counts_listed_prefixes():
 # made after counting, or after the regularity check, raises something else
 _UNCOUNTED_HOSTS = [
     complete_graph(5),
-    build_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]),
+    Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]),
     complete_graph(6),
 ]
 
@@ -340,7 +340,7 @@ _UNCOUNTED_HOSTS = [
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
 def test_disjoint_rejects_unknown_mode_before_counting(g, r):
-    g = build_graph(g.n, g.edges)
+    g = Graph(g.n, g.edges)
     with pytest.raises(ValueError, match="unknown mode 'bogus'"):
         disjoint_probability(g, r, mode="bogus")
     assert g._pm_cache == {} and g._poly_cache == {}
@@ -350,7 +350,7 @@ def test_disjoint_rejects_unknown_mode_before_counting(g, r):
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
 def test_disjoint_montecarlo_rejects_no_samples_before_counting(g, r, samples):
-    g = build_graph(g.n, g.edges)
+    g = Graph(g.n, g.edges)
     with pytest.raises(ValueError, match="at least one sample"):
         disjoint_probability(g, r, mode="montecarlo", samples=samples)
     assert g._pm_cache == {} and g._poly_cache == {}
@@ -365,7 +365,7 @@ def test_disjoint_exact_ignores_samples():
 
 @pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5)])
 def test_empirical_freq_rejects_negative_samples_before_counting(g):
-    g = build_graph(g.n, g.edges)
+    g = Graph(g.n, g.edges)
     with pytest.raises(ValueError, match="non-negative"):
         empirical_edge_freq(g, -1)
     assert g._pm_cache == {} and g._poly_cache == {}
@@ -377,7 +377,7 @@ def test_empirical_freq_zero_samples():
 
 
 def test_empirical_freq_unique_pm():
-    g = build_graph(4, [(0, 1), (2, 3), (0, 2)])
+    g = Graph(4, [(0, 1), (2, 3), (0, 2)])
     freqs = empirical_edge_freq(g, 50, seed=1)
     assert freqs[(0, 1)] == 1.0 and freqs[(2, 3)] == 1.0 and freqs[(0, 2)] == 0.0
 
@@ -412,12 +412,12 @@ def test_montecarlo_on_a_dense_host_samples_without_counting(monkeypatch, run):
     run(g)
     assert g._poly_cache == {}
     rng = random.Random(3)
-    slow = build_graph(g.n, g.edges)
+    slow = Graph(g.n, g.edges)
     assert drawn == [reference_sample_pm(slow, rng) for _ in drawn]
     assert len(rngs) == 1 and rngs.pop().getstate() == rng.getstate()
 
 
-_TWO_TRIANGLES = build_graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+_TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
 
 
 @pytest.mark.parametrize("run", _MONTECARLO_RUNS.values(), ids=_MONTECARLO_RUNS)
@@ -434,7 +434,7 @@ def test_montecarlo_errors_come_from_the_first_draw(run):
 def test_edge_freq_on_a_connected_host_without_a_matching_raises_at_the_first_draw():
     # 5 hubs joined to everything and 7 leaves: connected, so only the DP
     # under the first draw finds that there is no perfect matching
-    blocked = build_graph(12, [(u, v) for u in range(5) for v in range(u + 1, 12)])
+    blocked = Graph(12, [(u, v) for u in range(5) for v in range(u + 1, 12)])
     with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
         empirical_edge_freq(blocked, 10)
     assert blocked._pm_cache[(1 << 12) - 1] == 0 and blocked._poly_cache == {}

@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from conftest import (
 )
 from matchlab import pm, switching
 from matchlab.errors import (
+    EdgeNotPresentError,
     EmptyStratumError,
     MatchlabError,
     NotAPerfectMatchingError,
@@ -24,8 +26,8 @@ from matchlab.errors import (
     VertexOutOfRangeError,
 )
 from matchlab.graphs import (
+    Graph,
     Matching,
-    build_graph,
     complete_graph,
     complete_multipartite,
     cycle_graph,
@@ -133,25 +135,37 @@ def _differential_hosts(regular_only=False):
 
 def _differential_references(g, rng):
     """One edge, a whole perfect matching, two edges of another one, the
-    empty set, and a random edge set that is not a matching (its pairs
-    need not be edges of g)."""
+    empty set, a random edge set that is not a matching (its pairs need
+    not be edges of g), and edges of g that are not a matching (two at a
+    vertex of top degree, when that is at least two, and the first and
+    last edge)."""
     pms = list(enumerate_pm(g))
     other = pms[-1] if len(pms) > 1 else pms[0]
     hub, x, y = rng.sample(range(g.n), 3)
     pairs = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)]
+    top = max(range(g.n), key=g.degree)
     return [
         [pms[0].pairs[0]],
         pms[0],
         list(other.pairs[:2]),
         [],
         [(hub, x), (hub, y)] + rng.sample(pairs, 2),
+        [(top, v) for v in g.neighbors(top)[:2]] + [g.edges[0], g.edges[-1]],
     ]
+
+
+def _outside(g, ref) -> bool:
+    return not edge_set(ref) <= frozenset(g.edges)
 
 
 @pytest.mark.parametrize("g", _differential_hosts())
 def test_switch_graph_matches_pairwise_oracle(g):
     rng = random.Random(g.n * 1000 + g.m)
     for ref in _differential_references(g, rng):
+        if _outside(g, ref):
+            with pytest.raises(EdgeNotPresentError):
+                build_switch_graph(g, ref, k=1, ell=2)
+            continue
         for k in (1, 2, 3):
             for ell in range(2, g.n // 2 + 1):
                 got = build_switch_graph(g, ref, k=k, ell=ell)
@@ -167,6 +181,10 @@ def test_switches_match_the_generator_pass(g):
     # neighbour list of the generator-walker pass, order included
     rng = random.Random(g.n * 1000 + g.m + 2)
     for ref in _differential_references(g, rng):
+        if _outside(g, ref):
+            with pytest.raises(EdgeNotPresentError):
+                list(switching._switches(g, edge_set(ref), 1, 2, DEFAULT_ENUM_CAP))
+            continue
         ref = edge_set(ref)
         for k in (1, 2, 3):
             for ell in range(2, g.n // 2 + 1):
@@ -417,6 +435,16 @@ def test_bijection_with_companion_digraph():
 
 # -- ratio reports -----------------------------------------------------------------
 
+@pytest.mark.parametrize("entry", [build_switch_graph, ratio_report])
+@pytest.mark.parametrize("g,ref,bad", [
+    (complete_graph(6), [(0, 9)], (0, 9)),
+    (complete_multipartite(3, 2), [(0, 2), (0, 1)], (0, 1)),
+])
+def test_a_reference_edge_outside_the_host_is_refused(entry, g, ref, bad):
+    with pytest.raises(EdgeNotPresentError, match=re.escape(f"reference edge {bad} not in graph")):
+        entry(g, ref, 1, 2)
+
+
 def test_ratio_report_k4():
     rep = ratio_report(complete_graph(4), [(0, 1)], k=1, ell=2)
     assert rep.exact_ratio == Fraction(1, 2)
@@ -458,7 +486,7 @@ def test_ratio_report_empty_stratum():
 
 
 def test_ratio_report_not_regular():
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     with pytest.raises(NotRegularError):
         ratio_report(g, [(0, 1)], k=1, ell=2)
 
@@ -468,7 +496,7 @@ def test_ratio_report_rejects_k_below_one_first(k):
     with pytest.raises(ValueError, match="^k must be positive$"):
         ratio_report(complete_graph(4), [(0, 1)], k=k, ell=2)
     # checked before regularity, the reference and the strata
-    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
     with pytest.raises(ValueError, match="^k must be positive$"):
         ratio_report(g, [(1, 3)], k=k, ell=2)
 

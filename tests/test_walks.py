@@ -22,8 +22,8 @@ from matchlab.errors import (
 )
 from matchlab.expansion import ExpansionParams, Verdict, certify_exact
 from matchlab.graphs import (
+    Digraph,
     Matching,
-    build_digraph,
     complete_digraph,
     complete_graph,
     complete_multipartite,
@@ -72,7 +72,7 @@ def test_transition_directed_cycle_is_permutation():
 
 def test_transition_sink_error():
     with pytest.raises(SinkVertexError):
-        transition_matrix(build_digraph(3, [(0, 1), (1, 2)]))
+        transition_matrix(Digraph(3, [(0, 1), (1, 2)]))
 
 
 def test_stochastic_validation():
@@ -108,7 +108,7 @@ def random_digraphs():
         for u in range(n):
             if not any(a == u for a, _ in arcs):
                 arcs.append((u, (u + 1) % n))
-        out.append(build_digraph(n, arcs))
+        out.append(Digraph(n, arcs))
     return out
 
 
@@ -129,7 +129,7 @@ def test_power_dimension_cap():
 
 def mixed_degree_digraph():
     # out-degrees 1, 2, 3, 1: the power's common denominator is L = 6
-    return build_digraph(4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)])
+    return Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 0), (2, 1), (2, 3), (3, 2)])
 
 
 def power_test_matrices():
@@ -139,7 +139,7 @@ def power_test_matrices():
         complete_digraph(6),
         complete_digraph(8),
         directed_cycle(5),
-        build_digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)]),
+        Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)]),
         to_bidirected(complete_multipartite(3, 2)),
         mixed_degree_digraph(),
         *random_digraphs(),
@@ -213,7 +213,7 @@ def test_walks_complete_digraph_length_two():
 
 
 def test_walks_match_brute_force():
-    d = build_digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)])
+    d = Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 0), (1, 4)])
 
     def brute(u, v, ell):
         if ell == 0:
@@ -246,8 +246,8 @@ def test_walks_equal_scaled_power_on_regular():
 
 
 def _walk_hosts(seed):
-    sink = build_digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (1, 4)])
-    circulant = build_digraph(9, [(i, (i + s) % 9) for i in range(9) for s in (1, 2, 4)])
+    sink = Digraph(5, [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (1, 4)])
+    circulant = Digraph(9, [(i, (i + s) % 9) for i in range(9) for s in (1, 2, 4)])
     return [
         complete_digraph(5),
         directed_cycle(6),
@@ -539,7 +539,7 @@ def test_sandwich_certified_instance():
 
 
 def test_sandwich_not_regular():
-    d = build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)])
+    d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)])
     with pytest.raises(NotRegularError):
         sandwich_check(d, 2, F(1, 3), F(1, 2))
     with pytest.raises(NotRegularError):
@@ -547,7 +547,7 @@ def test_sandwich_not_regular():
 
 
 def circulant(n, shifts):
-    return build_digraph(n, [(i, (i + s) % n) for i in range(n) for s in shifts])
+    return Digraph(n, [(i, (i + s) % n) for i in range(n) for s in shifts])
 
 
 def sandwich_hosts():
@@ -584,10 +584,10 @@ def test_sandwich_matches_reference_verdicts():
 @pytest.mark.parametrize(
     "d, k, delta",
     [
-        (build_digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)]), 2, F(1, 2)),
+        (Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)]), 2, F(1, 2)),
         (complete_digraph(4), 2, F(1, 2)),
-        (build_digraph(3, []), 2, F(0)),
-        (build_digraph(3, []), -1, F(0)),
+        (Digraph(3, []), 2, F(0)),
+        (Digraph(3, []), -1, F(0)),
         (complete_digraph(4), -1, F(3, 4)),
     ],
     ids=["not_regular", "delta_mismatch", "degree_zero", "degree_zero_k_negative", "k_negative"],
@@ -607,7 +607,7 @@ def test_sandwich_reads_the_row_of_every_source():
     arcs = [(0, 2), (0, 3), (1, 3), (1, 5), (2, 0), (2, 5),
             (3, 1), (3, 4), (4, 0), (4, 2), (5, 1), (5, 4)]
     for r in range(6):
-        d = build_digraph(6, [((u + r) % 6, (v + r) % 6) for u, v in arcs])
+        d = Digraph(6, [((u + r) % 6, (v + r) % 6) for u, v in arcs])
         assert count_walks(d, (1 + r) % 6, (1 + r) % 6, 3) == 0
         assert not reference_sandwich_check(d, 3, F(1, 6), F(1, 3))
         assert not sandwich_check(d, 3, F(1, 6), F(1, 3))
