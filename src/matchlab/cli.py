@@ -364,7 +364,9 @@ def run_expander(args: argparse.Namespace) -> list[dict]:
 def run_suite_multipartite(args: argparse.Namespace) -> list[dict]:
     """Avoidance ratios across the balanced complete multipartite family,
     from the bipartite end (two parts) to the complete graph (parts of
-    size one)."""
+    size one).  The smallest host, K_4, needs --b-max >= 1 and --cap >= 4."""
+    if args.b_max < 1 or args.cap < 4:
+        raise ValueError("the suite holds no host: it needs --b-max >= 1 and --cap >= 4")
     rows = []
     for b in range(1, args.b_max + 1):
         for parts in range(2, args.cap // b + 1):

@@ -47,16 +47,19 @@ class Graph:
     Three memos, each with one owner (see `pm`): `_pm_cache`, the
     matching count per vertex mask, is the lowest-vertex DP's, read by
     the sampler and by counts on hosts that are not dense; `_draw_rows`,
-    the cumulative row per mask, is the sampler's; and `_poly_cache`, the
-    complement's packed matching polynomial per mask, is the memo of
-    counts on dense hosts, which never read `_pm_cache`.  Beside it,
-    `_co_masks` holds the complement's neighbour masks, None until a
-    dense count or stratify first needs them.
+    one record per mask (count, its bit length, cumulative row, steps),
+    is the sampler's; and `_poly_cache`, the complement's packed matching
+    polynomial per mask, is the memo of counts on dense hosts, which
+    never read `_pm_cache`.  Beside them, `_draw_steps` holds the
+    sampler's shared child steps, one `((u, v), 1 << u | 1 << v)` per
+    edge, None until the first draw; and `_co_masks` holds the
+    complement's neighbour masks, None until a dense count or stratify
+    first needs them.
     """
 
     __slots__ = (
         "n", "edges", "adjacency", "neighbor_masks",
-        "_pm_cache", "_draw_rows", "_poly_cache", "_co_masks",
+        "_pm_cache", "_draw_rows", "_draw_steps", "_poly_cache", "_co_masks",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge]):
@@ -80,6 +83,7 @@ class Graph:
         self.neighbor_masks: tuple[int, ...] = tuple(masks)
         self._pm_cache: dict[int, int] = {}
         self._draw_rows: dict = {}
+        self._draw_steps: Optional[list] = None
         self._poly_cache: dict[int, int] = {}
         self._co_masks: Optional[list[int]] = None
 

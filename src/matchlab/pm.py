@@ -32,14 +32,20 @@ alike.  Dense counts memoise their polynomials per mask in
 Graph._poly_cache and never touch the DP memo; stratify takes a fresh
 memo per call.  Both read H's masks, built once per graph (_co_masks).
 
-The sampler keeps a second per-graph memo, Graph._draw_rows: for each
-mask it has visited, the cumulative counts of the mask's children in
-scan order, each packed with its partner as `cum << s | v` for
-s = n.bit_length(), children with no perfect matching dropped.  A row is
-an array('q'), 8 bytes an entry, while its counts fit in 63 bits (every
-graph under the default cap) and a list past that.  A step is one
-randrange on the mask's count and one bisect of its row; it draws the
-child a scan over the children would, from the same rng stream.
+The sampler keeps a second per-graph memo, Graph._draw_rows: one record
+per mask it has visited, `(count, k, row, steps_u)`.  count is the mask's
+memo count and k its bit length.  row holds the cumulative counts of the
+mask's children in scan order, each packed with its partner as
+`cum << s | v` for s = n.bit_length(), children with no perfect matching
+dropped: an array('q'), 8 bytes an entry, while its counts fit in 63 bits
+(every graph under the default cap) and a list past that.  steps_u is
+the lowest vertex u's entry in the graph's shared step table,
+Graph._draw_steps, built on the first draw: `((u, v), 1 << u | 1 << v)`
+for each neighbour v > u, the pair a step appends and the bits it clears.
+A step is getrandbits(k), repeated while the result is at least count,
+and one bisect of the row.  Those are the calls randrange(count) makes,
+so it draws the child a scan over the children would, from the same rng
+stream.
 
 A graph with a connected component of odd size has no perfect matching.
 After its input and cap checks, each entry point takes its fast paths in
@@ -343,46 +349,82 @@ def _draw_row(g: Graph, mask: int, s: int):
     return array("q", row) if row[-1] < 1 << 63 else row
 
 
+def _child_steps(g: Graph) -> list:
+    """The sampler's shared child steps, built on first use and kept in
+    g._draw_steps: entry u, indexed by a neighbour v > u, holds
+    `((u, v), 1 << u | 1 << v)`, the pair a step appends and the bits it
+    clears from the mask."""
+    steps = g._draw_steps
+    if steps is None:
+        steps = g._draw_steps = []
+        for u, nbrs in enumerate(g.adjacency):
+            row = [None] * g.n
+            for v in nbrs:
+                if v > u:
+                    row[v] = ((u, v), 1 << u | 1 << v)
+            steps.append(row)
+    return steps
+
+
+def _draw_record(g: Graph, mask: int, s: int) -> tuple:
+    """The sampler's record for `mask` in g._draw_rows: `(count, k, row,
+    steps_u)`, with count the mask's memo count, k its bit length, row its
+    `_draw_row` and steps_u the entry of the mask's lowest vertex u in
+    `_child_steps`."""
+    count = g._pm_cache[mask]
+    u = (mask & -mask).bit_length() - 1
+    return count, count.bit_length(), _draw_row(g, mask, s), _child_steps(g)[u]
+
+
 def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Matching:
     """Exactly uniform draw from the perfect matchings of g.
 
     Self-reducibility (Jerrum, Valiant and Vazirani): repeatedly match the
     lowest unmatched vertex u, picking neighbour v with probability
-    count(G - u - v)/count(G).  A step draws r = randrange(count(mask))
+    count(G - u - v)/count(G).  A step draws r uniform below count(mask)
     and takes the first child, in increasing v, whose cumulative count
-    exceeds r.  That child is found by one bisect of the mask's row in
-    `g._draw_rows` (see `_draw_row`), built the first time the sampler
-    reaches the mask: with s = n.bit_length() bits below each count,
+    exceeds r.  That child is found by one bisect of the mask's row (see
+    `_draw_row`): with s = n.bit_length() bits below each count,
     `r << s | (1 << s) - 1` sorts after every entry whose count is at most
-    r and before every entry whose count exceeds it.  So the draws, and
-    the rng calls, are those of a scan that subtracts each child's count
-    from r in turn; rows exist only for masks a draw has reached.
+    r and before every entry whose count exceeds it.
 
-    The rows read the per-graph memo directly.  They rely on an invariant
-    of _count_on_mask: a mask is cached only after all its children are,
-    so once the full mask is counted, every nonempty mask the walk reaches
-    or lists as a child is in the memo.
+    Each mask the walk reaches has one record in `g._draw_rows`, built
+    the first time a draw reaches it (`_draw_record`): its count, the
+    count's bit length k, its row and its lowest vertex's entry in the
+    graph's shared step table, so a step appends a prebuilt pair and
+    clears a prebuilt mask.  r comes from `getrandbits(k)`, drawn again
+    while r >= count: the calls `randrange(count)` makes through
+    `Random._randbelow_with_getrandbits` (CPython 3.10-3.12), a count of
+    1 included.  So the draws, and the rng stream, are those of a scan
+    that calls randrange and subtracts each child's count from r in turn.
+
+    The records read the per-graph memo directly.  They rely on an
+    invariant of _count_on_mask: a mask is cached only after all its
+    children are, so once the full mask is counted, every nonempty mask
+    the walk reaches or lists as a child is in the memo.
     """
     if g.n > limit:
         raise TooLargeError(f"n={g.n} above the counting cap {limit}")
     mask = (1 << g.n) - 1
     if _count_on_mask(g, mask) == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
-    cache = g._pm_cache
     rows = g._draw_rows
+    getrandbits = rng.getrandbits
     s = g.n.bit_length()
     low = (1 << s) - 1
     pairs: list[Edge] = []
+    append = pairs.append
     while mask:
-        r = rng.randrange(cache[mask])
         try:
-            row = rows[mask]
+            count, k, row, steps = rows[mask]
         except KeyError:
-            row = rows[mask] = _draw_row(g, mask, s)
-        ubit = mask & -mask
-        v = row[bisect_right(row, r << s | low)] & low
-        pairs.append((ubit.bit_length() - 1, v))
-        mask ^= ubit | 1 << v
+            count, k, row, steps = rows[mask] = _draw_record(g, mask, s)
+        r = getrandbits(k)
+        while r >= count:
+            r = getrandbits(k)
+        pair, clear = steps[row[bisect_right(row, r << s | low)] & low]
+        append(pair)
+        mask ^= clear
     return Matching._from_sorted(pairs)
 
 

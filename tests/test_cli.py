@@ -578,6 +578,12 @@ _INPUT_ERRORS = {
         ["edge_prob", "--family", "random_regular", "-n", "8", "-d", "0"], None, "graph has no perfect matching",
     ),
     "edge_prob_file_without_pm": (["edge_prob", "--file", "FILE"], "4 1\n0 1\n", "graph has no perfect matching"),
+    "suite_multipartite_b_max_zero": (
+        ["suite_multipartite", "--b-max", "0"], None, "the suite holds no host: it needs --b-max >= 1 and --cap >= 4",
+    ),
+    "suite_multipartite_cap_three": (
+        ["suite_multipartite", "--cap", "3"], None, "the suite holds no host: it needs --b-max >= 1 and --cap >= 4",
+    ),
     "switching_without_an_ell": (
         ["switching", "--family", "complete", "-n", "2"], None,
         "switching needs n >= 4, so that some ell has 2 <= ell and 2*ell <= n",

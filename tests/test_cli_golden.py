@@ -2,8 +2,9 @@
 
 The files under tests/golden/ hold the stdout of every command-line
 example in the README (the Monte Carlo one with --samples 2000), in JSON
-and in CSV, plus a few reference and stratum variants and a count on an
-edge list whose two components are odd.  A change that means to alter a
+and in CSV, plus a few reference and stratum variants, a Monte Carlo draw
+on a multipartite host and a count on an edge list whose two components
+are odd.  A change that means to alter a
 report rewrites them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -34,6 +35,10 @@ INVOCATIONS = {
     "pmf_complete_12": ["pmf", "--family", "complete", "-n", "12"],
     "disjoint_montecarlo": [
         "disjoint", "--family", "complete", "-n", "6", "--r", "3",
+        "--mode", "montecarlo", "--samples", "2000",
+    ],
+    "disjoint_montecarlo_6x2": [
+        "disjoint", "--family", "multipartite", "-a", "6", "-b", "2", "--r", "3",
         "--mode", "montecarlo", "--samples", "2000",
     ],
     "switching_complete_6": ["switching", "--family", "complete", "-n", "6", "--k", "1"],

@@ -39,6 +39,7 @@ from matchlab.graphs import (
 )
 from matchlab.pm import (
     _count_on_mask,
+    _draw_record,
     _draw_row,
     _is_dense,
     count_pm,
@@ -574,18 +575,37 @@ def _assert_matches_oracles(fast, scan, slow, seed, draws=200):
     return drawn
 
 
-def _assert_rows_consistent(g):
-    """Every row of g's row memo ends at its mask's count, rises strictly
-    and lists only partners of the mask's lowest vertex."""
+def _assert_child_steps(g):
+    """g's shared step table holds, for each vertex u, exactly the steps to
+    its neighbours v > u, each the pair (u, v) and the clear bits
+    1 << u | 1 << v."""
+    for u, steps in enumerate(g._draw_steps):
+        assert len(steps) == g.n
+        partners = [v for v, step in enumerate(steps) if step is not None]
+        assert partners == [v for v in g.adjacency[u] if v > u]
+        assert all(steps[v] == ((u, v), 1 << u | 1 << v) for v in partners)
+
+
+def _assert_rows_consistent(g, row_type=array):
+    """Every record of g's row memo holds its mask's count and the count's
+    bit length; its row ends at that count, rises strictly and lists only
+    partners of the mask's lowest vertex u; and its steps are u's entry in
+    the graph's shared step table (checked by _assert_child_steps), so
+    every child step is the graph's own object."""
     s = g.n.bit_length()
     low = (1 << s) - 1
-    for mask, row in g._draw_rows.items():
-        assert isinstance(row, array) and row.typecode == "q"
+    if g._draw_rows:
+        _assert_child_steps(g)
+    for mask, (count, k, row, steps) in g._draw_rows.items():
+        assert type(row) is row_type and (row_type is list or row.typecode == "q")
+        assert count == g._pm_cache[mask]
+        assert k == count.bit_length()
         counts = [x >> s for x in row]
-        assert counts[-1] == g._pm_cache[mask]
+        assert counts[-1] == count
         assert all(a < b for a, b in zip(counts, counts[1:]))
         u = (mask & -mask).bit_length() - 1
         assert all((g.neighbor_masks[u] & mask) >> (x & low) & 1 for x in row)
+        assert steps is g._draw_steps[u]
 
 
 def test_sample_matches_reference_sampler():
@@ -608,6 +628,7 @@ def test_sample_matches_oracles_on_dense_regular_hosts():
 
 def test_sample_builds_rows_only_for_visited_masks():
     g = complete_graph(6)
+    assert g._draw_steps is None
     drawn = sample_pm(g, random.Random(3))
     full = (1 << 6) - 1
     visited, mask = [], full
@@ -615,7 +636,18 @@ def test_sample_builds_rows_only_for_visited_masks():
         visited.append(mask)
         mask ^= 1 << u | 1 << v
     assert sorted(g._draw_rows) == sorted(visited)
-    assert list(g._draw_rows[full]) == [(3 * k) << 3 | v for k, v in enumerate(range(1, 6), 1)]
+    count, k, row, steps = g._draw_rows[full]
+    assert (count, k) == (15, 4)
+    assert list(row) == [(3 * k) << 3 | v for k, v in enumerate(range(1, 6), 1)]
+    assert steps is g._draw_steps[0]
+    assert steps[1:] == [((0, v), 1 | 1 << v) for v in range(1, 6)]
+    _assert_rows_consistent(g)
+    # a second draw reuses the table and every record it reaches again
+    table, records = g._draw_steps, dict(g._draw_rows)
+    sample_pm(g, random.Random(4))
+    assert g._draw_steps is table
+    assert all(g._draw_rows[mask] is record for mask, record in records.items())
+    _assert_rows_consistent(g)
 
 
 def test_draw_row_falls_back_to_a_list_past_63_bits():
@@ -632,6 +664,11 @@ def test_draw_row_falls_back_to_a_list_past_63_bits():
     assert type(row) is list and row == [2**58 << 3 | 1, 2**60 << 3 | 3]
     cache.update({0b1100: 2**70, 0b0110: 5})
     assert _draw_row(g, 0b1111, 3) == [2**70 << 3 | 1, (2**70 + 5) << 3 | 3]
+    cache[0b1111] = 2**70 + 5
+    count, k, row, steps = _draw_record(g, 0b1111, 3)
+    assert (count, k) == (2**70 + 5, 71)
+    assert row == [2**70 << 3 | 1, (2**70 + 5) << 3 | 3]
+    assert steps is g._draw_steps[0]
 
 
 def test_sample_with_list_rows_matches_oracles():
@@ -643,11 +680,43 @@ def test_sample_with_list_rows_matches_oracles():
         s = g.n.bit_length()
         for mask, c in fast._pm_cache.items():
             if c:
-                fast._draw_rows[mask] = list(_draw_row(fast, mask, s))
+                count, k, row, steps = _draw_record(fast, mask, s)
+                fast._draw_rows[mask] = (count, k, list(row), steps)
         before = dict(fast._draw_rows)
         _assert_matches_oracles(fast, _fresh(g), _fresh(g), seed)
         assert fast._draw_rows == before
-        assert all(type(row) is list for row in fast._draw_rows.values())
+        _assert_rows_consistent(fast, row_type=list)
+
+
+def _path(n):
+    return Graph(n, [(v, v + 1) for v in range(n - 1)])
+
+
+def _relabel(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+# A path has one perfect matching, so every mask a draw reaches counts 1;
+# on a cycle only the full mask counts 2 and every later one counts 1.
+_COUNT_ONE_HOSTS = {
+    "path_16_relabelled": (_relabel(_path(16), 5), 1),
+    "cycle_14_relabelled": (_relabel(cycle_graph(14), 6), 2),
+}
+
+
+@pytest.mark.parametrize("g,total", _COUNT_ONE_HOSTS.values(), ids=_COUNT_ONE_HOSTS)
+def test_sample_draws_the_randrange_stream_on_count_one_masks(g, total):
+    # randrange(1) still takes one getrandbits(1), so a step on a mask
+    # with one perfect matching moves the rng as the scan oracle's does
+    assert count_pm(g) == total
+    fast = _fresh(g)
+    drawn = _assert_matches_oracles(fast, _fresh(g), _fresh(g), 13, draws=60)
+    assert len(set(drawn)) == total
+    counts = [record[0] for record in fast._draw_rows.values()]
+    assert counts.count(1) >= g.n // 2 - 1 and max(counts) == total
+    _assert_rows_consistent(fast)
 
 
 def test_sample_after_partial_memo_matches_reference():
