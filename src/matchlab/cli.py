@@ -339,6 +339,8 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
 
 def run_expander(args: argparse.Namespace) -> list[dict]:
     trials = _branch_flag(args.trials, 1000, args.sampled, "--trials", "--sampled")
+    if args.sampled and trials < 1:
+        raise ValueError("sampled mode needs at least one trial")
     g, part = build_graph(args)
     params = _params(args)
     if args.sampled:

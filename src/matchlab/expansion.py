@@ -11,6 +11,14 @@ sampled refuter reads the same count and only ever finds
 counterexamples.  All threshold comparisons are exact: nu*n and the
 window bounds are rounded once, to the integers that counts and set
 sizes are compared with.
+
+The refuter draws each trial's size and set into a vertex mask straight
+from `getrandbits(k)`, drawn again while the result is at least the
+bound: the calls `randint` and `Random.sample` make through
+`Random._randbelow_with_getrandbits` (CPython 3.10-3.12), both of
+sample's branches included.  So the draws, and the rng stream, are
+those of `rng.randint(lo, hi)` then `rng.sample(range(n), size)`, and a
+seed gives the same witness and trial count as those calls would.
 """
 
 from __future__ import annotations
@@ -20,7 +28,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Union
+from itertools import islice
+from typing import Iterator, Optional, Union
 
 from .errors import (
     NotBipartiteError,
@@ -175,26 +184,76 @@ def certify_exact(
     return _sweep(_in_masks(obj), list(range(n)), n, params)
 
 
+def _random_sets(n: int, lo: int, hi: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """Yield `(size, smask)` forever: the sizes and vertex sets that
+    `rng.randint(lo, hi)` then `rng.sample(range(n), size)` would draw.
+
+    A draw below m is `getrandbits(m.bit_length())`, drawn again while
+    the result is at least m.  As in `Random.sample`, a size whose set of
+    picks would take more room than an n-list picks from a fresh pool,
+    moving the last free vertex into each vacancy; any other size draws
+    below n again until the vertex is not yet in the set.  Each pick
+    sets its bit of `smask`.
+    """
+    getrandbits = rng.getrandbits
+    width = hi - lo + 1
+    kw = width.bit_length()
+    kn = n.bit_length()
+    bits = [m.bit_length() for m in range(n + 1)]
+    # Random.sample's choice: a pool when n <= setsize for this size.
+    pooled = [
+        n <= 21 + (4 ** math.ceil(math.log(size * 3, 4)) if size > 5 else 0)
+        for size in range(hi + 1)
+    ]
+    vertex_bits = [1 << v for v in range(n)]
+    while True:
+        r = getrandbits(kw)
+        while r >= width:
+            r = getrandbits(kw)
+        size = lo + r
+        smask = 0
+        if pooled[size]:
+            pool = vertex_bits[:]
+            for m in range(n, n - size, -1):
+                k = bits[m]
+                j = getrandbits(k)
+                while j >= m:
+                    j = getrandbits(k)
+                smask |= pool[j]
+                pool[j] = pool[m - 1]
+        else:
+            for _ in range(size):
+                j = getrandbits(kn)
+                while j >= n or smask >> j & 1:
+                    j = getrandbits(kn)
+                smask |= 1 << j
+        yield size, smask
+
+
 def refute_sampled(
     obj: Union[Graph, Digraph],
     params: ExpansionParams,
     trials: int,
     seed: int = 0,
 ) -> ExpansionCertificate:
-    """Random search for a violating set; never certifies a pass."""
+    """Random search for a violating set; never certifies a pass.
+
+    Trial t draws a size uniform in the window and a uniform set of that
+    size (`_random_sets`): the draws, and the rng stream, are those of
+    `rng.randint(lo, hi)` then `rng.sample(range(n), size)` on
+    `random.Random(seed)` (CPython 3.10-3.12).  The witness is the first
+    violating set, in increasing order, and `sets_checked` its trial.
+    """
     n = obj.n
     need, lo, hi = _thresholds(params.nu, params.tau, n)
     if lo > hi or trials <= 0:
         return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, 0)
     masks = _in_masks(obj)
-    bit = [1 << v for v in range(n)].__getitem__
-    rng = random.Random(seed)
-    for t in range(trials):
-        size = rng.randint(lo, hi)
-        picked = rng.sample(range(n), size)
-        if _robust_count(masks, sum(map(bit, picked)), need) < size + need:
-            witness = tuple(sorted(picked))
-            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, witness, t + 1)
+    sets = islice(_random_sets(n, lo, hi, random.Random(seed)), trials)
+    for t, (size, smask) in enumerate(sets, 1):
+        if _robust_count(masks, smask, need) < size + need:
+            witness = tuple(v for v in range(n) if smask >> v & 1)
+            return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, witness, t)
     return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, trials)
 
 

@@ -569,6 +569,18 @@ _INPUT_ERRORS = {
         ["expander", "--family", "complete", "-n", "6", "--bipartite", "--nu", "0.1", "--tau", "0.3"], None,
         "--bipartite needs a file with an 'A:' line or -a 2",
     ),
+    "expander_trials_zero": (
+        ["expander", "--family", "complete", "-n", "8", "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "0"],
+        None, "sampled mode needs at least one trial",
+    ),
+    "expander_trials_negative": (
+        ["expander", "--family", "complete", "-n", "8", "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "-5"],
+        None, "sampled mode needs at least one trial",
+    ),
+    "disjoint_samples_negative": (
+        ["disjoint", "--family", "complete", "-n", "6", "--r", "3", "--mode", "montecarlo", "--samples", "-5"],
+        None, "montecarlo mode needs at least one sample",
+    ),
     "disjoint_r_zero": (["disjoint", "--family", "complete", "-n", "6", "--r", "0"], None, "r must be at least 1"),
     "suite_tv_multipartite_without_a": (["suite_tv", "--family", "multipartite"], None, "multipartite trend needs -a"),
     "suite_tv_odd_size": (["suite_tv", "--sizes", "7"], None, "size 7 gives an odd vertex count"),

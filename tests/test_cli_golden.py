@@ -3,8 +3,9 @@
 The files under tests/golden/ hold the stdout of every command-line
 example in the README (the Monte Carlo one with --samples 2000), in JSON
 and in CSV, plus a few reference and stratum variants, a Monte Carlo draw
-on a multipartite host and a count on an edge list whose two components
-are odd.  A change that means to alter a
+on a multipartite host, a count on an edge list whose two components
+are odd and a sampled refutation on two relabelled K15 that fails at
+trial 2797.  A change that means to alter a
 report rewrites them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -26,6 +27,7 @@ from matchlab.cli import main
 GOLDEN = Path(__file__).parent / "golden"
 EDGE_LIST = GOLDEN / "g.el"
 ODD_COMPONENTS = GOLDEN / "odd_components.el"
+TWO_K15 = GOLDEN / "two_k15.el"
 
 INVOCATIONS = {
     "count_complete_6": ["count", "--family", "complete", "-n", "6"],
@@ -48,6 +50,10 @@ INVOCATIONS = {
     "expander_file_sampled": [
         "expander", "--family", "file", "--file", str(EDGE_LIST),
         "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "5000",
+    ],
+    "expander_file_sampled_30": [
+        "expander", "--family", "file", "--file", str(TWO_K15),
+        "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "5000", "--seed", "1",
     ],
     "expander_random_regular_fail": [
         "expander", "--family", "random_regular", "-n", "12", "-d", "4", "--seed", "3",

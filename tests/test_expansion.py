@@ -295,7 +295,7 @@ def _two_relabelled_cliques(k, seed):
     return Graph(2 * k, edges)
 
 
-@pytest.mark.parametrize("trials", [0, 1, 7, 200])
+@pytest.mark.parametrize("trials", [0, 1, 7, 200, 3000])
 @pytest.mark.parametrize("seed", [0, 1, 5])
 def test_refute_sampled_matches_reference(trials, seed):
     hosts = [
@@ -305,19 +305,50 @@ def test_refute_sampled_matches_reference(trials, seed):
     for obj in hosts:
         for p in (DIFF_PARAMS, ExpansionParams(Fraction(1, 3), Fraction(1, 3))):
             assert refute_sampled(obj, p, trials, seed) == reference_refute_sampled(obj, p, trials, seed)
+    # Past n = 21 Random.sample picks its branch by set size; on n = 90
+    # the sizes up to 21 take the selected-set branch.  These hosts fail
+    # (the n = 30 one at DIFF_PARAMS only within 3000 trials), so a
+    # drifted stream would move the witness or its trial.
+    for obj in (_two_relabelled_cliques(15, 3), _two_relabelled_cliques(45, 3)):
+        for p in (DIFF_PARAMS, ExpansionParams(Fraction(1, 10), Fraction(1, 10))):
+            assert refute_sampled(obj, p, trials, seed) == reference_refute_sampled(obj, p, trials, seed)
 
 
 # -- sampled refutation --------------------------------------------------------
 
 def test_refute_sampled_fails_late_on_two_cliques():
-    # the host the differential test above uses with n >= 16: violating
-    # sets are rare, so at seed 1 the witness comes from trial 120
-    g = _two_relabelled_cliques(9, 3)
-    cert = refute_sampled(g, DIFF_PARAMS, 200, 1)
-    assert cert.verdict is Verdict.FAIL and cert.sets_checked == 120
-    assert cert.witness == tuple(sorted(cert.witness))
-    rn = robust_neighbourhood(g, cert.witness, DIFF_PARAMS.nu)
-    assert len(rn) < len(cert.witness) + DIFF_PARAMS.nu * g.n
+    # the hosts the differential test above uses with n >= 16: violating
+    # sets are rare, so the witness comes late (n = 18 at seed 1 from
+    # trial 120, n = 30 at seeds 0-3 from trials 514 to 2797), and each
+    # of those hosts does fail, so the differential test can see a drift
+    wide = ExpansionParams(Fraction(1, 10), Fraction(1, 10))
+    cases = [(9, DIFF_PARAMS, 1, 120)]
+    cases += [(15, DIFF_PARAMS, seed, t) for seed, t in enumerate((514, 2797, 808, 2053))]
+    cases += [(45, wide, seed, t) for seed, t in enumerate((13, 4, 27, 1))]
+    for k, p, seed, t in cases:
+        g = _two_relabelled_cliques(k, 3)
+        cert = refute_sampled(g, p, 5000, seed)
+        assert cert.verdict is Verdict.FAIL and cert.sets_checked == t
+        assert cert.witness == tuple(sorted(cert.witness))
+        rn = robust_neighbourhood(g, cert.witness, p.nu)
+        assert len(rn) < len(cert.witness) + p.nu * g.n
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 16, 21, 22, 30, 85, 86, 90, 120])
+def test_random_sets_follow_randint_and_sample(n):
+    # Random.sample keeps a pool when n <= 21 (+ 4**ceil(log4(3 size)) past
+    # size 5), else a set of picks: the windows cross sizes 5/6 and 21/22,
+    # so every n above reaches the branches its sizes select.
+    windows = {(0, n), (min(n, 3), min(n, 8)), (min(n, 19), min(n, 24)), (n // 3, 2 * n // 3)}
+    for lo, hi in sorted(windows):
+        for seed in range(4):
+            rng, ref = random.Random(seed), random.Random(seed)
+            sets = expansion._random_sets(n, lo, hi, rng)
+            for _ in range(300):
+                size = ref.randint(lo, hi)
+                picked = ref.sample(range(n), size)
+                assert next(sets) == (size, sum(1 << v for v in picked))
+            assert rng.getstate() == ref.getstate()
 
 
 def test_refute_sampled_finds_triangle_violation():
