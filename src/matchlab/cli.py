@@ -114,9 +114,11 @@ def _branch_flag(value: Optional[int], default: int, read: bool, flag: str, bran
 
 
 def _warn_if_vacuous(cert: expansion.ExpansionCertificate) -> None:
-    # A sweep passes after no set only when its size window is empty.
-    if cert.verdict is expansion.Verdict.PASS and cert.sets_checked == 0:
-        print("warning: the size window holds no set, so the pass is vacuous", file=sys.stderr)
+    # A sweep passes, and a sampled search (at least one trial) ends
+    # inconclusive, after no set only when the size window is empty.
+    if cert.sets_checked == 0:
+        what = "pass" if cert.verdict is expansion.Verdict.PASS else "search"
+        print(f"warning: the size window holds no set, so the {what} is vacuous", file=sys.stderr)
 
 
 def _overlap_vs_poisson(g: Graph, ref, d: int):

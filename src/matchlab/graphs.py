@@ -53,8 +53,10 @@ class Graph:
     never read `_pm_cache`.  Beside them, `_draw_steps` holds the
     sampler's shared child steps, one `((u, v), 1 << u | 1 << v)` per
     edge, None until the first draw; and `_co_masks` holds the
-    complement's neighbour masks, None until a dense count or stratify
-    first needs them.
+    complement H as `(masks, pos)`, None until a dense count or stratify
+    first needs it: pos[v] is v's place in H's min-frontier order and
+    masks[pos[v]] v's neighbour mask in H, relabelled by pos, so
+    `_poly_cache` is keyed in that order.
     """
 
     __slots__ = (
@@ -85,7 +87,7 @@ class Graph:
         self._draw_rows: dict = {}
         self._draw_steps: Optional[list] = None
         self._poly_cache: dict[int, int] = {}
-        self._co_masks: Optional[list[int]] = None
+        self._co_masks: Optional[tuple[list[int], list[int]]] = None
 
     @property
     def m(self) -> int:

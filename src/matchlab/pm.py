@@ -28,9 +28,15 @@ lowest vertex may also stay uncovered), each m_k a w-bit digit with w the
 bit length of C(e, e//2) for the e edges it may use, so no digit
 carries.  On K_n it walks n + 1 masks where the DP walks F(n+1).  One
 helper, _complement_strata, takes the duality for counts and strata
-alike.  Dense counts memoise their polynomials per mask in
-Graph._poly_cache and never touch the DP memo; stratify takes a fresh
-memo per call.  Both read H's masks, built once per graph (_co_masks).
+alike.  Its work depends on H's vertex order, so H is walked in a greedy
+min-frontier order (_min_frontier_relabel), not in g's labels: counts
+and strata read H's masks relabelled by that order, built once per graph
+together with the map pos from g's labels (Graph._co_masks), and
+_complement_strata maps its entry mask and the reference through pos.
+Counts and strata do not depend on labels, so only the memo keys
+change.  Dense counts memoise their polynomials per mask, keyed in the
+new labels, in Graph._poly_cache and never touch the DP memo; stratify
+takes a fresh memo per call.
 
 The sampler keeps a second per-graph memo, Graph._draw_rows: one record
 per mask it has visited, `(count, k, row, steps_u)`.  count is the mask's
@@ -81,10 +87,12 @@ DEFAULT_ENUM_CAP = 1_000_000
 def _has_odd_component(masks, mask: int) -> bool:
     """True when the subgraph induced on `mask` has a connected component
     of odd size, and so no perfect matching: a flood fill over the
-    neighbour masks, O(|mask|) mask operations."""
+    neighbour masks, O(|mask|) mask operations, which stops as soon as a
+    component covers the mask (on a dense host, usually after a vertex or
+    two)."""
     while mask:
         comp = frontier = mask & -mask
-        while frontier:
+        while frontier and comp != mask:
             v = (frontier & -frontier).bit_length() - 1
             frontier &= frontier - 1
             new = masks[v] & mask & ~comp
@@ -176,14 +184,84 @@ def _poly_on_mask(masks, hits, lo: int, hi: int, mask: int, memo: dict) -> int:
     return rec(mask) if got is None else got
 
 
-def _complement_masks(g: Graph) -> list[int]:
-    """The complement's neighbour masks, built on first use and kept in
-    g._co_masks."""
-    masks = g._co_masks
-    if masks is None:
+def _min_frontier_relabel(h: list[int]) -> tuple[list[int], list[int]]:
+    """The graph with neighbour masks `h`, relabelled by a greedy
+    min-frontier order: `(masks, pos)`, pos[v] the place of v in the order
+    and masks[pos[v]] v's neighbour mask in the new labels.
+
+    The frontier is the set of unplaced vertices with a placed neighbour.
+    Each step places the unplaced vertex that leaves the smallest frontier,
+    ties going to the lowest label.  Below the frontier at step i,
+    _poly_on_mask meets at most 2^(frontier) masks, so a small frontier is
+    a small memo.  While the frontier is empty only an isolated vertex
+    keeps it so, so the isolated vertices come first, in label order.  A
+    scan stops at a vertex no other can beat: one that leaves the frontier
+    one smaller than it was, or, from an empty frontier, one that leaves a
+    frontier of one.  Each placed vertex is joined to its placed
+    neighbours both ways, so every edge is relabelled once, when its
+    second end is placed.
+    """
+    n = len(h)
+    pos = [0] * n
+    masks = []
+    left = (1 << n) - 1
+    if 0 in h:
+        for v, m in enumerate(h):
+            if not m:
+                pos[v] = len(masks)
+                masks.append(0)
+                left ^= 1 << v
+    front = 0
+    while left:
+        floor = front.bit_count() - 1 if front else 1
+        best = n
+        cand = left
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            c = ((front | h[b.bit_length() - 1]) & (left ^ b)).bit_count()
+            if c < best:
+                best, pick = c, b
+                if c == floor:
+                    break
+        v = pick.bit_length() - 1
+        hv = h[v]
+        i = pos[v] = len(masks)
+        left ^= pick
+        front = (front | hv) & left
+        out = 0
+        placed = hv & ~left
+        while placed:
+            b = placed & -placed
+            placed ^= b
+            j = pos[b.bit_length() - 1]
+            out |= 1 << j
+            masks[j] |= 1 << i
+        masks.append(out)
+    return masks, pos
+
+
+def _relabel(mask: int, pos: list[int]) -> int:
+    """`mask` with each vertex v moved to pos[v]."""
+    out = 0
+    while mask:
+        b = mask & -mask
+        mask ^= b
+        out |= 1 << pos[b.bit_length() - 1]
+    return out
+
+
+def _complement_masks(g: Graph) -> tuple[list[int], list[int]]:
+    """`(masks, pos)` for the complement H of g, built on first use and
+    kept in g._co_masks: H relabelled by its min-frontier order
+    (_min_frontier_relabel), pos[v] v's place in that order.  The kernel
+    walks H in that order, so its work does not depend on g's labels."""
+    got = g._co_masks
+    if got is None:
         full = (1 << g.n) - 1
-        masks = g._co_masks = [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
-    return masks
+        h = [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
+        got = g._co_masks = _min_frontier_relabel(h)
+    return got
 
 
 def _dual_sum(packed: int, w: int, half: int) -> int:
@@ -463,15 +541,25 @@ def _complement_strata(
     C(e, e//2) for e = e(H) + r (no m_{a,b} exceeds it) and
     w_ref = w*(|S|/2 + 1), past every a.  R may be any edge set: its edges
     may share vertices.  With no reference and kmax 0 this is the count.
+
+    The pass walks H in its min-frontier order (_complement_masks): `mask`
+    and `ref_masks`, given in g's labels, are mapped through pos first,
+    the mask by the vertices it lacks, so `memo` is keyed in H's order.
     """
     e = g.n * (g.n - 1) // 2 - g.m + r
     w = math.comb(e, e // 2).bit_length()
     half = mask.bit_count() // 2
     w_ref = w * (half + 1)
-    both = _complement_masks(g)
+    both, pos = _complement_masks(g)
+    full = (1 << g.n) - 1
+    mask = full ^ _relabel(full ^ mask, pos)
+    hits = ref_masks
     if r:
-        both = [c | h for c, h in zip(both, ref_masks)]
-    packed = _poly_on_mask(both, ref_masks, w, w_ref, mask, memo)
+        hits = [0] * g.n
+        for v, m in enumerate(ref_masks):
+            hits[pos[v]] = _relabel(m, pos)
+        both = [c | h for c, h in zip(both, hits)]
+    packed = _poly_on_mask(both, hits, w, w_ref, mask, memo)
     strata = [0] * (kmax + 1)
     for b in range(kmax + 1):
         # the coefficient of (x-1)^b

@@ -227,14 +227,16 @@ def reference_count_on_mask(g: Graph, mask: int) -> int:
 
 
 # The dense count as one standalone function: the oracle for the counts
-# pm._count takes on a dense host and for the g._poly_cache they leave.
+# pm._count takes on a dense host and, run on the host relabelled by its
+# complement's min-frontier order, for the g._poly_cache they leave.
 def reference_complement_count(g: Graph, mask: int) -> int:
     """Perfect matchings of g induced on `mask`, an even vertex set S, by
     Godsil's duality: pm(G[S]) = sum_k (-1)^k m_k(H[S]) (|S|-2k-1)!!, m_k
-    the k-edge matchings of the complement H.  The packed polynomials of
-    H, one w-bit digit per k with w the bit length of C(e, e//2) for
-    e = e(H), bound every m_k, so no digit carries; they are memoised per
-    mask in g._poly_cache, which every count on g shares."""
+    the k-edge matchings of the complement H, walked in g's own labels.
+    The packed polynomials of H, one w-bit digit per k with w the bit
+    length of C(e, e//2) for e = e(H), bound every m_k, so no digit
+    carries; they are memoised per mask in g._poly_cache, which every
+    count on g shares."""
     e = g.n * (g.n - 1) // 2 - g.m
     w = math.comb(e, e // 2).bit_length()
     memo = g._poly_cache
@@ -244,6 +246,33 @@ def reference_complement_count(g: Graph, mask: int) -> int:
     h_masks = [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
     packed = _poly_on_mask(h_masks, [0] * g.n, w, 0, mask, memo)
     return _dual_sum(packed, w, mask.bit_count() // 2)
+
+
+def reference_min_frontier_order(g: Graph) -> list[int]:
+    """Oracle for the order pm._min_frontier_relabel gives g's complement
+    H, from vertex sets: place next the unplaced vertex whose placing leaves the fewest
+    unplaced vertices with a placed H-neighbour, ties to the lowest label."""
+    h = [{u for u in range(g.n) if u != v and not g.has_edge(u, v)} for v in range(g.n)]
+    order: list[int] = []
+
+    def frontier_after(v: int) -> int:
+        placed = set(order) | {v}
+        return len(set().union(*(h[x] for x in placed)) - placed)
+
+    while len(order) < g.n:
+        unplaced = [v for v in range(g.n) if v not in order]
+        order.append(min(unplaced, key=lambda v: (frontier_after(v), v)))
+    return order
+
+
+def relabel_graph(g: Graph, pos: list[int]) -> Graph:
+    """g with each vertex v renamed pos[v]."""
+    return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges])
+
+
+def relabel_mask(mask: int, pos: list[int]) -> int:
+    """The vertex set `mask` with each vertex v renamed pos[v]."""
+    return sum(1 << pos[v] for v in range(len(pos)) if mask >> v & 1)
 
 
 # -- reference matching search ------------------------------------------------

@@ -699,9 +699,19 @@ def test_empty_window_pass_warns_on_stderr(capsys, key, argv):
     assert json.loads(captured.out)["rows"][0][key] == "pass"
 
 
+def test_sampled_search_over_an_empty_window_warns_on_stderr(capsys):
+    argv = ["expander", "--family", "complete", "-n", "1", "--nu", "0.1", "--tau", "0.3", "--sampled"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.err == "warning: the size window holds no set, so the search is vacuous\n"
+    row = json.loads(captured.out)["rows"][0]
+    assert (row["verdict"], row["sets_checked"]) == ("inconclusive", 0)
+
+
 @pytest.mark.parametrize("argv", [
     ["expander", "--family", "complete", "-n", "6", "--nu", "0.1", "--tau", "0.3"],
-    ["expander", "--family", "complete", "-n", "1", "--nu", "0.1", "--tau", "0.3", "--sampled"],
+    ["expander", "--family", "complete", "-n", "6", "--nu", "0.1", "--tau", "0.3", "--sampled"],
     ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
 ])
 def test_pass_over_a_nonempty_window_does_not_warn(capsys, argv):

@@ -4,9 +4,11 @@ The files under tests/golden/ hold the stdout of every command-line
 example in the README (the Monte Carlo one with --samples 2000), in JSON
 and in CSV, plus a few reference and stratum variants, a Monte Carlo draw
 on a multipartite host, a count on an edge list whose two components
-are odd and a sampled refutation on two relabelled K15 that fails at
-trial 2797.  A change that means to alter a
-report rewrites them with
+are odd, a sampled refutation on two relabelled K15 that fails at
+trial 2797, and the PMF and edge probabilities of dense14.el, the
+complement of a 3-regular graph on 14 vertices with shuffled labels,
+whose counts walk the complement in its own vertex order.  A change
+that means to alter a report rewrites them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
 
@@ -28,6 +30,7 @@ GOLDEN = Path(__file__).parent / "golden"
 EDGE_LIST = GOLDEN / "g.el"
 ODD_COMPONENTS = GOLDEN / "odd_components.el"
 TWO_K15 = GOLDEN / "two_k15.el"
+DENSE14 = GOLDEN / "dense14.el"
 
 INVOCATIONS = {
     "count_complete_6": ["count", "--family", "complete", "-n", "6"],
@@ -90,6 +93,8 @@ INVOCATIONS = {
     "pmf_multipartite_10x2": ["pmf", "--family", "multipartite", "-a", "10", "-b", "2"],
     "edge_prob_multipartite_6x2": ["edge_prob", "--family", "multipartite", "-a", "6", "-b", "2"],
     "count_complete_26": ["count", "--family", "complete", "-n", "26"],
+    "pmf_dense14": ["pmf", "--family", "file", "--file", str(DENSE14)],
+    "edge_prob_dense14": ["edge_prob", "--family", "file", "--file", str(DENSE14)],
 }
 
 CASES = [

@@ -16,8 +16,11 @@ from conftest import (
     reference_count_on_mask,
     reference_enumerate_pm,
     reference_first_pm,
+    reference_min_frontier_order,
     reference_sample_pm,
     reference_stratify,
+    relabel_graph,
+    relabel_mask,
     scan_sample_pm,
     small_zoo,
     strata_hosts,
@@ -36,8 +39,10 @@ from matchlab.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    edge_set,
 )
 from matchlab.pm import (
+    _complement_masks,
     _count_on_mask,
     _draw_record,
     _draw_row,
@@ -286,43 +291,62 @@ def _reference_dense_count(g, mask):
     return reference_complement_count(g, mask)
 
 
+def _ordered(g):
+    """g relabelled by its complement's min-frontier order, the labels the
+    dense kernel walks, and the map pos from g's labels to those."""
+    pos = [0] * g.n
+    for i, v in enumerate(reference_min_frontier_order(g)):
+        pos[v] = i
+    return relabel_graph(g, pos), pos
+
+
+def _forced_masks(g, rng):
+    """The entry mask of a containment count on every edge of g and on ten
+    random forced matchings."""
+    full = (1 << g.n) - 1
+    for forced in [[e] for e in g.edges] + [_random_matching(g, rng) for _ in range(10)]:
+        mask = full
+        for u, v in forced:
+            mask ^= 1 << u | 1 << v
+        yield forced, mask
+
+
 def test_dense_counts_and_memo_match_reference_complement_count():
+    # the memo is the oracle's on g relabelled by the complement's order
     rng = random.Random(10)
     for g in filter(_is_dense, _rule_hosts()):
-        fast, slow = _fresh(g), _fresh(g)
+        fast = _fresh(g)
+        slow, pos = _ordered(g)
         full = (1 << g.n) - 1
         assert count_pm(fast) == _reference_dense_count(slow, full)
         assert fast._poly_cache == slow._poly_cache
-        for forced in [[e] for e in g.edges] + [_random_matching(g, rng) for _ in range(10)]:
-            mask = full
-            for u, v in forced:
-                mask ^= 1 << u | 1 << v
-            assert count_pm_containing(fast, forced) == _reference_dense_count(slow, mask)
+        for forced, mask in _forced_masks(g, rng):
+            want = _reference_dense_count(slow, relabel_mask(mask, pos))
+            assert count_pm_containing(fast, forced) == want
             assert fast._poly_cache == slow._poly_cache
         assert fast._pm_cache == {}
 
 
 def test_complement_masks_are_built_once_per_graph():
-    # the count, every containment count and stratify read one mask list
+    # the count, every containment count and stratify read one (masks, pos)
     rng = random.Random(11)
     for g in filter(_is_dense, _rule_hosts()):
-        fast, slow = _fresh(g), _fresh(g)
+        fast = _fresh(g)
+        slow, pos = _ordered(g)
         full = (1 << g.n) - 1
         assert fast._co_masks is None
         builds = []
 
         def note():
-            masks = fast._co_masks
-            if masks is not None and not any(masks is b for b in builds):
-                builds.append(masks)
+            got = fast._co_masks
+            if got is not None and not any(got is b for b in builds):
+                builds.append(got)
 
         assert count_pm(fast) == _reference_dense_count(slow, full)
         note()
-        for forced in [[e] for e in g.edges] + [_random_matching(g, rng) for _ in range(10)]:
-            mask = full
-            for u, v in forced:
-                mask ^= 1 << u | 1 << v
-            assert count_pm_containing(fast, forced) == _reference_dense_count(slow, mask)
+        for forced, mask in _forced_masks(g, rng):
+            want = _reference_dense_count(slow, relabel_mask(mask, pos))
+            assert count_pm_containing(fast, forced) == want
             note()
         for ref in strata_references(g, rng):
             assert stratify(fast, ref).counts == reference_stratify(g, ref).counts
@@ -330,7 +354,7 @@ def test_complement_masks_are_built_once_per_graph():
         assert fast._poly_cache == slow._poly_cache
         assert len(builds) == (0 if _has_odd_part(g, full) else 1)
         if builds:
-            assert builds[0] == [full ^ m ^ 1 << v for v, m in enumerate(g.neighbor_masks)]
+            assert builds[0] == ([full ^ m ^ 1 << v for v, m in enumerate(slow.neighbor_masks)], pos)
 
 
 def test_dense_counts_leave_the_sampler_memo_alone():
@@ -341,13 +365,68 @@ def test_dense_counts_leave_the_sampler_memo_alone():
     sample_pm(g, random.Random(0))
     drawn = dict(g._pm_cache)
     full = (1 << g.n) - 1
-    slow = _fresh(g)
+    slow, pos = _ordered(g)
     assert count_pm(g) == _reference_dense_count(slow, full)
     for v in g.neighbors(0):
-        mask = full ^ (1 | 1 << v)
+        mask = relabel_mask(full ^ (1 | 1 << v), pos)
         assert count_pm_containing(g, [(0, v)]) == _reference_dense_count(slow, mask)
     assert g._pm_cache == drawn
     assert g._poly_cache and g._poly_cache == slow._poly_cache
+
+
+def test_min_frontier_order_matches_reference():
+    for g in _rule_hosts() + small_zoo() + [dense_regular(n, 30 + n) for n in (16, 20, 22)]:
+        masks, pos = _complement_masks(_fresh(g))
+        assert sorted(pos) == list(range(g.n))
+        slow, want = _ordered(g)
+        assert pos == want
+        full = (1 << g.n) - 1
+        assert masks == [full ^ m ^ 1 << v for v, m in enumerate(slow.neighbor_masks)]
+
+
+def _relabellings(g, rng, times):
+    for _ in range(times):
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        yield relabel_graph(g, perm), perm
+
+
+def test_dense_counts_do_not_depend_on_labels():
+    # counts, containment counts and strata on random relabellings equal
+    # the oracles on the host as given; each relabelled host orders its
+    # complement once
+    rng = random.Random(12)
+    hosts = [g for g in _rule_hosts() if _is_dense(g) and g.n >= 4]
+    hosts += [dense_regular(n, seed) for n, seed in ((12, 31), (14, 32), (16, 33))]
+    for g in hosts:
+        full = (1 << g.n) - 1
+        slow = _fresh(g)
+        total = reference_count_on_mask(slow, full)
+        for moved, perm in _relabellings(g, rng, 2):
+            assert count_pm(moved) == total
+            built = moved._co_masks
+            assert (built is None) == _has_odd_part(g, full)
+            for forced, mask in _forced_masks(g, rng):
+                pairs = [(perm[u], perm[v]) for u, v in forced]
+                assert count_pm_containing(moved, pairs) == reference_count_on_mask(slow, mask)
+            for ref in strata_references(g, rng):
+                pairs = [(perm[u], perm[v]) for u, v in edge_set(ref)]
+                assert stratify(moved, pairs).counts == reference_stratify(g, ref).counts
+            assert moved._co_masks is built
+            if built is not None:
+                assert sorted(built[1]) == list(range(g.n))
+
+
+def test_dense_kernel_work_does_not_depend_on_labels():
+    # the complement of K_{m x 2} is a perfect matching: in its order the
+    # count walks n + 1 masks under every labelling (in the given order,
+    # 2,047 on one labelling of K_{10 x 2})
+    rng = random.Random(13)
+    for m in (3, 5, 8, 10, 13):
+        g = complete_multipartite(m, 2)
+        for moved, _ in _relabellings(g, rng, 4):
+            count_pm(moved)
+            assert len(moved._poly_cache) == g.n + 1
 
 
 def test_sample_after_dense_counts_matches_oracles():
