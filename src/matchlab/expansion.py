@@ -15,7 +15,7 @@ sizes are compared with.
 The refuter draws each trial's size and set into a vertex mask straight
 from `getrandbits(k)`, drawn again while the result is at least the
 bound: the calls `randint` and `Random.sample` make through
-`Random._randbelow_with_getrandbits` (CPython 3.10-3.12), both of
+`Random._randbelow_with_getrandbits` (CPython 3.10-3.13), both of
 sample's branches included.  So the draws, and the rng stream, are
 those of `rng.randint(lo, hi)` then `rng.sample(range(n), size)`, and a
 seed gives the same witness and trial count as those calls would.
@@ -241,7 +241,7 @@ def refute_sampled(
     Trial t draws a size uniform in the window and a uniform set of that
     size (`_random_sets`): the draws, and the rng stream, are those of
     `rng.randint(lo, hi)` then `rng.sample(range(n), size)` on
-    `random.Random(seed)` (CPython 3.10-3.12).  The witness is the first
+    `random.Random(seed)` (CPython 3.10-3.13).  The witness is the first
     violating set, in increasing order, and `sets_checked` its trial.
     """
     n = obj.n

@@ -472,7 +472,7 @@ def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Ma
     graph's shared step table, so a step appends a prebuilt pair and
     clears a prebuilt mask.  r comes from `getrandbits(k)`, drawn again
     while r >= count: the calls `randrange(count)` makes through
-    `Random._randbelow_with_getrandbits` (CPython 3.10-3.12), a count of
+    `Random._randbelow_with_getrandbits` (CPython 3.10-3.13), a count of
     1 included.  So the draws, and the rng stream, are those of a scan
     that calls randrange and subtracts each child's count from r in turn.
 

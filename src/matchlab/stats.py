@@ -16,6 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Union
 
 from .errors import (
@@ -93,7 +94,7 @@ def poisson_pmf(lam: float, k_max: int) -> Pmf:
     loglam = math.log(lam)
     for k in range(k_max + 1):
         probs[k] = math.exp(-lam + k * loglam - math.lgamma(k + 1))
-    trunc = max(0.0, 1.0 - sum(probs.values()))
+    trunc = max(0.0, 1.0 - math.fsum(probs.values()))
     return Pmf(probs=probs, exact=False, truncation_mass=trunc)
 
 
@@ -190,16 +191,8 @@ def disjoint_probability(
     rng = random.Random(seed)
     hits = 0
     for _ in range(samples):
-        draws = [sample_pm(g, rng) for _ in range(r)]
-        used: set[Edge] = set()
-        ok = True
-        for m in draws:
-            if used & m.edge_set:
-                ok = False
-                break
-            used |= m.edge_set
-        if ok:
-            hits += 1
+        draws = [sample_pm(g, rng).edge_set for _ in range(r)]
+        hits += all(a.isdisjoint(b) for a, b in combinations(draws, 2))
     return hits / samples, reference
 
 

@@ -65,9 +65,12 @@ from matchlab.rational import as_fraction
 from matchlab.walks import (
     DEFAULT_MATRIX_CAP,
     DEFAULT_PATH_BUDGET,
+    MixingReport,
     StochasticMatrix,
+    _check_distribution,
     identity_matrix,
     matrix_power,
+    mixing_params,
     transition_matrix,
 )
 
@@ -548,6 +551,40 @@ def reference_sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
             if not lower <= scaled <= upper:
                 return False
     return True
+
+
+# -- reference mixing check ---------------------------------------------------
+
+def reference_mixing_bound_check(p: StochasticMatrix, sigma, t: int) -> MixingReport:
+    """Oracle for walks.mixing_bound_check: every entry of P^t compared
+    with its sigma_i in rationals, as the check stood before it read
+    only each column's extremes."""
+    params = mixing_params(p, sigma)
+    sig = _check_distribution(sigma)
+    below = t < params.threshold
+    pt = matrix_power(p, t)
+    factor = (1 - params.alpha / 2) ** t
+    max_abs = Fraction(0)
+    max_rel = Fraction(0)
+    ok = True
+    for j in range(p.n):
+        for i in range(p.n):
+            dev = abs(pt.entry(j, i) - sig[i])
+            if dev > max_abs:
+                max_abs = dev
+            rel = dev / sig[i]
+            if rel > max_rel:
+                max_rel = rel
+            if dev > factor * sig[i]:
+                ok = False
+    return MixingReport(
+        t=t,
+        threshold=params.threshold,
+        below_threshold=below,
+        max_abs_dev=float(max_abs),
+        max_rel_dev=float(max_rel),
+        passes=ok,
+    )
 
 
 # -- reference expansion sweep ------------------------------------------------

@@ -125,7 +125,10 @@ def test_walks_analysis(capsys):
     assert row["mixing_passes"] is True
 
 
-@pytest.mark.parametrize("extra", [[], ["--ell", "6", "--k", "5"], ["--ell", "0"], ["--ell", "3", "--k", "3"]])
+@pytest.mark.parametrize(
+    "extra",
+    [[], ["--ell", "6", "--k", "5"], ["--ell", "0"], ["--ell", "3", "--k", "3"], ["--ell", "1"], ["--ell", "5"]],
+)
 def test_walk_counts_match_count_walks(capsys, extra):
     argv = ["walks", "--family", "random_regular", "-n", "10", "-d", "3", "--seed", "1",
             "--nu", "1/10", "--tau", "1/5", *extra]
@@ -138,6 +141,20 @@ def test_walk_counts_match_count_walks(capsys, extra):
     assert all(c.denominator == 1 for c in counts)
     assert (row["min_walks"], row["max_walks"]) == (min(counts), max(counts))
     assert row["walk_bound_ok"] == all(c >= row["walk_lower_bound"] for c in counts)
+    expected = float(Fraction(3, 10) ** ell * 10 ** (ell - 1))
+    assert row["max_rel_err_vs_regular_count"] == max(abs(int(c) / expected - 1.0) for c in counts)
+
+
+def test_walks_on_a_bipartite_host_fail_the_walk_bound(capsys):
+    # an even length never joins the two sides of K_{3,3}, so the fewest
+    # walks, 0, fall short of (nu*n)^(ell-1) = 8
+    row = run_json(
+        capsys, "walks", "--family", "multipartite", "-a", "2", "-b", "3", "--nu", "1/3", "--tau", "1/3"
+    )["rows"][0]
+    assert (row["ell"], row["min_walks"], row["max_walks"]) == (4, 0, 27)
+    assert row["walk_lower_bound"] == 8.0
+    assert row["walk_bound_ok"] is False
+    assert row["max_rel_err_vs_regular_count"] == 1.0
 
 
 def test_walks_with_an_ell_past_the_float_range_is_input_error(capsys, monkeypatch):

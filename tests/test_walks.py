@@ -9,6 +9,7 @@ from conftest import (
     reference_count_paths,
     reference_count_walks,
     reference_matrix_power,
+    reference_mixing_bound_check,
     reference_sandwich_check,
 )
 from matchlab import walks
@@ -517,6 +518,33 @@ def test_mixing_check_powered_expander():
     for t in range(math.ceil(threshold), math.ceil(threshold) + 5):
         rep = mixing_bound_check(p4, sigma, t)
         assert rep.passes and rep.exact_pass, t
+
+
+def mixing_cases():
+    """(P^k, sigma) with every entry of P^k positive, from the powering
+    and sandwich hosts: sigma uniform, and sigma proportional to 1..n."""
+    for p in power_test_matrices() + [transition_matrix(d) for d in sandwich_hosts()]:
+        n = p.n
+        skewed = tuple(F(i + 1, n * (n + 1) // 2) for i in range(n))
+        for k in range(1, 5):
+            pk = matrix_power(p, k)
+            if n and pk.min_entry() > 0:
+                yield pk, uniform_distribution(n)
+                yield pk, skewed
+
+
+def test_mixing_bound_check_matches_reference():
+    # each column's extremes decide what the entrywise loop decided, in
+    # every field, below, at and above the threshold
+    verdicts = []
+    for pk, sigma in mixing_cases():
+        top = math.ceil(mixing_params(pk, sigma).threshold)
+        for t in sorted({0, 1, 2, max(top - 1, 0), top, top + 3}):
+            want = reference_mixing_bound_check(pk, sigma, t)
+            assert mixing_bound_check(pk, sigma, t) == want, (pk.rows, sigma, t)
+            verdicts.append((want.below_threshold, want.passes))
+    assert len(verdicts) > 500
+    assert {(b, ok) for b in (False, True) for ok in (False, True)} <= set(verdicts)
 
 
 def test_uniform_is_stationary_for_regular():
