@@ -281,34 +281,38 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     k = args.k if args.k is not None else math.ceil(1 / nu) + 1
     if k < 1:
         raise ValueError("--k must be at least 1")
-    dg = to_bidirected(g)
-    cert = expansion.certify_exact(dg, params)
-    _warn_if_vacuous(cert)
     if k * n > WALK_STEP_BUDGET:
         # P^k, the k-step walk rows and the mixing checks all grow with k
         raise BudgetExceededError(
             f"the k-step checks need {k * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
         )
-    pk = walks.matrix_power(walks.transition_matrix(dg), k)
     delta = Fraction(d, n)
     bound = (nu * n) ** (ell - 1)
+    ell_too_large = MatchlabError(f"--ell {ell} is too large: the walk counts leave the float range")
     try:
         # the float bounds first: an ell past the float range is refused
-        # before the walks are counted, which costs ell steps on big ints
+        # before the sweep and the walks, which cost ell steps on big ints
         lower = float(bound)
         expected = float(delta**ell * n ** (ell - 1))
-        if ell * n > WALK_STEP_BUDGET:
-            # only a 1-regular host gets here with a large ell: its counts
-            # stay in the float range at every length
-            raise BudgetExceededError(
-                f"walk counts need {ell * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
-            )
-        counts = [walks.count_walks(dg, u, v, ell) for u in range(n) for v in range(n) if u != v]
-        lo, hi = min(counts), max(counts)
-        # |c/expected - 1| is largest at the smallest or the largest count
+    except OverflowError:
+        raise ell_too_large from None
+    if ell * n > WALK_STEP_BUDGET:
+        # a low degree keeps the counts in the float range at a large ell
+        raise BudgetExceededError(
+            f"walk counts need {ell * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
+        )
+    dg = to_bidirected(g)
+    cert = expansion.certify_exact(dg, params)
+    _warn_if_vacuous(cert)
+    counts = [walks.count_walks(dg, u, v, ell) for u in range(n) for v in range(n) if u != v]
+    lo, hi = min(counts), max(counts)
+    try:
+        # |c/expected - 1| is largest at the smallest or the largest count,
+        # and one count can leave the float range where their mean does not
         rel_err = max(abs(c / expected - 1.0) for c in (lo, hi))
     except OverflowError:
-        raise MatchlabError(f"--ell {ell} is too large: the walk counts leave the float range") from None
+        raise ell_too_large from None
+    pk = walks.matrix_power(walks.transition_matrix(dg), k)
     sigma = walks.uniform_distribution(n)
     row: dict = {
         "nu": float(nu),
@@ -328,16 +332,14 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
         t = math.ceil(mix.threshold)
         rep = walks.mixing_bound_check(pk, sigma, t)
         row.update(
-            {
-                "alpha": float(mix.alpha),
-                "beta": float(mix.beta),
-                "mixing_threshold": mix.threshold,
-                "mixing_t": t,
-                "mixing_passes": rep.passes,
-            }
+            alpha=float(mix.alpha),
+            beta=float(mix.beta),
+            mixing_threshold=mix.threshold,
+            mixing_t=t,
+            mixing_passes=rep.passes,
         )
     except MatchlabError as exc:
-        row.update({"mixing_error": str(exc)})
+        row["mixing_error"] = str(exc)
     return [row]
 
 

@@ -5,8 +5,8 @@ Every matrix entry is an exact rational; floats appear only in the
 logarithm of the mixing threshold and in reported deviations.  Powers
 are taken in integers: with L the lcm of P's denominators, B = L*P is an
 integer matrix and P^k = B^k / L^k, so the products are plain int
-arithmetic and the result is checked to be stochastic once per power,
-not once per product.  Walk counts are plain integers: `count_walks`
+arithmetic; the rows of B^k sum to L^k, so a power is built once from
+B^k and not checked again.  Walk counts are plain integers: `count_walks`
 propagates the vector of counts from a source along out-arcs and keeps
 the resulting row on the digraph, one row per (source, length), so every
 target of a source is answered from one propagation.  On a d-regular
@@ -14,7 +14,7 @@ digraph a row is d^len * P^len(u, .), so the sandwich bound is tested on
 the rows in integers and P is powered only for the mixing checks.  The
 mixing envelope bounds |P^t(j, i) - sigma_i| in each column i, and over
 a column that distance is largest at the column's largest or smallest
-entry, so each column is decided by its two extremes.
+entry, so each column is decided by its two extremes, read off B^t.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from .rational import as_fraction
 DEFAULT_MATRIX_CAP = 64
 DEFAULT_PATH_BUDGET = 100_000_000
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 @dataclass(frozen=True)
 class StochasticMatrix:
@@ -57,6 +54,13 @@ class StochasticMatrix:
                 raise ValueError("negative entry in stochastic matrix")
             if sum(row) != 1:
                 raise ValueError("row sum differs from 1")
+
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "StochasticMatrix":
+        """A StochasticMatrix from rows known to be stochastic, unchecked."""
+        m = cls.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
 
     @property
     def n(self) -> int:
@@ -80,17 +84,11 @@ def transition_matrix(d: Digraph) -> StochasticMatrix:
         if deg == 0:
             raise SinkVertexError(f"vertex {u} has out-degree 0")
         p = Fraction(1, deg)
-        row = [ZERO] * d.n
+        row = [Fraction(0)] * d.n
         for v in d.out_neighbors(u):
             row[v] = p
         rows.append(tuple(row))
-    return StochasticMatrix(tuple(rows))
-
-
-def identity_matrix(n: int) -> StochasticMatrix:
-    return StochasticMatrix(
-        tuple(tuple(ONE if i == j else ZERO for j in range(n)) for i in range(n))
-    )
+    return StochasticMatrix._from_rows(tuple(rows))
 
 
 def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -99,22 +97,16 @@ def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> StochasticMatrix:
-    """Exact P^k by repeated squaring in integers.
-
-    With L the lcm of the entries' denominators, B = L*P is an integer
-    matrix and P^k = B^k / L^k entry for entry; the result is built and
-    validated as a stochastic matrix once.
-    """
+def _integer_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP):
+    """(B^k, L^k) with L the lcm of P's denominators and B = L*P, so that
+    P^k = B^k / L^k; B^k is squared out in integers, B^0 the identity."""
     if k < 0:
         raise ValueError("exponent must be non-negative")
     if p.n > cap:
         raise TooLargeError(f"dimension {p.n} above the exact-power cap {cap}")
-    if k == 0:
-        return identity_matrix(p.n)
     scale = math.lcm(*(x.denominator for row in p.rows for x in row))
     base = [[x.numerator * (scale // x.denominator) for x in row] for row in p.rows]
-    result = None
+    result = [[int(i == j) for j in range(p.n)] for i in range(p.n)] if k == 0 else None
     e = k
     while e:
         if e & 1:
@@ -122,8 +114,14 @@ def matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> 
         e >>= 1
         if e:
             base = _imatmul(base, base)
-    den = scale**k
-    return StochasticMatrix(tuple(tuple(Fraction(x, den) for x in row) for row in result))
+    return result, scale**k
+
+
+def matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> StochasticMatrix:
+    """Exact P^k = B^k / L^k, squared out in integers; the rows of B^k sum
+    to L^k and no entry is negative, so the result is built once, unchecked."""
+    power, den = _integer_power(p, k, cap)
+    return StochasticMatrix._from_rows(tuple(tuple(Fraction(x, den) for x in row) for row in power))
 
 
 def count_walks(d: Digraph, u: int, v: int, length: int) -> int:
@@ -276,19 +274,19 @@ def mixing_bound_check(p: StochasticMatrix, sigma: Sequence, t: int) -> MixingRe
     Column i deviates from sigma_i by at most dev_i = max(max_j P^t(j, i)
     - sigma_i, sigma_i - min_j P^t(j, i)), since |x - s| over a set of x
     is largest at its largest or smallest x; the envelope holds when every
-    dev_i <= (1 - alpha/2)^t sigma_i, compared exactly.  Below the
-    threshold the report is flagged but still computed.
+    dev_i <= (1 - alpha/2)^t sigma_i, compared exactly.  Only the extremes
+    of B^t = L^t P^t become rationals.  Below the threshold the report is
+    flagged but still computed.
     """
     params = mixing_params(p, sigma)
     sig = _check_distribution(sigma)
-    below = t < params.threshold
-    pt = matrix_power(p, t)
+    power, den = _integer_power(p, t)
     factor = (1 - params.alpha / 2) ** t
-    devs = [max(max(col) - s, s - min(col)) for col, s in zip(zip(*pt.rows), sig)]
+    devs = [max(Fraction(max(c), den) - s, s - Fraction(min(c), den)) for c, s in zip(zip(*power), sig)]
     return MixingReport(
         t=t,
         threshold=params.threshold,
-        below_threshold=below,
+        below_threshold=t < params.threshold,
         max_abs_dev=float(max(devs)),
         max_rel_dev=float(max(dev / s for dev, s in zip(devs, sig))),
         passes=all(dev <= factor * s for dev, s in zip(devs, sig)),

@@ -68,7 +68,6 @@ from matchlab.walks import (
     MixingReport,
     StochasticMatrix,
     _check_distribution,
-    identity_matrix,
     matrix_power,
     mixing_params,
     transition_matrix,
@@ -493,7 +492,9 @@ def reference_matrix_power(
         raise ValueError("exponent must be non-negative")
     if p.n > cap:
         raise TooLargeError(f"dimension {p.n} above the exact-power cap {cap}")
-    result = identity_matrix(p.n)
+    result = StochasticMatrix(
+        tuple(tuple(Fraction(int(i == j)) for j in range(p.n)) for i in range(p.n))
+    )
     base = p
     e = k
     while e:
@@ -558,11 +559,12 @@ def reference_sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
 def reference_mixing_bound_check(p: StochasticMatrix, sigma, t: int) -> MixingReport:
     """Oracle for walks.mixing_bound_check: every entry of P^t compared
     with its sigma_i in rationals, as the check stood before it read
-    only each column's extremes."""
+    only each column's extremes, with P^t from the Fraction oracle, since
+    matrix_power and the check share one integer power."""
     params = mixing_params(p, sigma)
     sig = _check_distribution(sigma)
     below = t < params.threshold
-    pt = matrix_power(p, t)
+    pt = reference_matrix_power(p, t)
     factor = (1 - params.alpha / 2) ** t
     max_abs = Fraction(0)
     max_rel = Fraction(0)

@@ -173,6 +173,17 @@ def test_walks_with_an_ell_past_the_float_range_is_input_error(capsys, monkeypat
     assert main(["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3", "--ell", "400"]) == 0
 
 
+def test_walks_with_one_count_past_the_float_range_is_input_error(capsys):
+    # on K_{2,2} an odd ell gives 2^(ell-1) walks across and none within a
+    # side: at ell = 1025 the mean 2^1023 is a float and the count is not
+    argv = ["walks", "--family", "multipartite", "-a", "2", "-b", "2", "--nu", "1/4", "--tau", "1/2", "--ell"]
+    assert main([*argv, "1025"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --ell 1025 is too large: the walk counts leave the float range\n"
+    assert run_json(capsys, *argv, "1024")["rows"][0]["max_walks"] == 2**1024 // 2
+
+
 def test_walks_on_a_one_regular_host_refuses_a_large_ell_by_its_step_budget(capsys, monkeypatch):
     # K2 has at most one walk between two vertices at any length, so no
     # float bound stops a large ell; the step budget does, before any walk
@@ -742,6 +753,46 @@ def test_walks_rejects_negative_ell_before_the_sweep(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert err == "error: length must be non-negative\n"
+
+
+@pytest.mark.parametrize(
+    "extra, code, err",
+    [
+        (
+            ["--k", "40000"],
+            2,
+            "error: instance too large: the k-step checks need 1040000 propagation steps, "
+            "over the budget of 100000\n",
+        ),
+        (["--ell", "500"], 1, "error: --ell 500 is too large: the walk counts leave the float range\n"),
+    ],
+    ids=["k", "ell"],
+)
+def test_walks_refuses_over_budget_runs_before_the_sweep(capsys, extra, code, err):
+    # K26 is above the sweep cap, so a sweep run first would exit 2 with
+    # the sweep's message
+    argv = ["walks", "--family", "complete", "-n", "26", "--nu", "0.1", "--tau", "0.3", *extra]
+    assert main(argv) == code
+    assert capsys.readouterr().err == err
+
+
+def test_walks_refuses_a_large_k_without_sweeping(capsys, monkeypatch):
+    # the sweep of rr(24, 4) at (1/24, 1/4) takes seconds; a k past the
+    # step budget is refused before it, within a second
+    def no_sweep(*args):
+        raise AssertionError("swept a run past the step budget")
+
+    monkeypatch.setattr(cli.expansion, "certify_exact", no_sweep)
+    argv = ["walks", "--family", "random_regular", "-n", "24", "-d", "4", "--seed", "1",
+            "--nu", "1/24", "--tau", "1/4", "--k", "5000"]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: instance too large: the k-step checks need 120000 propagation steps, "
+        "over the budget of 100000\n"
+    )
 
 
 _WALKS_K6 = ["walks", "--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"]

@@ -7,7 +7,8 @@ on a multipartite host, a count on an edge list whose two components
 are odd, a sampled refutation on two relabelled K15 that fails at
 trial 2797, and the PMF and edge probabilities of dense14.el, the
 complement of a 3-regular graph on 14 vertices with shuffled labels,
-whose counts walk the complement in its own vertex order.  A change
+whose counts walk the complement in its own vertex order, and a walks
+row whose P^2 has a zero entry, so it reports `mixing_error`.  A change
 that means to alter a report rewrites them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -74,6 +75,10 @@ INVOCATIONS = {
     "walks_random_regular_ell6_k5": [
         "walks", "--family", "random_regular", "-n", "10", "-d", "3", "--seed", "1",
         "--nu", "1/10", "--tau", "1/5", "--ell", "6", "--k", "5",
+    ],
+    "walks_mixing_error": [
+        "walks", "--family", "random_regular", "-n", "12", "-d", "3", "--seed", "1",
+        "--nu", "1/10", "--tau", "3/10", "--k", "2",
     ],
     "suite_multipartite": ["suite_multipartite", "--b-max", "6"],
     "suite_tv": ["suite_tv", "--sizes", "6", "8", "10", "12"],

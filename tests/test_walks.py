@@ -15,6 +15,7 @@ from conftest import (
 from matchlab import walks
 from matchlab.errors import (
     BudgetExceededError,
+    MatchlabError,
     NotRegularError,
     SinkVertexError,
     TooLargeError,
@@ -197,6 +198,16 @@ def test_power_errors_match_reference(p, k, cap):
     with pytest.raises(want.type) as got:
         matrix_power(p, k, cap=cap)
     assert got.type is want.type and str(got.value) == str(want.value)
+
+
+def test_built_matrices_pass_the_public_constructor():
+    # transition_matrix and matrix_power build their results without the
+    # constructor's checks; each must be a matrix those checks accept
+    for p in power_test_matrices() + [transition_matrix(d) for d in sandwich_hosts()]:
+        assert StochasticMatrix(p.rows) == p
+        for k in range(10):
+            pk = matrix_power(p, k)
+            assert StochasticMatrix(pk.rows) == pk, (p.rows, k)
 
 
 # -- walk counting ----------------------------------------------------------------
@@ -545,6 +556,26 @@ def test_mixing_bound_check_matches_reference():
             verdicts.append((want.below_threshold, want.passes))
     assert len(verdicts) > 500
     assert {(b, ok) for b in (False, True) for ok in (False, True)} <= set(verdicts)
+
+
+@pytest.mark.parametrize(
+    "p, sigma, t",
+    [
+        (uniform_matrix(3), uniform_distribution(3), -1),
+        (uniform_matrix(65), uniform_distribution(65), 2),
+        (uniform_matrix(65), uniform_distribution(65), -1),
+        (uniform_matrix(3), (F(1, 2), F(1, 2), F(0)), 2),
+        (uniform_matrix(3), uniform_distribution(4), 2),
+        (transition_matrix(complete_digraph(3)), uniform_distribution(3), 2),
+    ],
+    ids=["negative-t", "above-cap", "negative-t-above-cap", "zero-sigma", "sigma-length", "zero-entry"],
+)
+def test_mixing_errors_match_reference(p, sigma, t):
+    with pytest.raises((ValueError, MatchlabError)) as want:
+        reference_mixing_bound_check(p, sigma, t)
+    with pytest.raises(want.type) as got:
+        mixing_bound_check(p, sigma, t)
+    assert got.type is want.type and str(got.value) == str(want.value)
 
 
 def test_uniform_is_stationary_for_regular():
