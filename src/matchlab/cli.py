@@ -14,6 +14,12 @@ the two suites, and the analysis's own flags.  Any other flag is refused,
 as are a size flag the family does not use and --samples or --trials on
 the branch that does not sample.
 
+A host is named once: exactly one of --family (complete, multipartite,
+random_regular) and --file.  `expander` runs the bipartite sweep
+whenever the host has a bipartition (a file with an 'A:' line, or -a 2)
+and --sampled is not given; `suite_tv` builds K_size, or with -a the
+complete multipartite graph of a parts of each size.
+
 Exit codes: 0 success, 1 input error (a refused flag included), 2
 instance too large for the configured exact caps.
 """
@@ -52,11 +58,7 @@ _FAMILY_FLAGS = {"complete": "n", "multipartite": "ab", "random_regular": "nd", 
 
 
 def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]:
-    if args.path and args.family not in (None, "file"):
-        raise ValueError("--file needs --family file or no --family")
-    family = "file" if args.path else args.family
-    if family is None:
-        raise ValueError("a host needs --family or --file")
+    family = args.family or "file"
     takes = _FAMILY_FLAGS[family]
     unused = [f"-{f}" for f in "abnd" if f not in takes and getattr(args, f) is not None]
     if unused:
@@ -73,8 +75,6 @@ def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]
         return g, part
     if family == "random_regular":
         return random_regular(args.n, args.d, args.seed), None
-    if not args.path:
-        raise ValueError("file family needs --file")
     return read_edge_list(args.path)
 
 
@@ -351,9 +351,7 @@ def run_expander(args: argparse.Namespace) -> list[dict]:
     params = _params(args)
     if args.sampled:
         cert = expansion.refute_sampled(g, params, trials, args.seed)
-    elif args.bipartite or part is not None:
-        if part is None:
-            raise ValueError("--bipartite needs a file with an 'A:' line or -a 2")
+    elif part is not None:
         cert = expansion.certify_bipartite(g, part, params)
     else:
         cert = expansion.certify_exact(g, params)
@@ -397,15 +395,13 @@ def run_suite_multipartite(args: argparse.Namespace) -> list[dict]:
 
 def run_suite_tv(args: argparse.Namespace) -> list[dict]:
     """Distance between the exact overlap distribution (reference: one
-    fixed perfect matching) and its Poisson reference across sizes."""
-    family, a = args.family, args.a
-    if family == "complete" and a is not None:
-        raise ValueError("complete family does not take -a")
-    if family == "multipartite" and a is None:
-        raise ValueError("multipartite trend needs -a")
+    fixed perfect matching) and its Poisson reference across sizes: K_size,
+    or with -a the complete multipartite graph of a parts of that size."""
+    a = args.a
+    family = "complete" if a is None else "multipartite"
     rows = []
     for size in args.sizes:
-        g = complete_graph(size) if family == "complete" else complete_multipartite(a, size)
+        g = complete_graph(size) if a is None else complete_multipartite(a, size)
         if g.n % 2 != 0:
             raise ValueError(f"size {size} gives an odd vertex count")
         ref = pm.first_pm(g)
@@ -512,8 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", dest="fmt", choices=["json", "csv"], default="json")
         if name.startswith("suite_"):
             continue
-        p.add_argument("--family", choices=["complete", "multipartite", "random_regular", "file"])
-        p.add_argument("--file", dest="path")
+        host = p.add_mutually_exclusive_group(required=True)
+        host.add_argument("--family", choices=["complete", "multipartite", "random_regular"])
+        host.add_argument("--file", dest="path")
         for flag in ("-a", "-b", "-n", "-d"):
             p.add_argument(flag, type=int)
     for name in ("pmf", "avoidance", "switching"):
@@ -529,15 +526,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["exact", "montecarlo"], default="exact")
     p.add_argument("--samples", type=int)
     p = subs["expander"]
-    sweep = p.add_mutually_exclusive_group()
-    sweep.add_argument("--sampled", action="store_true")
-    sweep.add_argument("--bipartite", action="store_true")
+    p.add_argument("--sampled", action="store_true")
     p.add_argument("--trials", type=int)
     p = subs["suite_multipartite"]
     p.add_argument("--b-max", dest="b_max", type=int, default=6)
     p.add_argument("--cap", type=int, default=DEFAULT_SUITE_CAP)
     p = subs["suite_tv"]
-    p.add_argument("--family", choices=["complete", "multipartite"], default="complete")
     p.add_argument("-a", type=int)
     p.add_argument("--sizes", type=int, nargs="+", default=[6, 8, 10, 12])
     return parser

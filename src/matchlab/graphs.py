@@ -404,13 +404,21 @@ def to_bidirected(g: Graph) -> Digraph:
 
 
 # -- edge-list text format ---------------------------------------------------
-# First line "n m", then m lines "u v" with u < v.  Lines starting with "#"
-# are comments.  An optional line "A: i1 i2 ..." names one side of a
-# bipartition; it may appear once, with distinct vertices in 0..n-1.
+# First line "n m", then m lines "u v" with u < v, each edge once.  Lines
+# starting with "#" are comments.  An optional line "A: i1 i2 ..." names
+# one side of a bipartition; it may appear once, with distinct vertices
+# in 0..n-1.
+
+def _line_ints(tokens: list[str], kind: str, raw: str) -> list[int]:
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError:
+        raise ValueError(f"bad {kind} line: {raw!r}") from None
+
 
 def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
     header: Optional[tuple[int, int]] = None
-    edges: list[Edge] = []
+    edges: set[Edge] = set()
     side_a: Optional[list[int]] = None
     for raw in text.splitlines():
         line = raw.strip()
@@ -419,17 +427,20 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
         if line.startswith("A:"):
             if side_a is not None:
                 raise ValueError(f"second 'A:' line: {raw!r}")
-            side_a = [int(tok) for tok in line[2:].split()]
+            side_a = _line_ints(line[2:].split(), "'A:'", raw)
             continue
+        kind = "header" if header is None else "edge"
         parts = line.split()
-        if header is None:
-            if len(parts) != 2:
-                raise ValueError(f"bad header line: {raw!r}")
-            header = (int(parts[0]), int(parts[1]))
-            continue
         if len(parts) != 2:
-            raise ValueError(f"bad edge line: {raw!r}")
-        edges.append((int(parts[0]), int(parts[1])))
+            raise ValueError(f"bad {kind} line: {raw!r}")
+        u, v = _line_ints(parts, kind, raw)
+        if header is None:
+            header = (u, v)
+            continue
+        edge = (u, v) if u < v else (v, u)
+        if edge in edges:
+            raise ValueError(f"edge {edge[0]} {edge[1]} repeated: {raw!r}")
+        edges.add(edge)
     if header is None:
         raise ValueError("missing 'n m' header line")
     n, m = header

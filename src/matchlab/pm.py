@@ -20,7 +20,7 @@ digit; w, the bit length of (n-1)!!, bounds every count the DP meets, so
 no digit carries into the next.
 
 Dense hosts count through their complement H instead.  When
-2*e(H) < e(G), count_pm, count_pm_containing and stratify use Godsil's
+2*e(H) <= e(G), count_pm, count_pm_containing and stratify use Godsil's
 duality (Combinatorica 1981): pm(G[S]) = sum_k (-1)^k m_k(H[S])
 (|S|-2k-1)!!, m_k the k-edge matchings of H[S].  One kernel,
 _poly_on_mask, computes those m_k by the matching-polynomial DP (the
@@ -143,10 +143,10 @@ def _count_on_mask(g: Graph, mask: int) -> int:
 
 
 def _is_dense(g: Graph) -> bool:
-    """True when the complement H of g has fewer than half as many edges
-    as g, 2*e(H) < e(G): then counting goes through H's matching
-    polynomial instead of the lowest-vertex DP on g."""
-    return 2 * (g.n * (g.n - 1) // 2 - g.m) < g.m
+    """True when the complement H of g has at most half as many edges as
+    g, 2*e(H) <= e(G): then counting goes through H's matching polynomial
+    instead of the lowest-vertex DP on g."""
+    return 2 * (g.n * (g.n - 1) // 2 - g.m) <= g.m
 
 
 def _poly_on_mask(masks, hits, lo: int, hi: int, mask: int, memo: dict) -> int:
@@ -190,30 +190,16 @@ def _min_frontier_relabel(h: list[int]) -> tuple[list[int], list[int]]:
     and masks[pos[v]] v's neighbour mask in the new labels.
 
     The frontier is the set of unplaced vertices with a placed neighbour.
-    Each step places the unplaced vertex that leaves the smallest frontier,
-    ties going to the lowest label.  Below the frontier at step i,
-    _poly_on_mask meets at most 2^(frontier) masks, so a small frontier is
-    a small memo.  While the frontier is empty only an isolated vertex
-    keeps it so, so the isolated vertices come first, in label order.  A
-    scan stops at a vertex no other can beat: one that leaves the frontier
-    one smaller than it was, or, from an empty frontier, one that leaves a
-    frontier of one.  Each placed vertex is joined to its placed
-    neighbours both ways, so every edge is relabelled once, when its
-    second end is placed.
+    Each step scans every unplaced vertex and places the one that leaves
+    the smallest frontier, ties going to the lowest label.  Below the
+    frontier at step i, _poly_on_mask meets at most 2^(frontier) masks, so
+    a small frontier is a small memo.
     """
     n = len(h)
     pos = [0] * n
-    masks = []
     left = (1 << n) - 1
-    if 0 in h:
-        for v, m in enumerate(h):
-            if not m:
-                pos[v] = len(masks)
-                masks.append(0)
-                left ^= 1 << v
     front = 0
-    while left:
-        floor = front.bit_count() - 1 if front else 1
+    for i in range(n):
         best = n
         cand = left
         while cand:
@@ -221,23 +207,13 @@ def _min_frontier_relabel(h: list[int]) -> tuple[list[int], list[int]]:
             cand ^= b
             c = ((front | h[b.bit_length() - 1]) & (left ^ b)).bit_count()
             if c < best:
-                best, pick = c, b
-                if c == floor:
-                    break
-        v = pick.bit_length() - 1
-        hv = h[v]
-        i = pos[v] = len(masks)
-        left ^= pick
-        front = (front | hv) & left
-        out = 0
-        placed = hv & ~left
-        while placed:
-            b = placed & -placed
-            placed ^= b
-            j = pos[b.bit_length() - 1]
-            out |= 1 << j
-            masks[j] |= 1 << i
-        masks.append(out)
+                best, v = c, b.bit_length() - 1
+        pos[v] = i
+        left ^= 1 << v
+        front = (front | h[v]) & left
+    masks = [0] * n
+    for v, m in enumerate(h):
+        masks[pos[v]] = _relabel(m, pos)
     return masks, pos
 
 
@@ -297,7 +273,7 @@ def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
     component has an odd number of vertices (odd n included), found
     without counting.
 
-    A host whose complement H has fewer than half its edges (2*e(H) <
+    A host whose complement H has at most half its edges (2*e(H) <=
     e(G)) is counted through H's matching polynomial (_complement_strata
     with no reference), which walks H's few edges instead of g's many,
     memoised in g._poly_cache; any other host runs the lowest-vertex DP
@@ -583,7 +559,7 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     there, a graph with an odd component skips the DP (every stratum is 0)
     and each child's memo entry is read inline.
 
-    A dense host (2*e(H) < e(G) for the complement H) skips this DP too:
+    A dense host (2*e(H) <= e(G) for the complement H) skips this DP too:
     _complement_strata runs _poly_on_mask on H + reference, with a memo of
     its own, and expands the duality pm = sum_k (-1)^k m_k (n-2k-1)!! by
     the reference edges used.

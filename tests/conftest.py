@@ -267,6 +267,64 @@ def reference_min_frontier_order(g: Graph) -> list[int]:
     return order
 
 
+def reference_min_frontier_relabel(h: list[int]) -> tuple[list[int], list[int]]:
+    """Oracle for pm._min_frontier_relabel, its earlier form: `(masks,
+    pos)` for the graph with neighbour masks `h` relabelled by a greedy
+    min-frontier order, built with an isolated-vertex pre-pass, an early
+    exit from each scan and an incremental relabel.
+
+    The frontier is the set of unplaced vertices with a placed neighbour.
+    Each step places the unplaced vertex that leaves the smallest frontier,
+    ties going to the lowest label.  Below the frontier at step i,
+    _poly_on_mask meets at most 2^(frontier) masks, so a small frontier is
+    a small memo.  While the frontier is empty only an isolated vertex
+    keeps it so, so the isolated vertices come first, in label order.  A
+    scan stops at a vertex no other can beat: one that leaves the frontier
+    one smaller than it was, or, from an empty frontier, one that leaves a
+    frontier of one.  Each placed vertex is joined to its placed
+    neighbours both ways, so every edge is relabelled once, when its
+    second end is placed.
+    """
+    n = len(h)
+    pos = [0] * n
+    masks = []
+    left = (1 << n) - 1
+    if 0 in h:
+        for v, m in enumerate(h):
+            if not m:
+                pos[v] = len(masks)
+                masks.append(0)
+                left ^= 1 << v
+    front = 0
+    while left:
+        floor = front.bit_count() - 1 if front else 1
+        best = n
+        cand = left
+        while cand:
+            b = cand & -cand
+            cand ^= b
+            c = ((front | h[b.bit_length() - 1]) & (left ^ b)).bit_count()
+            if c < best:
+                best, pick = c, b
+                if c == floor:
+                    break
+        v = pick.bit_length() - 1
+        hv = h[v]
+        i = pos[v] = len(masks)
+        left ^= pick
+        front = (front | hv) & left
+        out = 0
+        placed = hv & ~left
+        while placed:
+            b = placed & -placed
+            placed ^= b
+            j = pos[b.bit_length() - 1]
+            out |= 1 << j
+            masks[j] |= 1 << i
+        masks.append(out)
+    return masks, pos
+
+
 def relabel_graph(g: Graph, pos: list[int]) -> Graph:
     """g with each vertex v renamed pos[v]."""
     return Graph(g.n, [(pos[u], pos[v]) for u, v in g.edges])

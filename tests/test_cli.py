@@ -271,7 +271,7 @@ def test_exit_code_input_error(capsys):
 
 def test_suite_tv_without_a_perfect_matching_is_input_error(capsys):
     # K_{1x2} is two isolated vertices: even, but with no perfect matching
-    code = main(["suite_tv", "--family", "multipartite", "-a", "1", "--sizes", "2"])
+    code = main(["suite_tv", "-a", "1", "--sizes", "2"])
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
@@ -359,7 +359,7 @@ SMALL_INVOCATIONS = {
     ],
     "switching": ["--family", "complete", "-n", "6", "--k", "1"],
     "walks": ["--family", "complete", "-n", "6", "--nu", "1/3", "--tau", "1/3"],
-    "expander": ["--family", "file", "--file", "{bipartite}", "--nu", "0.1", "--tau", "0.3"],
+    "expander": ["--file", "{bipartite}", "--nu", "0.1", "--tau", "0.3"],
     "suite_multipartite": ["--b-max", "2", "--cap", "8"],
     "suite_tv": ["--sizes", "6", "8"],
 }
@@ -410,12 +410,12 @@ def test_expander_file_with_bad_a_line_is_input_error(capsys, tmp_path, a_lines,
 
 
 def test_parser_flags_and_defaults():
-    ns = cli.build_parser().parse_args(["count"])
+    ns = cli.build_parser().parse_args(["count", "--file", "g.el"])
     assert vars(ns) == {
         "analysis": "count", "seed": 0, "out": None, "fmt": "json",
-        "family": None, "path": None, "a": None, "b": None, "n": None, "d": None,
+        "family": None, "path": "g.el", "a": None, "b": None, "n": None, "d": None,
     }
-    ns = cli.build_parser().parse_args(["walks", "--nu", "0.1", "--tau", "1/3"])
+    ns = cli.build_parser().parse_args(["walks", "--family", "complete", "--nu", "0.1", "--tau", "1/3"])
     assert (ns.nu, ns.tau) == (Fraction(1, 10), Fraction(1, 3))
 
 
@@ -429,9 +429,9 @@ _OWN_FLAGS = {
     "disjoint": {"r": 2, "mode": "exact", "samples": None},
     "switching": {"reference": "pm", "ell": None, "k": None},
     "walks": {"ell": None, "k": None, "nu": None, "tau": None},
-    "expander": {"nu": None, "tau": None, "sampled": False, "bipartite": False, "trials": None},
+    "expander": {"nu": None, "tau": None, "sampled": False, "trials": None},
     "suite_multipartite": {"b_max": 6, "cap": 20},
-    "suite_tv": {"family": "complete", "a": None, "sizes": [6, 8, 10, 12]},
+    "suite_tv": {"a": None, "sizes": [6, 8, 10, 12]},
 }
 
 
@@ -447,7 +447,7 @@ def test_each_subcommand_offers_only_the_flags_its_runner_reads():
     for name, flags in offered.items():
         host = {} if name.startswith("suite_") else _HOST_FLAGS
         assert flags == {**_REPORT_FLAGS, **host, **_OWN_FLAGS[name]}, name
-    assert sum(map(len, offered.values())) == 100
+    assert sum(map(len, offered.values())) == 98
 
 
 @pytest.mark.parametrize("argv", [
@@ -473,9 +473,8 @@ def test_a_flag_the_subcommand_does_not_read_is_refused(capsys, argv):
     (["count", "--family", "multipartite", "-a", "3", "-b", "2", "-n", "6"], "multipartite family does not take -n"),
     (["count", "--family", "random_regular", "-n", "6", "-d", "3", "-b", "2"], "random_regular family does not take -b"),
     (["count", "--file", "{k4}", "-n", "4"], "file family does not take -n"),
-    (["count", "--family", "file", "--file", "{k4}", "-d", "3"], "file family does not take -d"),
-    (["suite_tv", "--family", "complete", "-a", "3"], "complete family does not take -a"),
-], ids=["complete", "multipartite", "random_regular", "bare_file", "file", "suite_tv"])
+    (["count", "--file", "{k4}", "-d", "3"], "file family does not take -d"),
+], ids=["complete", "multipartite", "random_regular", "bare_file", "file"])
 def test_a_size_flag_the_family_does_not_use_is_refused(capsys, tmp_path, argv, message):
     k4 = tmp_path / "k4.el"
     write_edge_list(k4, complete_graph(4))
@@ -532,18 +531,9 @@ def test_file_with_a_generated_family_is_input_error(capsys, tmp_path, family):
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
-    assert captured.err == "error: --file needs --family file or no --family\n"
-
-
-def test_expander_sampled_and_bipartite_are_exclusive(capsys):
-    code = main([
-        "expander", "--family", "multipartite", "-a", "2", "-b", "3",
-        "--nu", "0.1", "--tau", "0.3", "--sampled", "--bipartite",
-    ])
-    captured = capsys.readouterr()
-    assert code == 1
-    assert captured.out == ""
-    assert "argument --bipartite: not allowed with argument --sampled" in captured.err
+    # a host is named once, so argparse refuses the pair under the usage
+    assert captured.err.startswith("usage: matchlab count [-h]")
+    assert "matchlab count: error: argument --file: not allowed with argument --family" in captured.err
 
 
 # -- inputs that used to end in a traceback ---------------------------------
@@ -569,15 +559,32 @@ def test_edge_reference_on_graph_without_edges(capsys, tmp_path, analysis):
     assert "error: graph has no edge to use as reference" in err
 
 
+class _Usage(str):
+    """A refusal argparse makes, after the subcommand's usage."""
+
+
 _PATH_P3 = "4 2\n0 1\n1 2\n"
 _TWO_TRIANGLES = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
 
-# Every input error a user can reach, with its whole stderr; "FILE" in argv
-# stands for a file holding the row's edge-list text.
+# Every input error a user can reach, with its whole stderr, or for a
+# refusal argparse makes (_Usage) the subcommand's usage and its error
+# line; "FILE" in argv stands for a file holding the row's edge-list text.
 _INPUT_ERRORS = {
-    "family_file_without_file": (["count", "--family", "file"], None, "file family needs --file"),
+    "family_file_without_file": (["count", "--family", "file"], None, _Usage("argument --family: invalid choice: 'file'")),
+    "family_file_with_file": (
+        ["count", "--family", "file", "--file", "FILE"], _PATH_P3, _Usage("argument --family: invalid choice: 'file'"),
+    ),
+    "family_and_file": (
+        ["count", "--family", "complete", "-n", "6", "--file", "FILE"], _PATH_P3,
+        _Usage("argument --file: not allowed with argument --family"),
+    ),
     "bad_header_line": (["count", "--file", "FILE"], "1 2 3\n", "bad header line: '1 2 3'"),
     "bad_edge_line": (["count", "--file", "FILE"], "4 1\n0 1 2\n", "bad edge line: '0 1 2'"),
+    "header_token": (["count", "--file", "FILE"], "4 x\n", "bad header line: '4 x'"),
+    "edge_token": (["count", "--file", "FILE"], "4 1\n0 x\n", "bad edge line: '0 x'"),
+    "a_line_token": (["count", "--file", "FILE"], "4 1\n0 1\nA: x\n", "bad 'A:' line: 'A: x'"),
+    "repeated_edge": (["count", "--file", "FILE"], "4 2\n0 1\n0 1\n", "edge 0 1 repeated: '0 1'"),
+    "reversed_edge": (["count", "--file", "FILE"], "4 2\n0 1\n1 0\n", "edge 0 1 repeated: '1 0'"),
     "pmf_irregular": (["pmf", "--file", "FILE"], _PATH_P3, "pmf analysis needs a regular graph"),
     "walks_irregular": (
         ["walks", "--file", "FILE", "--nu", "0.1", "--tau", "0.3"], _PATH_P3,
@@ -595,7 +602,11 @@ _INPUT_ERRORS = {
     ),
     "expander_bipartite_without_bipartition": (
         ["expander", "--family", "complete", "-n", "6", "--bipartite", "--nu", "0.1", "--tau", "0.3"], None,
-        "--bipartite needs a file with an 'A:' line or -a 2",
+        _Usage("unrecognized arguments: --bipartite"),
+    ),
+    "expander_bipartite_on_a_bipartition": (
+        ["expander", "--family", "multipartite", "-a", "2", "-b", "3", "--nu", "0.1", "--tau", "0.3", "--bipartite"],
+        None, _Usage("unrecognized arguments: --bipartite"),
     ),
     "expander_trials_zero": (
         ["expander", "--family", "complete", "-n", "8", "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "0"],
@@ -610,10 +621,15 @@ _INPUT_ERRORS = {
         None, "montecarlo mode needs at least one sample",
     ),
     "disjoint_r_zero": (["disjoint", "--family", "complete", "-n", "6", "--r", "0"], None, "r must be at least 1"),
-    "suite_tv_multipartite_without_a": (["suite_tv", "--family", "multipartite"], None, "multipartite trend needs -a"),
+    "suite_tv_multipartite_without_a": (
+        ["suite_tv", "--family", "multipartite"], None, _Usage("unrecognized arguments: --family multipartite"),
+    ),
+    "suite_tv_family_complete": (
+        ["suite_tv", "--family", "complete"], None, _Usage("unrecognized arguments: --family complete"),
+    ),
     "suite_tv_odd_size": (["suite_tv", "--sizes", "7"], None, "size 7 gives an odd vertex count"),
-    "no_family_nor_file": (["count", "-n", "6"], None, "a host needs --family or --file"),
-    "bare_count": (["count"], None, "a host needs --family or --file"),
+    "no_family_nor_file": (["count", "-n", "6"], None, _Usage("one of the arguments --family --file is required")),
+    "bare_count": (["count"], None, _Usage("one of the arguments --family --file is required")),
     "edge_prob_without_pm": (
         ["edge_prob", "--family", "random_regular", "-n", "8", "-d", "0"], None, "graph has no perfect matching",
     ),
@@ -639,7 +655,12 @@ def test_reachable_input_errors(capsys, tmp_path, argv, text, message):
         argv = [str(path) if a == "FILE" else a for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
-    assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
+    if isinstance(message, _Usage):
+        assert (code, captured.out) == (1, "")
+        assert captured.err.startswith(f"usage: matchlab {argv[0]} [-h]")
+        assert f"\nmatchlab {argv[0]}: error: {message}" in captured.err
+    else:
+        assert (code, captured.out, captured.err) == (1, "", f"error: {message}\n")
 
 
 def test_edge_prob_on_k0_is_an_empty_report(capsys):

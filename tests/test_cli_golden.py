@@ -35,7 +35,7 @@ DENSE14 = GOLDEN / "dense14.el"
 
 INVOCATIONS = {
     "count_complete_6": ["count", "--family", "complete", "-n", "6"],
-    "count_odd_components": ["count", "--family", "file", "--file", str(ODD_COMPONENTS)],
+    "count_odd_components": ["count", "--file", str(ODD_COMPONENTS)],
     "avoidance_multipartite_6x1": ["avoidance", "--family", "multipartite", "-a", "6", "-b", "1"],
     "edge_prob_complete_8": ["edge_prob", "--family", "complete", "-n", "8"],
     "pmf_complete_12": ["pmf", "--family", "complete", "-n", "12"],
@@ -52,11 +52,11 @@ INVOCATIONS = {
         "expander", "--family", "multipartite", "-a", "3", "-b", "2", "--nu", "0.1", "--tau", "0.3",
     ],
     "expander_file_sampled": [
-        "expander", "--family", "file", "--file", str(EDGE_LIST),
+        "expander", "--file", str(EDGE_LIST),
         "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "5000",
     ],
     "expander_file_sampled_30": [
-        "expander", "--family", "file", "--file", str(TWO_K15),
+        "expander", "--file", str(TWO_K15),
         "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "5000", "--seed", "1",
     ],
     "expander_random_regular_fail": [
@@ -82,7 +82,7 @@ INVOCATIONS = {
     ],
     "suite_multipartite": ["suite_multipartite", "--b-max", "6"],
     "suite_tv": ["suite_tv", "--sizes", "6", "8", "10", "12"],
-    "suite_tv_multipartite_3": ["suite_tv", "--family", "multipartite", "-a", "3", "--sizes", "2", "4", "6"],
+    "suite_tv_multipartite_3": ["suite_tv", "-a", "3", "--sizes", "2", "4", "6"],
     "pmf_reference_edge": ["pmf", "--family", "complete", "-n", "8", "--reference", "edge"],
     "avoidance_random_regular": [
         "avoidance", "--family", "random_regular", "-n", "16", "-d", "5", "--seed", "2",
@@ -98,8 +98,8 @@ INVOCATIONS = {
     "pmf_multipartite_10x2": ["pmf", "--family", "multipartite", "-a", "10", "-b", "2"],
     "edge_prob_multipartite_6x2": ["edge_prob", "--family", "multipartite", "-a", "6", "-b", "2"],
     "count_complete_26": ["count", "--family", "complete", "-n", "26"],
-    "pmf_dense14": ["pmf", "--family", "file", "--file", str(DENSE14)],
-    "edge_prob_dense14": ["edge_prob", "--family", "file", "--file", str(DENSE14)],
+    "pmf_dense14": ["pmf", "--file", str(DENSE14)],
+    "edge_prob_dense14": ["edge_prob", "--file", str(DENSE14)],
 }
 
 CASES = [

@@ -296,6 +296,21 @@ def test_edge_list_second_a_line():
         parse_edge_list("4 1\n0 1\nA: 0 2\nA: 1 3\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("4 x\n0 1\n", "bad header line: '4 x'"),
+    ("4 1\n0 x\n", "bad edge line: '0 x'"),
+    ("4 1\n0 1\nA: x\n", "bad 'A:' line: 'A: x'"),
+    ("4 2\n0 1\n0 1\n", "edge 0 1 repeated: '0 1'"),
+    ("4 2\n0 1\n1 0\n", "edge 0 1 repeated: '1 0'"),
+], ids=["header_token", "edge_token", "a_line_token", "repeated_edge", "reversed_edge"])
+def test_edge_list_names_the_line_it_refuses(text, message):
+    # each refusal quotes the line it refuses; a repeated edge would
+    # otherwise be merged and m read one short of the header
+    with pytest.raises(ValueError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
 def test_edge_list_a_line_accepted():
     g, part = parse_edge_list("A: 2 0\n4 1\n0 1\n")
     assert g.m == 1

@@ -17,6 +17,7 @@ from conftest import (
     reference_enumerate_pm,
     reference_first_pm,
     reference_min_frontier_order,
+    reference_min_frontier_relabel,
     reference_sample_pm,
     reference_stratify,
     relabel_graph,
@@ -47,6 +48,7 @@ from matchlab.pm import (
     _draw_record,
     _draw_row,
     _is_dense,
+    _min_frontier_relabel,
     count_pm,
     count_pm_containing,
     enumerate_pm,
@@ -217,23 +219,26 @@ def _tutte_blocked():
 
 
 def _rule_hosts():
-    """Hosts on both sides of the rule 2*e(H) < e(G), and exactly at it
-    (K_10 and K_12 less a third of their pairs), where the DP runs."""
+    """Hosts on both sides of the rule 2*e(H) <= e(G), and exactly at it
+    (K_10 and K_12 less a third of their pairs), where the complement runs."""
     hosts = [complete_graph(n) for n in range(13)]
     hosts += [complete_multipartite(a, b) for a, b in ((2, 4), (3, 2), (4, 2), (6, 2), (4, 3), (3, 4))]
     hosts += [dense_regular(n, seed) for n, seed in ((10, 1), (12, 2), (14, 3))]
-    hosts += [gnp(n, p, seed) for n in (9, 10, 12) for p in (0.7, 0.85) for seed in (41, 42)]
+    hosts += [gnp(n, p, seed) for n in (9, 10, 12) for p in (0.5, 0.7, 0.85) for seed in (41, 42)]
     hosts += [_less_edges(n, n * (n - 1) // 6 + d, 43) for n in (10, 12) for d in (-1, 0, 1)]
     hosts.append(_tutte_blocked())
     return hosts
 
 
-def test_dense_rule_is_strict():
-    for n in (10, 12):
+def test_dense_rule_includes_the_tie():
+    # at 2*e(H) = e(G) the complement walks fewer masks than the DP (K_22
+    # less 77 pairs: a few thousand against about 26,000)
+    for n in (10, 12, 22):
         at = n * (n - 1) // 6
-        assert [_is_dense(_less_edges(n, at + d, 0)) for d in (-1, 0, 1)] == [True, False, False]
-    assert not _is_dense(complete_graph(0)) and not _is_dense(complete_graph(1))
-    assert _is_dense(complete_graph(2)) and _is_dense(_tutte_blocked())
+        assert [_is_dense(_less_edges(n, at + d, 0)) for d in (-1, 0, 1)] == [True, True, False]
+    # a complete graph has an empty complement at every size
+    assert all(_is_dense(complete_graph(n)) for n in range(4))
+    assert _is_dense(_tutte_blocked()) and not _is_dense(Graph(2, []))
 
 
 def test_dense_counts_match_reference_dp_and_oracle():
@@ -250,7 +255,7 @@ def test_dense_counts_match_reference_dp_and_oracle():
         if on_h:
             # the complement's path leaves the DP memo to the DP
             assert fast._pm_cache == {}
-            assert bool(fast._poly_cache) == (g.n > 0 and not _has_odd_part(g, full))
+            assert bool(fast._poly_cache) == (not _has_odd_part(g, full))
         else:
             assert fast._poly_cache == {}
     assert count_pm(_tutte_blocked()) == 0
@@ -382,6 +387,22 @@ def test_min_frontier_order_matches_reference():
         assert pos == want
         full = (1 << g.n) - 1
         assert masks == [full ^ m ^ 1 << v for v, m in enumerate(slow.neighbor_masks)]
+
+
+def test_min_frontier_relabel_matches_its_earlier_form():
+    # the plain greedy scan against the form with an isolated-vertex
+    # pre-pass, an early exit and an incremental relabel
+    rng = random.Random(14)
+    for i in range(1200):
+        n = rng.randrange(31)
+        p = (0.0, 1.0)[i] if i < 2 else rng.random()
+        h = [0] * n
+        for u in range(n):
+            for v in range(u + 1, n):
+                if rng.random() < p:
+                    h[u] |= 1 << v
+                    h[v] |= 1 << u
+        assert _min_frontier_relabel(h) == reference_min_frontier_relabel(h)
 
 
 def _relabellings(g, rng, times):
