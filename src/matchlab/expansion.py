@@ -39,6 +39,7 @@ from .errors import (
 from .graphs import Bipartition, Digraph, Graph, _check_vertex
 from .rational import as_fraction
 
+# Read at each call, so a value set on the module reaches every caller.
 DEFAULT_SWEEP_LIMIT = 24
 
 
@@ -168,19 +169,16 @@ def _sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> E
     return ExpansionCertificate(Verdict.PASS, params.nu, params.tau, None, checked)
 
 
-def certify_exact(
-    obj: Union[Graph, Digraph],
-    params: ExpansionParams,
-    limit: int = DEFAULT_SWEEP_LIMIT,
-) -> ExpansionCertificate:
-    """Exhaustive sweep over every set in the size window.
+def certify_exact(obj: Union[Graph, Digraph], params: ExpansionParams) -> ExpansionCertificate:
+    """Exhaustive sweep over every set in the size window, on at most
+    DEFAULT_SWEEP_LIMIT vertices.
 
     Fails with the lexicographically first violating set; passes only
     after checking the whole window.
     """
     n = obj.n
-    if n > limit:
-        raise TooLargeForExactSweepError(f"n={n} above the sweep cap {limit}")
+    if n > DEFAULT_SWEEP_LIMIT:
+        raise TooLargeForExactSweepError(f"n={n} above the sweep cap {DEFAULT_SWEEP_LIMIT}")
     return _sweep(_in_masks(obj), list(range(n)), n, params)
 
 
@@ -257,14 +255,10 @@ def refute_sampled(
     return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, trials)
 
 
-def certify_bipartite(
-    g: Graph,
-    part: Bipartition,
-    params: ExpansionParams,
-    limit: int = DEFAULT_SWEEP_LIMIT,
-) -> ExpansionCertificate:
+def certify_bipartite(g: Graph, part: Bipartition, params: ExpansionParams) -> ExpansionCertificate:
     """Bipartite sweep: sets range over one class, the scale is the side
-    size rather than the full vertex count."""
+    size rather than the full vertex count, and the side holds at most
+    DEFAULT_SWEEP_LIMIT vertices."""
     if part.n != g.n:
         raise ValueError("bipartition does not cover the graph's vertex range")
     if len(part.side_a) != len(part.side_b):
@@ -275,8 +269,10 @@ def certify_bipartite(
         if (u in part.side_a) == (v in part.side_a):
             raise NotBipartiteError(f"edge ({u}, {v}) does not cross the bipartition")
     side = len(part.side_a)
-    if side > limit:
-        raise TooLargeForExactSweepError(f"side size {side} above the sweep cap {limit}")
+    if side > DEFAULT_SWEEP_LIMIT:
+        raise TooLargeForExactSweepError(
+            f"side size {side} above the sweep cap {DEFAULT_SWEEP_LIMIT}"
+        )
     return _sweep(g.neighbor_masks, sorted(part.side_a), side, params)
 
 

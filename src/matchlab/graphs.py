@@ -23,6 +23,7 @@ from .errors import (
 
 Edge = tuple[int, int]
 
+# Read at each call, so a value set on the module reaches every caller.
 DEFAULT_RESTART_CAP = 10_000
 
 
@@ -328,20 +329,18 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
-def random_regular(
-    n: int, d: int, seed: int, max_restarts: int = DEFAULT_RESTART_CAP
-) -> Graph:
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """Uniform-ish d-regular graph via the pairing model with rejection.
 
     Each attempt pairs up n*d stubs uniformly; attempts producing a loop
     or a parallel edge are discarded wholesale.  Deterministic given the
-    seed; raises after `max_restarts` failed attempts.
+    seed; raises after DEFAULT_RESTART_CAP failed attempts.
     """
     if d < 0 or d >= n or (n * d) % 2 != 0:
         raise InfeasibleDegreeSequenceError(f"no simple {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_restarts):
+    for _ in range(DEFAULT_RESTART_CAP):
         rng.shuffle(stubs)
         edges: set[Edge] = set()
         ok = True
@@ -358,7 +357,7 @@ def random_regular(
         if ok:
             return Graph(n, edges)
     raise GenerationTimeoutError(
-        f"no simple pairing found for (n={n}, d={d}) in {max_restarts} restarts"
+        f"no simple pairing found for (n={n}, d={d}) in {DEFAULT_RESTART_CAP} restarts"
     )
 
 

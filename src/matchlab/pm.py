@@ -80,8 +80,16 @@ from .errors import (
 )
 from .graphs import Edge, Graph, Matching, edge_set
 
+# Read at each call, so a value set on the module reaches every caller.
 DEFAULT_DP_LIMIT = 26
 DEFAULT_ENUM_CAP = 1_000_000
+
+
+def _check_cap(g: Graph) -> None:
+    """Refuse a graph on more than DEFAULT_DP_LIMIT vertices: the counting
+    cap of every count, stratification and draw."""
+    if g.n > DEFAULT_DP_LIMIT:
+        raise TooLargeError(f"n={g.n} above the counting cap {DEFAULT_DP_LIMIT}")
 
 
 def _has_odd_component(masks, mask: int) -> bool:
@@ -268,7 +276,7 @@ def _count(g: Graph, mask: int) -> int:
     return _complement_strata(g, [0] * g.n, 0, 0, mask, g._poly_cache)[0]
 
 
-def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
+def count_pm(g: Graph) -> int:
     """Exact number of perfect matchings; 0 whenever some connected
     component has an odd number of vertices (odd n included), found
     without counting.
@@ -279,8 +287,7 @@ def count_pm(g: Graph, limit: int = DEFAULT_DP_LIMIT) -> int:
     memoised in g._poly_cache; any other host runs the lowest-vertex DP
     on g._pm_cache, the sampler's memo.
     """
-    if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    _check_cap(g)
     return _count(g, (1 << g.n) - 1)
 
 
@@ -329,14 +336,12 @@ def _matchings(g: Graph) -> Iterator[Matching]:
     yield from rec(full)
 
 
-def enumerate_pm(
-    g: Graph, cap: int = DEFAULT_ENUM_CAP, limit: int = DEFAULT_DP_LIMIT
-) -> Iterator[Matching]:
+def enumerate_pm(g: Graph) -> Iterator[Matching]:
     """Yield every perfect matching once, in lexicographic order of the
-    sorted edge list, after checking the count against `cap`."""
-    total = count_pm(g, limit=limit)
-    if total > cap:
-        raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {cap}")
+    sorted edge list, after checking the count against DEFAULT_ENUM_CAP."""
+    total = count_pm(g)
+    if total > DEFAULT_ENUM_CAP:
+        raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {DEFAULT_ENUM_CAP}")
     yield from _matchings(g)
 
 
@@ -350,7 +355,7 @@ def first_pm(g: Graph) -> Optional[Matching]:
     return next(_matchings(g), None)
 
 
-def count_pm_containing(g: Graph, forced, limit: int = DEFAULT_DP_LIMIT) -> int:
+def count_pm_containing(g: Graph, forced) -> int:
     """Perfect matchings containing every edge of `forced`.
 
     Equals the count on the graph with the forced endpoints deleted, taken
@@ -368,8 +373,7 @@ def count_pm_containing(g: Graph, forced, limit: int = DEFAULT_DP_LIMIT) -> int:
             raise NotASubMatchingError(f"forced edges reuse vertex {u if u in seen else v}")
         seen.add(u)
         seen.add(v)
-    if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    _check_cap(g)
     mask = (1 << g.n) - 1
     for v in seen:
         mask ^= 1 << v
@@ -430,7 +434,7 @@ def _draw_record(g: Graph, mask: int, s: int) -> tuple:
     return count, count.bit_length(), _draw_row(g, mask, s), _child_steps(g)[u]
 
 
-def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Matching:
+def sample_pm(g: Graph, rng: random.Random) -> Matching:
     """Exactly uniform draw from the perfect matchings of g.
 
     Self-reducibility (Jerrum, Valiant and Vazirani): repeatedly match the
@@ -457,8 +461,7 @@ def sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) -> Ma
     children are, so once the full mask is counted, every nonempty mask
     the walk reaches or lists as a child is in the memo.
     """
-    if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    _check_cap(g)
     mask = (1 << g.n) - 1
     if _count_on_mask(g, mask) == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
@@ -546,7 +549,7 @@ def _complement_strata(
     return strata
 
 
-def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts:
+def stratify(g: Graph, reference) -> StrataCounts:
     """Split the perfect matchings of g by the number of edges shared with
     `reference` (a matching, a graph, or a raw edge set inside E(G)).
 
@@ -564,8 +567,7 @@ def stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> StrataCounts
     its own, and expands the duality pm = sum_k (-1)^k m_k (n-2k-1)!! by
     the reference edges used.
     """
-    if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    _check_cap(g)
     ref = edge_set(reference)
     for u, v in ref:
         if not g.has_edge(u, v):

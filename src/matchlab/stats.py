@@ -28,6 +28,7 @@ from .errors import (
 from .graphs import Edge, Graph, Matching, edge_set, regularity, remove_edge_set
 from .pm import count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
 
+# Read at each call, so a value set on the module reaches every caller.
 DEFAULT_TUPLE_BUDGET = 10_000_000
 
 Prob = Union[Fraction, float]
@@ -137,7 +138,6 @@ def disjoint_probability(
     mode: str = "exact",
     samples: int = 100_000,
     seed: int = 0,
-    tuple_budget: int = DEFAULT_TUPLE_BUDGET,
 ) -> tuple[Prob, float]:
     """Probability that r independent uniform perfect matchings are
     pairwise edge-disjoint, with the reference exp(-(n/2d) * C(r, 2)).
@@ -146,7 +146,7 @@ def disjoint_probability(
     matching is a perfect matching of the host minus the union so far,
     and the last level is counted, not listed); for r >= 3 it refuses
     politely once count^(r-1), the number of listed prefixes it may
-    visit, exceeds the tuple budget.  Monte Carlo mode estimates the
+    visit, exceeds DEFAULT_TUPLE_BUDGET.  Monte Carlo mode estimates the
     same probability from `samples` draws and counts nothing: its first
     draw raises on a host with no perfect matching or past the cap.
     `r`, `mode` and, in Monte Carlo mode, `samples` are checked before
@@ -172,9 +172,9 @@ def disjoint_probability(
         # r = 2 reduces to averaging pma(G - M) over one enumeration and
         # needs no tuple budget; deeper nesting lists at most count^(r-1)
         # prefixes and counts the last level, so that is what is gated.
-        if r >= 3 and total ** (r - 1) > tuple_budget:
+        if r >= 3 and total ** (r - 1) > DEFAULT_TUPLE_BUDGET:
             raise ExactInfeasibleError(
-                f"{total}^{r - 1} listed prefixes exceed the exact budget {tuple_budget}"
+                f"{total}^{r - 1} listed prefixes exceed the exact budget {DEFAULT_TUPLE_BUDGET}"
             )
 
         def ordered_tuples(host: Graph, depth: int) -> int:

@@ -46,7 +46,7 @@ from .graphs import (
     regularity,
     vertices_of,
 )
-from .pm import DEFAULT_ENUM_CAP, enumerate_pm
+from .pm import enumerate_pm
 
 
 def eligible_edge_count(reference, k: int) -> int:
@@ -158,7 +158,7 @@ def _walk(table, x: int, seen: int, pairs: int, flip: int, last) -> None:
             _walk(table, z, seen | bits, pairs - 1, flip ^ f, last)
 
 
-def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
+def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     """The exchange graph in one pass.  Yields the strata (left, right), the
     matchings with k and k-1 edges of `ref` in enumeration order, then the
     list of neighbours (indices into `right`) of each left matching M: for
@@ -177,7 +177,7 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
     if ell < 2 or 2 * ell > g.n:
         raise ValueError("need 2 <= ell and 2*ell <= n")
     strata: dict[int, list[Matching]] = {k: [], k - 1: []}
-    for m in enumerate_pm(g, cap=cap):
+    for m in enumerate_pm(g):
         inter = len(m.edge_set & ref)
         if inter in strata:
             strata[inter].append(m)
@@ -207,12 +207,10 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
         yield found
 
 
-def build_switch_graph(
-    g: Graph, reference, k: int, ell: int, cap: int = DEFAULT_ENUM_CAP
-) -> SwitchGraph:
+def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
     """Materialize the exchange graph of `_switches`: one (i, j) per left
     matching i and right neighbour j, each left's in increasing j."""
-    walk = _switches(g, edge_set(reference), k, ell, cap)
+    walk = _switches(g, edge_set(reference), k, ell)
     left, right = next(walk)
     edges = [(i, j) for i, found in enumerate(walk) for j in sorted(found)]
     return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
@@ -323,7 +321,7 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     d = regularity(g)
     if d is None:
         raise NotRegularError("host graph must be regular")
-    walk = _switches(g, edge_set(reference), k, ell, DEFAULT_ENUM_CAP)
+    walk = _switches(g, edge_set(reference), k, ell)
     size_k, size_km1 = map(len, next(walk))
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k

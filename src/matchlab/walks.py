@@ -35,6 +35,7 @@ from .errors import (
 from .graphs import Digraph, Matching, _check_vertex, vertices_of
 from .rational import as_fraction
 
+# Read at each call, so a value set on the module reaches every caller.
 DEFAULT_MATRIX_CAP = 64
 DEFAULT_PATH_BUDGET = 100_000_000
 
@@ -97,13 +98,13 @@ def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in bt] for row in a]
 
 
-def _integer_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP):
+def _integer_power(p: StochasticMatrix, k: int):
     """(B^k, L^k) with L the lcm of P's denominators and B = L*P, so that
     P^k = B^k / L^k; B^k is squared out in integers, B^0 the identity."""
     if k < 0:
         raise ValueError("exponent must be non-negative")
-    if p.n > cap:
-        raise TooLargeError(f"dimension {p.n} above the exact-power cap {cap}")
+    if p.n > DEFAULT_MATRIX_CAP:
+        raise TooLargeError(f"dimension {p.n} above the exact-power cap {DEFAULT_MATRIX_CAP}")
     scale = math.lcm(*(x.denominator for row in p.rows for x in row))
     base = [[x.numerator * (scale // x.denominator) for x in row] for row in p.rows]
     result = [[int(i == j) for j in range(p.n)] for i in range(p.n)] if k == 0 else None
@@ -117,10 +118,10 @@ def _integer_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP):
     return result, scale**k
 
 
-def matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> StochasticMatrix:
+def matrix_power(p: StochasticMatrix, k: int) -> StochasticMatrix:
     """Exact P^k = B^k / L^k, squared out in integers; the rows of B^k sum
     to L^k and no entry is negative, so the result is built once, unchecked."""
-    power, den = _integer_power(p, k, cap)
+    power, den = _integer_power(p, k)
     return StochasticMatrix._from_rows(tuple(tuple(Fraction(x, den) for x in row) for row in power))
 
 
@@ -167,14 +168,13 @@ def count_paths(
     v: int,
     length: int,
     matching_constraint: Optional[Matching] = None,
-    budget: int = DEFAULT_PATH_BUDGET,
 ) -> int:
     """Simple directed (u, v)-paths of the given length, visiting at most
     one endpoint of each constraint edge.
 
     u, v and every constraint vertex must lie in the digraph.  Depth-first
     enumeration over an int mask of visited vertices; each extension
-    attempt consumes budget.
+    attempt consumes one step of DEFAULT_PATH_BUDGET.
     """
     if u == v:
         raise ValueError("endpoints must be distinct")
@@ -198,8 +198,8 @@ def count_paths(
         total = 0
         for y in d.out_neighbors(x):
             steps += 1
-            if steps > budget:
-                raise BudgetExceededError(f"path enumeration exceeded {budget} steps")
+            if steps > DEFAULT_PATH_BUDGET:
+                raise BudgetExceededError(f"path enumeration exceeded {DEFAULT_PATH_BUDGET} steps")
             if not seen & block[y]:
                 total += rec(y, seen | 1 << y, remaining - 1)
         return total

@@ -342,7 +342,9 @@ def reference_enumerate_pm(
 ) -> Iterator[Matching]:
     """Oracle for pm.enumerate_pm: its own lowest-vertex recursion, with no
     dead-mask pruning."""
-    total = count_pm(g, limit=limit)
+    if g.n > limit:
+        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+    total = count_pm(g)
     if total > cap:
         raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {cap}")
 
@@ -891,7 +893,7 @@ def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, b
     return rec(u, length // 2, 0)
 
 
-def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: int):
+def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     """Oracle for switching._switches: the generator-walker pass it
     replaced, verbatim but for the walker, reference_alternating_paths,
     the list walker."""
@@ -900,7 +902,7 @@ def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int, cap: in
     if ell < 2 or 2 * ell > g.n:
         raise ValueError("need 2 <= ell and 2*ell <= n")
     strata: dict[int, list[Matching]] = {k: [], k - 1: []}
-    for m in enumerate_pm(g, cap=cap):
+    for m in enumerate_pm(g):
         inter = len(m.edge_set & ref)
         if inter in strata:
             strata[inter].append(m)

@@ -156,17 +156,21 @@ def test_complete_graphs_pass_tiny_nu():
             assert cert.verdict is Verdict.PASS, (n, tau)
 
 
-def test_exact_sweep_cap():
+def test_exact_sweep_cap(monkeypatch):
+    monkeypatch.setattr(expansion, "DEFAULT_SWEEP_LIMIT", 6)
     with pytest.raises(TooLargeForExactSweepError):
-        certify_exact(complete_graph(8), ExpansionParams(0.1, 0.3), limit=6)
+        certify_exact(complete_graph(8), ExpansionParams(0.1, 0.3))
 
 
-@pytest.mark.parametrize("side,kwargs,cap", [(4, {"limit": 3}, 3), (25, {}, 24)])
-def test_bipartite_sweep_cap(side, kwargs, cap):
+# kwargs: the module constants to set before the sweep
+@pytest.mark.parametrize("side,kwargs,cap", [(4, {"DEFAULT_SWEEP_LIMIT": 3}, 3), (25, {}, 24)])
+def test_bipartite_sweep_cap(monkeypatch, side, kwargs, cap):
+    for name, value in kwargs.items():
+        monkeypatch.setattr(expansion, name, value)
     g = complete_multipartite(2, side)
     part = Bipartition(range(side), range(side, 2 * side))
     with pytest.raises(TooLargeForExactSweepError, match=rf"^side size {side} above the sweep cap {cap}$"):
-        certify_bipartite(g, part, ExpansionParams(0.1, 0.3), **kwargs)
+        certify_bipartite(g, part, ExpansionParams(0.1, 0.3))
 
 
 def test_digraph_certification():

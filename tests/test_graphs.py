@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from matchlab import graphs
 from matchlab.errors import (
     EdgeNotPresentError,
     InfeasibleDegreeSequenceError,
@@ -109,11 +110,12 @@ def test_random_regular_deterministic():
     assert random_regular(10, 4, seed=3) == random_regular(10, 4, seed=3)
 
 
-def test_random_regular_timeout():
+def test_random_regular_timeout(monkeypatch):
     from matchlab.errors import GenerationTimeoutError
 
+    monkeypatch.setattr(graphs, "DEFAULT_RESTART_CAP", 0)
     with pytest.raises(GenerationTimeoutError):
-        random_regular(8, 3, seed=0, max_restarts=0)
+        random_regular(8, 3, seed=0)
 
 
 def test_regularity():

@@ -1,0 +1,96 @@
+"""Package-wide properties: each exact cap is one module constant that
+every analysis above its kernel reads, and the package imports nothing
+outside the standard library."""
+
+import ast
+import inspect
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import matchlab
+from matchlab import expansion, graphs, pm, stats, switching, walks
+from matchlab.errors import TooLargeError
+from matchlab.graphs import complete_graph
+from matchlab.stats import (
+    avoidance_ratio,
+    disjoint_probability,
+    edge_probability,
+    empirical_edge_freq,
+    intersection_pmf,
+)
+from matchlab.switching import ratio_report
+from matchlab.walks import StochasticMatrix, matrix_power, mixing_bound_check, uniform_distribution
+
+
+ANALYSES_ON_K6 = {
+    "edge_probability": lambda g: edge_probability(g, (0, 1)),
+    "intersection_pmf": lambda g: intersection_pmf(g, [(0, 1)]),
+    "avoidance_ratio": lambda g: avoidance_ratio(g, [(0, 1)]),
+    "ratio_report": lambda g: ratio_report(g, [(0, 1)], 1, 2),
+    "disjoint_exact": lambda g: disjoint_probability(g, 2),
+    "disjoint_montecarlo": lambda g: disjoint_probability(g, 2, mode="montecarlo", samples=10),
+    "empirical_edge_freq": lambda g: empirical_edge_freq(g, 10),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANALYSES_ON_K6))
+def test_lowered_counting_cap_reaches_every_analysis(monkeypatch, name):
+    monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", 4)
+    with pytest.raises(TooLargeError, match="^n=6 above the counting cap 4$"):
+        ANALYSES_ON_K6[name](complete_graph(6))
+
+
+def test_raised_counting_cap_reaches_edge_probability(monkeypatch):
+    with pytest.raises(TooLargeError, match="^n=28 above the counting cap 26$"):
+        edge_probability(complete_graph(28), (0, 1))
+    monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", 28)
+    assert edge_probability(complete_graph(28), (0, 1)) == Fraction(1, 27)
+
+
+def test_matrix_cap_reaches_mixing_bound_check(monkeypatch):
+    # refused below the dimension, computed at it, by both callers alike
+    sigma = uniform_distribution(5)
+    p = StochasticMatrix((sigma,) * 5)
+    for cap in (3, 4):
+        monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", cap)
+        for run in (lambda: matrix_power(p, 2), lambda: mixing_bound_check(p, sigma, 2)):
+            with pytest.raises(TooLargeError, match=f"^dimension 5 above the exact-power cap {cap}$"):
+                run()
+    monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", 5)
+    assert matrix_power(p, 2) == p
+    assert mixing_bound_check(p, sigma, 2).passes
+
+
+def _absolute_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    modules = sorted(Path(matchlab.__file__).parent.rglob("*.py"))
+    assert modules
+    outside = {
+        (path.name, name)
+        for path in modules
+        for name in _absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names | {"matchlab"}
+    }
+    assert not outside
+
+
+def test_no_function_takes_a_cap_keyword():
+    functions = [
+        pm.count_pm, pm.count_pm_containing, pm.enumerate_pm, pm.sample_pm, pm.stratify,
+        switching.build_switch_graph, switching._switches, expansion.certify_exact,
+        expansion.certify_bipartite, walks.matrix_power, walks._integer_power, walks.count_paths,
+        stats.disjoint_probability, graphs.random_regular,
+    ]
+    knobs = {"limit", "cap", "budget", "tuple_budget", "max_restarts"}
+    found = {f.__name__: knobs & set(inspect.signature(f).parameters) for f in functions}
+    assert not any(found.values()), found

@@ -3,6 +3,7 @@ import random
 import time
 from array import array
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -27,6 +28,7 @@ from conftest import (
     strata_hosts,
     strata_references,
 )
+from matchlab import pm
 from matchlab.errors import (
     EdgeNotPresentError,
     NoPerfectMatchingError,
@@ -92,9 +94,10 @@ def test_count_double_factorial_growth():
         assert count_pm(complete_graph(2 * m)) == expected
 
 
-def test_count_size_cap():
+def test_count_size_cap(monkeypatch):
+    monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", 4)
     with pytest.raises(TooLargeError):
-        count_pm(complete_graph(6), limit=4)
+        count_pm(complete_graph(6))
 
 
 # -- odd components -----------------------------------------------------------
@@ -502,9 +505,10 @@ def test_enumerate_is_sorted_and_complete():
         assert {m.edge_set for m in ms} == set(oracle_pm_sets(g))
 
 
-def test_enumerate_cap():
+def test_enumerate_cap(monkeypatch):
+    monkeypatch.setattr(pm, "DEFAULT_ENUM_CAP", 10)
     with pytest.raises(TooManyMatchingsError):
-        list(enumerate_pm(complete_graph(6), cap=10))
+        list(enumerate_pm(complete_graph(6)))
 
 
 def test_first_pm():
@@ -568,6 +572,14 @@ def test_first_pm_matches_reference():
         assert (None if got is None else got.pairs) == (None if want is None else want.pairs)
 
 
+def _set_caps(monkeypatch, kwargs):
+    """Set pm's cap constants from the keywords the oracles take: `limit`
+    is DEFAULT_DP_LIMIT, `cap` DEFAULT_ENUM_CAP."""
+    constant = {"limit": "DEFAULT_DP_LIMIT", "cap": "DEFAULT_ENUM_CAP"}
+    for key, value in kwargs.items():
+        monkeypatch.setattr(pm, constant[key], value)
+
+
 @pytest.mark.parametrize(
     "g,kwargs,error",
     [
@@ -576,9 +588,10 @@ def test_first_pm_matches_reference():
         (complete_graph(6), {"cap": 10}, TooManyMatchingsError),
     ],
 )
-def test_enumerate_errors_match_reference(g, kwargs, error):
+def test_enumerate_errors_match_reference(monkeypatch, g, kwargs, error):
+    _set_caps(monkeypatch, kwargs)
     with pytest.raises(error) as fast:
-        list(enumerate_pm(g, **kwargs))
+        list(enumerate_pm(g))
     with pytest.raises(error) as slow:
         list(reference_enumerate_pm(g, **kwargs))
     assert str(fast.value) == str(slow.value)
@@ -864,12 +877,14 @@ def test_sample_after_short_circuited_containment_matches_reference():
         (Graph(4, [(0, 1), (0, 2), (0, 3)]), 26, NoPerfectMatchingError),
     ],
 )
-def test_sample_errors_match_reference(g, limit, error):
+def test_sample_errors_match_reference(monkeypatch, g, limit, error):
+    monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", limit)
+    samplers = (sample_pm, partial(scan_sample_pm, limit=limit), partial(reference_sample_pm, limit=limit))
     rngs = [random.Random(1) for _ in range(3)]
     messages = []
-    for sampler, rng in zip((sample_pm, scan_sample_pm, reference_sample_pm), rngs):
+    for sampler, rng in zip(samplers, rngs):
         with pytest.raises(error) as got:
-            sampler(_fresh(g), rng, limit=limit)
+            sampler(_fresh(g), rng)
         messages.append(str(got.value))
     assert len(set(messages)) == 1
     assert all(rng.getstate() == random.Random(1).getstate() for rng in rngs)
@@ -944,9 +959,10 @@ def test_stratify_matches_reference():
 
 
 @pytest.mark.parametrize("n,kwargs,cap", [(6, {"limit": 4}, 4), (28, {}, 26)])
-def test_count_pm_containing_refuses_a_host_past_its_cap(n, kwargs, cap):
+def test_count_pm_containing_refuses_a_host_past_its_cap(monkeypatch, n, kwargs, cap):
+    _set_caps(monkeypatch, kwargs)
     with pytest.raises(TooLargeError, match=rf"^n={n} above the counting cap {cap}$"):
-        count_pm_containing(complete_graph(n), [(0, 1)], **kwargs)
+        count_pm_containing(complete_graph(n), [(0, 1)])
 
 
 @pytest.mark.parametrize(
@@ -956,9 +972,10 @@ def test_count_pm_containing_refuses_a_host_past_its_cap(n, kwargs, cap):
         (cycle_graph(4), [(0, 1), (0, 2)], {}, EdgeNotPresentError),
     ],
 )
-def test_stratify_errors_match_reference(g, ref, kwargs, error):
+def test_stratify_errors_match_reference(monkeypatch, g, ref, kwargs, error):
+    _set_caps(monkeypatch, kwargs)
     with pytest.raises(error) as fast:
-        stratify(g, ref, **kwargs)
+        stratify(g, ref)
     with pytest.raises(error) as slow:
         reference_stratify(g, ref, **kwargs)
     assert str(fast.value) == str(slow.value)

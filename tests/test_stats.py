@@ -303,12 +303,13 @@ def test_disjoint_montecarlo_tracks_exact():
     assert abs(est - float(exact)) <= 3 * sigma
 
 
-def test_disjoint_exact_budget():
+def test_disjoint_exact_budget(monkeypatch):
+    monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 1000)
     with pytest.raises(ExactInfeasibleError):
-        disjoint_probability(complete_graph(8), 4, tuple_budget=1000)
+        disjoint_probability(complete_graph(8), 4)
 
 
-def test_disjoint_exact_budget_counts_listed_prefixes():
+def test_disjoint_exact_budget_counts_listed_prefixes(monkeypatch):
     # K6 has 15 perfect matchings; r = 3 lists 15^2 = 225 prefixes and
     # counts the last level, so a budget below 15^3 = 3375 is enough
     g = complete_graph(6)
@@ -322,10 +323,12 @@ def test_disjoint_exact_budget_counts_listed_prefixes():
         for c in pms
         if not (a | b) & c
     )
-    value, _ = disjoint_probability(g, 3, tuple_budget=1000)
+    monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 1000)
+    value, _ = disjoint_probability(g, 3)
     assert value == F(good, 15**3)
+    monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 224)
     with pytest.raises(ExactInfeasibleError, match=r"15\^2 listed"):
-        disjoint_probability(g, 3, tuple_budget=224)
+        disjoint_probability(g, 3)
 
 
 # K5 has no perfect matching and C5 plus a chord is not regular: a check

@@ -35,7 +35,7 @@ from matchlab.graphs import (
     random_regular,
     regularity,
 )
-from matchlab.pm import DEFAULT_ENUM_CAP, enumerate_pm, stratify
+from matchlab.pm import enumerate_pm, stratify
 from matchlab.switching import (
     aux_vertex_set,
     build_aux_digraph,
@@ -183,13 +183,13 @@ def test_switches_match_the_generator_pass(g):
     for ref in _differential_references(g, rng):
         if _outside(g, ref):
             with pytest.raises(EdgeNotPresentError):
-                list(switching._switches(g, edge_set(ref), 1, 2, DEFAULT_ENUM_CAP))
+                list(switching._switches(g, edge_set(ref), 1, 2))
             continue
         ref = edge_set(ref)
         for k in (1, 2, 3):
             for ell in range(2, g.n // 2 + 1):
-                got = list(switching._switches(g, ref, k, ell, DEFAULT_ENUM_CAP))
-                want = list(reference_switches(g, ref, k, ell, DEFAULT_ENUM_CAP))
+                got = list(switching._switches(g, ref, k, ell))
+                want = list(reference_switches(g, ref, k, ell))
                 assert got == want, (g, sorted(ref), k, ell)
 
 

@@ -122,9 +122,10 @@ def test_power_preserves_stochasticity():
             assert all(sum(row) == 1 for row in pk.rows)
 
 
-def test_power_dimension_cap():
+def test_power_dimension_cap(monkeypatch):
+    monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", 4)
     with pytest.raises(TooLargeError):
-        matrix_power(uniform_matrix(5), 2, cap=4)
+        matrix_power(uniform_matrix(5), 2)
 
 
 # -- integer power against the Fraction oracle ---------------------------------
@@ -192,11 +193,12 @@ def test_power_of_a_power_matches_reference():
         (uniform_matrix(5), 0, 4),
     ],
 )
-def test_power_errors_match_reference(p, k, cap):
+def test_power_errors_match_reference(monkeypatch, p, k, cap):
+    monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", cap)
     with pytest.raises((ValueError, TooLargeError)) as want:
         reference_matrix_power(p, k, cap=cap)
     with pytest.raises(want.type) as got:
-        matrix_power(p, k, cap=cap)
+        matrix_power(p, k)
     assert got.type is want.type and str(got.value) == str(want.value)
 
 
@@ -409,7 +411,7 @@ def test_paths_match_reference():
     assert probes > 500
 
 
-def test_paths_budget_trips_where_reference_trips():
+def test_paths_budget_trips_where_reference_trips(monkeypatch):
     # every budget from 1 up to the step count trips (or not) with the same
     # message, and the first budget that suffices is the same
     rng = random.Random(21)
@@ -419,8 +421,9 @@ def test_paths_budget_trips_where_reference_trips():
             ell = rng.randint(1, 4)
             budget = 1
             while True:
-                args = (d, u, v, ell, constraint, budget)
-                want = _path_count_or_trip(reference_count_paths, *args)
+                args = (d, u, v, ell, constraint)
+                monkeypatch.setattr(walks, "DEFAULT_PATH_BUDGET", budget)
+                want = _path_count_or_trip(reference_count_paths, *args, budget)
                 assert _path_count_or_trip(count_paths, *args) == want, (d.arcs, u, v, ell, budget)
                 if isinstance(want, int):
                     break
@@ -436,10 +439,11 @@ def test_paths_reject_constraint_vertex_out_of_range(pairs, bad, length):
         count_paths(complete_digraph(4), 0, 1, length, matching_constraint=Matching(pairs))
 
 
-def test_paths_budget():
+def test_paths_budget(monkeypatch):
+    monkeypatch.setattr(walks, "DEFAULT_PATH_BUDGET", 10)
     d = complete_digraph(7)
     with pytest.raises(BudgetExceededError):
-        count_paths(d, 0, 1, 5, budget=10)
+        count_paths(d, 0, 1, 5)
 
 
 def test_paths_rejects_equal_endpoints():
@@ -448,10 +452,11 @@ def test_paths_rejects_equal_endpoints():
 
 
 @pytest.mark.parametrize("length", [-1, -2])
-def test_paths_rejects_negative_length(length):
+def test_paths_rejects_negative_length(monkeypatch, length):
     # a budget of 10 would be spent long before a walk that never ends
+    monkeypatch.setattr(walks, "DEFAULT_PATH_BUDGET", 10)
     with pytest.raises(ValueError, match="^length must be non-negative$"):
-        count_paths(complete_digraph(7), 0, 1, length, budget=10)
+        count_paths(complete_digraph(7), 0, 1, length)
 
 
 @pytest.mark.parametrize(
