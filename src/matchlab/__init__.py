@@ -13,7 +13,6 @@ from .expansion import (
     Verdict,
     certify_bipartite,
     certify_exact,
-    min_degree_sufficient,
     refute_sampled,
     robust_neighbourhood,
 )

@@ -275,10 +275,3 @@ def certify_bipartite(g: Graph, part: Bipartition, params: ExpansionParams) -> E
         )
     return _sweep(g.neighbor_masks, sorted(part.side_a), side, params)
 
-
-def min_degree_sufficient(g: Graph, eps) -> bool:
-    """Cheap sufficient condition: minimum degree at least (1/2 + eps)n."""
-    if g.n == 0:
-        return True
-    bound = (Fraction(1, 2) + as_fraction(eps)) * g.n
-    return min(g.degrees()) >= bound

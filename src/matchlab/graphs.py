@@ -125,15 +125,17 @@ class Graph:
 
 
 class Digraph:
-    """Directed graph without self-loops; in/out adjacency kept in sync.
+    """Directed graph without self-loops.
 
-    `_walk_rows` memoises `walks.count_walks`: one tuple of walk counts
-    per (source, length) asked.
+    One stored view per direction: `out_adjacency[v]`, the sorted tuple of
+    v's out-neighbours, which the walk propagation and path counts read,
+    and `in_masks[v]`, v's in-neighbours as a bitmask, which the expansion
+    sweep reads; in-neighbours, in-degrees and arc tests are read off the
+    masks.  `_walk_rows` memoises `walks.count_walks`: one tuple of walk
+    counts per (source, length) asked.
     """
 
-    __slots__ = (
-        "n", "arcs", "out_adjacency", "in_adjacency", "out_masks", "in_masks", "_walk_rows",
-    )
+    __slots__ = ("n", "arcs", "out_adjacency", "in_masks", "_walk_rows")
 
     def __init__(self, n: int, arcs: Iterable[Edge]):
         if n < 0:
@@ -148,17 +150,11 @@ class Digraph:
         self.n = n
         self.arcs: tuple[Edge, ...] = tuple(sorted(norm))
         out: list[list[int]] = [[] for _ in range(n)]
-        inn: list[list[int]] = [[] for _ in range(n)]
-        omask = [0] * n
         imask = [0] * n
         for u, v in self.arcs:
             out[u].append(v)
-            inn[v].append(u)
-            omask[u] |= 1 << v
             imask[v] |= 1 << u
         self.out_adjacency = tuple(tuple(a) for a in out)
-        self.in_adjacency = tuple(tuple(sorted(a)) for a in inn)
-        self.out_masks = tuple(omask)
         self.in_masks = tuple(imask)
         self._walk_rows: dict[tuple[int, int], tuple[int, ...]] = {}
 
@@ -166,17 +162,18 @@ class Digraph:
         return self.out_adjacency[v]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
-        return self.in_adjacency[v]
+        mask = self.in_masks[v]
+        return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
 
     def out_degree(self, v: int) -> int:
         return len(self.out_adjacency[v])
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_adjacency[v])
+        return self.in_masks[v].bit_count()
 
     def has_arc(self, u: int, v: int) -> bool:
         """False for any vertex outside 0..n-1."""
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.out_masks[u] >> v & 1)
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.in_masks[v] >> u & 1)
 
     def __eq__(self, other) -> bool:
         return (

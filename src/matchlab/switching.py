@@ -216,35 +216,29 @@ def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
     return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
 
 
-def aux_vertex_set(reference, base: Matching, n: int, side=None) -> frozenset[int]:
+def aux_vertex_set(reference, base: Matching, n: int) -> frozenset[int]:
     """Vertex set of the companion digraph: everything outside the edges
-    shared by the reference and the base matching (restricted to one
-    class in the bipartite variant)."""
-    shared = edge_set(reference) & base.edge_set
-    excluded = vertices_of(shared)
-    verts = frozenset(range(n)) - excluded
-    if side is not None:
-        verts &= frozenset(side)
-    return verts
+    shared by the reference and the base matching."""
+    excluded = vertices_of(edge_set(reference) & base.edge_set)
+    return frozenset(range(n)) - excluded
 
 
-def build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph:
+def build_aux_digraph(g: Graph, reference, base: Matching) -> Digraph:
     """Companion digraph for alternating-path counting.
 
     One arc x -> z per entry of row x of the step table with the
     reference banned: first a free edge (outside both the reference and
     the base matching) to some y, then y's base-matching edge, outside the
     reference, to z.  The digraph keeps the original vertex labels;
-    vertices outside its vertex set are simply isolated.  For the
-    bipartite variant pass the class containing the endpoints of interest
-    as `side`.
+    vertices outside its vertex set are simply isolated.  A caller that
+    wants one class of a bipartite host restricts the vertex set itself.
     """
     cover = vertices_of(base.edge_set)
     if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
         raise NotAPerfectMatchingError("base must be a perfect matching of the graph")
     ban = _edge_bits(g, reference)
     table = _step_table(_free_steps(g, ban), base, ban)
-    verts = aux_vertex_set(reference, base, g.n, side)
+    verts = aux_vertex_set(reference, base, g.n)
     arcs = [(x, z) for x in verts for z, _, _ in table[x] if z in verts]
     return Digraph(g.n, arcs)
 

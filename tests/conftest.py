@@ -838,7 +838,7 @@ def reference_ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport
     )
 
 
-def reference_build_aux_digraph(g: Graph, reference, base: Matching, side=None) -> Digraph:
+def reference_build_aux_digraph(g: Graph, reference, base: Matching) -> Digraph:
     """Oracle for switching.build_aux_digraph: its own free-edge and
     base-edge step, with the vertices of shared edges marked ineligible."""
     cover = vertices_of(base.edge_set)
@@ -847,7 +847,7 @@ def reference_build_aux_digraph(g: Graph, reference, base: Matching, side=None) 
     ref = edge_set(reference)
     shared_vertices = vertices_of(ref & base.edge_set)
     eligible = [v not in shared_vertices for v in range(g.n)]
-    verts = aux_vertex_set(reference, base, g.n, side)
+    verts = aux_vertex_set(reference, base, g.n)
     partner = base.partner_map()
     arcs = []
     for x in verts:

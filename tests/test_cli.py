@@ -666,6 +666,8 @@ def test_reachable_input_errors(capsys, tmp_path, argv, text, message):
 def test_edge_prob_on_k0_is_an_empty_report(capsys):
     # K0 has one perfect matching, the empty one, and no edge to report
     assert run_json(capsys, "edge_prob", "--family", "complete", "-n", "0")["rows"] == []
+    # and CSV prints no header for no rows
+    assert run_cli(capsys, "edge_prob", "--family", "complete", "-n", "0", "--format", "csv") == (0, "")
 
 
 def _reject_constant(name):
@@ -710,6 +712,11 @@ def test_unparsable_fraction_is_usage_error(capsys, nu, tau, bad):
 def test_as_fraction_zero_denominator_is_value_error():
     with pytest.raises(ValueError):
         as_fraction("1/0")
+
+
+def test_as_fraction_refuses_a_type_it_cannot_read():
+    with pytest.raises(TypeError, match="^cannot interpret None as an exact rational$"):
+        as_fraction(None)
 
 
 def test_invalid_nu_reports_error_without_warning(capsys):

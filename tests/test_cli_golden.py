@@ -3,7 +3,8 @@
 The files under tests/golden/ hold the stdout of every command-line
 example in the README (the Monte Carlo one with --samples 2000), in JSON
 and in CSV, plus a few reference and stratum variants, a Monte Carlo draw
-on a multipartite host, a count on an edge list whose two components
+on a multipartite host, exact disjointness (the default mode) at r = 2
+and r = 3, a count on an edge list whose two components
 are odd, a sampled refutation on two relabelled K15 that fails at
 trial 2797, and the PMF and edge probabilities of dense14.el, the
 complement of a 3-regular graph on 14 vertices with shuffled labels,
@@ -100,6 +101,8 @@ INVOCATIONS = {
     "count_complete_26": ["count", "--family", "complete", "-n", "26"],
     "pmf_dense14": ["pmf", "--file", str(DENSE14)],
     "edge_prob_dense14": ["edge_prob", "--file", str(DENSE14)],
+    "disjoint_complete_8": ["disjoint", "--family", "complete", "-n", "8"],
+    "disjoint_complete_6_r3": ["disjoint", "--family", "complete", "-n", "6", "--r", "3"],
 }
 
 CASES = [

@@ -22,7 +22,6 @@ from matchlab.expansion import (
     Verdict,
     certify_bipartite,
     certify_exact,
-    min_degree_sufficient,
     refute_sampled,
     robust_neighbourhood,
 )
@@ -413,14 +412,8 @@ def test_bipartite_errors():
     tri = Graph(4, [(0, 1), (1, 2), (0, 2)])
     with pytest.raises(NotBipartiteError):
         certify_bipartite(tri, Bipartition([0, 3], [1, 2]), ExpansionParams(0.1, 0.3))
-
-
-# -- min degree -----------------------------------------------------------------
-
-def test_min_degree_sufficient():
-    assert min_degree_sufficient(complete_graph(6), 0.1)
-    assert not min_degree_sufficient(cycle_graph(6), 0.1)
-    assert min_degree_sufficient(complete_multipartite(3, 2), 0.1)
+    with pytest.raises(ValueError, match="^bipartition does not cover the graph's vertex range$"):
+        certify_bipartite(g, Bipartition([0, 1], [2, 3]), ExpansionParams(0.1, 0.3))
 
 
 # -- certificate fields -----------------------------------------------------------

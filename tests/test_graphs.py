@@ -56,6 +56,20 @@ def test_build_graph_errors():
         Graph(3, [(-1, 2)])
 
 
+def test_negative_vertex_count_is_refused():
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Graph(-1, [])
+    with pytest.raises(ValueError, match="^vertex count must be non-negative$"):
+        Digraph(-1, [])
+
+
+def test_cycles_below_their_least_length_are_refused():
+    with pytest.raises(ValueError, match="^cycle needs at least 3 vertices$"):
+        cycle_graph(2)
+    with pytest.raises(ValueError, match="^directed cycle needs at least 2 vertices$"):
+        directed_cycle(1)
+
+
 def test_adjacency_is_symmetric_and_sorted():
     for g in [complete_multipartite(3, 2), complete_graph(5), cycle_graph(7)]:
         for u in range(g.n):
@@ -237,10 +251,37 @@ def test_membership_is_false_outside_vertex_range():
     for u, v in [(-1, 3), (3, -1), (-1, 5), (6, 7), (2, 6), (6, 2)]:
         assert not g.has_edge(u, v)
     assert g.has_edge(0, 5) and g.has_edge(5, 4)
+    assert not any(g.has_edge(v, v) for v in range(6))
     d = directed_cycle(4)
     for u, v in [(-1, 0), (3, -4), (4, 1), (3, 4)]:
         assert not d.has_arc(u, v)
     assert d.has_arc(3, 0)
+
+
+def test_digraph_views_match_the_arc_set():
+    rng = random.Random(29)
+    for n in range(13):
+        for density in (0.0, 0.2, 0.5, 0.8, 1.0):
+            arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density}
+            listed = list(arcs)
+            rng.shuffle(listed)
+            d = Digraph(n, listed)
+            for v in range(n):
+                assert d.out_neighbors(v) == tuple(sorted(w for u, w in arcs if u == v))
+                assert d.in_neighbors(v) == tuple(sorted(u for u, w in arcs if w == v))
+                assert d.in_degree(v) == sum(1 for _, w in arcs if w == v)
+            for u in range(-2, n + 2):
+                for v in range(-2, n + 2):
+                    assert d.has_arc(u, v) == ((u, v) in arcs)
+
+
+def test_equal_graphs_hash_equal():
+    g = Graph(4, [(0, 1), (2, 3), (1, 2)])
+    h = Graph(4, [(2, 1), (3, 2), (1, 0)])
+    assert g == h and hash(g) == hash(h)
+    d = Digraph(4, [(0, 1), (2, 3), (3, 0)])
+    e = Digraph(4, [(3, 0), (0, 1), (2, 3), (0, 1)])
+    assert d == e and hash(d) == hash(e)
 
 
 def test_to_bidirected():

@@ -144,6 +144,11 @@ def test_poisson_truncation_recorded():
     assert p.truncation_mass > 0.5
 
 
+def test_poisson_refuses_a_negative_rate():
+    with pytest.raises(ValueError, match="^rate must be non-negative$"):
+        poisson_pmf(-0.5, 3)
+
+
 # -- total variation ---------------------------------------------------------------
 
 def test_tv_identical_is_zero():

@@ -82,6 +82,14 @@ def test_stochastic_validation():
         StochasticMatrix(((F(1, 2), F(1, 3)), (F(1, 2), F(1, 2))))
 
 
+def test_stochastic_refuses_a_ragged_row_and_a_negative_entry():
+    with pytest.raises(ValueError, match="^matrix must be square$"):
+        StochasticMatrix(((F(1),), (F(1, 2), F(1, 2))))
+    # the row still sums to 1, so only the sign check can refuse it
+    with pytest.raises(ValueError, match="^negative entry in stochastic matrix$"):
+        StochasticMatrix(((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))))
+
+
 # -- powering --------------------------------------------------------------------
 
 def test_power_zero_is_identity():
