@@ -25,14 +25,12 @@ from .graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    directed_cycle,
     edge_set,
     random_regular,
     read_edge_list,
     regularity,
     remove_edge_set,
     to_bidirected,
-    write_edge_list,
 )
 from .pm import (
     StrataCounts,

@@ -97,9 +97,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         return self.adjacency[v]
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(len(a) for a in self.adjacency)
 
@@ -130,9 +127,9 @@ class Digraph:
     One stored view per direction: `out_adjacency[v]`, the sorted tuple of
     v's out-neighbours, which the walk propagation and path counts read,
     and `in_masks[v]`, v's in-neighbours as a bitmask, which the expansion
-    sweep reads; in-neighbours, in-degrees and arc tests are read off the
-    masks.  `_walk_rows` memoises `walks.count_walks`: one tuple of walk
-    counts per (source, length) asked.
+    sweep reads; the in-degree is read off the masks.  `_walk_rows`
+    memoises `walks.count_walks`: one tuple of walk counts per (source,
+    length) asked.
     """
 
     __slots__ = ("n", "arcs", "out_adjacency", "in_masks", "_walk_rows")
@@ -161,19 +158,11 @@ class Digraph:
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self.out_adjacency[v]
 
-    def in_neighbors(self, v: int) -> tuple[int, ...]:
-        mask = self.in_masks[v]
-        return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
-
     def out_degree(self, v: int) -> int:
         return len(self.out_adjacency[v])
 
     def in_degree(self, v: int) -> int:
         return self.in_masks[v].bit_count()
-
-    def has_arc(self, u: int, v: int) -> bool:
-        """False for any vertex outside 0..n-1."""
-        return 0 <= u < self.n and 0 <= v < self.n and bool(self.in_masks[v] >> u & 1)
 
     def __eq__(self, other) -> bool:
         return (
@@ -213,21 +202,6 @@ class Matching:
         m.pairs = tuple(pairs)
         m.edge_set = frozenset(m.pairs)
         return m
-
-    @property
-    def vertices(self) -> frozenset[int]:
-        return vertices_of(self.pairs)
-
-    def partner(self, v: int) -> Optional[int]:
-        return self.partner_map().get(v)
-
-    def partner_map(self) -> dict[int, int]:
-        """v -> partner, in the order u0, v0, u1, v1, ... of `pairs`."""
-        partner = {}
-        for u, v in self.pairs:
-            partner[u] = v
-            partner[v] = u
-        return partner
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -384,12 +358,6 @@ def complete_digraph(n: int) -> Digraph:
     return Digraph(n, ((u, v) for u in range(n) for v in range(n) if u != v))
 
 
-def directed_cycle(n: int) -> Digraph:
-    if n < 2:
-        raise ValueError("directed cycle needs at least 2 vertices")
-    return Digraph(n, ((i, (i + 1) % n) for i in range(n)))
-
-
 def to_bidirected(g: Graph) -> Digraph:
     """Each undirected edge becomes a pair of opposite arcs."""
     arcs = []
@@ -400,10 +368,11 @@ def to_bidirected(g: Graph) -> Digraph:
 
 
 # -- edge-list text format ---------------------------------------------------
-# First line "n m", then m lines "u v" with u < v, each edge once.  Lines
-# starting with "#" are comments.  An optional line "A: i1 i2 ..." names
-# one side of a bipartition; it may appear once, with distinct vertices
-# in 0..n-1.
+# First line "n m", then m lines "u v", each edge once in either order.
+# Lines starting with "#" are comments.  An optional line "A: i1 i2 ..."
+# names one side of a bipartition; it may appear once, anywhere, with
+# distinct vertices in 0..n-1.  The package reads this format and writes
+# none.
 
 def _line_ints(tokens: list[str], kind: str, raw: str) -> list[int]:
     try:
@@ -458,16 +427,3 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
 def read_edge_list(path) -> tuple[Graph, Optional[Bipartition]]:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_edge_list(fh.read())
-
-
-def format_edge_list(g: Graph, part: Optional[Bipartition] = None) -> str:
-    lines = [f"{g.n} {g.m}"]
-    lines.extend(f"{u} {v}" for u, v in g.edges)
-    if part is not None:
-        lines.append("A: " + " ".join(str(v) for v in sorted(part.side_a)))
-    return "\n".join(lines) + "\n"
-
-
-def write_edge_list(path, g: Graph, part: Optional[Bipartition] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_edge_list(g, part))

@@ -494,12 +494,6 @@ class StrataCounts:
     def total(self) -> int:
         return sum(self.counts.values())
 
-    def get(self, k: int) -> int:
-        return self.counts.get(k, 0)
-
-    def max_k(self) -> int:
-        return max(self.counts) if self.counts else 0
-
 
 def _complement_strata(
     g: Graph, ref_masks: list[int], r: int, kmax: int, mask: int, memo: dict

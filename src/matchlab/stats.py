@@ -25,7 +25,7 @@ from .errors import (
     NoPerfectMatchingError,
     NotRegularError,
 )
-from .graphs import Edge, Graph, Matching, edge_set, regularity, remove_edge_set
+from .graphs import Edge, Graph, edge_set, regularity, remove_edge_set
 from .pm import count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
 
 # Read at each call, so a value set on the module reaches every caller.
@@ -52,12 +52,6 @@ class Pmf:
 
     def prob(self, k: int) -> Prob:
         return self.probs.get(k, Fraction(0) if self.exact else 0.0)
-
-    def mean(self) -> Prob:
-        return sum(k * p for k, p in self.probs.items())
-
-    def total(self) -> Prob:
-        return sum(self.probs.values())
 
 
 def edge_probability(g: Graph, e: Edge) -> Fraction:

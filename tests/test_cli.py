@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import write_edge_list
 from matchlab import cli
 from matchlab.cli import main
 from matchlab.expansion import ExpansionParams, certify_bipartite, certify_exact
@@ -16,7 +17,6 @@ from matchlab.graphs import (
     complete_graph,
     read_edge_list,
     to_bidirected,
-    write_edge_list,
 )
 from matchlab.rational import as_fraction
 from matchlab.walks import matrix_power, transition_matrix
@@ -137,7 +137,7 @@ def test_walk_counts_match_count_walks(capsys, extra):
     # every out-degree is 3, so there are 3^ell * P^ell(u, v) walks
     ell = row["ell"]
     p_ell = matrix_power(transition_matrix(to_bidirected(g)), ell)
-    counts = [3**ell * p_ell.entry(u, v) for u in range(10) for v in range(10) if u != v]
+    counts = [3**ell * p_ell.rows[u][v] for u in range(10) for v in range(10) if u != v]
     assert all(c.denominator == 1 for c in counts)
     assert (row["min_walks"], row["max_walks"]) == (min(counts), max(counts))
     assert row["walk_bound_ok"] == all(c >= row["walk_lower_bound"] for c in counts)

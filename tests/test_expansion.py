@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    directed_cycle,
     gnp,
     reference_certify_exact,
     reference_refute_sampled,
@@ -33,7 +34,6 @@ from matchlab.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
-    directed_cycle,
     to_bidirected,
 )
 

@@ -1,6 +1,7 @@
 """Package-wide properties: each exact cap is one module constant that
-every analysis above its kernel reads, and the package imports nothing
-outside the standard library."""
+every analysis above its kernel reads, the package imports nothing
+outside the standard library, and every exported name has a reader
+besides its own tests."""
 
 import ast
 import inspect
@@ -94,3 +95,39 @@ def test_no_function_takes_a_cap_keyword():
     knobs = {"limit", "cap", "budget", "tuple_budget", "max_restarts"}
     found = {f.__name__: knobs & set(inspect.signature(f).parameters) for f in functions}
     assert not any(found.values()), found
+
+
+PACKAGE = Path(matchlab.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _exports() -> set[str]:
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _reads(path: Path) -> set[str]:
+    """Names a module reads, as a bare name or an attribute; inside the
+    top-level def or class that defines a name, that name is not counted."""
+    read = set()
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        own = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name is not None and name != own:
+                read.add(name)
+    return read
+
+
+def test_every_export_has_a_reader_besides_its_tests():
+    # a name stays public when a runner, a benchmark operation or an
+    # acceptance criterion reads it, not only its own test
+    readers = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py"]
+    readers += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    read = set().union(*map(_reads, readers))
+    assert sorted(_exports() - read) == []

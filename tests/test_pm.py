@@ -563,7 +563,7 @@ def test_enumerate_matches_reference():
         got = list(enumerate_pm(g))
         assert [m.pairs for m in got] == [m.pairs for m in reference_enumerate_pm(g)]
         for m in got:
-            assert list(m.partner_map().items()) == list(Matching(m.pairs).partner_map().items())
+            assert m == Matching(m.pairs) and m.edge_set == frozenset(m.pairs)
 
 
 def test_first_pm_matches_reference():
@@ -622,7 +622,7 @@ def test_every_pm_uses_vertex_once():
         u = 0
         s = sum(count_pm_containing(g, [(u, v)]) for v in g.neighbors(u))
         if g.n % 2 == 0:
-            assert s == total if g.degree(u) > 0 else total == 0
+            assert s == total if g.neighbors(u) else total == 0
         else:
             assert s == 0
 
@@ -894,18 +894,18 @@ def test_sample_errors_match_reference(monkeypatch, g, limit, error):
 
 def test_stratify_k4_single_edge():
     s = stratify(complete_graph(4), [(0, 1)])
-    assert s.get(0) == 2 and s.get(1) == 1
+    assert s.counts == {0: 2, 1: 1}
 
 
 def test_stratify_k4_perfect_matching():
     s = stratify(complete_graph(4), [(0, 1), (2, 3)])
-    assert s.get(0) == 2 and s.get(1) == 0 and s.get(2) == 1
+    assert s.counts == {0: 2, 1: 0, 2: 1}
 
 
 def test_stratify_empty_reference():
     for g in small_zoo():
         s = stratify(g, [])
-        assert s.get(0) == count_pm(g)
+        assert s.counts == {0: count_pm(g)}
         assert s.total() == count_pm(g)
 
 
@@ -920,8 +920,7 @@ def test_stratify_against_enumeration():
         oracle = Counter(
             len(m & frozenset(ref)) for m in oracle_pm_sets(g)
         )
-        for k in range(s.max_k() + 1):
-            assert s.get(k) == oracle.get(k, 0)
+        assert s.counts == {k: oracle.get(k, 0) for k in range(max(s.counts) + 1)}
         assert s.total() == count_pm(g)
 
 
