@@ -20,8 +20,10 @@ whenever the host has a bipartition (a file with an 'A:' line, or -a 2)
 and --sampled is not given; `suite_tv` builds K_size, or with -a the
 complete multipartite graph of a parts of each size.
 
-Exit codes: 0 success, 1 input error (a refused flag included), 2
-instance too large for the configured exact caps.
+Exit codes: 0 success, 1 input error (a MatchlabError, an unreadable
+file, or a flag argparse refuses), 2 instance too large for the
+configured exact caps (a ResourceLimitError, whose message names the
+cap).  Any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import expansion, pm, stats, switching, walks
-from .errors import BudgetExceededError, MatchlabError, ResourceLimitError
+from .errors import MatchlabError, ResourceLimitError
 from .graphs import (
     Bipartition,
     Graph,
@@ -62,9 +64,9 @@ def build_graph(args: argparse.Namespace) -> tuple[Graph, Optional[Bipartition]]
     takes = _FAMILY_FLAGS[family]
     unused = [f"-{f}" for f in "abnd" if f not in takes and getattr(args, f) is not None]
     if unused:
-        raise ValueError(f"{family} family does not take {' '.join(unused)}")
+        raise MatchlabError(f"{family} family does not take {' '.join(unused)}")
     if any(getattr(args, f) is None for f in takes):
-        raise ValueError(f"{family} family needs {' and '.join('-' + f for f in takes)}")
+        raise MatchlabError(f"{family} family needs {' and '.join('-' + f for f in takes)}")
     if family == "complete":
         return complete_graph(args.n), None
     if family == "multipartite":
@@ -93,12 +95,12 @@ def _reference_matching(g: Graph, kind: str):
 
 def _require_even(g: Graph) -> None:
     if g.n % 2 != 0:
-        raise ValueError("matching analyses need an even number of vertices")
+        raise MatchlabError("matching analyses need an even number of vertices")
 
 
 def _params(args: argparse.Namespace) -> expansion.ExpansionParams:
     if args.nu is None or args.tau is None:
-        raise ValueError("this analysis needs --nu and --tau")
+        raise MatchlabError("this analysis needs --nu and --tau")
     params = expansion.ExpansionParams(args.nu, args.tau)
     if params.nu > params.tau:
         print("warning: nu > tau is outside the usual hypothesis range", file=sys.stderr)
@@ -109,7 +111,7 @@ def _branch_flag(value: Optional[int], default: int, read: bool, flag: str, bran
     """A flag that only one branch of a runner reads: its value, or its
     default, where `read`; refused where it would be ignored."""
     if value is not None and not read:
-        raise ValueError(f"{flag} needs {branch}")
+        raise MatchlabError(f"{flag} needs {branch}")
     return default if value is None else value
 
 
@@ -238,7 +240,7 @@ def run_switching(args: argparse.Namespace) -> list[dict]:
     ref = _reference_matching(g, args.reference)
     ells = [args.ell] if args.ell is not None else list(range(2, g.n // 2 + 1))
     if not ells:
-        raise ValueError("switching needs n >= 4, so that some ell has 2 <= ell and 2*ell <= n")
+        raise MatchlabError("switching needs n >= 4, so that some ell has 2 <= ell and 2*ell <= n")
     rows = []
     for ell in ells:
         rep = switching.ratio_report(g, ref, 1 if args.k is None else args.k, ell)
@@ -277,28 +279,28 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
     nu = params.nu
     ell = args.ell if args.ell is not None else min(n, math.ceil(1 / nu) + 1)
     if ell < 0:
-        raise ValueError("length must be non-negative")
+        raise MatchlabError("length must be non-negative")
     k = args.k if args.k is not None else math.ceil(1 / nu) + 1
     if k < 1:
-        raise ValueError("--k must be at least 1")
+        raise MatchlabError("--k must be at least 1")
     if k * n > WALK_STEP_BUDGET:
         # P^k, the k-step walk rows and the mixing checks all grow with k
-        raise BudgetExceededError(
+        raise ResourceLimitError(
             f"the k-step checks need {k * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
         )
     delta = Fraction(d, n)
     bound = (nu * n) ** (ell - 1)
-    ell_too_large = MatchlabError(f"--ell {ell} is too large: the walk counts leave the float range")
+    ell_too_large = f"--ell {ell} is too large: the walk counts leave the float range"
     try:
         # the float bounds first: an ell past the float range is refused
         # before the sweep and the walks, which cost ell steps on big ints
         lower = float(bound)
         expected = float(delta**ell * n ** (ell - 1))
     except OverflowError:
-        raise ell_too_large from None
+        raise MatchlabError(ell_too_large) from None
     if ell * n > WALK_STEP_BUDGET:
         # a low degree keeps the counts in the float range at a large ell
-        raise BudgetExceededError(
+        raise ResourceLimitError(
             f"walk counts need {ell * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
         )
     dg = to_bidirected(g)
@@ -311,7 +313,7 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
         # and one count can leave the float range where their mean does not
         rel_err = max(abs(c / expected - 1.0) for c in (lo, hi))
     except OverflowError:
-        raise ell_too_large from None
+        raise MatchlabError(ell_too_large) from None
     pk = walks.matrix_power(walks.transition_matrix(dg), k)
     sigma = walks.uniform_distribution(n)
     row: dict = {
@@ -346,7 +348,7 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
 def run_expander(args: argparse.Namespace) -> list[dict]:
     trials = _branch_flag(args.trials, 1000, args.sampled, "--trials", "--sampled")
     if args.sampled and trials < 1:
-        raise ValueError("sampled mode needs at least one trial")
+        raise MatchlabError("sampled mode needs at least one trial")
     g, part = build_graph(args)
     params = _params(args)
     if args.sampled:
@@ -372,7 +374,7 @@ def run_suite_multipartite(args: argparse.Namespace) -> list[dict]:
     from the bipartite end (two parts) to the complete graph (parts of
     size one).  The smallest host, K_4, needs --b-max >= 1 and --cap >= 4."""
     if args.b_max < 1 or args.cap < 4:
-        raise ValueError("the suite holds no host: it needs --b-max >= 1 and --cap >= 4")
+        raise MatchlabError("the suite holds no host: it needs --b-max >= 1 and --cap >= 4")
     rows = []
     for b in range(1, args.b_max + 1):
         for parts in range(2, args.cap // b + 1):
@@ -403,7 +405,7 @@ def run_suite_tv(args: argparse.Namespace) -> list[dict]:
     for size in args.sizes:
         g = complete_graph(size) if a is None else complete_multipartite(a, size)
         if g.n % 2 != 0:
-            raise ValueError(f"size {size} gives an odd vertex count")
+            raise MatchlabError(f"size {size} gives an odd vertex count")
         ref = pm.first_pm(g)
         if ref is None:
             raise MatchlabError(f"size {size} gives a graph with no perfect matching")
@@ -471,7 +473,7 @@ def run(args: argparse.Namespace) -> int:
     except ResourceLimitError as exc:
         print(f"error: instance too large: {exc}", file=sys.stderr)
         return 2
-    except (MatchlabError, ValueError, OSError) as exc:
+    except (MatchlabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.out:

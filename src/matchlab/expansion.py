@@ -31,11 +31,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator, Optional, Union
 
-from .errors import (
-    NotBipartiteError,
-    TooLargeForExactSweepError,
-    UnbalancedBipartitionError,
-)
+from .errors import MatchlabError, ResourceLimitError
 from .graphs import Bipartition, Digraph, Graph, _check_vertex
 from .rational import as_fraction
 
@@ -60,7 +56,7 @@ class ExpansionParams:
         nu = as_fraction(self.nu)
         tau = as_fraction(self.tau)
         if not (0 < nu < 1 and 0 < tau < 1):
-            raise ValueError("nu and tau must lie strictly between 0 and 1")
+            raise MatchlabError("nu and tau must lie strictly between 0 and 1")
         object.__setattr__(self, "nu", nu)
         object.__setattr__(self, "tau", tau)
 
@@ -178,7 +174,7 @@ def certify_exact(obj: Union[Graph, Digraph], params: ExpansionParams) -> Expans
     """
     n = obj.n
     if n > DEFAULT_SWEEP_LIMIT:
-        raise TooLargeForExactSweepError(f"n={n} above the sweep cap {DEFAULT_SWEEP_LIMIT}")
+        raise ResourceLimitError(f"n={n} above the sweep cap {DEFAULT_SWEEP_LIMIT}")
     return _sweep(_in_masks(obj), list(range(n)), n, params)
 
 
@@ -260,18 +256,14 @@ def certify_bipartite(g: Graph, part: Bipartition, params: ExpansionParams) -> E
     size rather than the full vertex count, and the side holds at most
     DEFAULT_SWEEP_LIMIT vertices."""
     if part.n != g.n:
-        raise ValueError("bipartition does not cover the graph's vertex range")
+        raise MatchlabError("bipartition does not cover the graph's vertex range")
     if len(part.side_a) != len(part.side_b):
-        raise UnbalancedBipartitionError(
-            f"sides have sizes {len(part.side_a)} and {len(part.side_b)}"
-        )
+        raise MatchlabError(f"sides have sizes {len(part.side_a)} and {len(part.side_b)}")
     for u, v in g.edges:
         if (u in part.side_a) == (v in part.side_a):
-            raise NotBipartiteError(f"edge ({u}, {v}) does not cross the bipartition")
+            raise MatchlabError(f"edge ({u}, {v}) does not cross the bipartition")
     side = len(part.side_a)
     if side > DEFAULT_SWEEP_LIMIT:
-        raise TooLargeForExactSweepError(
-            f"side size {side} above the sweep cap {DEFAULT_SWEEP_LIMIT}"
-        )
+        raise ResourceLimitError(f"side size {side} above the sweep cap {DEFAULT_SWEEP_LIMIT}")
     return _sweep(g.neighbor_masks, sorted(part.side_a), side, params)
 

@@ -12,14 +12,7 @@ from __future__ import annotations
 import random
 from typing import Iterable, Iterator, Optional
 
-from .errors import (
-    EdgeNotPresentError,
-    GenerationTimeoutError,
-    InfeasibleDegreeSequenceError,
-    NotAMatchingError,
-    SelfLoopError,
-    VertexOutOfRangeError,
-)
+from .errors import MatchlabError
 
 Edge = tuple[int, int]
 
@@ -29,13 +22,13 @@ DEFAULT_RESTART_CAP = 10_000
 
 def _norm_edge(u: int, v: int) -> Edge:
     if u == v:
-        raise SelfLoopError(f"self-loop at vertex {u}")
+        raise MatchlabError(f"self-loop at vertex {u}")
     return (u, v) if u < v else (v, u)
 
 
 def _check_vertex(v: int, n: int) -> None:
     if not 0 <= v < n:
-        raise VertexOutOfRangeError(f"vertex {v} outside 0..{n - 1}")
+        raise MatchlabError(f"vertex {v} outside 0..{n - 1}")
 
 
 class Graph:
@@ -67,7 +60,7 @@ class Graph:
 
     def __init__(self, n: int, edges: Iterable[Edge]):
         if n < 0:
-            raise ValueError("vertex count must be non-negative")
+            raise MatchlabError("vertex count must be non-negative")
         norm = set()
         for u, v in edges:
             _check_vertex(u, n)
@@ -136,13 +129,13 @@ class Digraph:
 
     def __init__(self, n: int, arcs: Iterable[Edge]):
         if n < 0:
-            raise ValueError("vertex count must be non-negative")
+            raise MatchlabError("vertex count must be non-negative")
         norm = set()
         for u, v in arcs:
             _check_vertex(u, n)
             _check_vertex(v, n)
             if u == v:
-                raise SelfLoopError(f"self-loop at vertex {u}")
+                raise MatchlabError(f"self-loop at vertex {u}")
             norm.add((u, v))
         self.n = n
         self.arcs: tuple[Edge, ...] = tuple(sorted(norm))
@@ -188,7 +181,7 @@ class Matching:
         seen: set[int] = set()
         for u, v in norm:
             if u in seen or v in seen:
-                raise NotAMatchingError(f"vertex reused by edge ({u}, {v})")
+                raise MatchlabError(f"vertex reused by edge ({u}, {v})")
             seen.add(u)
             seen.add(v)
         self.pairs: tuple[Edge, ...] = tuple(norm)
@@ -232,10 +225,10 @@ class Bipartition:
         a = frozenset(side_a)
         b = frozenset(side_b)
         if a & b:
-            raise ValueError("bipartition sides overlap")
+            raise MatchlabError("bipartition sides overlap")
         n = len(a) + len(b)
         if a | b != frozenset(range(n)):
-            raise ValueError("bipartition sides must cover 0..n-1")
+            raise MatchlabError("bipartition sides must cover 0..n-1")
         self.side_a = a
         self.side_b = b
 
@@ -284,7 +277,7 @@ def complete_graph(n: int) -> Graph:
 def complete_multipartite(a: int, b: int) -> Graph:
     """a parts of size b, parts are contiguous blocks; (a-1)b-regular."""
     if a < 1 or b < 1:
-        raise ValueError("need at least one part of size at least one")
+        raise MatchlabError("need at least one part of size at least one")
     n = a * b
     edges = []
     for u in range(n):
@@ -296,7 +289,7 @@ def complete_multipartite(a: int, b: int) -> Graph:
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
-        raise ValueError("cycle needs at least 3 vertices")
+        raise MatchlabError("cycle needs at least 3 vertices")
     return Graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
@@ -308,7 +301,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     seed; raises after DEFAULT_RESTART_CAP failed attempts.
     """
     if d < 0 or d >= n or (n * d) % 2 != 0:
-        raise InfeasibleDegreeSequenceError(f"no simple {d}-regular graph on {n} vertices")
+        raise MatchlabError(f"no simple {d}-regular graph on {n} vertices")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(DEFAULT_RESTART_CAP):
@@ -327,7 +320,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
             edges.add(e)
         if ok:
             return Graph(n, edges)
-    raise GenerationTimeoutError(
+    raise MatchlabError(
         f"no simple pairing found for (n={n}, d={d}) in {DEFAULT_RESTART_CAP} restarts"
     )
 
@@ -348,7 +341,7 @@ def remove_edge_set(g: Graph, removed) -> Graph:
     have = frozenset(g.edges)
     missing = todel - have
     if missing:
-        raise EdgeNotPresentError(f"edges not in graph: {sorted(missing)}")
+        raise MatchlabError(f"edges not in graph: {sorted(missing)}")
     return Graph(g.n, have - todel)
 
 
@@ -378,7 +371,7 @@ def _line_ints(tokens: list[str], kind: str, raw: str) -> list[int]:
     try:
         return [int(tok) for tok in tokens]
     except ValueError:
-        raise ValueError(f"bad {kind} line: {raw!r}") from None
+        raise MatchlabError(f"bad {kind} line: {raw!r}") from None
 
 
 def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
@@ -391,26 +384,26 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
             continue
         if line.startswith("A:"):
             if side_a is not None:
-                raise ValueError(f"second 'A:' line: {raw!r}")
+                raise MatchlabError(f"second 'A:' line: {raw!r}")
             side_a = _line_ints(line[2:].split(), "'A:'", raw)
             continue
         kind = "header" if header is None else "edge"
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"bad {kind} line: {raw!r}")
+            raise MatchlabError(f"bad {kind} line: {raw!r}")
         u, v = _line_ints(parts, kind, raw)
         if header is None:
             header = (u, v)
             continue
         edge = (u, v) if u < v else (v, u)
         if edge in edges:
-            raise ValueError(f"edge {edge[0]} {edge[1]} repeated: {raw!r}")
+            raise MatchlabError(f"edge {edge[0]} {edge[1]} repeated: {raw!r}")
         edges.add(edge)
     if header is None:
-        raise ValueError("missing 'n m' header line")
+        raise MatchlabError("missing 'n m' header line")
     n, m = header
     if len(edges) != m:
-        raise ValueError(f"header declares {m} edges, file has {len(edges)}")
+        raise MatchlabError(f"header declares {m} edges, file has {len(edges)}")
     g = Graph(n, edges)
     part = None
     if side_a is not None:
@@ -418,7 +411,7 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
         for v in side_a:
             _check_vertex(v, n)
             if v in a:
-                raise ValueError(f"vertex {v} repeated on the 'A:' line")
+                raise MatchlabError(f"vertex {v} repeated on the 'A:' line")
             a.add(v)
         part = Bipartition(a, set(range(n)) - a)
     return g, part
@@ -426,4 +419,8 @@ def parse_edge_list(text: str) -> tuple[Graph, Optional[Bipartition]]:
 
 def read_edge_list(path) -> tuple[Graph, Optional[Bipartition]]:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_edge_list(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MatchlabError(str(exc)) from None
+    return parse_edge_list(text)

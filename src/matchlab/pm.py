@@ -71,13 +71,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import (
-    EdgeNotPresentError,
-    NoPerfectMatchingError,
-    NotASubMatchingError,
-    TooLargeError,
-    TooManyMatchingsError,
-)
+from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from .graphs import Edge, Graph, Matching, edge_set
 
 # Read at each call, so a value set on the module reaches every caller.
@@ -89,7 +83,7 @@ def _check_cap(g: Graph) -> None:
     """Refuse a graph on more than DEFAULT_DP_LIMIT vertices: the counting
     cap of every count, stratification and draw."""
     if g.n > DEFAULT_DP_LIMIT:
-        raise TooLargeError(f"n={g.n} above the counting cap {DEFAULT_DP_LIMIT}")
+        raise ResourceLimitError(f"n={g.n} above the counting cap {DEFAULT_DP_LIMIT}")
 
 
 def _has_odd_component(masks, mask: int) -> bool:
@@ -341,7 +335,7 @@ def enumerate_pm(g: Graph) -> Iterator[Matching]:
     sorted edge list, after checking the count against DEFAULT_ENUM_CAP."""
     total = count_pm(g)
     if total > DEFAULT_ENUM_CAP:
-        raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {DEFAULT_ENUM_CAP}")
+        raise ResourceLimitError(f"{total} perfect matchings exceed the cap {DEFAULT_ENUM_CAP}")
     yield from _matchings(g)
 
 
@@ -368,9 +362,9 @@ def count_pm_containing(g: Graph, forced) -> int:
     seen: set[int] = set()
     for u, v in edges:
         if not g.has_edge(u, v):
-            raise NotASubMatchingError(f"edge ({u}, {v}) not in graph")
+            raise MatchlabError(f"edge ({u}, {v}) not in graph")
         if u in seen or v in seen:
-            raise NotASubMatchingError(f"forced edges reuse vertex {u if u in seen else v}")
+            raise MatchlabError(f"forced edges reuse vertex {u if u in seen else v}")
         seen.add(u)
         seen.add(v)
     _check_cap(g)
@@ -565,7 +559,7 @@ def stratify(g: Graph, reference) -> StrataCounts:
     ref = edge_set(reference)
     for u, v in ref:
         if not g.has_edge(u, v):
-            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
+            raise MatchlabError(f"reference edge ({u}, {v}) not in graph")
     kmax = min(g.n // 2, len(ref))
     masks = g.neighbor_masks
     full = (1 << g.n) - 1

@@ -19,12 +19,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Union
 
-from .errors import (
-    EdgeNotPresentError,
-    ExactInfeasibleError,
-    NoPerfectMatchingError,
-    NotRegularError,
-)
+from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from .graphs import Edge, Graph, edge_set, regularity, remove_edge_set
 from .pm import count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
 
@@ -58,7 +53,7 @@ def edge_probability(g: Graph, e: Edge) -> Fraction:
     """Exact probability that a uniform perfect matching contains e."""
     u, v = e
     if not g.has_edge(u, v):
-        raise EdgeNotPresentError(f"edge ({u}, {v}) not in graph")
+        raise MatchlabError(f"edge ({u}, {v}) not in graph")
     total = count_pm(g)
     if total == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
@@ -82,7 +77,7 @@ def poisson_pmf(lam: float, k_max: int) -> Pmf:
     dropped tail is recorded, never silently ignored."""
     lam = float(lam)
     if lam < 0:
-        raise ValueError("rate must be non-negative")
+        raise MatchlabError("rate must be non-negative")
     if lam == 0:
         return Pmf(probs={0: 1.0}, exact=False, truncation_mass=0.0)
     probs = {}
@@ -120,7 +115,7 @@ def avoidance_ratio(g: Graph, reference) -> tuple[Fraction, float]:
     zero-term exp(-e(N)/d)."""
     d = regularity(g)
     if d is None:
-        raise NotRegularError("graph must be regular")
+        raise MatchlabError("graph must be regular")
     ref = edge_set(reference)
     lam = len(ref) / d if d else 0.0
     return intersection_pmf(g, ref).prob(0), math.exp(-lam)
@@ -147,14 +142,14 @@ def disjoint_probability(
     anything is counted or drawn, on every host and every r.
     """
     if r < 1:
-        raise ValueError("r must be at least 1")
+        raise MatchlabError("r must be at least 1")
     if mode not in ("exact", "montecarlo"):
-        raise ValueError(f"unknown mode {mode!r}")
+        raise MatchlabError(f"unknown mode {mode!r}")
     if mode == "montecarlo" and samples < 1:
-        raise ValueError("montecarlo mode needs at least one sample")
+        raise MatchlabError("montecarlo mode needs at least one sample")
     d = regularity(g)
     if d is None:
-        raise NotRegularError("graph must be regular")
+        raise MatchlabError("graph must be regular")
     reference = math.exp(-(g.n / (2 * d)) * math.comb(r, 2)) if d else 1.0
     if r == 1:
         return Fraction(1), reference
@@ -167,7 +162,7 @@ def disjoint_probability(
         # needs no tuple budget; deeper nesting lists at most count^(r-1)
         # prefixes and counts the last level, so that is what is gated.
         if r >= 3 and total ** (r - 1) > DEFAULT_TUPLE_BUDGET:
-            raise ExactInfeasibleError(
+            raise ResourceLimitError(
                 f"{total}^{r - 1} listed prefixes exceed the exact budget {DEFAULT_TUPLE_BUDGET}"
             )
 
@@ -194,10 +189,10 @@ def empirical_edge_freq(g: Graph, samples: int, seed: int = 0) -> dict[Edge, flo
     """Per-edge inclusion frequency over exactly uniform draws; with
     zero samples every frequency is reported as 0, after a count that
     raises on a host with no perfect matching (with samples, the first
-    draw raises instead).  A negative `samples` raises ValueError before
+    draw raises instead).  A negative `samples` raises MatchlabError before
     anything is counted."""
     if samples < 0:
-        raise ValueError("samples must be non-negative")
+        raise MatchlabError("samples must be non-negative")
     if samples == 0:
         if count_pm(g) == 0:
             raise NoPerfectMatchingError("graph has no perfect matching")

@@ -29,12 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    EdgeNotPresentError,
-    EmptyStratumError,
-    NotAPerfectMatchingError,
-    NotRegularError,
-)
+from .errors import MatchlabError
 from .graphs import (
     Digraph,
     Edge,
@@ -57,7 +52,7 @@ def eligible_edge_count(reference, k: int) -> int:
     reference the count stays e(N).
     """
     if k < 1:
-        raise ValueError("k must be positive")
+        raise MatchlabError("k must be positive")
     m = len(edge_set(reference))
     if is_matching_shaped(reference):
         return m - (k - 1)
@@ -170,12 +165,12 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     neighbour there.  A reference edge outside E(G) is refused, for
     `build_switch_graph` and `ratio_report` alike."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise MatchlabError("k must be positive")
     for u, v in ref:
         if not g.has_edge(u, v):
-            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
+            raise MatchlabError(f"reference edge ({u}, {v}) not in graph")
     if ell < 2 or 2 * ell > g.n:
-        raise ValueError("need 2 <= ell and 2*ell <= n")
+        raise MatchlabError("need 2 <= ell and 2*ell <= n")
     strata: dict[int, list[Matching]] = {k: [], k - 1: []}
     for m in enumerate_pm(g):
         inter = len(m.edge_set & ref)
@@ -235,7 +230,7 @@ def build_aux_digraph(g: Graph, reference, base: Matching) -> Digraph:
     """
     cover = vertices_of(base.edge_set)
     if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
-        raise NotAPerfectMatchingError("base must be a perfect matching of the graph")
+        raise MatchlabError("base must be a perfect matching of the graph")
     ban = _edge_bits(g, reference)
     table = _step_table(_free_steps(g, ban), base, ban)
     verts = aux_vertex_set(reference, base, g.n)
@@ -255,11 +250,11 @@ def count_alternating_paths(
     (outside `forbidden` and the base matching) and base-matching edges
     outside `forbidden`, starting with a free edge."""
     if u == v:
-        raise ValueError("endpoints must be distinct")
+        raise MatchlabError("endpoints must be distinct")
     if length % 2 != 0:
-        raise ValueError("length must be even")
+        raise MatchlabError("length must be even")
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise MatchlabError("length must be non-negative")
     for x in (u, v, *vertices_of(base), *vertices_of(edge_set(forbidden))):
         _check_vertex(x, g.n)
     pairs = length // 2
@@ -311,15 +306,15 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     """Exact stratum ratio, prediction, and exchange-graph statistics, all
     from one `_switches` pass that never holds the exchange graph."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise MatchlabError("k must be positive")
     d = regularity(g)
     if d is None:
-        raise NotRegularError("host graph must be regular")
+        raise MatchlabError("host graph must be regular")
     walk = _switches(g, edge_set(reference), k, ell)
     size_k, size_km1 = map(len, next(walk))
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k
-        raise EmptyStratumError(f"stratum {empty} is empty")
+        raise MatchlabError(f"stratum {empty} is empty")
     ldeg, rdeg = [], [0] * size_km1
     for found in walk:
         ldeg.append(len(found))

@@ -25,13 +25,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .errors import (
-    BudgetExceededError,
-    NotRegularError,
-    SinkVertexError,
-    TooLargeError,
-    ZeroEntryError,
-)
+from .errors import MatchlabError, ResourceLimitError
 from .graphs import Digraph, Matching, _check_vertex, vertices_of
 from .rational import as_fraction
 
@@ -50,11 +44,11 @@ class StochasticMatrix:
         n = len(self.rows)
         for row in self.rows:
             if len(row) != n:
-                raise ValueError("matrix must be square")
+                raise MatchlabError("matrix must be square")
             if any(x < 0 for x in row):
-                raise ValueError("negative entry in stochastic matrix")
+                raise MatchlabError("negative entry in stochastic matrix")
             if sum(row) != 1:
-                raise ValueError("row sum differs from 1")
+                raise MatchlabError("row sum differs from 1")
 
     @classmethod
     def _from_rows(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "StochasticMatrix":
@@ -80,7 +74,7 @@ def transition_matrix(d: Digraph) -> StochasticMatrix:
     for u in range(d.n):
         deg = d.out_degree(u)
         if deg == 0:
-            raise SinkVertexError(f"vertex {u} has out-degree 0")
+            raise MatchlabError(f"vertex {u} has out-degree 0")
         p = Fraction(1, deg)
         row = [Fraction(0)] * d.n
         for v in d.out_neighbors(u):
@@ -99,9 +93,9 @@ def _integer_power(p: StochasticMatrix, k: int):
     """(B^k, L^k) with L the lcm of P's denominators and B = L*P, so that
     P^k = B^k / L^k; B^k is squared out in integers, B^0 the identity."""
     if k < 0:
-        raise ValueError("exponent must be non-negative")
+        raise MatchlabError("exponent must be non-negative")
     if p.n > DEFAULT_MATRIX_CAP:
-        raise TooLargeError(f"dimension {p.n} above the exact-power cap {DEFAULT_MATRIX_CAP}")
+        raise ResourceLimitError(f"dimension {p.n} above the exact-power cap {DEFAULT_MATRIX_CAP}")
     scale = math.lcm(*(x.denominator for row in p.rows for x in row))
     base = [[x.numerator * (scale // x.denominator) for x in row] for row in p.rows]
     result = [[int(i == j) for j in range(p.n)] for i in range(p.n)] if k == 0 else None
@@ -126,7 +120,7 @@ def count_walks(d: Digraph, u: int, v: int, length: int) -> int:
     """Exact number of directed (u, v)-walks of the given length: entry
     v of the walk row of u."""
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise MatchlabError("length must be non-negative")
     _check_vertex(u, d.n)
     _check_vertex(v, d.n)
     return _walk_counts(d, u, length)[v]
@@ -174,9 +168,9 @@ def count_paths(
     attempt consumes one step of DEFAULT_PATH_BUDGET.
     """
     if u == v:
-        raise ValueError("endpoints must be distinct")
+        raise MatchlabError("endpoints must be distinct")
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise MatchlabError("length must be non-negative")
     pairs = matching_constraint or ()
     for x in (u, v, *vertices_of(pairs)):
         _check_vertex(x, d.n)
@@ -196,7 +190,7 @@ def count_paths(
         for y in d.out_neighbors(x):
             steps += 1
             if steps > DEFAULT_PATH_BUDGET:
-                raise BudgetExceededError(f"path enumeration exceeded {DEFAULT_PATH_BUDGET} steps")
+                raise ResourceLimitError(f"path enumeration exceeded {DEFAULT_PATH_BUDGET} steps")
             if not seen & block[y]:
                 total += rec(y, seen | 1 << y, remaining - 1)
         return total
@@ -225,7 +219,7 @@ class MixingParams:
 def _check_distribution(sigma: Sequence) -> tuple[Fraction, ...]:
     out = tuple(as_fraction(s) for s in sigma)
     if any(s <= 0 for s in out):
-        raise ZeroEntryError("stationary distribution must be strictly positive")
+        raise MatchlabError("stationary distribution must be strictly positive")
     return out
 
 
@@ -233,10 +227,10 @@ def mixing_params(p: StochasticMatrix, sigma: Sequence) -> MixingParams:
     """Exact alpha and beta; requires every transition probability positive."""
     sig = _check_distribution(sigma)
     if len(sig) != p.n:
-        raise ValueError("distribution length must match the matrix dimension")
+        raise MatchlabError("distribution length must match the matrix dimension")
     lo = p.min_entry()
     if lo == 0:
-        raise ZeroEntryError("transition matrix has a zero entry")
+        raise MatchlabError("transition matrix has a zero entry")
     hi = p.max_entry()
     alpha = lo / max(sig)
     beta = hi / min(sig)
@@ -293,14 +287,14 @@ def sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
     n = d.n
     degs = {d.out_degree(v) for v in range(n)} | {d.in_degree(v) for v in range(n)}
     if len(degs) != 1:
-        raise NotRegularError("digraph is not regular")
+        raise MatchlabError("digraph is not regular")
     deg = degs.pop()
     if delta * n != deg:
-        raise NotRegularError(f"degree {deg} does not equal delta*n = {delta * n}")
+        raise MatchlabError(f"degree {deg} does not equal delta*n = {delta * n}")
     if deg == 0:
-        raise SinkVertexError("vertex 0 has out-degree 0")
+        raise MatchlabError("vertex 0 has out-degree 0")
     if k < 0:
-        raise ValueError("exponent must be non-negative")
+        raise MatchlabError("exponent must be non-negative")
     lower = (nu * n) ** (k - 1)
     upper = Fraction(deg) ** (k - 1)
     rows = (_walk_counts(d, u, k) for u in range(n))

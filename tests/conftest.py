@@ -15,16 +15,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, Optional
 
-from matchlab.errors import (
-    BudgetExceededError,
-    EdgeNotPresentError,
-    EmptyStratumError,
-    NoPerfectMatchingError,
-    NotAPerfectMatchingError,
-    NotRegularError,
-    TooLargeError,
-    TooManyMatchingsError,
-)
+from matchlab.errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from matchlab.expansion import ExpansionCertificate, ExpansionParams, Verdict
 from matchlab.graphs import (
     Bipartition,
@@ -368,10 +359,10 @@ def reference_enumerate_pm(
     """Oracle for pm.enumerate_pm: its own lowest-vertex recursion, with no
     dead-mask pruning."""
     if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+        raise ResourceLimitError(f"n={g.n} above the counting cap {limit}")
     total = count_pm(g)
     if total > cap:
-        raise TooManyMatchingsError(f"{total} perfect matchings exceed the cap {cap}")
+        raise ResourceLimitError(f"{total} perfect matchings exceed the cap {cap}")
 
     n = g.n
     masks = g.neighbor_masks
@@ -434,7 +425,7 @@ def reference_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LI
     direct memo read.  It makes the same rng calls, so it gives the same
     draws."""
     if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+        raise ResourceLimitError(f"n={g.n} above the counting cap {limit}")
     mask = (1 << g.n) - 1
     total = reference_count_on_mask(g, mask)
     if total == 0:
@@ -466,7 +457,7 @@ def scan_sample_pm(g: Graph, rng: random.Random, limit: int = DEFAULT_DP_LIMIT) 
     child's memo count from r until r goes negative.  It reads the memo
     directly, as pm.sample_pm does, and makes the same rng calls."""
     if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+        raise ResourceLimitError(f"n={g.n} above the counting cap {limit}")
     mask = (1 << g.n) - 1
     if _count_on_mask(g, mask) == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
@@ -496,11 +487,11 @@ def reference_stratify(g: Graph, reference, limit: int = DEFAULT_DP_LIMIT) -> St
     """Oracle for pm.stratify: the same bitmask DP with a tuple of
     kmax+1 counts per mask, summed by per-k inner loops."""
     if g.n > limit:
-        raise TooLargeError(f"n={g.n} above the counting cap {limit}")
+        raise ResourceLimitError(f"n={g.n} above the counting cap {limit}")
     ref = edge_set(reference)
     for u, v in ref:
         if not g.has_edge(u, v):
-            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
+            raise MatchlabError(f"reference edge ({u}, {v}) not in graph")
 
     kmax = min(g.n // 2, len(ref))
     width = kmax + 1
@@ -546,7 +537,7 @@ def reference_avoidance_ratio(g: Graph, reference) -> tuple[Fraction, float]:
     as the perfect matchings of g with the reference edges deleted."""
     d = regularity(g)
     if d is None:
-        raise NotRegularError("graph must be regular")
+        raise MatchlabError("graph must be regular")
     total = count_pm(g)
     if total == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
@@ -574,9 +565,9 @@ def reference_matrix_power(
     """Oracle for walks.matrix_power: repeated squaring with a Fraction
     product, every intermediate matrix rebuilt and revalidated."""
     if k < 0:
-        raise ValueError("exponent must be non-negative")
+        raise MatchlabError("exponent must be non-negative")
     if p.n > cap:
-        raise TooLargeError(f"dimension {p.n} above the exact-power cap {cap}")
+        raise ResourceLimitError(f"dimension {p.n} above the exact-power cap {cap}")
     result = StochasticMatrix(
         tuple(tuple(Fraction(int(i == j)) for j in range(p.n)) for i in range(p.n))
     )
@@ -597,7 +588,7 @@ def reference_count_walks(d: Digraph, u: int, v: int, length: int) -> int:
     """Oracle for walks.count_walks: the walk vector from u propagated
     afresh on every call, with no memo."""
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise MatchlabError("length must be non-negative")
     _check_vertex(u, d.n)
     _check_vertex(v, d.n)
     vec = [0] * d.n
@@ -623,10 +614,10 @@ def reference_sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
     n = d.n
     degs = {d.out_degree(v) for v in range(n)} | {d.in_degree(v) for v in range(n)}
     if len(degs) != 1:
-        raise NotRegularError("digraph is not regular")
+        raise MatchlabError("digraph is not regular")
     deg = degs.pop()
     if delta * n != deg:
-        raise NotRegularError(f"degree {deg} does not equal delta*n = {delta * n}")
+        raise MatchlabError(f"degree {deg} does not equal delta*n = {delta * n}")
     p = transition_matrix(d)
     pk = matrix_power(p, k)
     lower = nu ** (k - 1) * delta ** (-k)
@@ -791,9 +782,9 @@ def reference_build_switch_graph(
     two enumerated strata (early exit on a wrong symmetric-difference
     size)."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise MatchlabError("k must be positive")
     if ell < 2 or 2 * ell > g.n:
-        raise ValueError("need 2 <= ell and 2*ell <= n")
+        raise MatchlabError("need 2 <= ell and 2*ell <= n")
     ref = edge_set(reference)
     left: list[Matching] = []
     right: list[Matching] = []
@@ -816,20 +807,20 @@ def reference_ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport
     the degrees read off the whole exchange graph that
     reference_build_switch_graph materialises."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise MatchlabError("k must be positive")
     d = regularity(g)
     if d is None:
-        raise NotRegularError("host graph must be regular")
+        raise MatchlabError("host graph must be regular")
     ref = edge_set(reference)
     for u, v in ref:
         if not g.has_edge(u, v):
-            raise EdgeNotPresentError(f"reference edge ({u}, {v}) not in graph")
+            raise MatchlabError(f"reference edge ({u}, {v}) not in graph")
     strata = stratify(g, ref)
     size_k = strata.counts.get(k, 0)
     size_km1 = strata.counts.get(k - 1, 0)
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k
-        raise EmptyStratumError(f"stratum {empty} is empty")
+        raise MatchlabError(f"stratum {empty} is empty")
     h = reference_build_switch_graph(g, reference, k, ell)
     ldeg = h.left_degrees()
     rdeg = h.right_degrees()
@@ -853,7 +844,7 @@ def reference_build_aux_digraph(g: Graph, reference, base: Matching) -> Digraph:
     base-edge step, with the vertices of shared edges marked ineligible."""
     cover = vertices_of(base.edge_set)
     if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
-        raise NotAPerfectMatchingError("base must be a perfect matching of the graph")
+        raise MatchlabError("base must be a perfect matching of the graph")
     ref = edge_set(reference)
     shared_vertices = vertices_of(ref & base.edge_set)
     eligible = [v not in shared_vertices for v in range(g.n)]
@@ -908,9 +899,9 @@ def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     replaced, verbatim but for the walker, reference_alternating_paths,
     the list walker."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise MatchlabError("k must be positive")
     if ell < 2 or 2 * ell > g.n:
-        raise ValueError("need 2 <= ell and 2*ell <= n")
+        raise MatchlabError("need 2 <= ell and 2*ell <= n")
     strata: dict[int, list[Matching]] = {k: [], k - 1: []}
     for m in enumerate_pm(g):
         inter = len(m.edge_set & ref)
@@ -945,9 +936,9 @@ def reference_count_paths(
     """Oracle for walks.count_paths: the visited-set search it replaced,
     spending one budget step per extension attempt at the same points."""
     if u == v:
-        raise ValueError("endpoints must be distinct")
+        raise MatchlabError("endpoints must be distinct")
     if length < 0:
-        raise ValueError("length must be non-negative")
+        raise MatchlabError("length must be non-negative")
     _check_vertex(u, d.n)
     _check_vertex(v, d.n)
     if length == 0:
@@ -968,7 +959,7 @@ def reference_count_paths(
         for y in d.out_neighbors(x):
             steps += 1
             if steps > budget:
-                raise BudgetExceededError(f"path enumeration exceeded {budget} steps")
+                raise ResourceLimitError(f"path enumeration exceeded {budget} steps")
             if y in visited or blocked(y):
                 continue
             visited.add(y)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import write_edge_list
-from matchlab import cli
+from matchlab import cli, pm
 from matchlab.cli import main
 from matchlab.expansion import ExpansionParams, certify_bipartite, certify_exact
 from matchlab.graphs import (
@@ -568,7 +568,8 @@ _TWO_TRIANGLES = "6 6\n0 1\n1 2\n0 2\n3 4\n4 5\n3 5\n"
 
 # Every input error a user can reach, with its whole stderr, or for a
 # refusal argparse makes (_Usage) the subcommand's usage and its error
-# line; "FILE" in argv stands for a file holding the row's edge-list text.
+# line; "FILE" in argv stands for a file holding the row's edge-list text
+# (or bytes).
 _INPUT_ERRORS = {
     "family_file_without_file": (["count", "--family", "file"], None, _Usage("argument --family: invalid choice: 'file'")),
     "family_file_with_file": (
@@ -644,6 +645,9 @@ _INPUT_ERRORS = {
         ["switching", "--family", "complete", "-n", "2"], None,
         "switching needs n >= 4, so that some ell has 2 <= ell and 2*ell <= n",
     ),
+    "file_not_utf8": (
+        ["count", "--file", "FILE"], b"\xff\n", "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    ),
 }
 
 
@@ -651,7 +655,7 @@ _INPUT_ERRORS = {
 def test_reachable_input_errors(capsys, tmp_path, argv, text, message):
     if text is not None:
         path = tmp_path / "host.el"
-        path.write_text(text)
+        path.write_bytes(text if isinstance(text, bytes) else text.encode())
         argv = [str(path) if a == "FILE" else a for a in argv]
     code = main(argv)
     captured = capsys.readouterr()
@@ -737,6 +741,18 @@ def test_key_error_in_runner_is_not_an_input_error(monkeypatch):
     monkeypatch.setitem(cli._RUNNERS, "count", broken)
     with pytest.raises(KeyError):
         main(["count", "--family", "complete", "-n", "4"])
+
+
+def test_value_error_in_a_kernel_is_not_an_input_error(capsys, monkeypatch):
+    # the package raises only its own errors on bad input, so a ValueError
+    # is a bug: it leaves main instead of printing "error:" and exiting 1
+    def broken(g):
+        raise ValueError("bug")
+
+    monkeypatch.setattr(pm, "count_pm", broken)
+    with pytest.raises(ValueError, match="^bug$"):
+        main(["count", "--family", "complete", "-n", "4"])
+    assert capsys.readouterr() == ("", "")
 
 
 VACUOUS = "warning: the size window holds no set, so the pass is vacuous\n"

@@ -12,12 +12,7 @@ from conftest import (
     two_triangles,
 )
 from matchlab import expansion
-from matchlab.errors import (
-    NotBipartiteError,
-    TooLargeForExactSweepError,
-    UnbalancedBipartitionError,
-    VertexOutOfRangeError,
-)
+from matchlab.errors import MatchlabError, ResourceLimitError
 from matchlab.expansion import (
     ExpansionParams,
     Verdict,
@@ -41,9 +36,9 @@ from matchlab.graphs import (
 def test_params_validation():
     p = ExpansionParams(0.1, 0.3)
     assert p.nu == Fraction(1, 10) and p.tau == Fraction(3, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(MatchlabError, match="^nu and tau must lie strictly between 0 and 1$"):
         ExpansionParams(0, 0.5)
-    with pytest.raises(ValueError):
+    with pytest.raises(MatchlabError, match="^nu and tau must lie strictly between 0 and 1$"):
         ExpansionParams(0.5, 1)
 
 
@@ -95,9 +90,9 @@ def test_out_rn_complete_digraph():
 
 @pytest.mark.parametrize("v", [-1, 6])
 def test_rn_rejects_vertex_out_of_range(v):
-    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {v} outside 0..5$"):
+    with pytest.raises(MatchlabError, match=f"^vertex {v} outside 0..5$"):
         robust_neighbourhood(complete_graph(6), [0, v], 0.1)
-    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {v} outside 0..5$"):
+    with pytest.raises(MatchlabError, match=f"^vertex {v} outside 0..5$"):
         robust_neighbourhood(complete_digraph(6), [v], 0.1)
 
 
@@ -157,7 +152,7 @@ def test_complete_graphs_pass_tiny_nu():
 
 def test_exact_sweep_cap(monkeypatch):
     monkeypatch.setattr(expansion, "DEFAULT_SWEEP_LIMIT", 6)
-    with pytest.raises(TooLargeForExactSweepError):
+    with pytest.raises(ResourceLimitError, match="^n=8 above the sweep cap 6$"):
         certify_exact(complete_graph(8), ExpansionParams(0.1, 0.3))
 
 
@@ -168,7 +163,7 @@ def test_bipartite_sweep_cap(monkeypatch, side, kwargs, cap):
         monkeypatch.setattr(expansion, name, value)
     g = complete_multipartite(2, side)
     part = Bipartition(range(side), range(side, 2 * side))
-    with pytest.raises(TooLargeForExactSweepError, match=rf"^side size {side} above the sweep cap {cap}$"):
+    with pytest.raises(ResourceLimitError, match=rf"^side size {side} above the sweep cap {cap}$"):
         certify_bipartite(g, part, ExpansionParams(0.1, 0.3))
 
 
@@ -368,6 +363,17 @@ def test_refute_sampled_never_passes():
     assert cert.sets_checked == 200
 
 
+def test_refute_sampled_draws_in_a_one_size_window():
+    # tau = 1/2 on 4 vertices leaves sizes 2..2; every pair of the two
+    # disjoint edges has 2 < 2 + 1 robust neighbours, so the first trial fails
+    g = Graph(4, [(0, 1), (2, 3)])
+    p = ExpansionParams(Fraction(1, 10), Fraction(1, 2))
+    assert expansion._thresholds(p.nu, p.tau, g.n) == (1, 2, 2)
+    cert = refute_sampled(g, p, trials=5, seed=0)
+    assert cert.verdict is Verdict.FAIL and cert.sets_checked == 1
+    assert len(cert.witness) == 2
+
+
 def test_refute_sampled_zero_trials():
     cert = refute_sampled(complete_graph(6), ExpansionParams(0.1, 0.3), trials=0)
     assert cert.verdict is Verdict.INCONCLUSIVE
@@ -407,12 +413,12 @@ def test_bipartite_fail_case():
 
 def test_bipartite_errors():
     g = complete_multipartite(2, 3)
-    with pytest.raises(UnbalancedBipartitionError):
+    with pytest.raises(MatchlabError, match="^sides have sizes 1 and 5$"):
         certify_bipartite(g, Bipartition([0], range(1, 6)), ExpansionParams(0.1, 0.3))
     tri = Graph(4, [(0, 1), (1, 2), (0, 2)])
-    with pytest.raises(NotBipartiteError):
+    with pytest.raises(MatchlabError, match=r"^edge \(1, 2\) does not cross the bipartition$"):
         certify_bipartite(tri, Bipartition([0, 3], [1, 2]), ExpansionParams(0.1, 0.3))
-    with pytest.raises(ValueError, match="^bipartition does not cover the graph's vertex range$"):
+    with pytest.raises(MatchlabError, match="^bipartition does not cover the graph's vertex range$"):
         certify_bipartite(g, Bipartition([0, 1], [2, 3]), ExpansionParams(0.1, 0.3))
 
 

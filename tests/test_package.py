@@ -1,7 +1,7 @@
 """Package-wide properties: each exact cap is one module constant that
 every analysis above its kernel reads, the package imports nothing
-outside the standard library, and every exported name has a reader
-besides its own tests."""
+outside the standard library, it raises only its own three errors, and
+every exported name has a reader besides its own tests."""
 
 import ast
 import inspect
@@ -13,7 +13,7 @@ import pytest
 
 import matchlab
 from matchlab import expansion, graphs, pm, stats, switching, walks
-from matchlab.errors import TooLargeError
+from matchlab.errors import ResourceLimitError
 from matchlab.graphs import complete_graph
 from matchlab.stats import (
     avoidance_ratio,
@@ -40,12 +40,12 @@ ANALYSES_ON_K6 = {
 @pytest.mark.parametrize("name", sorted(ANALYSES_ON_K6))
 def test_lowered_counting_cap_reaches_every_analysis(monkeypatch, name):
     monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", 4)
-    with pytest.raises(TooLargeError, match="^n=6 above the counting cap 4$"):
+    with pytest.raises(ResourceLimitError, match="^n=6 above the counting cap 4$"):
         ANALYSES_ON_K6[name](complete_graph(6))
 
 
 def test_raised_counting_cap_reaches_edge_probability(monkeypatch):
-    with pytest.raises(TooLargeError, match="^n=28 above the counting cap 26$"):
+    with pytest.raises(ResourceLimitError, match="^n=28 above the counting cap 26$"):
         edge_probability(complete_graph(28), (0, 1))
     monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", 28)
     assert edge_probability(complete_graph(28), (0, 1)) == Fraction(1, 27)
@@ -58,7 +58,7 @@ def test_matrix_cap_reaches_mixing_bound_check(monkeypatch):
     for cap in (3, 4):
         monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", cap)
         for run in (lambda: matrix_power(p, 2), lambda: mixing_bound_check(p, sigma, 2)):
-            with pytest.raises(TooLargeError, match=f"^dimension 5 above the exact-power cap {cap}$"):
+            with pytest.raises(ResourceLimitError, match=f"^dimension 5 above the exact-power cap {cap}$"):
                 run()
     monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", 5)
     assert matrix_power(p, 2) == p
@@ -131,3 +131,28 @@ def test_every_export_has_a_reader_besides_its_tests():
     readers += sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
     read = set().union(*map(_reads, readers))
     assert sorted(_exports() - read) == []
+
+
+ERRORS = {"MatchlabError", "NoPerfectMatchingError", "ResourceLimitError"}
+
+
+def _raised(path: Path):
+    """(top-level def or class, raised name) for every raise in a module;
+    a bare `raise` or a raised expression that is not a name gives its source."""
+    for top in ast.parse(path.read_text(), filename=str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = exc.id if isinstance(exc, ast.Name) else ast.unparse(node)
+                yield getattr(top, "name", None), name
+
+
+def test_package_raises_only_its_own_errors():
+    # argparse's type= turns exactly ValueError and TypeError into a usage
+    # error, so as_fraction, the type of --nu and --tau, keeps them
+    raised = {(path.name, top, name) for path in sorted(PACKAGE.glob("*.py")) for top, name in _raised(path)}
+    assert {name for _, _, name in raised} >= ERRORS
+    stray = {r for r in raised if r[2] not in ERRORS}
+    assert stray == {("rational.py", "as_fraction", "ValueError"), ("rational.py", "as_fraction", "TypeError")}
+    module = ast.parse((PACKAGE / "errors.py").read_text())
+    assert {node.name for node in module.body if isinstance(node, ast.ClassDef)} == ERRORS

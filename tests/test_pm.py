@@ -29,13 +29,7 @@ from conftest import (
     strata_references,
 )
 from matchlab import pm
-from matchlab.errors import (
-    EdgeNotPresentError,
-    NoPerfectMatchingError,
-    NotASubMatchingError,
-    TooLargeError,
-    TooManyMatchingsError,
-)
+from matchlab.errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from matchlab.graphs import (
     Graph,
     Matching,
@@ -96,7 +90,7 @@ def test_count_double_factorial_growth():
 
 def test_count_size_cap(monkeypatch):
     monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", 4)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ResourceLimitError, match="^n=6 above the counting cap 4$"):
         count_pm(complete_graph(6))
 
 
@@ -507,7 +501,18 @@ def test_enumerate_is_sorted_and_complete():
 
 def test_enumerate_cap(monkeypatch):
     monkeypatch.setattr(pm, "DEFAULT_ENUM_CAP", 10)
-    with pytest.raises(TooManyMatchingsError):
+    with pytest.raises(ResourceLimitError, match="^15 perfect matchings exceed the cap 10$"):
+        list(enumerate_pm(complete_graph(6)))
+
+
+def test_enumerate_cap_trips_one_past_its_value(monkeypatch):
+    # the documented cap; K6 has 15 perfect matchings, listed at a cap of
+    # 15 and refused at 14
+    assert pm.DEFAULT_ENUM_CAP == 1_000_000
+    monkeypatch.setattr(pm, "DEFAULT_ENUM_CAP", 15)
+    assert len(list(enumerate_pm(complete_graph(6)))) == 15
+    monkeypatch.setattr(pm, "DEFAULT_ENUM_CAP", 14)
+    with pytest.raises(ResourceLimitError, match="^15 perfect matchings exceed the cap 14$"):
         list(enumerate_pm(complete_graph(6)))
 
 
@@ -580,19 +585,21 @@ def _set_caps(monkeypatch, kwargs):
         monkeypatch.setattr(pm, constant[key], value)
 
 
+# the last part of each case id names the check that fires
 @pytest.mark.parametrize(
-    "g,kwargs,error",
+    "g,kwargs,message",
     [
-        (complete_graph(6), {"limit": 4}, TooLargeError),
-        (_disjoint_cliques(19), {}, TooLargeError),
-        (complete_graph(6), {"cap": 10}, TooManyMatchingsError),
+        (complete_graph(6), {"limit": 4}, "^n=6 above the counting cap 4$"),
+        (_disjoint_cliques(19), {}, "^n=38 above the counting cap 26$"),
+        (complete_graph(6), {"cap": 10}, "^15 perfect matchings exceed the cap 10$"),
     ],
+    ids=["g0-kwargs0-TooLargeError", "g1-kwargs1-TooLargeError", "g2-kwargs2-TooManyMatchingsError"],
 )
-def test_enumerate_errors_match_reference(monkeypatch, g, kwargs, error):
+def test_enumerate_errors_match_reference(monkeypatch, g, kwargs, message):
     _set_caps(monkeypatch, kwargs)
-    with pytest.raises(error) as fast:
+    with pytest.raises(ResourceLimitError, match=message) as fast:
         list(enumerate_pm(g))
-    with pytest.raises(error) as slow:
+    with pytest.raises(ResourceLimitError, match=message) as slow:
         list(reference_enumerate_pm(g, **kwargs))
     assert str(fast.value) == str(slow.value)
 
@@ -606,9 +613,9 @@ def test_count_containing_known():
 
 
 def test_count_containing_errors():
-    with pytest.raises(NotASubMatchingError):
+    with pytest.raises(MatchlabError, match=r"^edge \(0, 2\) not in graph$"):
         count_pm_containing(cycle_graph(4), [(0, 2)])
-    with pytest.raises(NotASubMatchingError):
+    with pytest.raises(MatchlabError, match="^forced edges reuse vertex 1$"):
         count_pm_containing(complete_graph(6), [(0, 1), (1, 2)])
 
 
@@ -870,20 +877,21 @@ def test_sample_after_short_circuited_containment_matches_reference():
 
 
 @pytest.mark.parametrize(
-    "g,limit,error",
+    "g,limit,error,message",
     [
-        (complete_graph(6), 4, TooLargeError),
-        (cycle_graph(5), 26, NoPerfectMatchingError),
-        (Graph(4, [(0, 1), (0, 2), (0, 3)]), 26, NoPerfectMatchingError),
+        (complete_graph(6), 4, ResourceLimitError, "^n=6 above the counting cap 4$"),
+        (cycle_graph(5), 26, NoPerfectMatchingError, "^graph has no perfect matching$"),
+        (Graph(4, [(0, 1), (0, 2), (0, 3)]), 26, NoPerfectMatchingError, "^graph has no perfect matching$"),
     ],
+    ids=["g0-4-TooLargeError", "g1-26-NoPerfectMatchingError", "g2-26-NoPerfectMatchingError"],
 )
-def test_sample_errors_match_reference(monkeypatch, g, limit, error):
+def test_sample_errors_match_reference(monkeypatch, g, limit, error, message):
     monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", limit)
     samplers = (sample_pm, partial(scan_sample_pm, limit=limit), partial(reference_sample_pm, limit=limit))
     rngs = [random.Random(1) for _ in range(3)]
     messages = []
     for sampler, rng in zip(samplers, rngs):
-        with pytest.raises(error) as got:
+        with pytest.raises(error, match=message) as got:
             sampler(_fresh(g), rng)
         messages.append(str(got.value))
     assert len(set(messages)) == 1
@@ -939,7 +947,7 @@ def test_stratify_double_count_identity():
 
 
 def test_stratify_reference_must_be_subset():
-    with pytest.raises(EdgeNotPresentError):
+    with pytest.raises(MatchlabError, match=r"^reference edge \(0, 2\) not in graph$"):
         stratify(cycle_graph(4), [(0, 2)])
 
 
@@ -960,21 +968,22 @@ def test_stratify_matches_reference():
 @pytest.mark.parametrize("n,kwargs,cap", [(6, {"limit": 4}, 4), (28, {}, 26)])
 def test_count_pm_containing_refuses_a_host_past_its_cap(monkeypatch, n, kwargs, cap):
     _set_caps(monkeypatch, kwargs)
-    with pytest.raises(TooLargeError, match=rf"^n={n} above the counting cap {cap}$"):
+    with pytest.raises(ResourceLimitError, match=rf"^n={n} above the counting cap {cap}$"):
         count_pm_containing(complete_graph(n), [(0, 1)])
 
 
 @pytest.mark.parametrize(
-    "g,ref,kwargs,error",
+    "g,ref,kwargs,error,message",
     [
-        (complete_graph(6), [(0, 1)], {"limit": 4}, TooLargeError),
-        (cycle_graph(4), [(0, 1), (0, 2)], {}, EdgeNotPresentError),
+        (complete_graph(6), [(0, 1)], {"limit": 4}, ResourceLimitError, "^n=6 above the counting cap 4$"),
+        (cycle_graph(4), [(0, 1), (0, 2)], {}, MatchlabError, r"^reference edge \(0, 2\) not in graph$"),
     ],
+    ids=["g0-ref0-kwargs0-TooLargeError", "g1-ref1-kwargs1-EdgeNotPresentError"],
 )
-def test_stratify_errors_match_reference(monkeypatch, g, ref, kwargs, error):
+def test_stratify_errors_match_reference(monkeypatch, g, ref, kwargs, error, message):
     _set_caps(monkeypatch, kwargs)
-    with pytest.raises(error) as fast:
+    with pytest.raises(error, match=message) as fast:
         stratify(g, ref)
-    with pytest.raises(error) as slow:
+    with pytest.raises(error, match=message) as slow:
         reference_stratify(g, ref, **kwargs)
     assert str(fast.value) == str(slow.value)

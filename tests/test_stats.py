@@ -16,14 +16,7 @@ from conftest import (
     strata_hosts,
     strata_references,
 )
-from matchlab.errors import (
-    EdgeNotPresentError,
-    ExactInfeasibleError,
-    NoPerfectMatchingError,
-    NotASubMatchingError,
-    NotRegularError,
-    TooLargeError,
-)
+from matchlab.errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from matchlab.graphs import (
     Graph,
     Matching,
@@ -77,7 +70,7 @@ def test_edge_probability_vertex_transitive_families_hit_reciprocal_degree():
 
 
 def test_edge_probability_errors():
-    with pytest.raises(EdgeNotPresentError):
+    with pytest.raises(MatchlabError, match=r"^edge \(0, 2\) not in graph$"):
         edge_probability(cycle_graph(4), (0, 2))
     with pytest.raises(NoPerfectMatchingError):
         edge_probability(Graph(4, [(0, 1), (1, 2), (1, 3)]), (0, 1))
@@ -145,7 +138,7 @@ def test_poisson_truncation_recorded():
 
 
 def test_poisson_refuses_a_negative_rate():
-    with pytest.raises(ValueError, match="^rate must be non-negative$"):
+    with pytest.raises(MatchlabError, match="^rate must be non-negative$"):
         poisson_pmf(-0.5, 3)
 
 
@@ -214,7 +207,7 @@ def test_avoidance_empty_reference():
 
 def test_avoidance_requires_regular():
     g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
-    with pytest.raises(NotRegularError):
+    with pytest.raises(MatchlabError, match="^graph must be regular$"):
         avoidance_ratio(g, [(0, 1)])
 
 
@@ -243,12 +236,17 @@ def test_avoidance_matches_reference():
 
 
 def test_avoidance_errors_match_reference():
+    # the oracle removes the reference edges, so it names a missing one in its own words
+    missing = {
+        avoidance_ratio: r"^reference edge \(0, 2\) not in graph$",
+        reference_avoidance_ratio: r"^edges not in graph: \[\(0, 2\)\]$",
+    }
     for fn in (avoidance_ratio, reference_avoidance_ratio):
-        with pytest.raises(TooLargeError, match=r"^n=28 above the counting cap 26$"):
+        with pytest.raises(ResourceLimitError, match=r"^n=28 above the counting cap 26$"):
             fn(cycle_graph(28), [])
-        with pytest.raises(EdgeNotPresentError):
+        with pytest.raises(MatchlabError, match=missing[fn]):
             fn(cycle_graph(4), [(0, 2)])
-        with pytest.raises(NotRegularError):
+        with pytest.raises(MatchlabError, match="^graph must be regular$"):
             fn(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 2)]), [])
         with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
             fn(complete_graph(5), [(0, 1)])
@@ -310,7 +308,7 @@ def test_disjoint_montecarlo_tracks_exact():
 
 def test_disjoint_exact_budget(monkeypatch):
     monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 1000)
-    with pytest.raises(ExactInfeasibleError):
+    with pytest.raises(ResourceLimitError, match=r"^105\^3 listed prefixes exceed the exact budget 1000$"):
         disjoint_probability(complete_graph(8), 4)
 
 
@@ -332,7 +330,20 @@ def test_disjoint_exact_budget_counts_listed_prefixes(monkeypatch):
     value, _ = disjoint_probability(g, 3)
     assert value == F(good, 15**3)
     monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 224)
-    with pytest.raises(ExactInfeasibleError, match=r"15\^2 listed"):
+    with pytest.raises(ResourceLimitError, match=r"15\^2 listed"):
+        disjoint_probability(g, 3)
+
+
+def test_disjoint_exact_budget_trips_one_past_its_value(monkeypatch):
+    # the documented budget; K6 at r = 3 lists 15^2 = 225 prefixes, so it
+    # runs at a budget of 225 and is refused at 224
+    assert stats.DEFAULT_TUPLE_BUDGET == 10_000_000
+    g = complete_graph(6)
+    want = disjoint_probability(g, 3)
+    monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 225)
+    assert disjoint_probability(g, 3) == want
+    monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 224)
+    with pytest.raises(ResourceLimitError, match=r"^15\^2 listed prefixes exceed the exact budget 224$"):
         disjoint_probability(g, 3)
 
 
@@ -349,7 +360,7 @@ _UNCOUNTED_HOSTS = [
 @pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
 def test_disjoint_rejects_unknown_mode_before_counting(g, r):
     g = Graph(g.n, g.edges)
-    with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+    with pytest.raises(MatchlabError, match="unknown mode 'bogus'"):
         disjoint_probability(g, r, mode="bogus")
     assert g._pm_cache == {} and g._poly_cache == {}
 
@@ -359,7 +370,7 @@ def test_disjoint_rejects_unknown_mode_before_counting(g, r):
 @pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
 def test_disjoint_montecarlo_rejects_no_samples_before_counting(g, r, samples):
     g = Graph(g.n, g.edges)
-    with pytest.raises(ValueError, match="at least one sample"):
+    with pytest.raises(MatchlabError, match="at least one sample"):
         disjoint_probability(g, r, mode="montecarlo", samples=samples)
     assert g._pm_cache == {} and g._poly_cache == {}
 
@@ -374,7 +385,7 @@ def test_disjoint_exact_ignores_samples():
 @pytest.mark.parametrize("g", [complete_graph(4), complete_graph(5)])
 def test_empirical_freq_rejects_negative_samples_before_counting(g):
     g = Graph(g.n, g.edges)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(MatchlabError, match="non-negative"):
         empirical_edge_freq(g, -1)
     assert g._pm_cache == {} and g._poly_cache == {}
 
@@ -435,7 +446,7 @@ def test_montecarlo_errors_come_from_the_first_draw(run):
     for g in (complete_graph(5), _TWO_TRIANGLES):
         with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
             run(g)
-    with pytest.raises(TooLargeError, match=r"^n=28 above the counting cap 26$"):
+    with pytest.raises(ResourceLimitError, match=r"^n=28 above the counting cap 26$"):
         run(complete_graph(28))
 
 
@@ -495,15 +506,15 @@ def test_pair_outside_vertex_range_is_not_an_edge(pair):
     g = complete_graph(6)
     u, v = sorted(pair)
     missing = rf"^reference edge \({u}, {v}\) not in graph$"
-    with pytest.raises(EdgeNotPresentError, match=missing):
+    with pytest.raises(MatchlabError, match=missing):
         stratify(g, [pair])
-    with pytest.raises(EdgeNotPresentError, match=missing):
+    with pytest.raises(MatchlabError, match=missing):
         avoidance_ratio(g, [pair])
-    with pytest.raises(EdgeNotPresentError, match=missing):
+    with pytest.raises(MatchlabError, match=missing):
         intersection_pmf(g, [pair])
-    with pytest.raises(EdgeNotPresentError, match=missing):
+    with pytest.raises(MatchlabError, match=missing):
         ratio_report(g, [pair], k=1, ell=2)
-    with pytest.raises(NotASubMatchingError, match=rf"^edge \({u}, {v}\) not in graph$"):
+    with pytest.raises(MatchlabError, match=rf"^edge \({u}, {v}\) not in graph$"):
         count_pm_containing(g, [pair])
-    with pytest.raises(EdgeNotPresentError, match=rf"^edge \({pair[0]}, {pair[1]}\) not in graph$"):
+    with pytest.raises(MatchlabError, match=rf"^edge \({pair[0]}, {pair[1]}\) not in graph$"):
         edge_probability(g, pair)

@@ -14,15 +14,7 @@ from conftest import (
     reference_sandwich_check,
 )
 from matchlab import walks
-from matchlab.errors import (
-    BudgetExceededError,
-    MatchlabError,
-    NotRegularError,
-    SinkVertexError,
-    TooLargeError,
-    VertexOutOfRangeError,
-    ZeroEntryError,
-)
+from matchlab.errors import MatchlabError, ResourceLimitError
 from matchlab.expansion import ExpansionParams, Verdict, certify_exact
 from matchlab.graphs import (
     Digraph,
@@ -73,20 +65,20 @@ def test_transition_directed_cycle_is_permutation():
 
 
 def test_transition_sink_error():
-    with pytest.raises(SinkVertexError):
+    with pytest.raises(MatchlabError, match="^vertex 2 has out-degree 0$"):
         transition_matrix(Digraph(3, [(0, 1), (1, 2)]))
 
 
 def test_stochastic_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(MatchlabError, match="^row sum differs from 1$"):
         StochasticMatrix(((F(1, 2), F(1, 3)), (F(1, 2), F(1, 2))))
 
 
 def test_stochastic_refuses_a_ragged_row_and_a_negative_entry():
-    with pytest.raises(ValueError, match="^matrix must be square$"):
+    with pytest.raises(MatchlabError, match="^matrix must be square$"):
         StochasticMatrix(((F(1),), (F(1, 2), F(1, 2))))
     # the row still sums to 1, so only the sign check can refuse it
-    with pytest.raises(ValueError, match="^negative entry in stochastic matrix$"):
+    with pytest.raises(MatchlabError, match="^negative entry in stochastic matrix$"):
         StochasticMatrix(((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))))
 
 
@@ -132,7 +124,7 @@ def test_power_preserves_stochasticity():
 
 def test_power_dimension_cap(monkeypatch):
     monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", 4)
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ResourceLimitError, match="^dimension 5 above the exact-power cap 4$"):
         matrix_power(uniform_matrix(5), 2)
 
 
@@ -203,9 +195,10 @@ def test_power_of_a_power_matches_reference():
 )
 def test_power_errors_match_reference(monkeypatch, p, k, cap):
     monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", cap)
-    with pytest.raises((ValueError, TooLargeError)) as want:
+    message = "^exponent must be non-negative$" if k < 0 else f"^dimension {p.n} above the exact-power cap {cap}$"
+    with pytest.raises(MatchlabError, match=message) as want:
         reference_matrix_power(p, k, cap=cap)
-    with pytest.raises(want.type) as got:
+    with pytest.raises(want.type, match=message) as got:
         matrix_power(p, k)
     assert got.type is want.type and str(got.value) == str(want.value)
 
@@ -316,9 +309,9 @@ def test_warm_walk_memo_still_checks_inputs():
         for ell in range(3):
             count_walks(d, u, 0, ell)
     for u, v, bad in [(0, -1, -1), (0, 4, 4), (-1, 0, -1), (4, 0, 4)]:
-        with pytest.raises(VertexOutOfRangeError, match=f"^vertex {bad} outside 0..3$"):
+        with pytest.raises(MatchlabError, match=f"^vertex {bad} outside 0..3$"):
             count_walks(d, u, v, 1)
-    with pytest.raises(ValueError, match="^length must be non-negative$"):
+    with pytest.raises(MatchlabError, match="^length must be non-negative$"):
         count_walks(d, 0, 1, -1)
 
 
@@ -381,7 +374,7 @@ def test_paths_with_matching_constraint():
 def _path_count_or_trip(count, *args):
     try:
         return count(*args)
-    except BudgetExceededError as exc:
+    except ResourceLimitError as exc:
         return str(exc)
 
 
@@ -443,19 +436,19 @@ def test_paths_budget_trips_where_reference_trips(monkeypatch):
 def test_paths_reject_constraint_vertex_out_of_range(pairs, bad, length):
     # a constraint pair off the digraph used to be ignored, and is checked
     # before the length-0 answer like the endpoints
-    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {bad} outside 0..3$"):
+    with pytest.raises(MatchlabError, match=f"^vertex {bad} outside 0..3$"):
         count_paths(complete_digraph(4), 0, 1, length, matching_constraint=Matching(pairs))
 
 
 def test_paths_budget(monkeypatch):
     monkeypatch.setattr(walks, "DEFAULT_PATH_BUDGET", 10)
     d = complete_digraph(7)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(ResourceLimitError, match="^path enumeration exceeded 10 steps$"):
         count_paths(d, 0, 1, 5)
 
 
 def test_paths_rejects_equal_endpoints():
-    with pytest.raises(ValueError):
+    with pytest.raises(MatchlabError, match="^endpoints must be distinct$"):
         count_paths(complete_digraph(4), 1, 1, 2)
 
 
@@ -463,7 +456,7 @@ def test_paths_rejects_equal_endpoints():
 def test_paths_rejects_negative_length(monkeypatch, length):
     # a budget of 10 would be spent long before a walk that never ends
     monkeypatch.setattr(walks, "DEFAULT_PATH_BUDGET", 10)
-    with pytest.raises(ValueError, match="^length must be non-negative$"):
+    with pytest.raises(MatchlabError, match="^length must be non-negative$"):
         count_paths(complete_digraph(7), 0, 1, length)
 
 
@@ -479,7 +472,7 @@ def test_paths_rejects_negative_length(monkeypatch, length):
 )
 def test_counts_reject_vertex_out_of_range(count, u, v, length, bad):
     # -1 used to wrap to vertex 3, and 4 to miss or raise IndexError
-    with pytest.raises(VertexOutOfRangeError, match=f"^vertex {bad} outside 0..3$"):
+    with pytest.raises(MatchlabError, match=f"^vertex {bad} outside 0..3$"):
         count(directed_cycle(4), u, v, length)
 
 
@@ -502,7 +495,7 @@ def test_mixing_params_known_threshold():
 
 def test_mixing_zero_entry():
     p = transition_matrix(complete_digraph(3))
-    with pytest.raises(ZeroEntryError):
+    with pytest.raises(MatchlabError, match="^transition matrix has a zero entry$"):
         mixing_params(p, uniform_distribution(3))
 
 
@@ -566,21 +559,21 @@ def test_mixing_bound_check_matches_reference():
 
 
 @pytest.mark.parametrize(
-    "p, sigma, t",
+    "p, sigma, t, message",
     [
-        (uniform_matrix(3), uniform_distribution(3), -1),
-        (uniform_matrix(65), uniform_distribution(65), 2),
-        (uniform_matrix(65), uniform_distribution(65), -1),
-        (uniform_matrix(3), (F(1, 2), F(1, 2), F(0)), 2),
-        (uniform_matrix(3), uniform_distribution(4), 2),
-        (transition_matrix(complete_digraph(3)), uniform_distribution(3), 2),
+        (uniform_matrix(3), uniform_distribution(3), -1, "^exponent must be non-negative$"),
+        (uniform_matrix(65), uniform_distribution(65), 2, "^dimension 65 above the exact-power cap 64$"),
+        (uniform_matrix(65), uniform_distribution(65), -1, "^exponent must be non-negative$"),
+        (uniform_matrix(3), (F(1, 2), F(1, 2), F(0)), 2, "^stationary distribution must be strictly positive$"),
+        (uniform_matrix(3), uniform_distribution(4), 2, "^distribution length must match the matrix dimension$"),
+        (transition_matrix(complete_digraph(3)), uniform_distribution(3), 2, "^transition matrix has a zero entry$"),
     ],
     ids=["negative-t", "above-cap", "negative-t-above-cap", "zero-sigma", "sigma-length", "zero-entry"],
 )
-def test_mixing_errors_match_reference(p, sigma, t):
-    with pytest.raises((ValueError, MatchlabError)) as want:
+def test_mixing_errors_match_reference(p, sigma, t, message):
+    with pytest.raises(MatchlabError, match=message) as want:
         reference_mixing_bound_check(p, sigma, t)
-    with pytest.raises(want.type) as got:
+    with pytest.raises(want.type, match=message) as got:
         mixing_bound_check(p, sigma, t)
     assert got.type is want.type and str(got.value) == str(want.value)
 
@@ -606,10 +599,27 @@ def test_sandwich_certified_instance():
 
 def test_sandwich_not_regular():
     d = Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)])
-    with pytest.raises(NotRegularError):
+    with pytest.raises(MatchlabError, match="^digraph is not regular$"):
         sandwich_check(d, 2, F(1, 3), F(1, 2))
-    with pytest.raises(NotRegularError):
+    with pytest.raises(MatchlabError, match=r"^degree 3 does not equal delta\*n = 2$"):
         sandwich_check(complete_digraph(4), 2, F(1, 4), F(1, 2))
+
+
+def test_sandwich_refuses_an_out_regular_digraph_with_uneven_in_degrees():
+    # every out-degree is 1, the in-degrees are 3, 1, 0 and 0
+    d = Digraph(4, [(0, 1), (1, 0), (2, 0), (3, 0)])
+    with pytest.raises(MatchlabError, match="^digraph is not regular$"):
+        sandwich_check(d, 2, F(1, 4), F(1, 4))
+
+
+def test_sandwich_lower_bound_has_exponent_k_minus_one():
+    # K6 has W_2 = 4J + I and W_3 = 21J - I, so min W_k is 4 and 20: the
+    # lower bound (nu*n)^(k-1) holds at nu*n = 4 (4 <= 4, 16 <= 20) and
+    # fails at nu*n = 5 (5 > 4, 25 > 20)
+    d = complete_digraph(6)
+    for k in (2, 3):
+        assert sandwich_check(d, k, F(4, 6), F(5, 6))
+        assert not sandwich_check(d, k, F(5, 6), F(5, 6))
 
 
 def circulant(n, shifts):
@@ -648,20 +658,20 @@ def test_sandwich_matches_reference_verdicts():
 
 
 @pytest.mark.parametrize(
-    "d, k, delta",
+    "d, k, delta, message",
     [
-        (Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)]), 2, F(1, 2)),
-        (complete_digraph(4), 2, F(1, 2)),
-        (Digraph(3, []), 2, F(0)),
-        (Digraph(3, []), -1, F(0)),
-        (complete_digraph(4), -1, F(3, 4)),
+        (Digraph(3, [(0, 1), (1, 0), (1, 2), (2, 1), (0, 2)]), 2, F(1, 2), "^digraph is not regular$"),
+        (complete_digraph(4), 2, F(1, 2), r"^degree 3 does not equal delta\*n = 2$"),
+        (Digraph(3, []), 2, F(0), "^vertex 0 has out-degree 0$"),
+        (Digraph(3, []), -1, F(0), "^vertex 0 has out-degree 0$"),
+        (complete_digraph(4), -1, F(3, 4), "^exponent must be non-negative$"),
     ],
     ids=["not_regular", "delta_mismatch", "degree_zero", "degree_zero_k_negative", "k_negative"],
 )
-def test_sandwich_errors_match_reference(d, k, delta):
-    with pytest.raises((NotRegularError, SinkVertexError, ValueError)) as want:
+def test_sandwich_errors_match_reference(d, k, delta, message):
+    with pytest.raises(MatchlabError, match=message) as want:
         reference_sandwich_check(d, k, F(1, 3), delta)
-    with pytest.raises(want.type) as got:
+    with pytest.raises(want.type, match=message) as got:
         sandwich_check(d, k, F(1, 3), delta)
     assert got.type is want.type and str(got.value) == str(want.value)
 
@@ -687,7 +697,7 @@ def test_sandwich_answers_above_the_matrix_cap():
     d = circulant(n, range(1, deg + 1))
     delta = F(deg, n)
     for k, nu in ((2, F(1, 10)), (3, F(1, 70)), (3, F(1, 10))):
-        with pytest.raises(TooLargeError):
+        with pytest.raises(ResourceLimitError, match="^dimension 70 above the exact-power cap 64$"):
             reference_sandwich_check(d, k, nu, delta)
         lower, upper = nu ** (k - 1) * delta ** (-k), 1 / delta
         want = all(
