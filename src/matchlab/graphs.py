@@ -38,15 +38,18 @@ class Graph:
     `neighbor_masks[v]` the same set as a bitmask, which is what the
     subset sweeps and the matching DP operate on.
 
-    Three memos, each with one owner (see `pm`): `_pm_cache`, the
+    Four memos, each with one owner (see `pm`): `_pm_cache`, the
     matching count per vertex mask, is the lowest-vertex DP's, read by
     the sampler and by counts on hosts that are not dense; `_draw_rows`,
     one record per mask (count, its bit length, cumulative row, steps),
-    is the sampler's; and `_poly_cache`, the complement's packed matching
+    is the sampler's; `_poly_cache`, the complement's packed matching
     polynomial per mask, is the memo of counts on dense hosts, which
-    never read `_pm_cache`.  Beside them, `_draw_steps` holds the
-    sampler's shared child steps, one `((u, v), 1 << u | 1 << v)` per
-    edge, None until the first draw; and `_co_masks` holds the
+    never read `_pm_cache`; and `_pm_keys`, every perfect matching as an
+    int key (bit u*n + v per edge, u < v) in enumeration order, is the
+    listing's, None until `enumerate_pm`'s cap check first passes, then
+    read by every listing on the graph.  Beside them, `_draw_steps`
+    holds the sampler's shared child steps, one `((u, v), 1 << u | 1 <<
+    v)` per edge, None until the first draw; and `_co_masks` holds the
     complement H as `(masks, pos)`, None until a dense count or stratify
     first needs it: pos[v] is v's place in H's min-frontier order and
     masks[pos[v]] v's neighbour mask in H, relabelled by pos, so
@@ -55,7 +58,7 @@ class Graph:
 
     __slots__ = (
         "n", "edges", "adjacency", "neighbor_masks",
-        "_pm_cache", "_draw_rows", "_draw_steps", "_poly_cache", "_co_masks",
+        "_pm_cache", "_draw_rows", "_draw_steps", "_poly_cache", "_co_masks", "_pm_keys",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge]):
@@ -82,6 +85,7 @@ class Graph:
         self._draw_steps: Optional[list] = None
         self._poly_cache: dict[int, int] = {}
         self._co_masks: Optional[tuple[list[int], list[int]]] = None
+        self._pm_keys: Optional[list[int]] = None
 
     @property
     def m(self) -> int:

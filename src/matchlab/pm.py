@@ -12,12 +12,19 @@ Graph._pm_cache, keyed by the surviving-vertex bitmask.  Only the DP
 its one invariant (a mask is cached only after all its children are),
 and for counting and containment queries on hosts that are not dense
 (below).
-Listing runs one search, in the same lowest-vertex order, behind both
-enumerate_pm and first_pm; it remembers the masks whose subtree held no
-perfect matching and never expands them again.  stratify runs the
-counting DP with one int per mask that packs every stratum as a w-bit
-digit; w, the bit length of (n-1)!!, bounds every count the DP meets, so
-no digit carries into the next.
+Listing runs one search, _search, in the same lowest-vertex order,
+behind both enumerate_pm and first_pm; it remembers the masks whose
+subtree held no perfect matching and never expands them again.  It
+carries each matching down its recursion as an int key, bit u*n + v per
+edge (u < v), and yields the key.  The full list is the listing's
+per-graph memo, Graph._pm_keys, filled once after enumerate_pm's cap
+check (_pm_keys) and read by every later listing on g, switching's
+strata and exact disjointness among them; first_pm walks the search
+lazily and never fills it.  Keys become Matching objects only at the
+public boundary (_decode).  stratify runs the counting DP with one int
+per mask that packs every stratum as a w-bit digit; w, the bit length
+of (n-1)!!, bounds every count the DP meets, so no digit carries into
+the next.
 
 Dense hosts count through their complement H instead.  When
 2*e(H) <= e(G), count_pm, count_pm_containing and stratify use Godsil's
@@ -36,7 +43,10 @@ _complement_strata maps its entry mask and the reference through pos.
 Counts and strata do not depend on labels, so only the memo keys
 change.  Dense counts memoise their polynomials per mask, keyed in the
 new labels, in Graph._poly_cache and never touch the DP memo; stratify
-takes a fresh memo per call.
+takes a fresh memo per call.  Exact disjointness counts G - A, for A
+the edges of a listed prefix, on g's masks (_count_avoiding): as stratum
+0 of _complement_strata with reference A when G - A is dense, by the DP
+on the masks with A's bits cleared otherwise, each with a fresh memo.
 
 The sampler keeps a second per-graph memo, Graph._draw_rows: one record
 per mask it has visited, `(count, k, row, steps_u)`.  count is the mask's
@@ -110,17 +120,23 @@ def _count_on_mask(g: Graph, mask: int) -> int:
     """Perfect matchings of the subgraph induced on the bitmask `mask`.
 
     The memo is read first; a mask not in it that has an odd component is
-    cached as 0 with no DP.  The recursion reads each child's memo entry
-    inline and calls itself only on a miss.
+    cached as 0 with no DP.  Otherwise _dp_count runs on g._pm_cache.
     """
     cache = g._pm_cache
     got = cache.get(mask)
     if got is not None:
         return got
-    masks = g.neighbor_masks
-    if _has_odd_component(masks, mask):
+    if _has_odd_component(g.neighbor_masks, mask):
         cache[mask] = 0
         return 0
+    return _dp_count(g.neighbor_masks, mask, cache)
+
+
+def _dp_count(masks, mask: int, cache: dict) -> int:
+    """The lowest-vertex DP: perfect matchings of the graph with neighbour
+    masks `masks`, induced on `mask`, memoised per mask in `cache`.  The
+    recursion reads each child's memo entry inline and calls itself only
+    on a miss, and caches a mask only after all its children."""
     lookup = cache.get
 
     def rec(m: int) -> int:
@@ -144,11 +160,13 @@ def _count_on_mask(g: Graph, mask: int) -> int:
     return rec(mask)
 
 
-def _is_dense(g: Graph) -> bool:
+def _is_dense(g: Graph, removed: int = 0) -> bool:
     """True when the complement H of g has at most half as many edges as
     g, 2*e(H) <= e(G): then counting goes through H's matching polynomial
-    instead of the lowest-vertex DP on g."""
-    return 2 * (g.n * (g.n - 1) // 2 - g.m) <= g.m
+    instead of the lowest-vertex DP on g.  With `removed`, the same rule
+    for g less that many of its edges."""
+    m = g.m - removed
+    return 2 * (g.n * (g.n - 1) // 2 - m) <= m
 
 
 def _poly_on_mask(masks, hits, lo: int, hi: int, mask: int, memo: dict) -> int:
@@ -285,10 +303,11 @@ def count_pm(g: Graph) -> int:
     return _count(g, (1 << g.n) - 1)
 
 
-def _matchings(g: Graph) -> Iterator[Matching]:
-    """Every perfect matching of g, in lexicographic order of the sorted
-    edge list: the lowest unmatched vertex is matched first, its partner
-    chosen in increasing order.
+def _search(masks) -> Iterator[int]:
+    """Every perfect matching of the graph with neighbour masks `masks`, as
+    an int key (bit u*n + v per edge, u < v), in lexicographic order of the
+    sorted edge list: the lowest unmatched vertex is matched first, its
+    partner chosen in increasing order.
 
     A graph with an odd component yields nothing and is not searched.
     Otherwise a mask whose subtree yielded no matching (the leaf count did
@@ -297,56 +316,109 @@ def _matchings(g: Graph) -> Iterator[Matching]:
     expanded at most once.  The search is lazy: stopping after the first
     matching costs no more than reaching it.
     """
-    masks = g.neighbor_masks
-    full = (1 << g.n) - 1
+    n = len(masks)
+    full = (1 << n) - 1
     if _has_odd_component(masks, full):
         return
-    chosen: list[Edge] = []
     dead: set[int] = set()
     leaves = 0
 
-    def rec(mask: int) -> Iterator[Matching]:
+    def rec(mask: int, key: int) -> Iterator[int]:
         nonlocal leaves
         if mask == 0:
             leaves += 1
-            yield Matching._from_sorted(chosen)
+            yield key
             return
         before = leaves
         u = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         avail = masks[u] & rest
+        row = u * n
         while avail:
             vbit = avail & -avail
             avail ^= vbit
             child = rest ^ vbit
-            if child in dead:
-                continue
-            chosen.append((u, vbit.bit_length() - 1))
-            yield from rec(child)
-            chosen.pop()
+            if child not in dead:
+                yield from rec(child, key | 1 << (row + vbit.bit_length() - 1))
         if leaves == before:
             dead.add(mask)
 
-    yield from rec(full)
+    yield from rec(full, 0)
+
+
+def _key_pairs(key: int, n: int) -> list[Edge]:
+    """The edges of the int key `key` of an n-vertex graph, in increasing
+    bit order: for a matching, the sorted edge list."""
+    pairs = []
+    while key:
+        b = key & -key
+        key ^= b
+        pairs.append(divmod(b.bit_length() - 1, n))
+    return pairs
+
+
+def _decode(key: int, n: int) -> Matching:
+    """The Matching of a key that _search yielded."""
+    return Matching._from_sorted(_key_pairs(key, n))
+
+
+def _pm_keys(g: Graph) -> list[int]:
+    """Every perfect matching of g as a key of _search, in its order,
+    after checking the count against DEFAULT_ENUM_CAP.  The list is made
+    on the first call that passes the check and kept in g._pm_keys, so
+    every later listing on g reads it."""
+    total = count_pm(g)
+    if total > DEFAULT_ENUM_CAP:
+        raise ResourceLimitError(f"{total} perfect matchings exceed the cap {DEFAULT_ENUM_CAP}")
+    keys = g._pm_keys
+    if keys is None:
+        keys = g._pm_keys = list(_search(g.neighbor_masks))
+    return keys
 
 
 def enumerate_pm(g: Graph) -> Iterator[Matching]:
     """Yield every perfect matching once, in lexicographic order of the
-    sorted edge list, after checking the count against DEFAULT_ENUM_CAP."""
-    total = count_pm(g)
-    if total > DEFAULT_ENUM_CAP:
-        raise ResourceLimitError(f"{total} perfect matchings exceed the cap {DEFAULT_ENUM_CAP}")
-    yield from _matchings(g)
+    sorted edge list, after checking the count against DEFAULT_ENUM_CAP.
+    The matchings are decoded from g's key list (_pm_keys), made on the
+    first listing of g and read by every later one."""
+    n = g.n
+    for key in _pm_keys(g):
+        yield _decode(key, n)
 
 
 def first_pm(g: Graph) -> Optional[Matching]:
     """Lexicographically least perfect matching, or None.
 
-    The first leaf of enumerate_pm's search, taken without counting, so it
-    works on graphs past the counting cap and on graphs whose matching
-    count is far beyond the enumeration cap.
+    The first leaf of enumerate_pm's search, taken without counting and
+    without listing the rest, so it works on graphs past the counting cap
+    and on graphs whose matching count is far beyond the enumeration cap.
     """
-    return next(_matchings(g), None)
+    key = next(_search(g.neighbor_masks), None)
+    return None if key is None else _decode(key, g.n)
+
+
+def _count_avoiding(g: Graph, avoid: list[int]) -> int:
+    """Perfect matchings of g that use no edge of the set A with neighbour
+    masks `avoid` (A inside E(G)): the count of G - A, taken on g's masks
+    with A's bits cleared, no Graph built.
+
+    After the parity check on G - A, the density rule of the counts is
+    read on G - A, the graph counted.  A dense G - A (_is_dense(g, |A|))
+    reads stratum 0 of _complement_strata with reference A, so it walks
+    g's complement in g's min-frontier order, with a fresh memo; kmax is
+    n/2, the most edges a perfect matching shares with A, so stratum 0
+    sums the coefficients of every power of (x-1) (kmax 0 would return
+    the total).  Any other G - A runs _dp_count on its masks with a fresh
+    memo.
+    """
+    full = (1 << g.n) - 1
+    masks = [m & ~a for m, a in zip(g.neighbor_masks, avoid)]
+    if _has_odd_component(masks, full):
+        return 0
+    r = sum(a.bit_count() for a in avoid) // 2
+    if _is_dense(g, r):
+        return _complement_strata(g, avoid, r, g.n // 2, full, {0: 1})[0]
+    return _dp_count(masks, full, {})
 
 
 def count_pm_containing(g: Graph, forced) -> int:

@@ -20,8 +20,17 @@ from itertools import combinations
 from typing import Union
 
 from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
-from .graphs import Edge, Graph, edge_set, regularity, remove_edge_set
-from .pm import count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
+from .graphs import Edge, Graph, edge_set, regularity
+from .pm import (
+    _count_avoiding,
+    _key_pairs,
+    _pm_keys,
+    _search,
+    count_pm,
+    count_pm_containing,
+    sample_pm,
+    stratify,
+)
 
 # Read at each call, so a value set on the module reaches every caller.
 DEFAULT_TUPLE_BUDGET = 10_000_000
@@ -135,9 +144,13 @@ def disjoint_probability(
     matching is a perfect matching of the host minus the union so far,
     and the last level is counted, not listed); for r >= 3 it refuses
     politely once count^(r-1), the number of listed prefixes it may
-    visit, exceeds DEFAULT_TUPLE_BUDGET.  Monte Carlo mode estimates the
-    same probability from `samples` draws and counts nothing: its first
-    draw raises on a host with no perfect matching or past the cap.
+    visit, exceeds DEFAULT_TUPLE_BUDGET.  The nesting runs on neighbour
+    masks with each listed matching's bits cleared, building no Graph:
+    the host's key list (pm._pm_keys) at the first level, pm's search
+    below it, and pm._count_avoiding at the last.  Monte Carlo mode
+    estimates the same probability from `samples` draws and counts
+    nothing: its first draw raises on a host with no perfect matching or
+    past the cap.
     `r`, `mode` and, in Monte Carlo mode, `samples` are checked before
     anything is counted or drawn, on every host and every r.
     """
@@ -166,15 +179,27 @@ def disjoint_probability(
                 f"{total}^{r - 1} listed prefixes exceed the exact budget {DEFAULT_TUPLE_BUDGET}"
             )
 
-        def ordered_tuples(host: Graph, depth: int) -> int:
+        n = g.n
+        masks = g.neighbor_masks
+
+        def ordered_tuples(used: list[int], depth: int) -> int:
+            # used: the neighbour masks of the union of the prefix so far
             if depth == 1:
-                return count_pm(host)
+                return _count_avoiding(g, used)
+            if depth == r:
+                keys = _pm_keys(g)
+            else:
+                keys = _search([m & ~u for m, u in zip(masks, used)])
             acc = 0
-            for m in enumerate_pm(host):
-                acc += ordered_tuples(remove_edge_set(host, m), depth - 1)
+            for key in keys:
+                nxt = list(used)
+                for u, v in _key_pairs(key, n):
+                    nxt[u] |= 1 << v
+                    nxt[v] |= 1 << u
+                acc += ordered_tuples(nxt, depth - 1)
             return acc
 
-        good = ordered_tuples(g, r)
+        good = ordered_tuples([0] * n, r)
         return Fraction(good, total**r), reference
 
     rng = random.Random(seed)

@@ -10,15 +10,18 @@ Every alternating walk reads a step table built once per base matching
 (`_step_table`): row x lists, in neighbour order, each pair of steps
 from x that a walk may take, a free edge to y and then y's base-matching
 edge to z, as (z, the visited bits of y and z, the two edge bits).  Edge
-sets are int keys (bit u*n + v per edge, u < v) and the visited vertices
-an int mask.  One plain recursion, `_walk`, follows the rows and hands
-each path's last pair of steps to its caller:
+sets are int keys (bit u*n + v per edge, u < v), the keys `pm` lists
+matchings as, and the visited vertices an int mask.  One plain
+recursion, `_walk`, follows the rows and hands each path's last pair of
+steps to its caller:
 
-- `_switches` enumerates once, splits the two strata and reads each left
-  matching's neighbours off the cycles through its reference edges,
-  testing each closing edge as it takes the last step.
-  `build_switch_graph` materialises them and `ratio_report` only tallies
-  degrees.
+- `_switches` reads the host's key list (`pm._pm_keys`, made once per
+  graph, so an ell sweep on one graph lists its matchings once), splits
+  the two strata by the reference bits each key holds, and reads each
+  left matching's neighbours off the cycles through its reference
+  edges, testing each closing edge as it takes the last step.
+  `build_switch_graph` decodes and materialises them and `ratio_report`
+  only tallies degrees.
 - `count_alternating_paths` counts the paths ending at v.
 - `build_aux_digraph` has one arc x -> z per table entry inside its
   vertex set.
@@ -41,7 +44,7 @@ from .graphs import (
     regularity,
     vertices_of,
 )
-from .pm import enumerate_pm
+from .pm import _decode, _key_pairs, _pm_keys
 
 
 def eligible_edge_count(reference, k: int) -> int:
@@ -112,8 +115,9 @@ def _free_steps(g: Graph, ban: int) -> list[list[tuple[int, int]]]:
     return rows
 
 
-def _step_table(free: list, base: Matching, ban: int) -> list[list[tuple[int, int, int]]]:
-    """The alternating steps out of every vertex for one base matching.
+def _step_table(free: list, base: int, ban: int) -> list[list[tuple[int, int, int]]]:
+    """The alternating steps out of every vertex for one base matching,
+    given by its int key `base`.
 
     Row x holds, in the order of the free row x (`_free_steps`), one
     (z, bits, flip) per free edge e = (x, y) whose y has a base partner z
@@ -124,12 +128,11 @@ def _step_table(free: list, base: Matching, ban: int) -> list[list[tuple[int, in
     """
     n = len(free)
     step: list = [None] * n
-    for u, v in base.pairs:
+    for u, v in _key_pairs(base & ~ban, n):
+        bits = 1 << u | 1 << v
         f = 1 << (u * n + v)
-        if not ban & f:
-            bits = 1 << u | 1 << v
-            step[u] = (v, bits, f)
-            step[v] = (u, bits, f)
+        step[u] = (v, bits, f)
+        step[v] = (u, bits, f)
     table = []
     for x, row in enumerate(free):
         steps = []
@@ -155,15 +158,19 @@ def _walk(table, x: int, seen: int, pairs: int, flip: int, last) -> None:
 
 def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     """The exchange graph in one pass.  Yields the strata (left, right), the
-    matchings with k and k-1 edges of `ref` in enumeration order, then the
-    list of neighbours (indices into `right`) of each left matching M: for
-    (a, b) in M & ref, each alternating path of 2*ell - 2 edges from b
-    avoiding `ref` and closing at a by an edge (z, a) outside `ref` gives
-    the neighbour keyed key(M) ^ bit(a, b) ^ bit(z, a) ^ flip.  Each left
-    matching gets one step table.  The final step of each path looks its
+    keys of the matchings with k and k-1 edges of `ref`, in enumeration
+    order, split by the bits each key shares with ref's key; then the list
+    of neighbours (indices into `right`) of each left matching M: for
+    (a, b) in M & ref, in increasing order, each alternating path of
+    2*ell - 2 edges from b avoiding `ref` and closing at a by an edge
+    (z, a) outside `ref` gives the neighbour keyed
+    key(M) ^ bit(a, b) ^ bit(z, a) ^ flip.  Each left matching gets one
+    step table, built from its key.  The final step of each path looks its
     end z up in a's free row as a dict, z -> bit(z, a), and appends the
-    neighbour there.  A reference edge outside E(G) is refused, for
-    `build_switch_graph` and `ratio_report` alike."""
+    neighbour there.  The keys come from g's list (`pm._pm_keys`), made
+    once per graph after the enumeration cap check.  A reference edge
+    outside E(G) is refused, for `build_switch_graph` and `ratio_report`
+    alike."""
     if k < 1:
         raise MatchlabError("k must be positive")
     for u, v in ref:
@@ -171,23 +178,23 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
             raise MatchlabError(f"reference edge ({u}, {v}) not in graph")
     if ell < 2 or 2 * ell > g.n:
         raise MatchlabError("need 2 <= ell and 2*ell <= n")
-    strata: dict[int, list[Matching]] = {k: [], k - 1: []}
-    for m in enumerate_pm(g):
-        inter = len(m.edge_set & ref)
-        if inter in strata:
-            strata[inter].append(m)
-    left, right = strata[k], strata[k - 1]
+    ban = _edge_bits(g, ref)
+    left, right = [], []
+    for key in _pm_keys(g):
+        shared = (key & ban).bit_count()
+        if shared == k:
+            left.append(key)
+        elif shared == k - 1:
+            right.append(key)
     yield left, right
     n = g.n
-    ban = _edge_bits(g, ref)
-    right_index = {sum(1 << (u * n + v) for u, v in m.pairs): j for j, m in enumerate(right)}
+    right_index = {key: j for j, key in enumerate(right)}
     free = _free_steps(g, ban)
     closers = [dict(row) for row in free]
-    for m in left:
+    for key in left:
         found = []
-        key = sum(1 << (u * n + v) for u, v in m.pairs)
-        table = _step_table(free, m, ban)
-        for a, b in m.edge_set & ref:
+        table = _step_table(free, key, ban)
+        for a, b in _key_pairs(key & ban, n):
             closing = closers[a]
             opened = key ^ 1 << (a * n + b)
 
@@ -203,12 +210,15 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
 
 
 def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
-    """Materialize the exchange graph of `_switches`: one (i, j) per left
-    matching i and right neighbour j, each left's in increasing j."""
+    """Materialize the exchange graph of `_switches`: its strata decoded
+    to matchings, and one (i, j) per left matching i and right neighbour
+    j, each left's in increasing j."""
     walk = _switches(g, edge_set(reference), k, ell)
     left, right = next(walk)
     edges = [(i, j) for i, found in enumerate(walk) for j in sorted(found)]
-    return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
+    left = tuple(_decode(key, g.n) for key in left)
+    right = tuple(_decode(key, g.n) for key in right)
+    return SwitchGraph(left, right, tuple(edges), ell)
 
 
 def aux_vertex_set(reference, base: Matching, n: int) -> frozenset[int]:
@@ -232,7 +242,7 @@ def build_aux_digraph(g: Graph, reference, base: Matching) -> Digraph:
     if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
         raise MatchlabError("base must be a perfect matching of the graph")
     ban = _edge_bits(g, reference)
-    table = _step_table(_free_steps(g, ban), base, ban)
+    table = _step_table(_free_steps(g, ban), _edge_bits(g, base), ban)
     verts = aux_vertex_set(reference, base, g.n)
     arcs = [(x, z) for x in verts for z, _, _ in table[x] if z in verts]
     return Digraph(g.n, arcs)
@@ -261,7 +271,8 @@ def count_alternating_paths(
     if pairs == 0:
         return 0
     ban = _edge_bits(g, forbidden)
-    table = _step_table(_free_steps(g, ban), base, ban)
+    key = sum(1 << (u * g.n + v) for u, v in base)
+    table = _step_table(_free_steps(g, ban), key, ban)
     total = 0
 
     def last(x: int, seen: int, flip: int) -> None:

@@ -548,6 +548,19 @@ def reference_avoidance_ratio(g: Graph, reference) -> tuple[Fraction, float]:
     return exact, math.exp(-lam)
 
 
+def reference_disjoint_probability(g: Graph, r: int) -> Fraction:
+    """Oracle for exact stats.disjoint_probability: the nested enumeration
+    it replaced, one validated Graph per listed prefix (each next level
+    the host minus the union so far) and a fresh count_pm on the last."""
+
+    def ordered_tuples(host: Graph, depth: int) -> int:
+        if depth == 1:
+            return count_pm(host)
+        return sum(ordered_tuples(remove_edge_set(host, m), depth - 1) for m in enumerate_pm(host))
+
+    return Fraction(ordered_tuples(g, r), count_pm(g) ** r)
+
+
 # -- reference matrix power ----------------------------------------------------
 
 def _matmul(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
@@ -897,7 +910,9 @@ def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, b
 def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     """Oracle for switching._switches: the generator-walker pass it
     replaced, verbatim but for the walker, reference_alternating_paths,
-    the list walker."""
+    the list walker, and for taking each left matching's reference edges
+    in sorted order.  Its strata are Matching lists, where _switches
+    yields keys."""
     if k < 1:
         raise MatchlabError("k must be positive")
     if ell < 2 or 2 * ell > g.n:
@@ -916,7 +931,7 @@ def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     for m in left:
         found = []
         key = _edge_bits(g, m)
-        for a, b in m.edge_set & ref:
+        for a, b in sorted(m.edge_set & ref):
             opened = key ^ 1 << (a * n + b)
             for z, flip in reference_alternating_paths(g, m, b, 2 * ell - 2, ban):
                 close = 1 << (a * n + z if a < z else z * n + a)

@@ -577,6 +577,71 @@ def test_first_pm_matches_reference():
         assert (None if got is None else got.pairs) == (None if want is None else want.pairs)
 
 
+def _bridged_triangles():
+    """Two triangles joined by the edge (2, 3): connected and even, with one
+    perfect matching, and matching 0 to 2 first leaves vertex 1 stranded,
+    so the search meets a dead mask before its second branch ends."""
+    return Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+
+
+def test_search_keys_decode_to_the_reference_listing():
+    # one bit u*n + v per edge; decoded, the keys are the reference's
+    # matchings in its order, on hosts whose search skips dead masks
+    hosts = _search_hosts() + [_bridged_triangles()]
+    assert [m.pairs for m in reference_enumerate_pm(_bridged_triangles())] == [
+        ((0, 1), (2, 3), (4, 5))
+    ]
+    for g in hosts:
+        want = [m.pairs for m in reference_enumerate_pm(g)]
+        keys = list(pm._search(g.neighbor_masks))
+        assert keys == [sum(1 << (u * g.n + v) for u, v in pairs) for pairs in want], g
+        assert [pm._decode(key, g.n).pairs for key in keys] == want, g
+
+
+@pytest.mark.parametrize("k, want", [(19, None), (20, [(2 * i, 2 * i + 1) for i in range(20)])])
+def test_first_pm_past_the_counting_cap_neither_counts_nor_lists(monkeypatch, k, want):
+    # two disjoint K19 (n = 38) or K20 (n = 40): past the counting cap, so
+    # a count would refuse; the odd-component check or the first leaf of
+    # the search answers
+    g = _disjoint_cliques(k)
+    assert g.n > pm.DEFAULT_DP_LIMIT
+
+    def refuse(*args):
+        raise AssertionError("first_pm counted")
+
+    for name in ("count_pm", "_count_on_mask", "_dp_count", "_complement_strata"):
+        monkeypatch.setattr(pm, name, refuse)
+    got = first_pm(g)
+    assert (None if got is None else list(got.pairs)) == want
+    assert g._pm_keys is None
+
+
+def test_the_key_list_is_made_once_per_graph_and_never_by_first_pm(monkeypatch):
+    searches = []
+    search = pm._search
+
+    def counted(masks):
+        searches.append(masks)
+        return search(masks)
+
+    monkeypatch.setattr(pm, "_search", counted)
+    g = complete_graph(8)
+    assert first_pm(g) == Matching([(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert g._pm_keys is None and len(searches) == 1
+    listed = list(enumerate_pm(g))
+    keys = g._pm_keys
+    assert len(listed) == len(keys) == 105 and len(searches) == 2
+    assert list(enumerate_pm(g)) == listed and g._pm_keys is keys and len(searches) == 2
+    assert first_pm(g) == listed[0] and g._pm_keys is keys and len(searches) == 3
+    # the cap is checked on every listing, and a refused one keeps no list
+    monkeypatch.setattr(pm, "DEFAULT_ENUM_CAP", 104)
+    fresh = complete_graph(8)
+    for host in (g, fresh):
+        with pytest.raises(ResourceLimitError, match="^105 perfect matchings exceed the cap 104$"):
+            next(enumerate_pm(host))
+    assert fresh._pm_keys is None and len(searches) == 3
+
+
 def _set_caps(monkeypatch, kwargs):
     """Set pm's cap constants from the keywords the oracles take: `limit`
     is DEFAULT_DP_LIMIT, `cap` DEFAULT_ENUM_CAP."""

@@ -11,6 +11,7 @@ from conftest import (
     gnp,
     oracle_pm_sets,
     reference_avoidance_ratio,
+    reference_disjoint_probability,
     reference_sample_pm,
     small_zoo,
     strata_hosts,
@@ -23,8 +24,10 @@ from matchlab.graphs import (
     complete_graph,
     complete_multipartite,
     cycle_graph,
+    random_regular,
     regularity,
 )
+from matchlab import pm
 from matchlab.pm import _is_dense, count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
 from matchlab.stats import (
     Pmf,
@@ -282,20 +285,95 @@ def test_disjoint_r3_exact_by_triple_enumeration():
     assert math.isclose(ref, math.exp(-0.6 * 3))
 
 
+def _pairing_disjoint_probability(g, r):
+    """Ordered r-tuples of pairwise disjoint perfect matchings over all
+    r-tuples, from the pairing oracle's matchings, each an int with one
+    bit per edge."""
+    pms = [sum(1 << (u * g.n + v) for u, v in m) for m in oracle_pm_sets(g)]
+
+    def disjoint_tuples(used, depth):
+        if depth == 0:
+            return 1
+        return sum(disjoint_tuples(used | m, depth - 1) for m in pms if not used & m)
+
+    return F(disjoint_tuples(0, r), len(pms) ** r)
+
+
 @pytest.mark.parametrize("r", [2, 3])
 def test_disjoint_exact_matches_pairing_oracle_on_zoo(r):
     hosts = [g for g in small_zoo() if regularity(g) is not None and oracle_pm_sets(g)]
     assert len(hosts) >= 5
     for g in hosts:
-        pms = oracle_pm_sets(g)
-
-        def disjoint_tuples(used, depth):
-            if depth == 0:
-                return 1
-            return sum(disjoint_tuples(used | m, depth - 1) for m in pms if not used & m)
-
         value, _ = disjoint_probability(g, r)
-        assert value == F(disjoint_tuples(frozenset(), r), len(pms) ** r)
+        assert value == _pairing_disjoint_probability(g, r)
+
+
+# The last level of the exact count is G minus the prefix's edges, counted
+# through the complement when that graph is dense (K8 less one or two
+# matchings, K_{4x2} less one) and by the DP otherwise.
+_MASK_DISJOINT_HOSTS = {
+    "K8": complete_graph(8),
+    "K4x2": complete_multipartite(4, 2),
+    "dense10": dense_regular(10, 1),
+    "K55": complete_multipartite(2, 5),
+    "rr12_5": random_regular(12, 5, seed=1),
+}
+_DENSE_LAST_LEVEL = {2: {"K8", "K4x2"}, 3: {"K8"}}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", list(_MASK_DISJOINT_HOSTS))
+def test_disjoint_on_cleared_masks_matches_pairing_oracle(monkeypatch, name, r):
+    host = _MASK_DISJOINT_HOSTS[name]
+    g = Graph(host.n, host.edges)
+    routes = []
+    for route in ("_complement_strata", "_dp_count"):
+        kernel = getattr(pm, route)
+
+        def spied(*args, _kernel=kernel, _route=route):
+            # a count on one of g's own memos is the host's total
+            if args[-1] is not g._poly_cache and args[-1] is not g._pm_cache:
+                routes.append(_route)
+            return _kernel(*args)
+
+        monkeypatch.setattr(pm, route, spied)
+    value, _ = disjoint_probability(g, r)
+    assert value == _pairing_disjoint_probability(g, r)
+    dense = name in _DENSE_LAST_LEVEL[r]
+    assert _is_dense(g, (r - 1) * g.n // 2) == dense
+    assert routes and set(routes) == {"_complement_strata" if dense else "_dp_count"}
+    # the first level lists the host's matchings once, as its key list
+    assert g._pm_keys is not None and len(g._pm_keys) == count_pm(g)
+
+
+def test_disjoint_matches_the_nested_graph_enumeration():
+    # regular hosts on both sides of the density rule, under relabellings,
+    # against one Graph per prefix
+    hosts = [dense_regular(n, seed) for n in (8, 10) for seed in (0, 1)]
+    hosts += [complete_multipartite(5, 2), complete_graph(10), cycle_graph(10)]
+    hosts += [random_regular(10, d, seed=2) for d in (3, 4, 5)]
+    assert {_is_dense(g, g.n // 2) for g in hosts} == {True, False}
+    rng = random.Random(5)
+    for g in hosts:
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        g = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+        for r in (2, 3):
+            if r == 3 and count_pm(g) > 100:
+                continue
+            want = reference_disjoint_probability(Graph(g.n, g.edges), r)
+            assert disjoint_probability(g, r)[0] == want, (g.edges, r)
+
+
+def test_disjoint_k12_counts_its_last_level_through_the_complement():
+    # K12 less a matching is 10-regular, so each of its 10,395 counts is
+    # stratum 0 of the complement's polynomial with the matching as
+    # reference
+    g = complete_graph(12)
+    assert _is_dense(g, 6)
+    value, reference = disjoint_probability(g, 2)
+    assert value == F(1208, 2079)
+    assert math.isclose(reference, math.exp(-12 / 22))
 
 
 def test_disjoint_montecarlo_tracks_exact():

@@ -27,7 +27,7 @@ from matchlab.graphs import (
     random_regular,
     regularity,
 )
-from matchlab.pm import enumerate_pm, stratify
+from matchlab.pm import _decode, enumerate_pm, stratify
 from matchlab.switching import (
     aux_vertex_set,
     build_aux_digraph,
@@ -172,8 +172,9 @@ def test_switch_graph_matches_pairwise_oracle(g):
 
 @pytest.mark.parametrize("g", _differential_hosts())
 def test_switches_match_the_generator_pass(g):
-    # the table-driven pass gives the strata and every left matching's
-    # neighbour list of the generator-walker pass, order included
+    # the table-driven pass gives the strata, decoded from their keys, and
+    # every left matching's neighbour list of the generator-walker pass,
+    # order included
     rng = random.Random(g.n * 1000 + g.m + 2)
     for ref in _differential_references(g, rng):
         if _outside(g, ref):
@@ -185,6 +186,8 @@ def test_switches_match_the_generator_pass(g):
             for ell in range(2, g.n // 2 + 1):
                 got = list(switching._switches(g, ref, k, ell))
                 want = list(reference_switches(g, ref, k, ell))
+                left, right = got[0]
+                got[0] = ([_decode(key, g.n) for key in left], [_decode(key, g.n) for key in right])
                 assert got == want, (g, sorted(ref), k, ell)
 
 
@@ -506,25 +509,30 @@ def test_ratio_report_matches_previous_version(g):
                 assert got == want, (g, ref, k, ell)
 
 
-def test_ratio_report_enumerates_once_and_builds_no_switch_graph(monkeypatch):
+def test_an_ell_sweep_on_one_graph_lists_its_matchings_once(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("ratio_report materialised the exchange graph")
 
-    enumerations = []
+    searches = []
+    search = pm._search
 
-    def counted(*args, **kwargs):
-        enumerations.append(args)
-        return enumerate_pm(*args, **kwargs)
+    def counted(masks):
+        searches.append(masks)
+        return search(masks)
 
     g = complete_graph(8)
-    want = reference_ratio_report(g, [(0, 1), (2, 3)], k=1, ell=3)
+    ref = [(0, 1), (2, 3)]
+    want = [reference_ratio_report(complete_graph(8), ref, k=1, ell=ell) for ell in (2, 3, 4)]
     monkeypatch.setattr(switching, "SwitchGraph", refuse)
     monkeypatch.setattr(switching, "build_switch_graph", refuse)
     monkeypatch.setattr(switching, "stratify", refuse, raising=False)
     monkeypatch.setattr(pm, "stratify", refuse)
-    monkeypatch.setattr(switching, "enumerate_pm", counted)
-    assert ratio_report(g, [(0, 1), (2, 3)], k=1, ell=3) == want
-    assert len(enumerations) == 1
+    monkeypatch.setattr(pm, "_search", counted)
+    assert [ratio_report(g, ref, k=1, ell=ell) for ell in (2, 3, 4)] == want
+    assert searches == [g.neighbor_masks]
+    # a second graph with the same edges lists its own matchings
+    assert ratio_report(complete_graph(8), ref, k=1, ell=3) == want[1]
+    assert len(searches) == 2
 
 
 def test_ratio_report_error_order():
