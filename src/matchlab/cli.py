@@ -350,6 +350,10 @@ def run_expander(args: argparse.Namespace) -> list[dict]:
     if args.sampled and trials < 1:
         raise MatchlabError("sampled mode needs at least one trial")
     g, part = build_graph(args)
+    if args.sampled and part is not None:
+        # The refuter draws sets of all n vertices at scale n, while the
+        # sweep on this host ranges over one side: the two would disagree.
+        raise MatchlabError("a host with a bipartition takes the bipartite sweep: drop --sampled")
     params = _params(args)
     if args.sampled:
         cert = expansion.refute_sampled(g, params, trials, args.seed)

@@ -12,6 +12,19 @@ counterexamples.  All threshold comparisons are exact: nu*n and the
 window bounds are rounded once, to the integers that counts and set
 sizes are compared with.
 
+Every robust count is read off one packed int per set (a broadword
+counter; Knuth, TAOCP 4A, 7.1.3).  On n vertices, the low n bits hold S
+as a vertex mask.  With B = n.bit_length(), vertex v owns the field of
+w = B + 1 bits from bit n + v*w.  The field starts at 2^B - need and
+gains 1 for each of v's (in-)neighbours in S, so its top bit is set
+exactly when v has at least `need` of them, and |RN(S)| is
+`(acc & high).bit_count()`.  Nothing carries out of a field or the
+mask: each vertex is added once, a count is at most |S| <= n < 2^B and
+0 <= need <= n, so a field stays within [0, 2^(B+1)).  Adding a vertex u
+to S adds one precomputed column `cols[u]`, its mask bit and a 1 in
+the field of every vertex it points to.  The sweep carries the packed
+int down its recursion, and the refuter builds it as it draws.
+
 The refuter draws each trial's size and set into a vertex mask straight
 from `getrandbits(k)`, drawn again while the result is at least the
 bound: the calls `randint` and `Random.sample` make through
@@ -28,7 +41,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator, Optional, Union
 
 from .errors import MatchlabError, ResourceLimitError
@@ -97,8 +110,17 @@ def robust_neighbourhood(obj: Union[Graph, Digraph], subset, nu) -> frozenset[in
         _check_vertex(v, n)
         smask |= 1 << v
     need = _thresholds(as_fraction(nu), Fraction(0), n)[0]
-    masks = _in_masks(obj)
-    return frozenset(v for v in range(n) if (masks[v] & smask).bit_count() >= need)
+    if need > n:
+        # No vertex has more than n neighbours, and the packed fields
+        # hold a start of 2^B - need only for need <= n.
+        return frozenset()
+    cols, acc, high = _packed(_in_masks(obj), need)
+    for u in range(n):
+        if smask >> u & 1:
+            acc += cols[u]
+    robust = acc & high
+    w = n.bit_length() + 1
+    return frozenset(v for v in range(n) if robust >> (n + v * w + w - 1) & 1)
 
 
 def _thresholds(nu: Fraction, tau: Fraction, scale: int) -> tuple[int, int, int]:
@@ -109,56 +131,86 @@ def _thresholds(nu: Fraction, tau: Fraction, scale: int) -> tuple[int, int, int]
     return need, math.ceil(tau * scale), math.floor((1 - tau) * scale)
 
 
-def _robust_count(masks, smask: int, need: int) -> int:
-    """|RN(S)| for S = `smask`.  S violates expansion when this is below
-    |S| + nu*scale, which for integer counts means below |S| + need."""
-    rn = 0
-    for mask in masks:
-        if (mask & smask).bit_count() >= need:
-            rn += 1
-    return rn
+def _packed(masks, need: int) -> tuple[list[int], int, int]:
+    """`(cols, base, high)` for the packed robust counter on the
+    len(masks) = n vertices whose in-neighbour masks are `masks`.
+
+    Bit u is vertex u's mask bit, and vertex v's field is the
+    w = n.bit_length() + 1 bits from bit n + v*w.  `base` holds
+    2^(w-1) - need in every field and an empty mask, `cols[u]` holds bit
+    u and a 1 in the field of every v with u in masks[v], and `high` is
+    every field's top bit.  S's counter is `base` plus the columns of its
+    vertices; need must lie in 0..n (see the module docstring for why
+    nothing carries).
+    """
+    n = len(masks)
+    b = n.bit_length()
+    w = b + 1
+    cols = [
+        1 << u | sum(1 << n + v * w for v, mask in enumerate(masks) if mask >> u & 1)
+        for u in range(n)
+    ]
+    unit = sum(1 << n + v * w for v in range(n))
+    return cols, ((1 << b) - need) * unit, unit << b
+
+
+def _robust_count(acc: int, high: int) -> int:
+    """|RN(S)| for S's packed counter `acc`.  S violates expansion when
+    this is below |S| + nu*scale, which for integer counts means below
+    |S| + need."""
+    return (acc & high).bit_count()
 
 
 def _sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> ExpansionCertificate:
     """Check every subset of `universe` in the size window at `scale`;
     Fail with the lexicographically first violating set, else Pass.
 
-    Every visited set gets its robust count, also below the window.  A
+    The recursion carries each set as its packed counter (`_packed`),
+    so extending S by one vertex is one add of that vertex's column, and
+    every visited set gets its robust count, also below the window.  A
     set whose count is at least hi + need has no violating extension up
     to size hi, so its subtree is counted into `sets_checked` with
     binomials and not visited.  The verdict, witness and count equal
     those of a sweep that visits every window set.
     """
     need, lo, hi = _thresholds(params.nu, params.tau, scale)
+    cols, base, high = _packed(masks, need)
+    ucols = [cols[u] for u in universe]
     top = len(universe)
+    # below[r][k] sums C(r, j) over j < k: a pruned set of `size`
+    # vertices with r candidates after it has row[hi - size + 1] -
+    # row[first - size] extensions in the window, row = below[r].
+    below = [list(accumulate((math.comb(r, j) for j in range(hi + 1)), initial=0)) for r in range(top)]
     checked = 0
 
-    def rec(start: int, smask: int, size: int) -> int:
-        # Each set extending `smask` by universe[start:], `size` vertices
-        # once extended, in lexicographic order; 0 when none violates.
+    def rec(start: int, acc: int, size: int) -> int:
+        # Each set extending the set packed in `acc` by universe[start:],
+        # `size` vertices once extended, in lexicographic order; 0 when
+        # none violates.
         nonlocal checked
         for i in range(start, top):
-            vmask = smask | 1 << universe[i]
-            rn = _robust_count(masks, vmask, need)
+            vacc = acc + ucols[i]
+            rn = _robust_count(vacc, high)
             if size >= lo:
                 checked += 1
                 if rn < size + need:
-                    return vmask
+                    return vacc
             if size < hi:
                 if rn >= hi + need:
-                    # |RN| only grows with S, so every extension of vmask
-                    # up to size hi passes: count those in the window.
+                    # |RN| only grows with S, so every extension of this
+                    # set up to size hi passes: count those in the window.
                     first = max(lo, size + 1)
-                    checked += sum(math.comb(top - 1 - i, t - size) for t in range(first, hi + 1))
+                    row = below[top - 1 - i]
+                    checked += row[hi - size + 1] - row[first - size]
                     continue
-                found = rec(i + 1, vmask, size + 1)
+                found = rec(i + 1, vacc, size + 1)
                 if found:
                     return found
         return 0
 
     # An empty window (lo > hi) checks nothing; the top level would
     # otherwise test 1-sets even when hi = 0.
-    found = rec(0, 0, 1) if lo <= hi else 0
+    found = rec(0, base, 1) if lo <= hi else 0
     if found:
         witness = tuple(v for v in universe if found >> v & 1)
         return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, witness, checked)
@@ -178,18 +230,21 @@ def certify_exact(obj: Union[Graph, Digraph], params: ExpansionParams) -> Expans
     return _sweep(_in_masks(obj), list(range(n)), n, params)
 
 
-def _random_sets(n: int, lo: int, hi: int, rng: random.Random) -> Iterator[tuple[int, int]]:
-    """Yield `(size, smask)` forever: the sizes and vertex sets that
-    `rng.randint(lo, hi)` then `rng.sample(range(n), size)` would draw.
+def _random_sets(cols: list[int], base: int, lo: int, hi: int, rng: random.Random) -> Iterator[tuple[int, int]]:
+    """Yield `(size, acc)` forever: the sizes and vertex sets that
+    `rng.randint(lo, hi)` then `rng.sample(range(n), size)` would draw on
+    n = len(cols) vertices, each set as its packed counter (`_packed`),
+    whose low n bits are the set's vertex mask.
 
     A draw below m is `getrandbits(m.bit_length())`, drawn again while
     the result is at least m.  As in `Random.sample`, a size whose set of
     picks would take more room than an n-list picks from a fresh pool,
     moving the last free vertex into each vacancy; any other size draws
     below n again until the vertex is not yet in the set.  Each pick
-    sets its bit of `smask`.
+    adds its column to `acc`, which starts at `base`.
     """
     getrandbits = rng.getrandbits
+    n = len(cols)
     width = hi - lo + 1
     kw = width.bit_length()
     kn = n.bit_length()
@@ -199,29 +254,28 @@ def _random_sets(n: int, lo: int, hi: int, rng: random.Random) -> Iterator[tuple
         n <= 21 + (4 ** math.ceil(math.log(size * 3, 4)) if size > 5 else 0)
         for size in range(hi + 1)
     ]
-    vertex_bits = [1 << v for v in range(n)]
     while True:
         r = getrandbits(kw)
         while r >= width:
             r = getrandbits(kw)
         size = lo + r
-        smask = 0
+        acc = base
         if pooled[size]:
-            pool = vertex_bits[:]
+            pool = cols[:]
             for m in range(n, n - size, -1):
                 k = bits[m]
                 j = getrandbits(k)
                 while j >= m:
                     j = getrandbits(k)
-                smask |= pool[j]
+                acc += pool[j]
                 pool[j] = pool[m - 1]
         else:
             for _ in range(size):
                 j = getrandbits(kn)
-                while j >= n or smask >> j & 1:
+                while j >= n or acc >> j & 1:
                     j = getrandbits(kn)
-                smask |= 1 << j
-        yield size, smask
+                acc += cols[j]
+        yield size, acc
 
 
 def refute_sampled(
@@ -235,18 +289,21 @@ def refute_sampled(
     Trial t draws a size uniform in the window and a uniform set of that
     size (`_random_sets`): the draws, and the rng stream, are those of
     `rng.randint(lo, hi)` then `rng.sample(range(n), size)` on
-    `random.Random(seed)` (CPython 3.10-3.13).  The witness is the first
-    violating set, in increasing order, and `sets_checked` its trial.
+    `random.Random(seed)` (CPython 3.10-3.13).  Each set's packed
+    counter (`_packed`) is built as its vertices are drawn, so a trial
+    reads its robust count with one mask and one `bit_count`.  The
+    witness is the first violating set, in increasing order, and
+    `sets_checked` its trial.
     """
     n = obj.n
     need, lo, hi = _thresholds(params.nu, params.tau, n)
     if lo > hi or trials <= 0:
         return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, 0)
-    masks = _in_masks(obj)
-    sets = islice(_random_sets(n, lo, hi, random.Random(seed)), trials)
-    for t, (size, smask) in enumerate(sets, 1):
-        if _robust_count(masks, smask, need) < size + need:
-            witness = tuple(v for v in range(n) if smask >> v & 1)
+    cols, base, high = _packed(_in_masks(obj), need)
+    sets = islice(_random_sets(cols, base, lo, hi, random.Random(seed)), trials)
+    for t, (size, acc) in enumerate(sets, 1):
+        if _robust_count(acc, high) < size + need:
+            witness = tuple(v for v in range(n) if acc >> v & 1)
             return ExpansionCertificate(Verdict.FAIL, params.nu, params.tau, witness, t)
     return ExpansionCertificate(Verdict.INCONCLUSIVE, params.nu, params.tau, None, trials)
 

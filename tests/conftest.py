@@ -699,13 +699,19 @@ def _violation_test(masks, scale_n: int, nu: Fraction):
     need = max(0, math.ceil(threshold))
 
     def violates(smask: int, size: int) -> bool:
-        rn = 0
-        for mask in masks:
-            if (mask & smask).bit_count() >= need:
-                rn += 1
-        return rn < size + threshold
+        return reference_robust_count(masks, smask, need) < size + threshold
 
     return violates
+
+
+def reference_robust_count(masks, smask: int, need: int) -> int:
+    """|RN(S)| for S = `smask`, one vertex at a time: the vertices with at
+    least `need` (in-)neighbours in S."""
+    rn = 0
+    for mask in masks:
+        if (mask & smask).bit_count() >= need:
+            rn += 1
+    return rn
 
 
 def reference_sweep(masks, universe: list[int], scale: int, params: ExpansionParams) -> ExpansionCertificate:

@@ -617,6 +617,14 @@ _INPUT_ERRORS = {
         ["expander", "--family", "complete", "-n", "8", "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "-5"],
         None, "sampled mode needs at least one trial",
     ),
+    "expander_sampled_on_a_bipartition": (
+        ["expander", "--family", "multipartite", "-a", "2", "-b", "8", "--nu", "0.1", "--tau", "0.3", "--sampled"],
+        None, "a host with a bipartition takes the bipartite sweep: drop --sampled",
+    ),
+    "expander_sampled_on_a_file_bipartition": (
+        ["expander", "--file", "FILE", "--nu", "0.1", "--tau", "0.3", "--sampled", "--trials", "5000"],
+        "4 2\n0 1\n2 3\nA: 0 2\n", "a host with a bipartition takes the bipartite sweep: drop --sampled",
+    ),
     "disjoint_samples_negative": (
         ["disjoint", "--family", "complete", "-n", "6", "--r", "3", "--mode", "montecarlo", "--samples", "-5"],
         None, "montecarlo mode needs at least one sample",

@@ -8,6 +8,7 @@ from conftest import (
     gnp,
     reference_certify_exact,
     reference_refute_sampled,
+    reference_robust_count,
     reference_sweep,
     two_triangles,
 )
@@ -72,6 +73,15 @@ def test_rn_matches_per_vertex_scan():
             if len(set(g.neighbors(v)) & set(s)) >= nu * 9
         }
         assert got == frozenset(want)
+    # each vertex's packed field, on every size in PACKED_SIZES and every need 0..n
+    for n in PACKED_SIZES:
+        for obj in (gnp(n, 0.6, n), _random_digraph(n, 0.6, n)):
+            masks = expansion._in_masks(obj)
+            for need in range(n + 1):
+                subset = rng.sample(range(n), rng.randint(0, n))
+                smask = sum(1 << u for u in subset)
+                want = {v for v in range(n) if (masks[v] & smask).bit_count() >= need}
+                assert robust_neighbourhood(obj, subset, Fraction(need, n)) == frozenset(want), (n, need)
 
 
 def test_rn_monotone_in_subset():
@@ -99,6 +109,15 @@ def test_rn_rejects_vertex_out_of_range(v):
 def test_out_rn_directed_cycle():
     d = directed_cycle(6)
     assert robust_neighbourhood(d, [0, 1, 2], 0.1) == frozenset({1, 2, 3})
+
+
+@pytest.mark.parametrize("nu", [Fraction(7, 6), 2, 1000])
+def test_rn_nu_above_one_is_empty(nu):
+    # nu*n > n neighbours are more than any vertex has
+    for obj in (complete_graph(6), complete_digraph(6)):
+        assert robust_neighbourhood(obj, range(6), nu) == frozenset()
+    # nu <= 0 needs no neighbour, so every vertex is robust
+    assert robust_neighbourhood(directed_cycle(5), [], 1 - nu) == frozenset(range(5))
 
 
 # -- exact certification ------------------------------------------------------
@@ -217,15 +236,61 @@ def test_bipartite_sweep_matches_reference():
             assert certify_bipartite(g, part, DIFF_PARAMS) == want, (side, s)
 
 
+# -- the packed robust counter against the per-vertex loop ---------------------
+
+PACKED_SIZES = [1, 7, 8, 15, 16, 17, 31, 32, 33, 63, 64]
+
+
+def _packed_counts_match_reference(masks, universe, scale, rng):
+    """For every need in 0..scale, the packed counter of random subsets of
+    `universe` (the empty set and the whole universe included) holds the
+    set in its low bits, and its robust count is that of the per-vertex
+    loop."""
+    n = len(masks)
+    sets = [[], list(universe)] + [rng.sample(universe, rng.randint(1, len(universe))) for _ in range(4)]
+    for need in range(scale + 1):
+        cols, base, high = expansion._packed(masks, need)
+        for chosen in sets:
+            smask = sum(1 << u for u in chosen)
+            acc = base + sum(cols[u] for u in chosen)
+            assert acc & ((1 << n) - 1) == smask
+            want = reference_robust_count(masks, smask, need)
+            assert expansion._robust_count(acc, high) == want, (n, need, chosen)
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_count_matches_loop_on_graphs_and_digraphs(n):
+    rng = random.Random(n)
+    for p in (0.2, 0.5, 0.9):
+        g = gnp(n, p, 1000 * n + int(10 * p))
+        d = _random_digraph(n, p, 1000 * n + int(10 * p))
+        for obj in (g, d):
+            _packed_counts_match_reference(expansion._in_masks(obj), list(range(n)), n, rng)
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_count_matches_loop_on_bipartite_universes(n):
+    # sets range over one side and need over 0..side, at the side's scale
+    rng = random.Random(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    side_a = sorted(order[: (n + 1) // 2])
+    for p in (0.3, 0.8):
+        g = Graph(n, [(u, v) for u in side_a for v in order[(n + 1) // 2:] if rng.random() < p])
+        _packed_counts_match_reference(g.neighbor_masks, side_a, len(side_a), rng)
+
+
 # -- monotone pruning: subtrees whose robust count covers the window -----------
 
-def _calls_to_robust_count(monkeypatch):
+def _calls_to_robust_count(monkeypatch, n):
+    """Record the vertex mask of every set the sweep counts: the low n
+    bits of its packed counter."""
     calls = []
     real = expansion._robust_count
 
-    def counting(masks, smask, need):
-        calls.append(smask)
-        return real(masks, smask, need)
+    def counting(acc, high):
+        calls.append(acc & ((1 << n) - 1))
+        return real(acc, high)
 
     monkeypatch.setattr(expansion, "_robust_count", counting)
     return calls
@@ -247,7 +312,7 @@ def test_fail_witness_after_a_pruned_subtree(monkeypatch):
     g = Graph(12, edges + [(0, 11), (1, 11)])
     p = ExpansionParams(Fraction(1, 5), Fraction(3, 10))
     want = reference_certify_exact(g, p)
-    calls = _calls_to_robust_count(monkeypatch)
+    calls = _calls_to_robust_count(monkeypatch, g.n)
     cert = certify_exact(g, p)
     assert cert == want
     assert cert.witness == (0, 2, 5, 11)
@@ -258,10 +323,13 @@ def test_fail_witness_after_a_pruned_subtree(monkeypatch):
 
 
 def test_prune_counts_k16_without_visiting(monkeypatch):
-    calls = _calls_to_robust_count(monkeypatch)
+    calls = _calls_to_robust_count(monkeypatch, 16)
     cert = certify_exact(complete_graph(16), DIFF_PARAMS)
     assert cert.verdict is Verdict.PASS and cert.sets_checked == 60_502
     assert len(calls) < 6_050
+    # a visited set has at most hi = 11 vertices, and each is visited once
+    assert len(set(calls)) == len(calls)
+    assert max(smask.bit_count() for smask in calls) <= 11
 
 
 def test_k24_at_the_cap_passes_by_pruning():
@@ -337,15 +405,22 @@ def test_random_sets_follow_randint_and_sample(n):
     # Random.sample keeps a pool when n <= 21 (+ 4**ceil(log4(3 size)) past
     # size 5), else a set of picks: the windows cross sizes 5/6 and 21/22,
     # so every n above reaches the branches its sizes select.
+    masks = gnp(n, 0.5, n).neighbor_masks
     windows = {(0, n), (min(n, 3), min(n, 8)), (min(n, 19), min(n, 24)), (n // 3, 2 * n // 3)}
     for lo, hi in sorted(windows):
         for seed in range(4):
+            need = seed * n // 4
+            cols, base, high = expansion._packed(masks, need)
             rng, ref = random.Random(seed), random.Random(seed)
-            sets = expansion._random_sets(n, lo, hi, rng)
+            sets = expansion._random_sets(cols, base, lo, hi, rng)
             for _ in range(300):
                 size = ref.randint(lo, hi)
                 picked = ref.sample(range(n), size)
-                assert next(sets) == (size, sum(1 << v for v in picked))
+                smask = sum(1 << v for v in picked)
+                got_size, acc = next(sets)
+                assert (got_size, acc & ((1 << n) - 1)) == (size, smask)
+                assert acc == base + sum(cols[v] for v in picked)
+                assert expansion._robust_count(acc, high) == reference_robust_count(masks, smask, need)
             assert rng.getstate() == ref.getstate()
 
 
