@@ -5,9 +5,9 @@
 The script lists every mutation site of the module, draws `--count` of
 them with `random.Random(seed)`, and runs each mutant in a fresh copy of
 the repository: first against the module's own test file
-(tests/test_<module>.py, or `--tests`), then, if it survives, against
-the whole suite.  A mutant is killed when pytest fails or runs past
-`--timeout`.  The operators:
+(tests/test_<module>.py, when there is one), then, if it survives,
+against the whole suite.  A mutant is killed when pytest fails or runs
+past TIMEOUT_S.  The operators:
 
 - comparison flips: < <-> <=, > <-> >=, == <-> !=;
 - arithmetic and bitwise swaps: + <-> -, & <-> |, ^ -> |, << <-> >>,
@@ -46,6 +46,7 @@ SYMBOL = {
 # Copied into each mutant's repository: what the suite imports or reads.
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 MEMORY_CAP = 2 << 30  # address space of one pytest run, in bytes
+TIMEOUT_S = 300  # one pytest run; a mutant can loop forever
 
 
 class Mutator(ast.NodeTransformer):
@@ -98,13 +99,13 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_tests(root: Path, tests: list[str], timeout: float) -> str:
+def run_tests(root: Path, tests: str) -> str:
     """'pass', 'fail' or 'timeout' for pytest on `tests` under `root`."""
-    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests]
     try:
         done = subprocess.run(
             cmd, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=timeout, preexec_fn=_limit_memory,
+            timeout=TIMEOUT_S, preexec_fn=_limit_memory,
         )
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -118,8 +119,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--count", type=int, default=25)
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                         help="repository to mutate (default: the one holding this script)")
-    parser.add_argument("--tests", help="the module's test file (default tests/test_<module>.py)")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds for one pytest run")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
@@ -129,7 +128,9 @@ def main(argv: list[str] | None = None) -> int:
     counter.visit(ast.parse(source))
     sites = counter.sites
     drawn = sorted(random.Random(args.seed).sample(range(len(sites)), min(args.count, len(sites))))
-    own = args.tests or f"tests/test_{module.stem}.py"
+    own = f"tests/test_{module.stem}.py"
+    if not (root / own).exists():
+        own = "tests"
     lines = source.splitlines()
     print(f"mutants of {module} at {root}: seed {args.seed}, {len(drawn)} of {len(sites)} sites")
     print(f"{'site':>5} {'line:col':>9}  {'mutation':<10} {'result':<28} source")
@@ -147,16 +148,16 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copy2(path, copy / name)
         # the unparsed module, no site changed, must pass
         (copy / module).write_text(mutant_source(source, None))
-        if run_tests(copy, [own], args.timeout) != "pass":
+        if run_tests(copy, own) != "pass":
             print(f"{own} does not pass on the unparsed module; no kill rate", file=sys.stderr)
             return 1
         for site in drawn:
             line, col, label = sites[site]
             (copy / module).write_text(mutant_source(source, site))
-            result = run_tests(copy, [own], args.timeout)
+            result = run_tests(copy, own)
             where = own
-            if result == "pass":
-                result = run_tests(copy, ["tests"], args.timeout)
+            if result == "pass" and own != "tests":
+                result = run_tests(copy, "tests")
                 where = "tests"
             if result == "pass":
                 status = "SURVIVED"
