@@ -282,7 +282,7 @@ def refute_sampled(
     obj: Union[Graph, Digraph],
     params: ExpansionParams,
     trials: int,
-    seed: int = 0,
+    seed: int,
 ) -> ExpansionCertificate:
     """Random search for a violating set; never certifies a pass.
 

@@ -48,7 +48,7 @@ class Graph:
     int key (bit u*n + v per edge, u < v) in enumeration order, is the
     listing's, None until `enumerate_pm`'s cap check first passes, then
     read by every listing on the graph.  Beside them, `_draw_steps`
-    holds the sampler's shared child steps, one `((u, v), 1 << u | 1 <<
+    holds the sampler's shared child steps, one `(u*n + v, 1 << u | 1 <<
     v)` per edge, None until the first draw; and `_co_masks` holds the
     complement H as `(masks, pos)`, None until a dense count or stratify
     first needs it: pos[v] is v's place in H's min-frontier order and

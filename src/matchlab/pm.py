@@ -56,12 +56,17 @@ mask's children in scan order, each packed with its partner as
 dropped: an array('q'), 8 bytes an entry, while its counts fit in 63 bits
 (every graph under the default cap) and a list past that.  steps_u is
 the lowest vertex u's entry in the graph's shared step table,
-Graph._draw_steps, built on the first draw: `((u, v), 1 << u | 1 << v)`
-for each neighbour v > u, the pair a step appends and the bits it clears.
-A step is getrandbits(k), repeated while the result is at least count,
-and one bisect of the row.  Those are the calls randrange(count) makes,
-so it draws the child a scan over the children would, from the same rng
-stream.
+Graph._draw_steps, built on the first draw: `(u*n + v, 1 << u | 1 << v)`
+for each neighbour v > u, the id of the edge a step appends and the bits
+it clears.  A step is getrandbits(k), repeated while the result is at
+least count, and one bisect of the row.  Those are the calls
+randrange(count) makes, so it draws the child a scan over the children
+would, from the same rng stream.  Every draw runs in one generator,
+_draws, which makes the cap and count checks once and yields each draw
+as the list of its edge ids u*n + v, in increasing order, built only
+when asked for.  sample_pm decodes its one draw into a Matching; the
+Monte Carlo reports in stats read the ids of a stream of draws and build
+no Matching.
 
 A graph with a connected component of odd size has no perfect matching.
 After its input and cap checks, each entry point takes its fast paths in
@@ -476,16 +481,17 @@ def _draw_row(g: Graph, mask: int, s: int):
 def _child_steps(g: Graph) -> list:
     """The sampler's shared child steps, built on first use and kept in
     g._draw_steps: entry u, indexed by a neighbour v > u, holds
-    `((u, v), 1 << u | 1 << v)`, the pair a step appends and the bits it
-    clears from the mask."""
+    `(u*n + v, 1 << u | 1 << v)`, the id of the edge a step appends and
+    the bits it clears from the mask."""
     steps = g._draw_steps
     if steps is None:
+        n = g.n
         steps = g._draw_steps = []
         for u, nbrs in enumerate(g.adjacency):
-            row = [None] * g.n
+            row = [None] * n
             for v in nbrs:
                 if v > u:
-                    row[v] = ((u, v), 1 << u | 1 << v)
+                    row[v] = (u * n + v, 1 << u | 1 << v)
             steps.append(row)
     return steps
 
@@ -500,8 +506,43 @@ def _draw_record(g: Graph, mask: int, s: int) -> tuple:
     return count, count.bit_length(), _draw_row(g, mask, s), _child_steps(g)[u]
 
 
+def _draws(g: Graph, rng: random.Random, count: int) -> Iterator[list[int]]:
+    """`count` exactly uniform draws from the perfect matchings of g, each
+    yielded as the list of its edges' ids u*n + v (u < v) in step order,
+    which is increasing order.  The checks (the cap, then a count of the
+    full mask that raises NoPerfectMatchingError when it is 0) run once,
+    when the first draw is asked for, and each draw is built only when it
+    is asked for, so a caller that reads them one at a time holds one at
+    a time.  The steps are sample_pm's."""
+    _check_cap(g)
+    full = (1 << g.n) - 1
+    if _count_on_mask(g, full) == 0:
+        raise NoPerfectMatchingError("graph has no perfect matching")
+    rows = g._draw_rows
+    getrandbits = rng.getrandbits
+    s = g.n.bit_length()
+    low = (1 << s) - 1
+    for _ in range(count):
+        ids: list[int] = []
+        append = ids.append
+        mask = full
+        while mask:
+            try:
+                total, k, row, steps = rows[mask]
+            except KeyError:
+                total, k, row, steps = rows[mask] = _draw_record(g, mask, s)
+            r = getrandbits(k)
+            while r >= total:
+                r = getrandbits(k)
+            eid, clear = steps[row[bisect_right(row, r << s | low)] & low]
+            append(eid)
+            mask ^= clear
+        yield ids
+
+
 def sample_pm(g: Graph, rng: random.Random) -> Matching:
-    """Exactly uniform draw from the perfect matchings of g.
+    """Exactly uniform draw from the perfect matchings of g: the first draw
+    of `_draws`, its edge ids decoded into a Matching.
 
     Self-reducibility (Jerrum, Valiant and Vazirani): repeatedly match the
     lowest unmatched vertex u, picking neighbour v with probability
@@ -515,7 +556,7 @@ def sample_pm(g: Graph, rng: random.Random) -> Matching:
     Each mask the walk reaches has one record in `g._draw_rows`, built
     the first time a draw reaches it (`_draw_record`): its count, the
     count's bit length k, its row and its lowest vertex's entry in the
-    graph's shared step table, so a step appends a prebuilt pair and
+    graph's shared step table, so a step appends a prebuilt edge id and
     clears a prebuilt mask.  r comes from `getrandbits(k)`, drawn again
     while r >= count: the calls `randrange(count)` makes through
     `Random._randbelow_with_getrandbits` (CPython 3.10-3.13), a count of
@@ -527,28 +568,9 @@ def sample_pm(g: Graph, rng: random.Random) -> Matching:
     children are, so once the full mask is counted, every nonempty mask
     the walk reaches or lists as a child is in the memo.
     """
-    _check_cap(g)
-    mask = (1 << g.n) - 1
-    if _count_on_mask(g, mask) == 0:
-        raise NoPerfectMatchingError("graph has no perfect matching")
-    rows = g._draw_rows
-    getrandbits = rng.getrandbits
-    s = g.n.bit_length()
-    low = (1 << s) - 1
-    pairs: list[Edge] = []
-    append = pairs.append
-    while mask:
-        try:
-            count, k, row, steps = rows[mask]
-        except KeyError:
-            count, k, row, steps = rows[mask] = _draw_record(g, mask, s)
-        r = getrandbits(k)
-        while r >= count:
-            r = getrandbits(k)
-        pair, clear = steps[row[bisect_right(row, r << s | low)] & low]
-        append(pair)
-        mask ^= clear
-    return Matching._from_sorted(pairs)
+    n = g.n
+    ids = next(_draws(g, rng, 1))
+    return Matching._from_sorted([divmod(i, n) for i in ids])
 
 
 @dataclass(frozen=True)

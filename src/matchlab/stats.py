@@ -16,19 +16,18 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Union
 
 from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from .graphs import Edge, Graph, edge_set, regularity
 from .pm import (
     _count_avoiding,
+    _draws,
     _key_pairs,
     _pm_keys,
     _search,
     count_pm,
     count_pm_containing,
-    sample_pm,
     stratify,
 )
 
@@ -148,9 +147,12 @@ def disjoint_probability(
     masks with each listed matching's bits cleared, building no Graph:
     the host's key list (pm._pm_keys) at the first level, pm's search
     below it, and pm._count_avoiding at the last.  Monte Carlo mode
-    estimates the same probability from `samples` draws and counts
-    nothing: its first draw raises on a host with no perfect matching or
-    past the cap.
+    estimates the same probability from `samples` r-tuples of the
+    sampler's stream of draws (pm._draws), read r at a time and never
+    listed, and counts nothing: its first draw raises on a host with no
+    perfect matching or past the cap.  Each draw is the list of its
+    edge ids, n/2 distinct ones, so a tuple is pairwise disjoint exactly
+    when the union of its lists has r*n/2 elements.
     `r`, `mode` and, in Monte Carlo mode, `samples` are checked before
     anything is counted or drawn, on every host and every r.
     """
@@ -202,29 +204,31 @@ def disjoint_probability(
         good = ordered_tuples([0] * n, r)
         return Fraction(good, total**r), reference
 
-    rng = random.Random(seed)
+    draws = _draws(g, random.Random(seed), samples * r)
+    size = r * (g.n // 2)
     hits = 0
-    for _ in range(samples):
-        draws = [sample_pm(g, rng).edge_set for _ in range(r)]
-        hits += all(a.isdisjoint(b) for a, b in combinations(draws, 2))
+    for tup in zip(*[draws] * r):
+        hits += len(set().union(*tup)) == size
     return hits / samples, reference
 
 
-def empirical_edge_freq(g: Graph, samples: int, seed: int = 0) -> dict[Edge, float]:
+def empirical_edge_freq(g: Graph, samples: int, seed: int) -> dict[Edge, float]:
     """Per-edge inclusion frequency over exactly uniform draws; with
     zero samples every frequency is reported as 0, after a count that
     raises on a host with no perfect matching (with samples, the first
     draw raises instead).  A negative `samples` raises MatchlabError before
-    anything is counted."""
+    anything is counted.  The draws come from the sampler's stream
+    (pm._draws) as edge ids u*n + v, tallied in a flat list by id."""
     if samples < 0:
         raise MatchlabError("samples must be non-negative")
     if samples == 0:
         if count_pm(g) == 0:
             raise NoPerfectMatchingError("graph has no perfect matching")
         return {e: 0.0 for e in g.edges}
-    freq = {e: 0 for e in g.edges}
-    rng = random.Random(seed)
-    for _ in range(samples):
-        for e in sample_pm(g, rng):
-            freq[e] += 1
-    return {e: c / samples for e, c in freq.items()}
+    n = g.n
+    tally = [0] * (n * n)
+    for ids in _draws(g, random.Random(seed), samples):
+        for i in ids:
+            tally[i] += 1
+    # keyed by g's own edge tuples, which every report on g then shares
+    return {e: tally[e[0] * n + e[1]] / samples for e in g.edges}

@@ -41,6 +41,8 @@ def test_params_validation():
         ExpansionParams(0, 0.5)
     with pytest.raises(MatchlabError, match="^nu and tau must lie strictly between 0 and 1$"):
         ExpansionParams(0.5, 1)
+    with pytest.raises(MatchlabError, match="^nu and tau must lie strictly between 0 and 1$"):
+        ExpansionParams(0.5, 0)
 
 
 # -- robust neighbourhoods ----------------------------------------------------
@@ -184,6 +186,13 @@ def test_bipartite_sweep_cap(monkeypatch, side, kwargs, cap):
     part = Bipartition(range(side), range(side, 2 * side))
     with pytest.raises(ResourceLimitError, match=rf"^side size {side} above the sweep cap {cap}$"):
         certify_bipartite(g, part, ExpansionParams(0.1, 0.3))
+
+
+def test_bipartite_sweep_accepts_a_side_at_the_cap(monkeypatch):
+    monkeypatch.setattr(expansion, "DEFAULT_SWEEP_LIMIT", 4)
+    part = Bipartition(range(4), range(4, 8))
+    cert = certify_bipartite(complete_multipartite(2, 4), part, ExpansionParams(0.1, 0.3))
+    assert cert.verdict is Verdict.PASS
 
 
 def test_digraph_certification():
@@ -450,7 +459,7 @@ def test_refute_sampled_draws_in_a_one_size_window():
 
 
 def test_refute_sampled_zero_trials():
-    cert = refute_sampled(complete_graph(6), ExpansionParams(0.1, 0.3), trials=0)
+    cert = refute_sampled(complete_graph(6), ExpansionParams(0.1, 0.3), trials=0, seed=0)
     assert cert.verdict is Verdict.INCONCLUSIVE
     assert cert.sets_checked == 0
 

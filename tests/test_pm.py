@@ -43,6 +43,7 @@ from matchlab.pm import (
     _count_on_mask,
     _draw_record,
     _draw_row,
+    _draws,
     _is_dense,
     _min_frontier_relabel,
     count_pm,
@@ -762,13 +763,13 @@ def _assert_matches_oracles(fast, scan, slow, seed, draws=200):
 
 def _assert_child_steps(g):
     """g's shared step table holds, for each vertex u, exactly the steps to
-    its neighbours v > u, each the pair (u, v) and the clear bits
+    its neighbours v > u, each the edge id u*n + v and the clear bits
     1 << u | 1 << v."""
     for u, steps in enumerate(g._draw_steps):
         assert len(steps) == g.n
         partners = [v for v, step in enumerate(steps) if step is not None]
         assert partners == [v for v in g.adjacency[u] if v > u]
-        assert all(steps[v] == ((u, v), 1 << u | 1 << v) for v in partners)
+        assert all(steps[v] == (u * g.n + v, 1 << u | 1 << v) for v in partners)
 
 
 def _assert_rows_consistent(g, row_type=array):
@@ -811,6 +812,51 @@ def test_sample_matches_oracles_on_dense_regular_hosts():
         _assert_rows_consistent(fast)
 
 
+def _decoded_draws(g, rng, count):
+    """The stream of _draws on g, each draw checked to be n/2 increasing
+    edge ids and decoded by the validating Matching constructor."""
+    n = g.n
+    for ids in _draws(g, rng, count):
+        assert len(ids) == n // 2 and ids == sorted(set(ids))
+        yield Matching([divmod(i, n) for i in ids])
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["zoo", "dense_regular"])
+def test_draw_stream_matches_the_sampler_oracles(dense):
+    # the generator's decoded draws are the scan and reference oracles'
+    # draws, one for one, and every rng ends in the same state
+    if dense:
+        hosts = [dense_regular(n, seed) for seed, n in enumerate((12, 16, 20))]
+    else:
+        hosts = _sampler_hosts()
+    for seed, g in enumerate(hosts):
+        fast, scan, slow = _fresh(g), _fresh(g), _fresh(g)
+        rngs = [random.Random(seed) for _ in range(3)]
+        drawn = list(_decoded_draws(fast, rngs[0], 150))
+        assert len(drawn) == 150
+        assert drawn == [scan_sample_pm(scan, rngs[1]) for _ in drawn]
+        assert drawn == [reference_sample_pm(slow, rngs[2]) for _ in drawn]
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+        _assert_rows_consistent(fast)
+
+
+def test_draw_stream_is_lazy():
+    # the checks and every draw wait for the consumer: an unread stream
+    # moves no rng and counts nothing, and reading three draws of a
+    # stream of 10**12 takes three draws
+    g = complete_graph(8)
+    rng = random.Random(5)
+    stream = _draws(g, rng, 10**12)
+    assert rng.getstate() == random.Random(5).getstate() and g._pm_cache == {}
+    first = [next(stream) for _ in range(3)]
+    oracle = random.Random(5)
+    assert [Matching([divmod(i, 8) for i in ids]) for ids in first] == [
+        scan_sample_pm(_fresh(g), oracle) for _ in first
+    ]
+    assert rng.getstate() == oracle.getstate()
+    assert list(_draws(complete_graph(6), random.Random(0), 0)) == []
+
+
 def test_sample_builds_rows_only_for_visited_masks():
     g = complete_graph(6)
     assert g._draw_steps is None
@@ -825,7 +871,7 @@ def test_sample_builds_rows_only_for_visited_masks():
     assert (count, k) == (15, 4)
     assert list(row) == [(3 * k) << 3 | v for k, v in enumerate(range(1, 6), 1)]
     assert steps is g._draw_steps[0]
-    assert steps[1:] == [((0, v), 1 | 1 << v) for v in range(1, 6)]
+    assert steps[1:] == [(v, 1 | 1 << v) for v in range(1, 6)]
     _assert_rows_consistent(g)
     # a second draw reuses the table and every record it reaches again
     table, records = g._draw_steps, dict(g._draw_rows)

@@ -1,6 +1,8 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from scipy.stats import poisson as scipy_poisson
@@ -28,7 +30,7 @@ from matchlab.graphs import (
     regularity,
 )
 from matchlab import pm
-from matchlab.pm import _is_dense, count_pm, count_pm_containing, enumerate_pm, sample_pm, stratify
+from matchlab.pm import _is_dense, count_pm, count_pm_containing, enumerate_pm, stratify
 from matchlab.stats import (
     Pmf,
     avoidance_ratio,
@@ -464,12 +466,12 @@ def test_disjoint_exact_ignores_samples():
 def test_empirical_freq_rejects_negative_samples_before_counting(g):
     g = Graph(g.n, g.edges)
     with pytest.raises(MatchlabError, match="non-negative"):
-        empirical_edge_freq(g, -1)
+        empirical_edge_freq(g, -1, seed=0)
     assert g._pm_cache == {} and g._poly_cache == {}
 
 
 def test_empirical_freq_zero_samples():
-    freqs = empirical_edge_freq(complete_graph(4), 0)
+    freqs = empirical_edge_freq(complete_graph(4), 0, seed=0)
     assert set(freqs.values()) == {0.0}
 
 
@@ -500,18 +502,107 @@ def test_montecarlo_on_a_dense_host_samples_without_counting(monkeypatch, run):
     assert _is_dense(g)
     drawn, rngs = [], set()
 
-    def recorded(host, rng):
+    def recorded(host, rng, count):
         rngs.add(rng)
-        drawn.append(sample_pm(host, rng))
-        return drawn[-1]
+        for ids in pm._draws(host, rng, count):
+            assert ids == sorted(ids)
+            drawn.append(Matching([divmod(i, host.n) for i in ids]))
+            yield ids
 
-    monkeypatch.setattr(stats, "sample_pm", recorded)
+    monkeypatch.setattr(stats, "_draws", recorded)
     run(g)
     assert g._poly_cache == {}
     rng = random.Random(3)
     slow = Graph(g.n, g.edges)
     assert drawn == [reference_sample_pm(slow, rng) for _ in drawn]
     assert len(rngs) == 1 and rngs.pop().getstate() == rng.getstate()
+
+
+def _replay_disjoint(g, r, samples, seed):
+    """Monte Carlo disjointness replayed through the reference sampler,
+    each r-tuple's edge sets compared pair by pair."""
+    slow = Graph(g.n, g.edges)
+    rng = random.Random(seed)
+    hits = 0
+    for _ in range(samples):
+        sets = [reference_sample_pm(slow, rng).edge_set for _ in range(r)]
+        hits += all(a.isdisjoint(b) for a, b in combinations(sets, 2))
+    return hits / samples
+
+
+def _replay_edge_freq(g, samples, seed):
+    """Edge frequencies replayed through the reference sampler."""
+    slow = Graph(g.n, g.edges)
+    rng = random.Random(seed)
+    freq = dict.fromkeys(g.edges, 0)
+    for _ in range(samples):
+        for e in reference_sample_pm(slow, rng):
+            freq[e] += 1
+    return {e: c / samples for e, c in freq.items()}
+
+
+_REPLAY_HOSTS = {
+    "k4": complete_graph(4),
+    "k6": complete_graph(6),
+    "k_3x2": complete_multipartite(3, 2),
+    "k_4_4": complete_multipartite(2, 4),
+    "c8": cycle_graph(8),
+    "dense12": dense_regular(12, 5),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("g", _REPLAY_HOSTS.values(), ids=_REPLAY_HOSTS)
+def test_montecarlo_disjoint_matches_a_reference_replay(g, r):
+    got, _ = disjoint_probability(Graph(g.n, g.edges), r, mode="montecarlo", samples=60, seed=r)
+    assert got == _replay_disjoint(g, r, 60, r)
+    if r == 2:
+        # every host has two disjoint matchings and repeats draws
+        assert 0 < got < 1
+
+
+# (host, r, samples, seed, estimate): draws that all overlap, on a host
+# with one perfect matching, and draws that are all disjoint, on the empty
+# host and on seeds of K14 where every tuple happens to be disjoint
+_EXTREME_CASES = {
+    "one_pm_r2": (Graph(4, [(0, 1), (2, 3)]), 2, 20, 1, 0.0),
+    "one_pm_r4": (Graph(4, [(0, 1), (2, 3)]), 4, 20, 1, 0.0),
+    "empty_r3": (Graph(0, []), 3, 20, 1, 1.0),
+    "k14_r2": (complete_graph(14), 2, 4, 24, 1.0),
+    "k14_r3": (complete_graph(14), 3, 4, 280, 1.0),
+    "k14_r4": (complete_graph(14), 4, 2, 656, 1.0),
+}
+
+
+@pytest.mark.parametrize("g,r,samples,seed,estimate", _EXTREME_CASES.values(), ids=_EXTREME_CASES)
+def test_montecarlo_disjoint_extremes_match_a_reference_replay(g, r, samples, seed, estimate):
+    got, _ = disjoint_probability(Graph(g.n, g.edges), r, mode="montecarlo", samples=samples, seed=seed)
+    assert got == _replay_disjoint(g, r, samples, seed) == estimate
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_empirical_freq_matches_a_reference_replay(seed):
+    hosts = [g for g in small_zoo() if count_pm(g) > 0] + [dense_regular(12, 5), Graph(0, [])]
+    for g in hosts:
+        host = Graph(g.n, g.edges)
+        got = empirical_edge_freq(host, 50, seed)
+        assert all(e is f for e, f in zip(got, host.edges, strict=True))
+        assert got == _replay_edge_freq(g, 50, seed)
+
+
+def test_montecarlo_streams_its_draws():
+    # 60,000 draws of K6 listed at once would hold megabytes; the stream
+    # holds one tuple at a time
+    g = complete_graph(6)
+    disjoint_probability(g, 3, mode="montecarlo", samples=10, seed=0)
+    tracemalloc.start()
+    try:
+        disjoint_probability(g, 3, mode="montecarlo", samples=20_000, seed=0)
+        empirical_edge_freq(g, 60_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
 
 
 _TWO_TRIANGLES = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
@@ -533,14 +624,14 @@ def test_edge_freq_on_a_connected_host_without_a_matching_raises_at_the_first_dr
     # under the first draw finds that there is no perfect matching
     blocked = Graph(12, [(u, v) for u in range(5) for v in range(u + 1, 12)])
     with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
-        empirical_edge_freq(blocked, 10)
+        empirical_edge_freq(blocked, 10, seed=0)
     assert blocked._pm_cache[(1 << 12) - 1] == 0 and blocked._poly_cache == {}
 
 
 def test_counting_paths_keep_their_count():
     for g in (complete_graph(5), _TWO_TRIANGLES):
         with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
-            empirical_edge_freq(g, 0)
+            empirical_edge_freq(g, 0, seed=0)
         with pytest.raises(NoPerfectMatchingError, match="^graph has no perfect matching$"):
             disjoint_probability(g, 2)
 
