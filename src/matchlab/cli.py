@@ -288,21 +288,21 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
         raise ResourceLimitError(
             f"the k-step checks need {k * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
         )
+    if ell * n > WALK_STEP_BUDGET:
+        # before the float bounds, whose exact powers cost ell steps on big
+        # ints; a low degree keeps the counts in the float range at any ell
+        raise ResourceLimitError(
+            f"walk counts need {ell * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
+        )
     delta = Fraction(d, n)
     bound = (nu * n) ** (ell - 1)
     ell_too_large = f"--ell {ell} is too large: the walk counts leave the float range"
     try:
-        # the float bounds first: an ell past the float range is refused
-        # before the sweep and the walks, which cost ell steps on big ints
+        # an ell past the float range is refused before the sweep and walks
         lower = float(bound)
         expected = float(delta**ell * n ** (ell - 1))
     except OverflowError:
         raise MatchlabError(ell_too_large) from None
-    if ell * n > WALK_STEP_BUDGET:
-        # a low degree keeps the counts in the float range at a large ell
-        raise ResourceLimitError(
-            f"walk counts need {ell * n} propagation steps, over the budget of {WALK_STEP_BUDGET}"
-        )
     dg = to_bidirected(g)
     cert = expansion.certify_exact(dg, params)
     _warn_if_vacuous(cert)

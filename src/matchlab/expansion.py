@@ -12,18 +12,18 @@ counterexamples.  All threshold comparisons are exact: nu*n and the
 window bounds are rounded once, to the integers that counts and set
 sizes are compared with.
 
-Every robust count is read off one packed int per set (a broadword
-counter; Knuth, TAOCP 4A, 7.1.3).  On n vertices, the low n bits hold S
-as a vertex mask.  With B = n.bit_length(), vertex v owns the field of
-w = B + 1 bits from bit n + v*w.  The field starts at 2^B - need and
-gains 1 for each of v's (in-)neighbours in S, so its top bit is set
-exactly when v has at least `need` of them, and |RN(S)| is
-`(acc & high).bit_count()`.  Nothing carries out of a field or the
-mask: each vertex is added once, a count is at most |S| <= n < 2^B and
-0 <= need <= n, so a field stays within [0, 2^(B+1)).  Adding a vertex u
-to S adds one precomputed column `cols[u]`, its mask bit and a 1 in
-the field of every vertex it points to.  The sweep carries the packed
-int down its recursion, and the refuter builds it as it draws.
+The sweep and the refuter read every robust count off one packed int per
+set (a broadword counter; Knuth, TAOCP 4A, 7.1.3).  On n vertices, the
+low n bits hold S as a vertex mask.  With B = n.bit_length(), vertex v
+owns the field of w = B + 1 bits from bit n + v*w.  The field starts at
+2^B - need and gains 1 for each of v's (in-)neighbours in S, so its top
+bit is set exactly when v has at least `need` of them, and |RN(S)| is
+`(acc & high).bit_count()`.  Nothing carries out of a field or the mask:
+each vertex is added once, a count is at most |S| <= n < 2^B and 0 <=
+need <= 2^B, so a field stays within [0, 2^(B+1)).  Adding a vertex u to
+S adds one precomputed column `cols[u]`, its mask bit and a 1 in the
+field of every vertex it points to.  The sweep carries the packed int
+down its recursion, and the refuter builds it as it draws.
 
 The refuter draws each trial's size and set into a vertex mask straight
 from `getrandbits(k)`, drawn again while the result is at least the
@@ -103,24 +103,15 @@ def _in_masks(obj: Union[Graph, Digraph]) -> tuple[int, ...]:
 
 def robust_neighbourhood(obj: Union[Graph, Digraph], subset, nu) -> frozenset[int]:
     """Vertices with at least nu*n neighbours inside `subset`: neighbours
-    in a Graph, in-neighbours in a Digraph (its robust out-neighbourhood)."""
+    in a Graph, in-neighbours in a Digraph (its robust out-neighbourhood),
+    counted off each vertex's own mask, independently of the sweep's."""
     n = obj.n
     smask = 0
     for v in subset:
         _check_vertex(v, n)
         smask |= 1 << v
     need = _thresholds(as_fraction(nu), Fraction(0), n)[0]
-    if need > n:
-        # No vertex has more than n neighbours, and the packed fields
-        # hold a start of 2^B - need only for need <= n.
-        return frozenset()
-    cols, acc, high = _packed(_in_masks(obj), need)
-    for u in range(n):
-        if smask >> u & 1:
-            acc += cols[u]
-    robust = acc & high
-    w = n.bit_length() + 1
-    return frozenset(v for v in range(n) if robust >> (n + v * w + w - 1) & 1)
+    return frozenset(v for v, mask in enumerate(_in_masks(obj)) if (mask & smask).bit_count() >= need)
 
 
 def _thresholds(nu: Fraction, tau: Fraction, scale: int) -> tuple[int, int, int]:
@@ -140,8 +131,8 @@ def _packed(masks, need: int) -> tuple[list[int], int, int]:
     2^(w-1) - need in every field and an empty mask, `cols[u]` holds bit
     u and a 1 in the field of every v with u in masks[v], and `high` is
     every field's top bit.  S's counter is `base` plus the columns of its
-    vertices; need must lie in 0..n (see the module docstring for why
-    nothing carries).
+    vertices; need must lie in 0..2^(w-1) (see the module docstring for
+    why nothing carries).
     """
     n = len(masks)
     b = n.bit_length()

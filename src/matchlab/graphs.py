@@ -34,9 +34,10 @@ def _check_vertex(v: int, n: int) -> None:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    `adjacency[v]` is the sorted tuple of neighbours of v and
-    `neighbor_masks[v]` the same set as a bitmask, which is what the
-    subset sweeps and the matching DP operate on.
+    One stored view: `neighbor_masks[v]`, the neighbours of v as a
+    bitmask, which the subset sweeps, the matching DP and search and the
+    sampler's and switching's step tables read bit by bit.  `neighbors(v)`
+    (in increasing order) and `degrees()` are derived from it.
 
     Four memos, each with one owner (see `pm`): `_pm_cache`, the
     matching count per vertex mask, is the lowest-vertex DP's, read by
@@ -57,7 +58,7 @@ class Graph:
     """
 
     __slots__ = (
-        "n", "edges", "adjacency", "neighbor_masks",
+        "n", "edges", "neighbor_masks",
         "_pm_cache", "_draw_rows", "_draw_steps", "_poly_cache", "_co_masks", "_pm_keys",
     )
 
@@ -71,14 +72,10 @@ class Graph:
             norm.add(_norm_edge(u, v))
         self.n = n
         self.edges: tuple[Edge, ...] = tuple(sorted(norm))
-        adj: list[list[int]] = [[] for _ in range(n)]
         masks = [0] * n
         for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
             masks[u] |= 1 << v
             masks[v] |= 1 << u
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(tuple(a) for a in adj)
         self.neighbor_masks: tuple[int, ...] = tuple(masks)
         self._pm_cache: dict[int, int] = {}
         self._draw_rows: dict = {}
@@ -92,10 +89,11 @@ class Graph:
         return len(self.edges)
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
+        mask = self.neighbor_masks[v]
+        return tuple(u for u in range(mask.bit_length()) if mask >> u & 1)
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(mask.bit_count() for mask in self.neighbor_masks)
 
     def has_edge(self, u: int, v: int) -> bool:
         """False for u == v and for any vertex outside 0..n-1."""
@@ -176,9 +174,11 @@ class Digraph:
 
 
 class Matching:
-    """A set of pairwise vertex-disjoint undirected edges."""
+    """A set of pairwise vertex-disjoint undirected edges, stored once as
+    `pairs`: normalised (u < v) and sorted by both constructors, so
+    equality, hashing and membership read it; `edge_set` is derived."""
 
-    __slots__ = ("pairs", "edge_set")
+    __slots__ = ("pairs",)
 
     def __init__(self, edges: Iterable[Edge]):
         norm = sorted({_norm_edge(u, v) for u, v in edges})
@@ -189,7 +189,6 @@ class Matching:
             seen.add(u)
             seen.add(v)
         self.pairs: tuple[Edge, ...] = tuple(norm)
-        self.edge_set: frozenset[Edge] = frozenset(norm)
 
     @classmethod
     def _from_sorted(cls, pairs: Iterable[Edge]) -> "Matching":
@@ -197,8 +196,11 @@ class Matching:
         sorted and vertex-disjoint, taken without the constructor's checks."""
         m = cls.__new__(cls)
         m.pairs = tuple(pairs)
-        m.edge_set = frozenset(m.pairs)
         return m
+
+    @property
+    def edge_set(self) -> frozenset[Edge]:
+        return frozenset(self.pairs)
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -208,13 +210,13 @@ class Matching:
 
     def __contains__(self, edge: Edge) -> bool:
         u, v = edge
-        return (min(u, v), max(u, v)) in self.edge_set
+        return (min(u, v), max(u, v)) in self.pairs
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Matching) and self.edge_set == other.edge_set
+        return isinstance(other, Matching) and self.pairs == other.pairs
 
     def __hash__(self) -> int:
-        return hash(self.edge_set)
+        return hash(self.pairs)
 
     def __repr__(self) -> str:
         return f"Matching({list(self.pairs)})"

@@ -487,10 +487,10 @@ def _child_steps(g: Graph) -> list:
     if steps is None:
         n = g.n
         steps = g._draw_steps = []
-        for u, nbrs in enumerate(g.adjacency):
+        for u, mask in enumerate(g.neighbor_masks):
             row = [None] * n
-            for v in nbrs:
-                if v > u:
+            for v in range(u + 1, n):
+                if mask >> v & 1:
                     row[v] = (u * n + v, 1 << u | 1 << v)
             steps.append(row)
     return steps

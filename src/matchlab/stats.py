@@ -176,10 +176,11 @@ def disjoint_probability(
         # r = 2 reduces to averaging pma(G - M) over one enumeration and
         # needs no tuple budget; deeper nesting lists at most count^(r-1)
         # prefixes and counts the last level, so that is what is gated.
-        if r >= 3 and total ** (r - 1) > DEFAULT_TUPLE_BUDGET:
-            raise ResourceLimitError(
-                f"{total}^{r - 1} listed prefixes exceed the exact budget {DEFAULT_TUPLE_BUDGET}"
-            )
+        # A count of 2 or more to a power of at least the budget's bit
+        # length exceeds it, so a large r is refused without the power.
+        budget = DEFAULT_TUPLE_BUDGET
+        if r >= 3 and (total > 1 and r - 1 >= budget.bit_length() or total ** (r - 1) > budget):
+            raise ResourceLimitError(f"{total}^{r - 1} listed prefixes exceed the exact budget {budget}")
 
         n = g.n
         masks = g.neighbor_masks

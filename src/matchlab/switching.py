@@ -101,16 +101,17 @@ def _edge_bits(g: Graph, pairs) -> int:
 
 
 def _free_steps(g: Graph, ban: int) -> list[list[tuple[int, int]]]:
-    """Row x holds one (y, bit(x, y)) per neighbour y of x, in
-    `g.neighbors(x)` order, whose edge lies outside the int key `ban`."""
+    """Row x holds one (y, bit(x, y)) per neighbour y of x, in increasing
+    y, whose edge lies outside the int key `ban`."""
     n = g.n
     rows = []
-    for x in range(n):
+    for x, mask in enumerate(g.neighbor_masks):
         row = []
-        for y in g.neighbors(x):
-            e = 1 << (x * n + y if x < y else y * n + x)
-            if not ban & e:
-                row.append((y, e))
+        for y in range(n):
+            if mask >> y & 1:
+                e = 1 << (x * n + y if x < y else y * n + x)
+                if not ban & e:
+                    row.append((y, e))
         rows.append(row)
     return rows
 
@@ -257,8 +258,8 @@ def count_alternating_paths(
     forbidden=(),
 ) -> int:
     """Simple (u, v)-paths of even length alternating between free edges
-    (outside `forbidden` and the base matching) and base-matching edges
-    outside `forbidden`, starting with a free edge."""
+    (outside `forbidden` and the base matching, which must lie in E(G))
+    and base-matching edges outside `forbidden`, starting with a free edge."""
     if u == v:
         raise MatchlabError("endpoints must be distinct")
     if length % 2 != 0:
@@ -267,6 +268,9 @@ def count_alternating_paths(
         raise MatchlabError("length must be non-negative")
     for x in (u, v, *vertices_of(base), *vertices_of(edge_set(forbidden))):
         _check_vertex(x, g.n)
+    for a, b in base:
+        if not g.has_edge(a, b):
+            raise MatchlabError(f"base edge ({a}, {b}) not in graph")
     pairs = length // 2
     if pairs == 0:
         return 0

@@ -213,6 +213,28 @@ def test_walks_on_a_one_regular_host_refuses_a_large_ell_by_its_step_budget(caps
         assert (row["ell"], row["min_walks"], row["max_walks"]) == (int(ell), 0, 0)
 
 
+@pytest.mark.parametrize(
+    "n, ell",
+    [("2", "30000000"), ("10", "1000000")],
+    ids=["one-regular", "past-the-float-range"],
+)
+def test_walks_refuses_an_ell_over_the_step_budget_before_its_float_bounds(capsys, n, ell):
+    # the float bounds power (nu*n)^(ell-1) and delta^ell * n^(ell-1)
+    # exactly, which takes seconds at these ells; the step budget is
+    # checked first, so it wins over the float range and answers at once
+    argv = ["walks", "--family", "complete", "-n", n, "--nu", "1/3", "--tau", "1/3", "--ell", ell]
+    start = time.perf_counter()
+    code = main(argv)
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: instance too large: walk counts need {int(n) * int(ell)} propagation steps, "
+        "over the budget of 100000\n"
+    )
+
+
 def test_walks_refuses_a_large_k_by_its_step_budget(capsys, monkeypatch):
     # P^k, the k-step walk rows and the mixing checks all grow with k: a
     # k past the step budget is refused before P is powered, within a second

@@ -278,6 +278,27 @@ def test_packed_count_matches_loop_on_graphs_and_digraphs(n):
 
 
 @pytest.mark.parametrize("n", PACKED_SIZES)
+def test_packed_count_matches_robust_neighbourhood(n):
+    # the two share no code: robust_neighbourhood reads each vertex's own
+    # mask, the packed counter one int per set; need runs from 0, where
+    # every vertex is robust, to n + 1, where none is
+    rng = random.Random(n)
+    for obj in (gnp(n, 0.5, 7 * n), _random_digraph(n, 0.5, 7 * n)):
+        masks = expansion._in_masks(obj)
+        sets = [[], list(range(n))] + [rng.sample(range(n), rng.randint(1, n)) for _ in range(4)]
+        for need in range(n + 2):
+            cols, base, high = expansion._packed(masks, need)
+            for chosen in sets:
+                want = len(robust_neighbourhood(obj, chosen, Fraction(need, n)))
+                if need == 0:
+                    assert want == n
+                elif need > n:
+                    assert want == 0
+                acc = base + sum(cols[u] for u in chosen)
+                assert expansion._robust_count(acc, high) == want, (n, need, chosen)
+
+
+@pytest.mark.parametrize("n", PACKED_SIZES)
 def test_packed_count_matches_loop_on_bipartite_universes(n):
     # sets range over one side and need over 0..side, at the side's scale
     rng = random.Random(n)

@@ -58,6 +58,7 @@ def test_negative_vertex_count_is_refused():
 def test_cycles_below_their_least_length_are_refused():
     with pytest.raises(MatchlabError, match="^cycle needs at least 3 vertices$"):
         cycle_graph(2)
+    assert cycle_graph(3) == complete_graph(3)
 
 
 def test_adjacency_is_symmetric_and_sorted():
@@ -162,9 +163,17 @@ def test_matching_validation():
 
 @pytest.mark.parametrize("pairs", [[], [(0, 1)], [(0, 3), (1, 2), (4, 7)], [(0, 5), (1, 4), (2, 3)]])
 def test_matching_from_sorted_equals_constructor(pairs):
-    fast, slow = Matching._from_sorted(pairs), Matching(pairs)
-    assert fast.pairs == slow.pairs and fast.edge_set == slow.edge_set
+    # the constructor normalises and sorts any spelling of the edges, so
+    # equality, hashing and membership, which read `pairs`, agree
+    fast, slow = Matching._from_sorted(pairs), Matching([(v, u) for u, v in reversed(pairs)])
+    assert fast.pairs == slow.pairs == tuple(pairs)
+    assert fast.edge_set == slow.edge_set == frozenset(pairs)
     assert fast == slow and hash(fast) == hash(slow) and repr(fast) == repr(slow)
+    assert len({fast, slow, Matching(pairs)}) == 1
+    for u, v in pairs:
+        assert (u, v) in fast and (v, u) in fast and (v, u) in slow
+    assert (8, 9) not in fast and (9, 8) not in slow
+    assert fast != Matching([(8, 9)]) and fast != tuple(pairs)
 
 
 def test_edge_set_and_matching_shape():

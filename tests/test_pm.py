@@ -768,7 +768,7 @@ def _assert_child_steps(g):
     for u, steps in enumerate(g._draw_steps):
         assert len(steps) == g.n
         partners = [v for v, step in enumerate(steps) if step is not None]
-        assert partners == [v for v in g.adjacency[u] if v > u]
+        assert partners == [v for v in g.neighbors(u) if v > u]
         assert all(steps[v] == (u * g.n + v, 1 << u | 1 << v) for v in partners)
 
 

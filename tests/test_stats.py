@@ -1,5 +1,6 @@
 import math
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -425,6 +426,16 @@ def test_disjoint_exact_budget_trips_one_past_its_value(monkeypatch):
     monkeypatch.setattr(stats, "DEFAULT_TUPLE_BUDGET", 224)
     with pytest.raises(ResourceLimitError, match=r"^15\^2 listed prefixes exceed the exact budget 224$"):
         disjoint_probability(g, 3)
+
+
+def test_disjoint_exact_budget_refuses_a_huge_r_without_the_power():
+    # 3^(10^8 - 1) has about 48 million digits; the refusal must not
+    # build it, and K2's single matching still passes at any r
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=r"^3\^99999999 listed prefixes exceed the exact budget 10000000$"):
+        disjoint_probability(complete_graph(4), 10**8)
+    assert time.perf_counter() - start < 1.0
+    assert disjoint_probability(complete_graph(2), 10**8)[0] == 0
 
 
 # K5 has no perfect matching and C5 plus a chord is not regular: a check

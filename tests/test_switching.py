@@ -307,6 +307,19 @@ def test_alternating_paths_reject_vertices_out_of_range(base, u, v, forbidden, b
         count_alternating_paths(g, Matching(base), u, v, 2, forbidden)
 
 
+def test_alternating_paths_refuse_a_base_edge_outside_the_host():
+    # a walk from 0 would step 0 -> 1 and then along (1, 3), which the
+    # path 0-1-2-3 lacks, and count one path; build_aux_digraph refuses
+    # the same base
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    base = Matching([(1, 3)])
+    for length in (2, 0):
+        with pytest.raises(MatchlabError, match=r"^base edge \(1, 3\) not in graph$"):
+            count_alternating_paths(g, base, 0, 3, length)
+    with pytest.raises(MatchlabError, match="^base must be a perfect matching of the graph$"):
+        build_aux_digraph(g, [], base)
+
+
 def test_alternating_paths_brute_force_cross_check():
     cases = [
         (complete_graph(6), [(0, 1), (2, 3), (4, 5)], [(0, 2)]),
