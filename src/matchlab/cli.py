@@ -49,7 +49,7 @@ from .graphs import (
     regularity,
     to_bidirected,
 )
-from .rational import as_fraction, fmt12
+from .rational import as_fraction
 
 DEFAULT_SUITE_CAP = 20
 # walk-count propagation steps `walks` may take: ell per source vertex,
@@ -464,7 +464,8 @@ def render_csv(rows: list[dict]) -> str:
         out = {}
         for key in fields:
             val = row.get(key)
-            out[key] = fmt12(val) if isinstance(val, float) else val
+            # a float carries 12 significant digits
+            out[key] = format(val, ".12g") if isinstance(val, float) else val
         writer.writerow(out)
     return buf.getvalue()
 

@@ -34,10 +34,14 @@ def _check_vertex(v: int, n: int) -> None:
 class Graph:
     """Simple undirected graph: no loops, no parallel edges.
 
-    One stored view: `neighbor_masks[v]`, the neighbours of v as a
-    bitmask, which the subset sweeps, the matching DP and search and the
-    sampler's and switching's step tables read bit by bit.  `neighbors(v)`
-    (in increasing order) and `degrees()` are derived from it.
+    Two stored views.  `neighbor_masks[v]`, the neighbours of v as a
+    bitmask, is what the subset sweeps, the matching DP and search and the
+    sampler's and switching's step tables read bit by bit; `neighbors(v)`
+    (in increasing order) and `degrees()` are derived from it.  `edges`,
+    the sorted tuple of (u, v) with u < v, is what equality, hashing and
+    `m` read (`pm._is_dense` reads `m` on every count), and so do
+    `edge_set`, `remove_edge_set`, `to_bidirected` and the per-edge
+    reports and frequencies.
 
     Four memos, each with one owner (see `pm`): `_pm_cache`, the
     matching count per vertex mask, is the lowest-vertex DP's, read by

@@ -1,6 +1,7 @@
 """Exact-rational helpers shared by every module.
 
-All probabilities, ratios, and matrix entries are `fractions.Fraction`.
+All probabilities and ratios are `fractions.Fraction` (a walk matrix
+keeps int rows over one denominator and gives its entries as Fractions).
 Floats entering through an API or the CLI are read via their shortest
 decimal repr, so a user-supplied 0.1 means exactly 1/10 and threshold
 comparisons never drift on binary rounding.
@@ -28,8 +29,3 @@ def as_fraction(x) -> Fraction:
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in {x!r}") from None
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
-def fmt12(x: float) -> str:
-    """Floats in CSV output carry 12 significant digits."""
-    return format(float(x), ".12g")

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Optional, Union
 
 from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from .graphs import Edge, Graph, edge_set, regularity
@@ -133,8 +133,8 @@ def disjoint_probability(
     g: Graph,
     r: int,
     mode: str = "exact",
-    samples: int = 100_000,
-    seed: int = 0,
+    samples: Optional[int] = None,
+    seed: Optional[int] = None,
 ) -> tuple[Prob, float]:
     """Probability that r independent uniform perfect matchings are
     pairwise edge-disjoint, with the reference exp(-(n/2d) * C(r, 2)).
@@ -153,15 +153,18 @@ def disjoint_probability(
     perfect matching or past the cap.  Each draw is the list of its
     edge ids, n/2 distinct ones, so a tuple is pairwise disjoint exactly
     when the union of its lists has r*n/2 elements.
-    `r`, `mode` and, in Monte Carlo mode, `samples` are checked before
-    anything is counted or drawn, on every host and every r.
+    `r`, `mode` and, in Monte Carlo mode, `samples` and `seed` (both
+    required there, ignored in exact mode) are checked before anything is
+    counted or drawn, on every host and every r.
     """
     if r < 1:
         raise MatchlabError("r must be at least 1")
     if mode not in ("exact", "montecarlo"):
         raise MatchlabError(f"unknown mode {mode!r}")
-    if mode == "montecarlo" and samples < 1:
+    if mode == "montecarlo" and (samples is None or samples < 1):
         raise MatchlabError("montecarlo mode needs at least one sample")
+    if mode == "montecarlo" and seed is None:
+        raise MatchlabError("montecarlo mode needs a seed")
     d = regularity(g)
     if d is None:
         raise MatchlabError("graph must be regular")

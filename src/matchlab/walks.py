@@ -2,11 +2,10 @@
 and quantitative mixing checks.
 
 Every matrix entry is an exact rational; floats appear only in the
-logarithm of the mixing threshold (`mixing_params`).  Powers
-are taken in integers: with L the lcm of P's denominators, B = L*P is an
-integer matrix and P^k = B^k / L^k, so the products are plain int
-arithmetic; the rows of B^k sum to L^k, so a power is built once from
-B^k and not checked again.  Walk counts are plain integers: `count_walks`
+logarithm of the mixing threshold (`mixing_params`).  A matrix is stored
+in integers, P = num / den with one positive den, so powers are plain
+int arithmetic: P^k = B^k / den^k with B = num, and no Fraction is built
+until a caller reads `rows`.  Walk counts are plain integers: `count_walks`
 propagates the vector of counts from a source along out-arcs and keeps
 the resulting row on the digraph, one row per (source, length), so every
 target of a source is answered from one propagation.  On a d-regular
@@ -36,51 +35,55 @@ DEFAULT_PATH_BUDGET = 100_000_000
 
 @dataclass(frozen=True)
 class StochasticMatrix:
-    """Square matrix of exact rationals with unit row sums."""
+    """P = num / den: square rows of ints (kept as tuples) over a
+    positive int den, no entry negative and every row summing to den.  num and den are divided by
+    the gcd of den and every entry, so den is the lcm of the entries'
+    reduced denominators and equal matrices compare and hash equal."""
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    num: tuple[tuple[int, ...], ...]
+    den: int
 
     def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
-            if len(row) != n:
+        if self.den < 1:
+            raise MatchlabError("denominator must be positive")
+        for row in self.num:
+            if len(row) != self.n:
                 raise MatchlabError("matrix must be square")
             if any(x < 0 for x in row):
                 raise MatchlabError("negative entry in stochastic matrix")
-            if sum(row) != 1:
+            if sum(row) != self.den:
                 raise MatchlabError("row sum differs from 1")
+        g = math.gcd(self.den, *(x for row in self.num for x in row))
+        object.__setattr__(self, "num", tuple(tuple(x // g for x in row) for row in self.num))
+        object.__setattr__(self, "den", self.den // g)
 
-    @classmethod
-    def _from_rows(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "StochasticMatrix":
-        """A StochasticMatrix from rows known to be stochastic, unchecked."""
-        m = cls.__new__(cls)
-        object.__setattr__(m, "rows", rows)
-        return m
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.num)
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return len(self.num)
 
     def min_entry(self) -> Fraction:
-        return min(min(row) for row in self.rows)
+        return Fraction(min(min(row) for row in self.num), self.den)
 
     def max_entry(self) -> Fraction:
-        return max(max(row) for row in self.rows)
+        return Fraction(max(max(row) for row in self.num), self.den)
 
 
 def transition_matrix(d: Digraph) -> StochasticMatrix:
-    """One uniform step along out-arcs: P(u, v) = 1/outdeg(u)."""
-    rows = []
-    for u in range(d.n):
-        deg = d.out_degree(u)
-        if deg == 0:
-            raise MatchlabError(f"vertex {u} has out-degree 0")
-        p = Fraction(1, deg)
-        row = [Fraction(0)] * d.n
+    """One uniform step along out-arcs: P(u, v) = 1/outdeg(u), written
+    den // outdeg(u) over den, the lcm of the out-degrees."""
+    degs = [d.out_degree(u) for u in range(d.n)]
+    if 0 in degs:
+        raise MatchlabError(f"vertex {degs.index(0)} has out-degree 0")
+    den = math.lcm(*degs)
+    rows = [[0] * d.n for _ in degs]
+    for u, deg in enumerate(degs):
         for v in d.out_neighbors(u):
-            row[v] = p
-        rows.append(tuple(row))
-    return StochasticMatrix._from_rows(tuple(rows))
+            rows[u][v] = den // deg
+    return StochasticMatrix(rows, den)
 
 
 def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
@@ -90,14 +93,13 @@ def _imatmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
 
 
 def _integer_power(p: StochasticMatrix, k: int):
-    """(B^k, L^k) with L the lcm of P's denominators and B = L*P, so that
-    P^k = B^k / L^k; B^k is squared out in integers, B^0 the identity."""
+    """(B^k, den^k) with B = p.num, so that P^k = B^k / den^k; B^k is
+    squared out in integers, B^0 the identity."""
     if k < 0:
         raise MatchlabError("exponent must be non-negative")
     if p.n > DEFAULT_MATRIX_CAP:
         raise ResourceLimitError(f"dimension {p.n} above the exact-power cap {DEFAULT_MATRIX_CAP}")
-    scale = math.lcm(*(x.denominator for row in p.rows for x in row))
-    base = [[x.numerator * (scale // x.denominator) for x in row] for row in p.rows]
+    base = p.num
     result = [[int(i == j) for j in range(p.n)] for i in range(p.n)] if k == 0 else None
     e = k
     while e:
@@ -106,14 +108,12 @@ def _integer_power(p: StochasticMatrix, k: int):
         e >>= 1
         if e:
             base = _imatmul(base, base)
-    return result, scale**k
+    return result, p.den**k
 
 
 def matrix_power(p: StochasticMatrix, k: int) -> StochasticMatrix:
-    """Exact P^k = B^k / L^k, squared out in integers; the rows of B^k sum
-    to L^k and no entry is negative, so the result is built once, unchecked."""
-    power, den = _integer_power(p, k)
-    return StochasticMatrix._from_rows(tuple(tuple(Fraction(x, den) for x in row) for row in power))
+    """Exact P^k = B^k / den^k, squared out in integers."""
+    return StochasticMatrix(*_integer_power(p, k))
 
 
 def count_walks(d: Digraph, u: int, v: int, length: int) -> int:
@@ -228,6 +228,8 @@ def mixing_params(p: StochasticMatrix, sigma: Sequence) -> MixingParams:
     sig = _check_distribution(sigma)
     if len(sig) != p.n:
         raise MatchlabError("distribution length must match the matrix dimension")
+    if p.n == 0:
+        raise MatchlabError("transition matrix is empty")
     lo = p.min_entry()
     if lo == 0:
         raise MatchlabError("transition matrix has a zero entry")
@@ -261,7 +263,7 @@ def mixing_bound_check(p: StochasticMatrix, sigma: Sequence, t: int) -> MixingRe
     - sigma_i, sigma_i - min_j P^t(j, i)), since |x - s| over a set of x
     is largest at its largest or smallest x; the envelope holds when every
     dev_i <= (1 - alpha/2)^t sigma_i, compared exactly.  Only the extremes
-    of B^t = L^t P^t become rationals.  Any t >= 0 is checked, below the
+    of B^t = den^t P^t become rationals.  Any t >= 0 is checked, below the
     threshold too.
     """
     params = mixing_params(p, sigma)
@@ -291,6 +293,8 @@ def sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
     nu = as_fraction(nu)
     delta = as_fraction(delta)
     n = d.n
+    if n == 0:
+        raise MatchlabError("digraph is empty")
     degs = {d.out_degree(v) for v in range(n)} | {d.in_degree(v) for v in range(n)}
     if len(degs) != 1:
         raise MatchlabError("digraph is not regular")

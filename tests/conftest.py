@@ -563,28 +563,30 @@ def reference_disjoint_probability(g: Graph, r: int) -> Fraction:
 
 # -- reference matrix power ----------------------------------------------------
 
-def _matmul(a: StochasticMatrix, b: StochasticMatrix) -> StochasticMatrix:
-    n = a.n
-    bt = list(zip(*b.rows))
-    rows = tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a.rows
-    )
-    return StochasticMatrix(rows)
+Rows = tuple[tuple[Fraction, ...], ...]
 
 
-def reference_matrix_power(
-    p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP
-) -> StochasticMatrix:
-    """Oracle for walks.matrix_power: repeated squaring with a Fraction
-    product, every intermediate matrix rebuilt and revalidated."""
+def stochastic(rows) -> StochasticMatrix:
+    """The StochasticMatrix with these rows of rationals, written over the
+    lcm of their denominators."""
+    den = math.lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return StochasticMatrix(tuple(tuple(int(x * den) for x in row) for row in rows), den)
+
+
+def _matmul(a: Rows, b: Rows) -> Rows:
+    bt = list(zip(*b))
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a)
+
+
+def reference_matrix_power(p: StochasticMatrix, k: int, cap: int = DEFAULT_MATRIX_CAP) -> Rows:
+    """Oracle for walks.matrix_power: the rows of P^k, squared out with a
+    Fraction product on plain tuples of rows."""
     if k < 0:
         raise MatchlabError("exponent must be non-negative")
     if p.n > cap:
         raise ResourceLimitError(f"dimension {p.n} above the exact-power cap {cap}")
-    result = StochasticMatrix(
-        tuple(tuple(Fraction(int(i == j)) for j in range(p.n)) for i in range(p.n))
-    )
-    base = p
+    result = tuple(tuple(Fraction(int(i == j)) for j in range(p.n)) for i in range(p.n))
+    base = p.rows
     e = k
     while e:
         if e & 1:
@@ -632,12 +634,12 @@ def reference_sandwich_check(d: Digraph, k: int, nu, delta) -> bool:
     if delta * n != deg:
         raise MatchlabError(f"degree {deg} does not equal delta*n = {delta * n}")
     p = transition_matrix(d)
-    pk = matrix_power(p, k)
+    pk = matrix_power(p, k).rows
     lower = nu ** (k - 1) * delta ** (-k)
     upper = 1 / delta
     for i in range(n):
         for j in range(n):
-            scaled = n * pk.rows[i][j]
+            scaled = n * pk[i][j]
             if not lower <= scaled <= upper:
                 return False
     return True
@@ -657,7 +659,7 @@ def reference_mixing_bound_check(p: StochasticMatrix, sigma, t: int) -> MixingRe
     ok = True
     for j in range(p.n):
         for i in range(p.n):
-            dev = abs(pt.rows[j][i] - sig[i])
+            dev = abs(pt[j][i] - sig[i])
             if dev > factor * sig[i]:
                 ok = False
     return MixingReport(passes=ok)

@@ -136,8 +136,8 @@ def test_walk_counts_match_count_walks(capsys, extra):
     g, _ = cli.build_graph(cli.build_parser().parse_args(argv))
     # every out-degree is 3, so there are 3^ell * P^ell(u, v) walks
     ell = row["ell"]
-    p_ell = matrix_power(transition_matrix(to_bidirected(g)), ell)
-    counts = [3**ell * p_ell.rows[u][v] for u in range(10) for v in range(10) if u != v]
+    p_ell = matrix_power(transition_matrix(to_bidirected(g)), ell).rows
+    counts = [3**ell * p_ell[u][v] for u in range(10) for v in range(10) if u != v]
     assert all(c.denominator == 1 for c in counts)
     assert (row["min_walks"], row["max_walks"]) == (min(counts), max(counts))
     assert row["walk_bound_ok"] == all(c >= row["walk_lower_bound"] for c in counts)

@@ -32,7 +32,7 @@ ANALYSES_ON_K6 = {
     "avoidance_ratio": lambda g: avoidance_ratio(g, [(0, 1)]),
     "ratio_report": lambda g: ratio_report(g, [(0, 1)], 1, 2),
     "disjoint_exact": lambda g: disjoint_probability(g, 2),
-    "disjoint_montecarlo": lambda g: disjoint_probability(g, 2, mode="montecarlo", samples=10),
+    "disjoint_montecarlo": lambda g: disjoint_probability(g, 2, mode="montecarlo", samples=10, seed=0),
     "empirical_edge_freq": lambda g: empirical_edge_freq(g, 10, seed=0),
 }
 
@@ -54,7 +54,7 @@ def test_raised_counting_cap_reaches_edge_probability(monkeypatch):
 def test_matrix_cap_reaches_mixing_bound_check(monkeypatch):
     # refused below the dimension, computed at it, by both callers alike
     sigma = uniform_distribution(5)
-    p = StochasticMatrix((sigma,) * 5)
+    p = StochasticMatrix(((1,) * 5,) * 5, 5)
     for cap in (3, 4):
         monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", cap)
         for run in (lambda: matrix_power(p, 2), lambda: mixing_bound_check(p, sigma, 2)):

@@ -456,13 +456,22 @@ def test_disjoint_rejects_unknown_mode_before_counting(g, r):
     assert g._pm_cache == {} and g._poly_cache == {}
 
 
-@pytest.mark.parametrize("samples", [0, -3])
+@pytest.mark.parametrize("samples", [0, -3, None])
 @pytest.mark.parametrize("r", [1, 2, 3])
 @pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
 def test_disjoint_montecarlo_rejects_no_samples_before_counting(g, r, samples):
     g = Graph(g.n, g.edges)
     with pytest.raises(MatchlabError, match="at least one sample"):
         disjoint_probability(g, r, mode="montecarlo", samples=samples)
+    assert g._pm_cache == {} and g._poly_cache == {}
+
+
+@pytest.mark.parametrize("r", [1, 2, 3])
+@pytest.mark.parametrize("g", _UNCOUNTED_HOSTS)
+def test_disjoint_montecarlo_rejects_a_missing_seed_before_counting(g, r):
+    g = Graph(g.n, g.edges)
+    with pytest.raises(MatchlabError, match="^montecarlo mode needs a seed$"):
+        disjoint_probability(g, r, mode="montecarlo", samples=10)
     assert g._pm_cache == {} and g._poly_cache == {}
 
 

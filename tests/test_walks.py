@@ -12,6 +12,7 @@ from conftest import (
     reference_matrix_power,
     reference_mixing_bound_check,
     reference_sandwich_check,
+    stochastic,
 )
 from matchlab import walks
 from matchlab.errors import MatchlabError, ResourceLimitError
@@ -45,23 +46,23 @@ F = Fraction
 
 
 def uniform_matrix(n):
-    return StochasticMatrix(tuple(tuple(F(1, n) for _ in range(n)) for _ in range(n)))
+    return StochasticMatrix(((1,) * n,) * n, n)
 
 
 # -- transition matrices -------------------------------------------------------
 
 def test_transition_complete_digraph():
-    p = transition_matrix(complete_digraph(4))
+    rows = transition_matrix(complete_digraph(4)).rows
     for i in range(4):
         for j in range(4):
-            assert p.rows[i][j] == (F(0) if i == j else F(1, 3))
+            assert rows[i][j] == (F(0) if i == j else F(1, 3))
 
 
 def test_transition_directed_cycle_is_permutation():
-    p = transition_matrix(directed_cycle(5))
+    rows = transition_matrix(directed_cycle(5)).rows
     for i in range(5):
-        assert p.rows[i][(i + 1) % 5] == 1
-        assert sum(p.rows[i]) == 1
+        assert rows[i][(i + 1) % 5] == 1
+        assert sum(rows[i]) == 1
 
 
 def test_transition_sink_error():
@@ -71,33 +72,33 @@ def test_transition_sink_error():
 
 def test_stochastic_validation():
     with pytest.raises(MatchlabError, match="^row sum differs from 1$"):
-        StochasticMatrix(((F(1, 2), F(1, 3)), (F(1, 2), F(1, 2))))
+        stochastic(((F(1, 2), F(1, 3)), (F(1, 2), F(1, 2))))
 
 
 def test_stochastic_refuses_a_ragged_row_and_a_negative_entry():
     with pytest.raises(MatchlabError, match="^matrix must be square$"):
-        StochasticMatrix(((F(1),), (F(1, 2), F(1, 2))))
+        stochastic(((F(1),), (F(1, 2), F(1, 2))))
     # the row still sums to 1, so only the sign check can refuse it
     with pytest.raises(MatchlabError, match="^negative entry in stochastic matrix$"):
-        StochasticMatrix(((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))))
+        stochastic(((F(3, 2), F(-1, 2)), (F(1, 2), F(1, 2))))
 
 
 # -- powering --------------------------------------------------------------------
 
 def test_power_zero_is_identity():
     p = transition_matrix(complete_digraph(4))
-    ident = matrix_power(p, 0)
+    ident = matrix_power(p, 0).rows
     for i in range(4):
         for j in range(4):
-            assert ident.rows[i][j] == (1 if i == j else 0)
+            assert ident[i][j] == (1 if i == j else 0)
 
 
 def test_power_two_complete_digraph():
     p = transition_matrix(complete_digraph(4))
-    p2 = matrix_power(p, 2)
+    p2 = matrix_power(p, 2).rows
     for i in range(4):
         for j in range(4):
-            assert p2.rows[i][j] == (F(1, 3) if i == j else F(2, 9))
+            assert p2[i][j] == (F(1, 3) if i == j else F(2, 9))
 
 
 def random_digraphs():
@@ -126,6 +127,9 @@ def test_power_dimension_cap(monkeypatch):
     monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", 4)
     with pytest.raises(ResourceLimitError, match="^dimension 5 above the exact-power cap 4$"):
         matrix_power(uniform_matrix(5), 2)
+    # a dimension equal to the cap is powered
+    monkeypatch.setattr(walks, "DEFAULT_MATRIX_CAP", 5)
+    assert matrix_power(uniform_matrix(5), 2) == uniform_matrix(5)
 
 
 # -- integer power against the Fraction oracle ---------------------------------
@@ -150,22 +154,22 @@ def power_test_matrices():
     return [transition_matrix(d) for d in digraphs] + [
         uniform_matrix(4),
         uniform_matrix(5),
-        StochasticMatrix(((F(1, 4), F(3, 4)), (F(1, 2), F(1, 2)))),
-        StochasticMatrix(()),
+        stochastic(((F(1, 4), F(3, 4)), (F(1, 2), F(1, 2)))),
+        StochasticMatrix((), 1),
     ]
 
 
 def test_power_matches_reference_entry_for_entry():
     for p in power_test_matrices():
         for k in (0, 1, 2, 3, 7, 8):
-            assert matrix_power(p, k).rows == reference_matrix_power(p, k).rows, (p, k)
+            assert matrix_power(p, k).rows == reference_matrix_power(p, k), (p, k)
 
 
 def test_power_mixed_out_degrees():
     p = transition_matrix(mixed_degree_digraph())
-    assert math.lcm(*(x.denominator for row in p.rows for x in row)) == 6
+    assert p.den == 6
     for k in range(10):
-        assert matrix_power(p, k).rows == reference_matrix_power(p, k).rows, k
+        assert matrix_power(p, k).rows == reference_matrix_power(p, k), k
 
 
 def test_power_of_a_power_matches_reference():
@@ -179,9 +183,9 @@ def test_power_of_a_power_matches_reference():
         p = transition_matrix(d)
         for k in (2, 3, 4):
             pk = matrix_power(p, k)
-            assert pk.rows == reference_matrix_power(p, k).rows
+            assert pk.rows == reference_matrix_power(p, k)
             for t in (1, 2, 5, 8):
-                assert matrix_power(pk, t).rows == reference_matrix_power(pk, t).rows, (k, t)
+                assert matrix_power(pk, t).rows == reference_matrix_power(pk, t), (k, t)
 
 
 @pytest.mark.parametrize(
@@ -204,13 +208,35 @@ def test_power_errors_match_reference(monkeypatch, p, k, cap):
 
 
 def test_built_matrices_pass_the_public_constructor():
-    # transition_matrix and matrix_power build their results without the
-    # constructor's checks; each must be a matrix those checks accept
+    # each matrix transition_matrix and matrix_power build, spelled again
+    # from its rational rows, passes the constructor as the same matrix
     for p in power_test_matrices() + [transition_matrix(d) for d in sandwich_hosts()]:
-        assert StochasticMatrix(p.rows) == p
+        assert stochastic(p.rows) == p
         for k in range(10):
             pk = matrix_power(p, k)
-            assert StochasticMatrix(pk.rows) == pk, (p.rows, k)
+            assert stochastic(pk.rows) == pk, (p.rows, k)
+
+
+def test_power_den_is_the_lcm_of_its_entry_denominators():
+    for p in power_test_matrices():
+        for k in range(6):
+            pk = matrix_power(p, k)
+            assert pk.den == math.lcm(*(x.denominator for row in pk.rows for x in row)), (p, k)
+
+
+def test_two_spellings_of_one_matrix_compare_and_hash_equal():
+    # the constructor divides by the gcd of den and every entry
+    for p in power_test_matrices():
+        scaled = StochasticMatrix(tuple(tuple(6 * x for x in row) for row in p.num), 6 * p.den)
+        assert (scaled.num, scaled.den) == (p.num, p.den)
+        assert scaled == p and hash(scaled) == hash(p)
+
+
+@pytest.mark.parametrize("num, den", [((), 0), (((0,),), 0), ((), -1), (((-1,),), -1)])
+def test_stochastic_refuses_a_denominator_below_one(num, den):
+    # a zero row sums to a zero den, so only this check refuses it
+    with pytest.raises(MatchlabError, match="^denominator must be positive$"):
+        StochasticMatrix(num, den)
 
 
 # -- walk counting ----------------------------------------------------------------
@@ -254,10 +280,10 @@ def test_walks_equal_scaled_power_on_regular():
     p = transition_matrix(d)
     deg = 4
     for ell in (1, 2, 3, 5):
-        pl = matrix_power(p, ell)
+        pl = matrix_power(p, ell).rows
         for u in (0, 3):
             for v in range(6):
-                assert count_walks(d, u, v, ell) == deg**ell * pl.rows[u][v]
+                assert count_walks(d, u, v, ell) == deg**ell * pl[u][v]
 
 
 def _walk_hosts(seed):
@@ -486,7 +512,7 @@ def test_mixing_params_uniform():
 
 def test_mixing_params_known_threshold():
     # alpha 1/2 and beta 2 give 2 + 4 ln 2
-    p = StochasticMatrix(((F(1, 4), F(3, 4)), (F(1, 2), F(1, 2))))
+    p = StochasticMatrix(((1, 3), (2, 2)), 4)
     sigma = (F(1, 2), F(1, 2))
     mp = mixing_params(p, sigma)
     assert mp.alpha == F(1, 2) and mp.beta == F(3, 2)
@@ -578,12 +604,22 @@ def test_mixing_errors_match_reference(p, sigma, t, message):
     assert got.type is want.type and str(got.value) == str(want.value)
 
 
+def test_mixing_params_refuses_the_empty_matrix():
+    with pytest.raises(MatchlabError, match="^transition matrix is empty$"):
+        mixing_params(StochasticMatrix((), 1), ())
+
+
+def test_mixing_bound_check_refuses_the_empty_matrix():
+    with pytest.raises(MatchlabError, match="^transition matrix is empty$"):
+        mixing_bound_check(StochasticMatrix((), 1), (), 1)
+
+
 def test_uniform_is_stationary_for_regular():
     for d in (complete_digraph(5), to_bidirected(complete_multipartite(3, 2))):
-        p = transition_matrix(d)
+        rows = transition_matrix(d).rows
         sigma = uniform_distribution(d.n)
         for j in range(d.n):
-            assert sum(sigma[i] * p.rows[i][j] for i in range(d.n)) == sigma[j]
+            assert sum(sigma[i] * rows[i][j] for i in range(d.n)) == sigma[j]
 
 
 # -- sandwich -------------------------------------------------------------------------
@@ -674,6 +710,12 @@ def test_sandwich_errors_match_reference(d, k, delta, message):
     with pytest.raises(want.type, match=message) as got:
         sandwich_check(d, k, F(1, 3), delta)
     assert got.type is want.type and str(got.value) == str(want.value)
+
+
+def test_sandwich_refuses_the_empty_digraph():
+    # no degree at all, so "not regular" would mislead
+    with pytest.raises(MatchlabError, match="^digraph is empty$"):
+        sandwich_check(Digraph(0, []), 2, F(1, 2), F(1, 2))
 
 
 def test_sandwich_reads_the_row_of_every_source():
