@@ -58,7 +58,6 @@ from .switching import (
     build_aux_digraph,
     build_switch_graph,
     count_alternating_paths,
-    eligible_edge_count,
     ratio_report,
 )
 from .walks import (

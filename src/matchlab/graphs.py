@@ -261,17 +261,15 @@ def edge_set(obj) -> frozenset[Edge]:
     return frozenset(_norm_edge(u, v) for u, v in obj)
 
 
-def is_matching_shaped(obj) -> bool:
-    """True when the edge set touches no vertex twice."""
-    if isinstance(obj, Matching):
-        return True
-    seen: set[int] = set()
-    for u, v in edge_set(obj):
-        if u in seen or v in seen:
-            return False
-        seen.add(u)
-        seen.add(v)
-    return True
+def _edges_in(g: Graph, edges, what: str) -> frozenset[Edge]:
+    """edge_set(edges), after refusing its first edge outside g as
+    `{what} (u, v) not in graph`: the one check of every edge set handed
+    in with a host (forced edges, a reference, a base matching)."""
+    es = edge_set(edges)
+    for u, v in es:
+        if not g.has_edge(u, v):
+            raise MatchlabError(f"{what} ({u}, {v}) not in graph")
+    return es
 
 
 def vertices_of(edges: Iterable[Edge]) -> frozenset[int]:

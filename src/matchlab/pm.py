@@ -87,7 +87,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
-from .graphs import Edge, Graph, Matching, edge_set
+from .graphs import Edge, Graph, Matching, _edges_in
 
 # Read at each call, so a value set on the module reaches every caller.
 DEFAULT_DP_LIMIT = 26
@@ -435,11 +435,8 @@ def count_pm_containing(g: Graph, forced) -> int:
     the DP memo.  `forced` must be a matching inside
     E(G).
     """
-    edges = edge_set(forced)
     seen: set[int] = set()
-    for u, v in edges:
-        if not g.has_edge(u, v):
-            raise MatchlabError(f"edge ({u}, {v}) not in graph")
+    for u, v in _edges_in(g, forced, "edge"):
         if u in seen or v in seen:
             raise MatchlabError(f"forced edges reuse vertex {u if u in seen else v}")
         seen.add(u)
@@ -650,10 +647,7 @@ def stratify(g: Graph, reference) -> StrataCounts:
     the reference edges used.
     """
     _check_cap(g)
-    ref = edge_set(reference)
-    for u, v in ref:
-        if not g.has_edge(u, v):
-            raise MatchlabError(f"reference edge ({u}, {v}) not in graph")
+    ref = _edges_in(g, reference, "reference edge")
     kmax = min(g.n // 2, len(ref))
     masks = g.neighbor_masks
     full = (1 << g.n) - 1

@@ -25,6 +25,12 @@ steps to its caller:
 - `count_alternating_paths` counts the paths ending at v.
 - `build_aux_digraph` has one arc x -> z per table entry inside its
   vertex set.
+
+A reference, a base matching and forbidden edges may each be a
+`Matching`, a `Graph` or raw pairs.  The reference and the base enter
+through `graphs._edges_in`, which refuses their first edge outside the
+host by name, so `_edge_bits` keys them without looking at g; a
+forbidden pair that is no edge of g keeps a bit that no step tests.
 """
 
 from __future__ import annotations
@@ -35,31 +41,15 @@ from fractions import Fraction
 from .errors import MatchlabError
 from .graphs import (
     Digraph,
-    Edge,
     Graph,
     Matching,
     _check_vertex,
+    _edges_in,
     edge_set,
-    is_matching_shaped,
     regularity,
     vertices_of,
 )
 from .pm import _decode, _key_pairs, _pm_keys
-
-
-def eligible_edge_count(reference, k: int) -> int:
-    """Number of reference edges a switch at level k can remove.
-
-    For a matching reference each of the k-1 already-used edges blocks
-    one candidate, leaving e(N) - (k - 1); for a general (regular)
-    reference the count stays e(N).
-    """
-    if k < 1:
-        raise MatchlabError("k must be positive")
-    m = len(edge_set(reference))
-    if is_matching_shaped(reference):
-        return m - (k - 1)
-    return m
 
 
 @dataclass(frozen=True)
@@ -95,9 +85,10 @@ class SwitchGraph:
         return degs
 
 
-def _edge_bits(g: Graph, pairs) -> int:
-    """Int key of the edges of g among `pairs`: bit u*n + v per edge, u < v."""
-    return sum(1 << (u * g.n + v) for u, v in edge_set(pairs) if g.has_edge(u, v))
+def _edge_bits(n: int, edges) -> int:
+    """Int key of normalised `edges` (u < v) on n vertices: bit u*n + v
+    per edge."""
+    return sum(1 << (u * n + v) for u, v in edges)
 
 
 def _free_steps(g: Graph, ban: int) -> list[list[tuple[int, int]]]:
@@ -157,13 +148,13 @@ def _walk(table, x: int, seen: int, pairs: int, flip: int, last) -> None:
             _walk(table, z, seen | bits, pairs - 1, flip ^ f, last)
 
 
-def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
+def _switches(g: Graph, reference, k: int, ell: int):
     """The exchange graph in one pass.  Yields the strata (left, right), the
-    keys of the matchings with k and k-1 edges of `ref`, in enumeration
-    order, split by the bits each key shares with ref's key; then the list
-    of neighbours (indices into `right`) of each left matching M: for
-    (a, b) in M & ref, in increasing order, each alternating path of
-    2*ell - 2 edges from b avoiding `ref` and closing at a by an edge
+    keys of the matchings with k and k-1 edges of ref, the reference's edge
+    set, in enumeration order, split by the bits each key shares with ref's
+    key; then the list of neighbours (indices into `right`) of each left
+    matching M: for (a, b) in M & ref, in increasing order, each alternating
+    path of 2*ell - 2 edges from b avoiding `ref` and closing at a by an edge
     (z, a) outside `ref` gives the neighbour keyed
     key(M) ^ bit(a, b) ^ bit(z, a) ^ flip.  Each left matching gets one
     step table, built from its key.  The final step of each path looks its
@@ -174,12 +165,10 @@ def _switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     alike."""
     if k < 1:
         raise MatchlabError("k must be positive")
-    for u, v in ref:
-        if not g.has_edge(u, v):
-            raise MatchlabError(f"reference edge ({u}, {v}) not in graph")
+    ref = _edges_in(g, reference, "reference edge")
     if ell < 2 or 2 * ell > g.n:
         raise MatchlabError("need 2 <= ell and 2*ell <= n")
-    ban = _edge_bits(g, ref)
+    ban = _edge_bits(g.n, ref)
     left, right = [], []
     for key in _pm_keys(g):
         shared = (key & ban).bit_count()
@@ -214,7 +203,7 @@ def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
     """Materialize the exchange graph of `_switches`: its strata decoded
     to matchings, and one (i, j) per left matching i and right neighbour
     j, each left's in increasing j."""
-    walk = _switches(g, edge_set(reference), k, ell)
+    walk = _switches(g, reference, k, ell)
     left, right = next(walk)
     edges = [(i, j) for i, found in enumerate(walk) for j in sorted(found)]
     left = tuple(_decode(key, g.n) for key in left)
@@ -222,14 +211,14 @@ def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
     return SwitchGraph(left, right, tuple(edges), ell)
 
 
-def aux_vertex_set(reference, base: Matching, n: int) -> frozenset[int]:
+def aux_vertex_set(reference, base, n: int) -> frozenset[int]:
     """Vertex set of the companion digraph: everything outside the edges
     shared by the reference and the base matching."""
-    excluded = vertices_of(edge_set(reference) & base.edge_set)
+    excluded = vertices_of(edge_set(reference) & edge_set(base))
     return frozenset(range(n)) - excluded
 
 
-def build_aux_digraph(g: Graph, reference, base: Matching) -> Digraph:
+def build_aux_digraph(g: Graph, reference, base) -> Digraph:
     """Companion digraph for alternating-path counting.
 
     One arc x -> z per entry of row x of the step table with the
@@ -239,19 +228,22 @@ def build_aux_digraph(g: Graph, reference, base: Matching) -> Digraph:
     vertices outside its vertex set are simply isolated.  A caller that
     wants one class of a bipartite host restricts the vertex set itself.
     """
-    cover = vertices_of(base.edge_set)
-    if cover != frozenset(range(g.n)) or any(not g.has_edge(u, v) for u, v in base):
+    pairs = edge_set(base)
+    cover = vertices_of(pairs)
+    inside = all(g.has_edge(u, v) for u, v in pairs)
+    if 2 * len(pairs) != g.n or cover != frozenset(range(g.n)) or not inside:
         raise MatchlabError("base must be a perfect matching of the graph")
-    ban = _edge_bits(g, reference)
-    table = _step_table(_free_steps(g, ban), _edge_bits(g, base), ban)
-    verts = aux_vertex_set(reference, base, g.n)
+    ref = _edges_in(g, reference, "reference edge")
+    ban = _edge_bits(g.n, ref)
+    table = _step_table(_free_steps(g, ban), _edge_bits(g.n, pairs), ban)
+    verts = aux_vertex_set(ref, pairs, g.n)
     arcs = [(x, z) for x in verts for z, _, _ in table[x] if z in verts]
     return Digraph(g.n, arcs)
 
 
 def count_alternating_paths(
     g: Graph,
-    base: Matching,
+    base,
     u: int,
     v: int,
     length: int,
@@ -266,16 +258,14 @@ def count_alternating_paths(
         raise MatchlabError("length must be even")
     if length < 0:
         raise MatchlabError("length must be non-negative")
-    for x in (u, v, *vertices_of(base), *vertices_of(edge_set(forbidden))):
+    base_edges, banned = edge_set(base), edge_set(forbidden)
+    for x in (u, v, *vertices_of(base_edges), *vertices_of(banned)):
         _check_vertex(x, g.n)
-    for a, b in base:
-        if not g.has_edge(a, b):
-            raise MatchlabError(f"base edge ({a}, {b}) not in graph")
+    key = _edge_bits(g.n, _edges_in(g, base_edges, "base edge"))
     pairs = length // 2
     if pairs == 0:
         return 0
-    ban = _edge_bits(g, forbidden)
-    key = sum(1 << (u * g.n + v) for u, v in base)
+    ban = _edge_bits(g.n, banned)
     table = _step_table(_free_steps(g, ban), key, ban)
     total = 0
 
@@ -294,7 +284,10 @@ class RatioReport:
     """Exact stratum ratio next to the switching prediction.
 
     `exact_ratio` is |stratum k| / |stratum k-1| from the exact strata;
-    `predicted` is eligible_edge_count / (k * d) for a d-regular host.
+    `predicted` is e / (k * d) for a d-regular host, where e counts the
+    reference edges a switch at level k can remove: e(N) - (k - 1) when
+    the reference N is a matching (each of the k - 1 edges already used
+    blocks one), else e(N).
     Degree statistics of the exchange graph and the double-count check
     come along for inspection; agreement of exact and predicted is an
     asymptotic statement and both numbers are simply reported.
@@ -325,7 +318,7 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     d = regularity(g)
     if d is None:
         raise MatchlabError("host graph must be regular")
-    walk = _switches(g, edge_set(reference), k, ell)
+    walk = _switches(g, reference, k, ell)
     size_k, size_km1 = map(len, next(walk))
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k
@@ -335,13 +328,15 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
         ldeg.append(len(found))
         for j in found:
             rdeg[j] += 1
+    ref = edge_set(reference)
+    eligible = len(ref) - (k - 1) if len(vertices_of(ref)) == 2 * len(ref) else len(ref)
     return RatioReport(
         k=k,
         ell=ell,
         size_k=size_k,
         size_km1=size_km1,
         exact_ratio=Fraction(size_k, size_km1),
-        predicted=Fraction(eligible_edge_count(reference, k), k * d),
+        predicted=Fraction(eligible, k * d),
         left_stats=_degree_stats(ldeg),
         right_stats=_degree_stats(rdeg),
         edge_count=sum(ldeg),

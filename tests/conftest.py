@@ -49,9 +49,7 @@ from matchlab.switching import (
     RatioReport,
     SwitchGraph,
     _degree_stats,
-    _edge_bits,
     aux_vertex_set,
-    eligible_edge_count,
 )
 from matchlab.rational import as_fraction
 from matchlab.walks import (
@@ -114,6 +112,12 @@ def write_edge_list(path, g: Graph, part: Optional[Bipartition] = None) -> None:
         lines.append("A: " + " ".join(map(str, sorted(part.side_a))))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def edge_key(n: int, edges) -> int:
+    """Int key of an edge set on n vertices, bit u*n + v per edge (u, v)
+    in either order, built here so that no oracle reads the package's."""
+    return sum(1 << (min(u, v) * n + max(u, v)) for u, v in edges)
 
 
 def partner_of(m: Matching) -> dict[int, int]:
@@ -843,6 +847,9 @@ def reference_ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport
         empty = k - 1 if size_km1 == 0 else k
         raise MatchlabError(f"stratum {empty} is empty")
     h = reference_build_switch_graph(g, reference, k, ell)
+    # a matching reference loses one eligible edge per edge already used
+    touched = [v for e in ref for v in e]
+    eligible = len(ref) - (k - 1) if len(set(touched)) == len(touched) else len(ref)
     ldeg = h.left_degrees()
     rdeg = h.right_degrees()
     double_ok = sum(ldeg) == h.edge_count == sum(rdeg)
@@ -852,7 +859,7 @@ def reference_ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport
         size_k=size_k,
         size_km1=size_km1,
         exact_ratio=Fraction(size_k, size_km1),
-        predicted=Fraction(eligible_edge_count(reference, k), k * d),
+        predicted=Fraction(eligible, k * d),
         left_stats=_degree_stats(ldeg),
         right_stats=_degree_stats(rdeg),
         edge_count=h.edge_count,
@@ -934,11 +941,11 @@ def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
     yield left, right
     n = g.n
     masks = g.neighbor_masks
-    ban = _edge_bits(g, ref)
-    right_index = {_edge_bits(g, m): j for j, m in enumerate(right)}
+    ban = edge_key(n, ref)
+    right_index = {edge_key(n, m): j for j, m in enumerate(right)}
     for m in left:
         found = []
-        key = _edge_bits(g, m)
+        key = edge_key(n, m)
         for a, b in sorted(m.edge_set & ref):
             opened = key ^ 1 << (a * n + b)
             for z, flip in reference_alternating_paths(g, m, b, 2 * ell - 2, ban):

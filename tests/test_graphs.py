@@ -16,7 +16,6 @@ from matchlab.graphs import (
     complete_multipartite,
     cycle_graph,
     edge_set,
-    is_matching_shaped,
     parse_edge_list,
     random_regular,
     read_edge_list,
@@ -176,13 +175,22 @@ def test_matching_from_sorted_equals_constructor(pairs):
     assert fast != Matching([(8, 9)]) and fast != tuple(pairs)
 
 
-def test_edge_set_and_matching_shape():
+def test_edge_set_reads_every_form():
+    # a Matching, a Graph and raw pairs in either order give one edge set
+    pairs = frozenset({(0, 1), (2, 3)})
     assert edge_set([(1, 0)]) == frozenset({(0, 1)})
-    assert is_matching_shaped(Matching([(0, 1)]))
-    assert is_matching_shaped([(0, 1), (2, 3)])
-    assert not is_matching_shaped([(0, 1), (1, 2)])
-    assert is_matching_shaped(Graph(4, [(0, 1), (2, 3)]))
-    assert not is_matching_shaped(cycle_graph(4))
+    assert edge_set([(1, 0), (2, 3), (0, 1)]) == pairs
+    assert edge_set(Matching([(3, 2), (0, 1)])) == edge_set(Graph(4, [(0, 1), (2, 3)])) == pairs
+    assert edge_set(cycle_graph(4)) == frozenset({(0, 1), (1, 2), (2, 3), (0, 3)})
+
+
+def test_edges_in_refuses_the_edge_outside_the_host_by_name():
+    g = cycle_graph(4)
+    assert graphs._edges_in(g, [(1, 0), (3, 2)], "edge") == frozenset({(0, 1), (2, 3)})
+    assert graphs._edges_in(g, Matching([]), "edge") == frozenset()
+    for edges, what, bad in (([(0, 1), (2, 0)], "base edge", (0, 2)), ([(4, 1)], "reference edge", (1, 4))):
+        with pytest.raises(MatchlabError, match=re.escape(f"{what} {bad} not in graph")):
+            graphs._edges_in(g, edges, what)
 
 
 def test_bipartition_validation():

@@ -685,6 +685,12 @@ def test_count_containing_errors():
         count_pm_containing(complete_graph(6), [(0, 1), (1, 2)])
 
 
+@pytest.mark.parametrize("forced, bad", [([(0, 1), (1, 2), (3, 5)], (3, 5)), ([(0, 1), (1, 2), (3, 0)], (0, 3))])
+def test_count_containing_names_an_outside_edge_before_a_reused_vertex(forced, bad):
+    with pytest.raises(MatchlabError, match=rf"^edge \({bad[0]}, {bad[1]}\) not in graph$"):
+        count_pm_containing(cycle_graph(6), forced)
+
+
 def test_every_pm_uses_vertex_once():
     # summing forced-edge counts over the edges at one vertex recovers the
     # full count

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     assert_switch_graph_sound,
+    edge_key,
     gnp,
     reference_alternating_paths,
     reference_build_aux_digraph,
@@ -33,29 +34,39 @@ from matchlab.switching import (
     build_aux_digraph,
     build_switch_graph,
     count_alternating_paths,
-    eligible_edge_count,
     ratio_report,
 )
 from matchlab.walks import count_paths
 
 
 # -- eligible edge count --------------------------------------------------------
+# ratio_report predicts e / (k * d): e = e(N) - (k - 1) for a reference N
+# that repeats no vertex, else e(N)
 
 def test_eligible_edge_count_matching():
+    g = complete_graph(10)
     m = Matching([(0, 1), (2, 3), (4, 5), (6, 7), (8, 9)])
-    assert eligible_edge_count(m, 1) == 5
-    assert eligible_edge_count(m, 3) == 3
+    assert ratio_report(g, m, 1, 2).predicted == Fraction(5, 1 * 9)
+    assert ratio_report(g, m, 3, 2).predicted == Fraction(3, 3 * 9)
 
 
 def test_eligible_edge_count_regular_reference():
     ring = cycle_graph(10)  # spanning 2-regular
     for k in (1, 2, 5):
-        assert eligible_edge_count(ring, k) == 10
+        assert ratio_report(complete_graph(10), ring, k, 2).predicted == Fraction(10, k * 9)
+
+
+def test_eligible_edge_count_reads_raw_pairs_and_graphs():
+    g = complete_graph(6)
+    for ref in ([(1, 0), (2, 3)], Graph(6, [(0, 1), (2, 3)])):
+        assert ratio_report(g, ref, 2, 2).predicted == Fraction(2 - 1, 2 * 5)
+    for ref in ([(0, 1), (2, 1), (2, 3)], Graph(6, [(0, 1), (1, 2), (2, 3)])):
+        assert ratio_report(g, ref, 2, 2).predicted == Fraction(3, 2 * 5)
 
 
 def test_eligible_edge_count_rejects_bad_k():
     with pytest.raises(MatchlabError, match="^k must be positive$"):
-        eligible_edge_count(Matching([(0, 1)]), 0)
+        ratio_report(complete_graph(4), Matching([(0, 1)]), 0, 2)
 
 
 # -- exchange graph ---------------------------------------------------------------
@@ -224,12 +235,35 @@ def test_aux_digraph_requires_perfect_matching():
         build_aux_digraph(g, [], Matching([(0, 1)]))
 
 
+@pytest.mark.parametrize("ref, bad", [([(5, 9)], (5, 9)), ([(9, 0)], (0, 9)), ([(0, 1), (0, 9)], (0, 9))])
+def test_aux_digraph_refuses_a_reference_edge_outside_the_host(ref, bad):
+    base = Matching([(0, 1), (2, 3)])
+    with pytest.raises(MatchlabError, match=re.escape(f"reference edge {bad} not in graph")):
+        build_aux_digraph(complete_graph(4), ref, base)
+
+
+def test_aux_digraph_and_vertex_set_take_a_base_of_raw_pairs():
+    g = complete_graph(6)
+    base = Matching([(0, 1), (2, 3), (4, 5)])
+    raw = [(1, 0), (2, 3), (5, 4)]
+    for ref in ([], [(0, 1)], [(0, 2), (2, 3)]):
+        assert build_aux_digraph(g, ref, raw) == build_aux_digraph(g, ref, base)
+        assert aux_vertex_set(ref, raw, 6) == aux_vertex_set(ref, base, 6)
+    # raw pairs that cover every vertex but reuse one are no matching
+    with pytest.raises(MatchlabError, match="^base must be a perfect matching of the graph$"):
+        build_aux_digraph(complete_graph(4), [], [(0, 1), (1, 2), (2, 3)])
+
+
 @pytest.mark.parametrize("g", _differential_hosts())
 def test_aux_digraph_matches_oracle(g):
     rng = random.Random(g.n * 1000 + g.m + 1)
     pms = list(enumerate_pm(g))
     for base in (pms[0], pms[-1]):
         for ref in _differential_references(g, rng):
+            if _outside(g, ref):
+                with pytest.raises(MatchlabError, match=OUTSIDE):
+                    build_aux_digraph(g, ref, base)
+                continue
             got = build_aux_digraph(g, ref, base)
             want = reference_build_aux_digraph(g, ref, base)
             assert got.arcs == want.arcs, (g, base, ref)
@@ -362,8 +396,8 @@ def test_alternating_paths_brute_force_cross_check():
 
 def _walker_bans(g, base, other):
     """No ban, one free edge, one base edge, a whole perfect matching, and
-    a set holding non-edges of g (which the int key drops) next to a base
-    edge."""
+    a set holding non-edges of g (whose key bits no step tests) next to a
+    base edge."""
     free = [e for e in g.edges if e not in base.edge_set][:1]
     non_edges = [(u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)]
     return [
@@ -395,11 +429,10 @@ def test_alternating_walker_matches_reference():
             # two and half of the vertices without a partner
             for base in (pm_base, Matching(pm_base.pairs[1:]), Matching(pm_base.pairs[::2])):
                 for ban in _walker_bans(g, base, other):
-                    key = switching._edge_bits(g, ban)
                     # count_alternating_paths refuses the pair outside
-                    # 0..n-1, which the int key drops anyway
+                    # 0..n-1
                     forbidden = [e for e in ban if e != out_of_range]
-                    assert switching._edge_bits(g, forbidden) == key
+                    key = edge_key(g.n, forbidden)
                     for u in range(g.n):
                         for length in range(0, g.n + 1, 2):
                             ends = Counter(end for end, _ in reference_alternating_paths(g, base, u, length, key))

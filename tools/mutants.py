@@ -7,7 +7,11 @@ them with `random.Random(seed)`, and runs each mutant in a fresh copy of
 the repository: first against the module's own test file
 (tests/test_<module>.py, when there is one), then, if it survives,
 against the whole suite.  A mutant is killed when pytest fails or runs
-past TIMEOUT_S.  The operators:
+past its timeout: TIMEOUT_FACTOR times the same pytest target's run on
+the unparsed module, and at least TIMEOUT_FLOOR_S.  The own-file run is
+timed first; the whole-suite run only when a mutant first survives its
+own file.  A timeout is printed as a result of its own, so a mutant that
+is merely slow stays visible.  The operators:
 
 - comparison flips: < <-> <=, > <-> >=, == <-> !=;
 - arithmetic and bitwise swaps: + <-> -, & <-> |, ^ -> |, << <-> >>,
@@ -31,6 +35,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 COMPARE = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt, ast.Eq: ast.NotEq, ast.NotEq: ast.Eq}
@@ -46,7 +51,11 @@ SYMBOL = {
 # Copied into each mutant's repository: what the suite imports or reads.
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 MEMORY_CAP = 2 << 30  # address space of one pytest run, in bytes
-TIMEOUT_S = 300  # one pytest run; a mutant can loop forever
+# A mutant can loop forever: its pytest run may take TIMEOUT_FACTOR times
+# the unparsed module's run of the same target, and at least
+# TIMEOUT_FLOOR_S, so that a short file's start-up jitter kills nothing.
+TIMEOUT_FACTOR = 3
+TIMEOUT_FLOOR_S = 20.0
 
 
 class Mutator(ast.NodeTransformer):
@@ -99,17 +108,31 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_CAP, MEMORY_CAP))
 
 
-def run_tests(root: Path, tests: str) -> str:
+def run_tests(root: Path, tests: str, timeout: float | None) -> str:
     """'pass', 'fail' or 'timeout' for pytest on `tests` under `root`."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", tests]
     try:
         done = subprocess.run(
             cmd, cwd=root, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-            timeout=TIMEOUT_S, preexec_fn=_limit_memory,
+            timeout=timeout, preexec_fn=_limit_memory,
         )
     except subprocess.TimeoutExpired:
         return "timeout"
     return "pass" if done.returncode == 0 else "fail"
+
+
+def measured_timeout(root: Path, module: Path, source: str, tests: str) -> float:
+    """Write the unparsed module, no site changed, and time its run of
+    `tests`, which must pass; a mutant's run of `tests` may take
+    TIMEOUT_FACTOR times as long, and at least TIMEOUT_FLOOR_S."""
+    (root / module).write_text(mutant_source(source, None))
+    start = time.perf_counter()
+    if run_tests(root, tests, None) != "pass":
+        sys.exit(f"{tests} does not pass on the unparsed module; no kill rate")
+    took = time.perf_counter() - start
+    timeout = max(TIMEOUT_FLOOR_S, TIMEOUT_FACTOR * took)
+    print(f"{tests} passes on the unparsed module in {took:.1f} s: a mutant's run times out at {timeout:.0f} s", flush=True)
+    return timeout
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -133,7 +156,6 @@ def main(argv: list[str] | None = None) -> int:
         own = "tests"
     lines = source.splitlines()
     print(f"mutants of {module} at {root}: seed {args.seed}, {len(drawn)} of {len(sites)} sites")
-    print(f"{'site':>5} {'line:col':>9}  {'mutation':<10} {'result':<28} source")
 
     killed = 0
     survivors = []
@@ -146,18 +168,21 @@ def main(argv: list[str] | None = None) -> int:
                 shutil.copytree(path, copy / name, ignore=shutil.ignore_patterns("__pycache__", "out"))
             elif path.exists():
                 shutil.copy2(path, copy / name)
-        # the unparsed module, no site changed, must pass
-        (copy / module).write_text(mutant_source(source, None))
-        if run_tests(copy, own) != "pass":
-            print(f"{own} does not pass on the unparsed module; no kill rate", file=sys.stderr)
-            return 1
+        timeouts = {own: measured_timeout(copy, module, source, own)}
+        print(f"{'site':>5} {'line:col':>9}  {'mutation':<10} {'result':<28} source")
+
+        def run_mutant(site: int, tests: str) -> str:
+            if tests not in timeouts:
+                timeouts[tests] = measured_timeout(copy, module, source, tests)
+            (copy / module).write_text(mutant_source(source, site))
+            return run_tests(copy, tests, timeouts[tests])
+
         for site in drawn:
             line, col, label = sites[site]
-            (copy / module).write_text(mutant_source(source, site))
-            result = run_tests(copy, own)
+            result = run_mutant(site, own)
             where = own
             if result == "pass" and own != "tests":
-                result = run_tests(copy, "tests")
+                result = run_mutant(site, "tests")
                 where = "tests"
             if result == "pass":
                 status = "SURVIVED"
