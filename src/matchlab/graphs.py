@@ -43,7 +43,7 @@ class Graph:
     `edge_set`, `remove_edge_set`, `to_bidirected` and the per-edge
     reports and frequencies.
 
-    Four memos, each with one owner (see `pm`): `_pm_cache`, the
+    Four memos of `pm`, each with one owner: `_pm_cache`, the
     matching count per vertex mask, is the lowest-vertex DP's, read by
     the sampler and by counts on hosts that are not dense; `_draw_rows`,
     one record per mask (count, its bit length, cumulative row, steps),
@@ -58,12 +58,17 @@ class Graph:
     complement H as `(masks, pos)`, None until a dense count or stratify
     first needs it: pos[v] is v's place in H's min-frontier order and
     masks[pos[v]] v's neighbour mask in H, relabelled by pos, so
-    `_poly_cache` is keyed in that order.
+    `_poly_cache` is keyed in that order.  One memo is switching's:
+    `_key_orbits` maps a reference's int key to the automorphism
+    generators that keep it and a dict of ints, each listed matching's
+    key -> the first key of its orbit, filled one stratum at a time by
+    `switching.ratio_report`.
     """
 
     __slots__ = (
         "n", "edges", "neighbor_masks",
         "_pm_cache", "_draw_rows", "_draw_steps", "_poly_cache", "_co_masks", "_pm_keys",
+        "_key_orbits",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge]):
@@ -87,6 +92,7 @@ class Graph:
         self._poly_cache: dict[int, int] = {}
         self._co_masks: Optional[tuple[list[int], list[int]]] = None
         self._pm_keys: Optional[list[int]] = None
+        self._key_orbits: dict[int, tuple[list[list[int]], dict[int, int]]] = {}
 
     @property
     def m(self) -> int:

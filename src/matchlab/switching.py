@@ -15,13 +15,19 @@ matchings as, and the visited vertices an int mask.  One plain
 recursion, `_walk`, follows the rows and hands each path's last pair of
 steps to its caller:
 
-- `_switches` reads the host's key list (`pm._pm_keys`, made once per
-  graph, so an ell sweep on one graph lists its matchings once), splits
-  the two strata by the reference bits each key holds, and reads each
-  left matching's neighbours off the cycles through its reference
-  edges, testing each closing edge as it takes the last step.
-  `build_switch_graph` decodes and materialises them and `ratio_report`
-  only tallies degrees.
+- `_neighbours` reads one left matching's neighbours off the cycles
+  through its reference edges, testing each closing edge as it takes
+  the last step.  The strata come from `_strata`, which splits the
+  host's key list (`pm._pm_keys`, made once per graph, so an ell sweep
+  on one graph lists its matchings once) by the reference bits each key
+  holds.  `_switches` walks every left matching, and
+  `build_switch_graph` decodes and materialises what it finds.
+  `ratio_report` walks one left matching per orbit of the automorphisms
+  of the host that keep the reference (`symmetry`), weighted by the
+  orbit's size, and reads each right orbit's degree off the weighted
+  neighbours that land in it.  The generators and every key's orbit are
+  kept per graph and reference (`Graph._key_orbits`), so an ell sweep
+  finds them once; with no generator, every matching is its own orbit.
 - `count_alternating_paths` counts the paths ending at v.
 - `build_aux_digraph` has one arc x -> z per table entry inside its
   vertex set.
@@ -37,7 +43,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
+from . import symmetry
 from .errors import MatchlabError
 from .graphs import (
     Digraph,
@@ -148,21 +156,13 @@ def _walk(table, x: int, seen: int, pairs: int, flip: int, last) -> None:
             _walk(table, z, seen | bits, pairs - 1, flip ^ f, last)
 
 
-def _switches(g: Graph, reference, k: int, ell: int):
-    """The exchange graph in one pass.  Yields the strata (left, right), the
-    keys of the matchings with k and k-1 edges of ref, the reference's edge
-    set, in enumeration order, split by the bits each key shares with ref's
-    key; then the list of neighbours (indices into `right`) of each left
-    matching M: for (a, b) in M & ref, in increasing order, each alternating
-    path of 2*ell - 2 edges from b avoiding `ref` and closing at a by an edge
-    (z, a) outside `ref` gives the neighbour keyed
-    key(M) ^ bit(a, b) ^ bit(z, a) ^ flip.  Each left matching gets one
-    step table, built from its key.  The final step of each path looks its
-    end z up in a's free row as a dict, z -> bit(z, a), and appends the
-    neighbour there.  The keys come from g's list (`pm._pm_keys`), made
-    once per graph after the enumeration cap check.  A reference edge
-    outside E(G) is refused, for `build_switch_graph` and `ratio_report`
-    alike."""
+def _strata(g: Graph, reference, k: int, ell: int):
+    """The reference's edge set and int key, and the keys of the matchings
+    with k and k-1 of its edges, in enumeration order, split by the bits
+    each key shares with the reference's key.  The keys come from g's list
+    (`pm._pm_keys`), made once per graph after the enumeration cap check.
+    A reference edge outside E(G) is refused, for `build_switch_graph` and
+    `ratio_report` alike."""
     if k < 1:
         raise MatchlabError("k must be positive")
     ref = _edges_in(g, reference, "reference edge")
@@ -176,27 +176,47 @@ def _switches(g: Graph, reference, k: int, ell: int):
             left.append(key)
         elif shared == k - 1:
             right.append(key)
+    return ref, ban, left, right
+
+
+def _neighbours(free: list, closers: list, key: int, ban: int, ell: int, index: dict) -> list:
+    """index[N] for each neighbour N of the left matching keyed `key` in
+    the exchange graph: for (a, b) in M & ref, in increasing order, each
+    alternating path of 2*ell - 2 edges from b avoiding `ref` (int key
+    `ban`) and closing at a by an edge (z, a) outside `ref` gives the
+    neighbour keyed key ^ bit(a, b) ^ bit(z, a) ^ flip.  The walk follows
+    one step table, built from the key; the final step of each path looks
+    its end z up in a's free row as a dict, closers[a], z -> bit(z, a),
+    and appends the neighbour there."""
+    n = len(free)
+    found = []
+    table = _step_table(free, key, ban)
+    for a, b in _key_pairs(key & ban, n):
+        closing = closers[a]
+        opened = key ^ 1 << (a * n + b)
+
+        def last(x: int, seen: int, flip: int) -> None:
+            for z, bits, f in table[x]:
+                if not seen & bits:
+                    c = closing.get(z)
+                    if c is not None:
+                        found.append(index[opened ^ c ^ flip ^ f])
+
+        _walk(table, b, 1 << b, ell - 2, 0, last)
+    return found
+
+
+def _switches(g: Graph, reference, k: int, ell: int):
+    """The exchange graph in one pass.  Yields the strata (left, right) of
+    `_strata`; then the list of neighbours (indices into `right`) of each
+    left matching, in the order of `_neighbours`."""
+    _, ban, left, right = _strata(g, reference, k, ell)
     yield left, right
-    n = g.n
     right_index = {key: j for j, key in enumerate(right)}
     free = _free_steps(g, ban)
     closers = [dict(row) for row in free]
     for key in left:
-        found = []
-        table = _step_table(free, key, ban)
-        for a, b in _key_pairs(key & ban, n):
-            closing = closers[a]
-            opened = key ^ 1 << (a * n + b)
-
-            def last(x: int, seen: int, flip: int) -> None:
-                for z, bits, f in table[x]:
-                    if not seen & bits:
-                        c = closing.get(z)
-                        if c is not None:
-                            found.append(right_index[opened ^ c ^ flip ^ f])
-
-            _walk(table, b, 1 << b, ell - 2, 0, last)
-        yield found
+        yield _neighbours(free, closers, key, ban, ell, right_index)
 
 
 def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
@@ -250,8 +270,9 @@ def count_alternating_paths(
     forbidden=(),
 ) -> int:
     """Simple (u, v)-paths of even length alternating between free edges
-    (outside `forbidden` and the base matching, which must lie in E(G))
-    and base-matching edges outside `forbidden`, starting with a free edge."""
+    (outside `forbidden` and the base matching, which must lie in E(G)
+    and use each vertex once) and base-matching edges outside
+    `forbidden`, starting with a free edge."""
     if u == v:
         raise MatchlabError("endpoints must be distinct")
     if length % 2 != 0:
@@ -261,7 +282,13 @@ def count_alternating_paths(
     base_edges, banned = edge_set(base), edge_set(forbidden)
     for x in (u, v, *vertices_of(base_edges), *vertices_of(banned)):
         _check_vertex(x, g.n)
-    key = _edge_bits(g.n, _edges_in(g, base_edges, "base edge"))
+    covered = 0
+    for x, y in sorted(_edges_in(g, base_edges, "base edge")):
+        for z in (x, y):
+            if covered >> z & 1:
+                raise MatchlabError(f"base edges reuse vertex {z}")
+            covered |= 1 << z
+    key = _edge_bits(g.n, base_edges)
     pairs = length // 2
     if pairs == 0:
         return 0
@@ -305,30 +332,73 @@ class RatioReport:
     double_count_ok: bool
 
 
-def _degree_stats(degs: list[int]) -> tuple[int, int, Fraction]:
-    """(min, max, mean) of a non-empty degree list."""
-    return (min(degs), max(degs), Fraction(sum(degs), len(degs)))
+def _orbits(g: Graph, ref, ban: int, keys: list[int]):
+    """The orbits of the stratum `keys` under the automorphisms of g that
+    keep the reference (edge set `ref`, int key `ban`), as (one
+    representative per orbit, in the order of `keys`; their sizes; key ->
+    orbit index).  The generators (`symmetry.generators`) and every
+    key's representative (`symmetry.key_orbits`) are kept in
+    g._key_orbits[ban], so an ell sweep finds them once.  With no
+    generator every key is its own orbit, and no orbit is built."""
+    memo = g._key_orbits.get(ban)
+    if memo is None:
+        masks = [0] * g.n
+        for u, v in ref:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        memo = g._key_orbits[ban] = (symmetry.generators(g.neighbor_masks, masks), {})
+    gens, rep = memo
+    if not gens:
+        return keys, [1] * len(keys), {key: j for j, key in enumerate(keys)}
+    if keys[0] not in rep:
+        symmetry.key_orbits(keys, gens, g.n, rep)
+    place: dict[int, int] = {}
+    reps, sizes = [], []
+    for key in keys:
+        r = rep[key]
+        j = place.get(r)
+        if j is None:
+            j = place[r] = len(reps)
+            reps.append(r)
+            sizes.append(0)
+        sizes[j] += 1
+    return reps, sizes, {key: place[rep[key]] for key in keys}
 
 
 def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
-    """Exact stratum ratio, prediction, and exchange-graph statistics, all
-    from one `_switches` pass that never holds the exchange graph."""
+    """Exact stratum ratio, prediction, and exchange-graph statistics,
+    without holding the exchange graph.
+
+    An automorphism of g that keeps the reference maps each stratum onto
+    itself and the exchange graph onto itself, so the matchings of one
+    orbit (`_orbits`) share their degree.  One representative per left
+    orbit O is walked (`_neighbours`) and weighted by |O|; a right orbit
+    Q's degree is (sum over left orbits O of |O| * |N(rep O) & Q|) / |Q|,
+    and `double_count_ok` is False when such a quotient leaves a
+    remainder."""
     if k < 1:
         raise MatchlabError("k must be positive")
     d = regularity(g)
     if d is None:
         raise MatchlabError("host graph must be regular")
-    walk = _switches(g, reference, k, ell)
-    size_k, size_km1 = map(len, next(walk))
+    ref, ban, left, right = _strata(g, reference, k, ell)
+    size_k, size_km1 = len(left), len(right)
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k
         raise MatchlabError(f"stratum {empty} is empty")
-    ldeg, rdeg = [], [0] * size_km1
-    for found in walk:
+    lreps, lsizes, _ = _orbits(g, ref, ban, left)
+    _, rsizes, index = _orbits(g, ref, ban, right)
+    free = _free_steps(g, ban)
+    closers = [dict(row) for row in free]
+    ldeg, hits = [], [0] * len(rsizes)
+    for key, size in zip(lreps, lsizes):
+        found = _neighbours(free, closers, key, ban, ell, index)
         ldeg.append(len(found))
         for j in found:
-            rdeg[j] += 1
-    ref = edge_set(reference)
+            hits[j] += size
+    rdeg = [h // size for h, size in zip(hits, rsizes)]
+    edge_count = sum(map(mul, ldeg, lsizes))
+    right_total = sum(map(mul, rdeg, rsizes))
     eligible = len(ref) - (k - 1) if len(vertices_of(ref)) == 2 * len(ref) else len(ref)
     return RatioReport(
         k=k,
@@ -337,8 +407,8 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
         size_km1=size_km1,
         exact_ratio=Fraction(size_k, size_km1),
         predicted=Fraction(eligible, k * d),
-        left_stats=_degree_stats(ldeg),
-        right_stats=_degree_stats(rdeg),
-        edge_count=sum(ldeg),
-        double_count_ok=sum(ldeg) == sum(rdeg),
+        left_stats=(min(ldeg), max(ldeg), Fraction(edge_count, size_k)),
+        right_stats=(min(rdeg), max(rdeg), Fraction(right_total, size_km1)),
+        edge_count=edge_count,
+        double_count_ok=right_total == edge_count,
     )

@@ -48,7 +48,6 @@ from matchlab.pm import (
 from matchlab.switching import (
     RatioReport,
     SwitchGraph,
-    _degree_stats,
     aux_vertex_set,
 )
 from matchlab.rational import as_fraction
@@ -825,6 +824,11 @@ def reference_build_switch_graph(
             if is_switch_edge(m, mp, ref, ell):
                 edges.append((i, j))
     return SwitchGraph(tuple(left), tuple(right), tuple(edges), ell)
+
+
+def _degree_stats(degs: list[int]) -> tuple[int, int, Fraction]:
+    """(min, max, mean) of a non-empty degree list."""
+    return (min(degs), max(degs), Fraction(sum(degs), len(degs)))
 
 
 def reference_ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:

@@ -8,8 +8,11 @@ and r = 3, a count on an edge list whose two components
 are odd, a sampled refutation on two relabelled K15 that fails at
 trial 2797, and the PMF and edge probabilities of dense14.el, the
 complement of a 3-regular graph on 14 vertices with shuffled labels,
-whose counts walk the complement in its own vertex order, and a walks
-row whose P^2 has a zero entry, so it reports `mixing_error`.  A change
+whose counts walk the complement in its own vertex order, a walks
+row whose P^2 has a zero entry, so it reports `mixing_error`, and the
+switching report on K12 at ell = 6, recorded from the walk over every
+left matching (3,264 of them) before the walk took one matching per
+automorphism orbit.  A change
 that means to alter a report rewrites them with
 
     PYTHONPATH=src python tests/test_cli_golden.py
@@ -96,6 +99,7 @@ INVOCATIONS = {
     ],
     "switching_multipartite_2x4_k2": ["switching", "--family", "multipartite", "-a", "2", "-b", "4", "--k", "2"],
     "switching_multipartite_5x2": ["switching", "--family", "multipartite", "-a", "5", "-b", "2"],
+    "switching_complete_12_ell6": ["switching", "--family", "complete", "-n", "12", "--ell", "6"],
     "pmf_multipartite_10x2": ["pmf", "--family", "multipartite", "-a", "10", "-b", "2"],
     "edge_prob_multipartite_6x2": ["edge_prob", "--family", "multipartite", "-a", "6", "-b", "2"],
     "count_complete_26": ["count", "--family", "complete", "-n", "26"],

@@ -16,7 +16,7 @@ from conftest import (
     reference_switches,
     small_zoo,
 )
-from matchlab import pm, switching
+from matchlab import pm, switching, symmetry
 from matchlab.errors import MatchlabError, ResourceLimitError
 from matchlab.graphs import (
     Graph,
@@ -341,6 +341,20 @@ def test_alternating_paths_reject_vertices_out_of_range(base, u, v, forbidden, b
         count_alternating_paths(g, Matching(base), u, v, 2, forbidden)
 
 
+@pytest.mark.parametrize(
+    "g, base, u, v, bad",
+    [
+        # the path 0-2-1 alternates, yet the table kept only (2, 3) at 2
+        (complete_graph(6), [(1, 2), (2, 3)], 0, 1, 2),
+        (complete_graph(4), complete_graph(4), 0, 2, 0),
+        (complete_graph(6), Graph(6, [(0, 1), (4, 5), (1, 5)]), 2, 3, 1),
+    ],
+)
+def test_alternating_paths_refuse_a_base_that_reuses_a_vertex(g, base, u, v, bad):
+    with pytest.raises(MatchlabError, match=f"^base edges reuse vertex {bad}$"):
+        count_alternating_paths(g, base, u, v, 2)
+
+
 def test_alternating_paths_refuse_a_base_edge_outside_the_host():
     # a walk from 0 would step 0 -> 1 and then along (1, 3), which the
     # path 0-1-2-3 lacks, and count one path; build_aux_digraph refuses
@@ -538,21 +552,73 @@ def test_ratio_report_rejects_k_below_one_first(k):
         ratio_report(g, [(1, 3)], k=k, ell=2)
 
 
+def _outcome(report, g, ref, k, ell):
+    try:
+        return report(g, ref, k, ell)
+    except MatchlabError as exc:
+        return type(exc), str(exc)
+
+
 @pytest.mark.parametrize("g", _differential_hosts(regular_only=True))
 def test_ratio_report_matches_previous_version(g):
-    def outcome(report, ref, k, ell):
-        try:
-            return report(g, ref, k, ell)
-        except MatchlabError as exc:
-            return type(exc), str(exc)
-
     rng = random.Random(g.n * 1000 + g.m)
     for ref in _differential_references(g, rng):
         for k in (1, 2, 3):
             for ell in range(2, g.n // 2 + 1):
-                got = outcome(ratio_report, ref, k, ell)
-                want = outcome(reference_ratio_report, ref, k, ell)
+                got = _outcome(ratio_report, g, ref, k, ell)
+                want = _outcome(reference_ratio_report, g, ref, k, ell)
                 assert got == want, (g, ref, k, ell)
+
+
+def _relabelled(g, seed):
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@pytest.mark.parametrize(
+    "g", _differential_hosts(regular_only=True) + [pytest.param(random_regular(10, 3, 1), id="rr10_3")]
+)
+def test_ratio_report_on_orbits_equals_the_oracle_under_relabellings(g):
+    # one sweep per relabelling: every reference, k and ell on one graph,
+    # so the orbit memo serves every report after the first
+    for seed in range(3):
+        h = _relabelled(g, seed)
+        for ref in _differential_references(h, random.Random(seed)):
+            for k in range(1, h.n // 2 + 2):
+                for ell in range(2, h.n // 2 + 1):
+                    got = _outcome(ratio_report, h, ref, k, ell)
+                    want = _outcome(reference_ratio_report, h, ref, k, ell)
+                    assert got == want, (h.edges, ref, k, ell)
+
+
+def test_two_references_in_a_row_on_one_graph_each_equal_the_oracle():
+    # the orbits of a perfect matching's strata are not those of a path's:
+    # a memo that kept the first reference's generators would merge the
+    # second reference's orbits
+    g = _relabelled(complete_graph(8), 3)
+    u, v = g.edges[0]
+    w, x = next((w, x) for w, x in g.edges if len({u, v, w, x}) == 4)
+    path = [(u, v), (v, w), (w, x)]
+    for ref in (pm.first_pm(g), path, pm.first_pm(g), [(u, v)]):
+        for k in (1, 2):
+            for ell in (2, 3, 4):
+                got = _outcome(ratio_report, g, ref, k, ell)
+                assert got == _outcome(reference_ratio_report, g, ref, k, ell), (ref, k, ell)
+    assert len(g._key_orbits) == 3
+
+
+def test_double_count_fails_when_an_orbit_is_no_orbit(monkeypatch):
+    # with each stratum lumped into one "orbit", the right stratum's
+    # weighted hits of K8 at ell = 2 leave a remainder
+    def lump(keys, gens, n, rep):
+        for key in keys:
+            rep[key] = keys[0]
+
+    g = complete_graph(8)
+    assert ratio_report(complete_graph(8), pm.first_pm(g), 1, 2).double_count_ok
+    monkeypatch.setattr(symmetry, "key_orbits", lump)
+    assert not ratio_report(g, pm.first_pm(g), 1, 2).double_count_ok
 
 
 def test_an_ell_sweep_on_one_graph_lists_its_matchings_once(monkeypatch):
