@@ -330,15 +330,14 @@ def run_walks(args: argparse.Namespace) -> list[dict]:
         "sandwich_ok": walks.sandwich_check(dg, k, nu, delta),
     }
     try:
-        mix = walks.mixing_params(pk, sigma)
+        mix, sig = walks._mixing_params(pk, sigma)
         t = math.ceil(mix.threshold)
-        rep = walks.mixing_bound_check(pk, sigma, t)
         row.update(
             alpha=float(mix.alpha),
             beta=float(mix.beta),
             mixing_threshold=mix.threshold,
             mixing_t=t,
-            mixing_passes=rep.passes,
+            mixing_passes=walks._envelope_holds(pk, sig, mix.alpha, t),
         )
     except MatchlabError as exc:
         row["mixing_error"] = str(exc)

@@ -58,11 +58,13 @@ class Graph:
     complement H as `(masks, pos)`, None until a dense count or stratify
     first needs it: pos[v] is v's place in H's min-frontier order and
     masks[pos[v]] v's neighbour mask in H, relabelled by pos, so
-    `_poly_cache` is keyed in that order.  One memo is switching's:
-    `_key_orbits` maps a reference's int key to the automorphism
-    generators that keep it and a dict of ints, each listed matching's
-    key -> the first key of its orbit, filled one stratum at a time by
-    `switching.ratio_report`.
+    `_poly_cache` is keyed in that order.  `_key_orbits` maps the int key
+    of a second edge colour to the automorphism generators that keep it
+    and a dict of ints, each listed matching's key -> the first key of
+    its orbit (`symmetry._orbits`).  Key 0, the empty colour, is exact
+    disjointness's, filled for the whole key list by
+    `stats.disjoint_probability`; every other key is a reference's,
+    filled one stratum at a time by `switching.ratio_report`.
     """
 
     __slots__ = (

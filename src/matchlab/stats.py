@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
+from . import symmetry
 from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
 from .graphs import Edge, Graph, edge_set, regularity
 from .pm import (
@@ -146,7 +147,12 @@ def disjoint_probability(
     visit, exceeds DEFAULT_TUPLE_BUDGET.  The nesting runs on neighbour
     masks with each listed matching's bits cleared, building no Graph:
     the host's key list (pm._pm_keys) at the first level, pm's search
-    below it, and pm._count_avoiding at the last.  Monte Carlo mode
+    below it, and pm._count_avoiding at the last.  An automorphism of
+    the host that maps M to M' maps G - M onto G - M', so the first level
+    counts one matching per orbit of the key list under the host's
+    automorphisms (`symmetry._orbits`, with the empty second edge colour,
+    key 0, in `Graph._key_orbits`) and weights it by the orbit's size: at
+    r = 2 one count per orbit, one in all on K8.  Monte Carlo mode
     estimates the same probability from `samples` r-tuples of the
     sampler's stream of draws (pm._draws), read r at a time and never
     listed, and counts nothing: its first draw raises on a host with no
@@ -188,24 +194,27 @@ def disjoint_probability(
         n = g.n
         masks = g.neighbor_masks
 
+        def plus(used: list[int], key: int) -> list[int]:
+            # used with the edges of the matching `key` added
+            nxt = list(used)
+            for u, v in _key_pairs(key, n):
+                nxt[u] |= 1 << v
+                nxt[v] |= 1 << u
+            return nxt
+
         def ordered_tuples(used: list[int], depth: int) -> int:
             # used: the neighbour masks of the union of the prefix so far
             if depth == 1:
                 return _count_avoiding(g, used)
-            if depth == r:
-                keys = _pm_keys(g)
-            else:
-                keys = _search([m & ~u for m, u in zip(masks, used)])
-            acc = 0
-            for key in keys:
-                nxt = list(used)
-                for u, v in _key_pairs(key, n):
-                    nxt[u] |= 1 << v
-                    nxt[v] |= 1 << u
-                acc += ordered_tuples(nxt, depth - 1)
-            return acc
+            keys = _search([m & ~u for m, u in zip(masks, used)])
+            return sum(ordered_tuples(plus(used, key), depth - 1) for key in keys)
 
-        good = ordered_tuples([0] * n, r)
+        # An automorphism of g maps G - M onto G - M', so every first
+        # matching of one orbit leaves the same count; key 0 is the empty
+        # second colour.
+        reps, sizes, _ = symmetry._orbits(g, (), 0, _pm_keys(g))
+        zero = [0] * n
+        good = sum(size * ordered_tuples(plus(zero, key), r - 1) for key, size in zip(reps, sizes))
         return Fraction(good, total**r), reference
 
     draws = _draws(g, random.Random(seed), samples * r)

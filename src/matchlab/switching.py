@@ -332,50 +332,17 @@ class RatioReport:
     double_count_ok: bool
 
 
-def _orbits(g: Graph, ref, ban: int, keys: list[int]):
-    """The orbits of the stratum `keys` under the automorphisms of g that
-    keep the reference (edge set `ref`, int key `ban`), as (one
-    representative per orbit, in the order of `keys`; their sizes; key ->
-    orbit index).  The generators (`symmetry.generators`) and every
-    key's representative (`symmetry.key_orbits`) are kept in
-    g._key_orbits[ban], so an ell sweep finds them once.  With no
-    generator every key is its own orbit, and no orbit is built."""
-    memo = g._key_orbits.get(ban)
-    if memo is None:
-        masks = [0] * g.n
-        for u, v in ref:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        memo = g._key_orbits[ban] = (symmetry.generators(g.neighbor_masks, masks), {})
-    gens, rep = memo
-    if not gens:
-        return keys, [1] * len(keys), {key: j for j, key in enumerate(keys)}
-    if keys[0] not in rep:
-        symmetry.key_orbits(keys, gens, g.n, rep)
-    place: dict[int, int] = {}
-    reps, sizes = [], []
-    for key in keys:
-        r = rep[key]
-        j = place.get(r)
-        if j is None:
-            j = place[r] = len(reps)
-            reps.append(r)
-            sizes.append(0)
-        sizes[j] += 1
-    return reps, sizes, {key: place[rep[key]] for key in keys}
-
-
 def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     """Exact stratum ratio, prediction, and exchange-graph statistics,
     without holding the exchange graph.
 
     An automorphism of g that keeps the reference maps each stratum onto
     itself and the exchange graph onto itself, so the matchings of one
-    orbit (`_orbits`) share their degree.  One representative per left
-    orbit O is walked (`_neighbours`) and weighted by |O|; a right orbit
-    Q's degree is (sum over left orbits O of |O| * |N(rep O) & Q|) / |Q|,
-    and `double_count_ok` is False when such a quotient leaves a
-    remainder."""
+    orbit (`symmetry._orbits`) share their degree.  One representative
+    per left orbit O is walked (`_neighbours`) and weighted by |O|; a
+    right orbit Q's degree is (sum over left orbits O of |O| *
+    |N(rep O) & Q|) / |Q|, and `double_count_ok` is False when such a
+    quotient leaves a remainder."""
     if k < 1:
         raise MatchlabError("k must be positive")
     d = regularity(g)
@@ -386,8 +353,9 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
     if size_km1 == 0 or size_k == 0:
         empty = k - 1 if size_km1 == 0 else k
         raise MatchlabError(f"stratum {empty} is empty")
-    lreps, lsizes, _ = _orbits(g, ref, ban, left)
-    _, rsizes, index = _orbits(g, ref, ban, right)
+    lreps, lsizes, _ = symmetry._orbits(g, ref, ban, left)
+    _, rsizes, orbit_of = symmetry._orbits(g, ref, ban, right)
+    index = dict(zip(right, orbit_of))
     free = _free_steps(g, ban)
     closers = [dict(row) for row in free]
     ldeg, hits = [], [0] * len(rsizes)

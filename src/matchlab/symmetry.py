@@ -29,6 +29,14 @@ generators generate the whole group; a generator the search missed
 would only leave orbits finer, never wrong.  `key_orbits` splits a list
 of edge-set keys (bit u*n + v per edge, u < v, the keys `pm` lists
 matchings as) into orbits under the generators.
+
+`_orbits` is the one orbit helper of the package: it finds the
+generators of a graph and a second colour once, keeps them with every
+key's representative in `Graph._key_orbits`, and hands back one
+representative per orbit with the orbit sizes.  Two callers read it:
+`switching.ratio_report`, on the strata of a reference, and exact
+`stats.disjoint_probability`, on the host's whole key list with the
+empty colour (key 0).
 """
 
 from __future__ import annotations
@@ -222,3 +230,39 @@ def key_orbits(keys: list[int], gens: list[list[int]], n: int, rep: dict[int, in
                 if y not in rep:
                     rep[y] = key
                     todo.append(y)
+
+
+def _orbits(g, ref, ban: int, keys: list[int]) -> tuple[list[int], list[int], Sequence[int]]:
+    """The orbits of `keys`, perfect matchings of the Graph g as int keys,
+    under the automorphisms of g that keep the second edge colour `ref`
+    (an edge set, int key `ban`; empty, key 0, for none): (one
+    representative per orbit, in the order of `keys`; their sizes; the
+    orbit index of each key, in the order of `keys`).  The generators
+    (`generators`) and every key's representative (`key_orbits`) are kept
+    in g._key_orbits[ban], so a second list of keys on g and ref finds the
+    generators again without a search.  With no generator every key is
+    its own orbit, and no orbit is built."""
+    memo = g._key_orbits.get(ban)
+    if memo is None:
+        masks = [0] * g.n
+        for u, v in ref:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        memo = g._key_orbits[ban] = (generators(g.neighbor_masks, masks), {})
+    gens, rep = memo
+    if not gens:
+        return keys, [1] * len(keys), range(len(keys))
+    if keys[0] not in rep:
+        key_orbits(keys, gens, g.n, rep)
+    place: dict[int, int] = {}
+    reps, sizes, orbit_of = [], [], []
+    for key in keys:
+        r = rep[key]
+        j = place.get(r)
+        if j is None:
+            j = place[r] = len(reps)
+            reps.append(r)
+            sizes.append(0)
+        sizes[j] += 1
+        orbit_of.append(j)
+    return reps, sizes, orbit_of

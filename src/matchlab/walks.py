@@ -223,8 +223,8 @@ def _check_distribution(sigma: Sequence) -> tuple[Fraction, ...]:
     return out
 
 
-def mixing_params(p: StochasticMatrix, sigma: Sequence) -> MixingParams:
-    """Exact alpha and beta; requires every transition probability positive."""
+def _mixing_params(p: StochasticMatrix, sigma: Sequence) -> tuple[MixingParams, tuple[Fraction, ...]]:
+    """mixing_params and sigma as checked Fractions, sigma checked once."""
     sig = _check_distribution(sigma)
     if len(sig) != p.n:
         raise MatchlabError("distribution length must match the matrix dimension")
@@ -237,7 +237,12 @@ def mixing_params(p: StochasticMatrix, sigma: Sequence) -> MixingParams:
     alpha = lo / max(sig)
     beta = hi / min(sig)
     threshold = 2.0 + 2.0 * float(1 / alpha) * math.log(float(beta))
-    return MixingParams(alpha, beta, threshold)
+    return MixingParams(alpha, beta, threshold), sig
+
+
+def mixing_params(p: StochasticMatrix, sigma: Sequence) -> MixingParams:
+    """Exact alpha and beta; requires every transition probability positive."""
+    return _mixing_params(p, sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -266,14 +271,19 @@ def mixing_bound_check(p: StochasticMatrix, sigma: Sequence, t: int) -> MixingRe
     of B^t = den^t P^t become rationals.  Any t >= 0 is checked, below the
     threshold too.
     """
-    params = mixing_params(p, sigma)
-    sig = _check_distribution(sigma)
+    params, sig = _mixing_params(p, sigma)
+    return MixingReport(passes=_envelope_holds(p, sig, params.alpha, t))
+
+
+def _envelope_holds(p: StochasticMatrix, sig: tuple[Fraction, ...], alpha: Fraction, t: int) -> bool:
+    """The verdict of mixing_bound_check on sigma and alpha as
+    `_mixing_params` checked and computed them."""
     power, den = _integer_power(p, t)
-    factor = (1 - params.alpha / 2) ** t
-    return MixingReport(passes=all(
+    factor = (1 - alpha / 2) ** t
+    return all(
         max(Fraction(max(c), den) - s, s - Fraction(min(c), den)) <= factor * s
         for c, s in zip(zip(*power), sig)
-    ))
+    )
 
 
 def sandwich_check(d: Digraph, k: int, nu, delta) -> bool:

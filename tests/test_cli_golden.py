@@ -4,8 +4,11 @@ The files under tests/golden/ hold the stdout of every command-line
 example in the README (the Monte Carlo one with --samples 2000), in JSON
 and in CSV, plus a few reference and stratum variants, a Monte Carlo draw
 on a multipartite host, exact disjointness (the default mode) at r = 2
-and r = 3, a count on an edge list whose two components
-are odd, a sampled refutation on two relabelled K15 that fails at
+and r = 3 on hosts whose matchings form one automorphism orbit (K8, K6)
+and on hosts with several (K_{4x2}, a 3-regular random host at r = 3,
+the 3-cube of g.el), recorded before exact disjointness counted one
+matching per orbit, a count on an edge list whose two components are
+odd, a sampled refutation on two relabelled K15 that fails at
 trial 2797, and the PMF and edge probabilities of dense14.el, the
 complement of a 3-regular graph on 14 vertices with shuffled labels,
 whose counts walk the complement in its own vertex order, a walks
@@ -107,6 +110,11 @@ INVOCATIONS = {
     "edge_prob_dense14": ["edge_prob", "--file", str(DENSE14)],
     "disjoint_complete_8": ["disjoint", "--family", "complete", "-n", "8"],
     "disjoint_complete_6_r3": ["disjoint", "--family", "complete", "-n", "6", "--r", "3"],
+    "disjoint_multipartite_4x2": ["disjoint", "--family", "multipartite", "-a", "4", "-b", "2"],
+    "disjoint_random_regular_r3": [
+        "disjoint", "--family", "random_regular", "-n", "10", "-d", "3", "--seed", "1", "--r", "3",
+    ],
+    "disjoint_file": ["disjoint", "--file", str(EDGE_LIST)],
 }
 
 CASES = [

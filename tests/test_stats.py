@@ -15,7 +15,9 @@ from conftest import (
     oracle_pm_sets,
     reference_avoidance_ratio,
     reference_disjoint_probability,
+    reference_ratio_report,
     reference_sample_pm,
+    relabel_graph,
     small_zoo,
     strata_hosts,
     strata_references,
@@ -30,7 +32,7 @@ from matchlab.graphs import (
     random_regular,
     regularity,
 )
-from matchlab import pm
+from matchlab import pm, symmetry
 from matchlab.pm import _is_dense, count_pm, count_pm_containing, enumerate_pm, stratify
 from matchlab.stats import (
     Pmf,
@@ -290,16 +292,18 @@ def test_disjoint_r3_exact_by_triple_enumeration():
 
 def _pairing_disjoint_probability(g, r):
     """Ordered r-tuples of pairwise disjoint perfect matchings over all
-    r-tuples, from the pairing oracle's matchings, each an int with one
-    bit per edge."""
-    pms = [sum(1 << (u * g.n + v) for u, v in m) for m in oracle_pm_sets(g)]
+    r-tuples, from the pairing oracle's matchings: bit j of apart[i] is
+    set when matchings i and j share no edge, and the matchings a prefix
+    allows next are the AND of its members' rows."""
+    pms = oracle_pm_sets(g)
+    apart = [sum(1 << j for j, b in enumerate(pms) if not a & b) for a in pms]
 
-    def disjoint_tuples(used, depth):
-        if depth == 0:
-            return 1
-        return sum(disjoint_tuples(used | m, depth - 1) for m in pms if not used & m)
+    def disjoint_tuples(allowed, depth):
+        if depth == 1:
+            return allowed.bit_count()
+        return sum(disjoint_tuples(allowed & row, depth - 1) for i, row in enumerate(apart) if allowed >> i & 1)
 
-    return F(disjoint_tuples(0, r), len(pms) ** r)
+    return F(disjoint_tuples((1 << len(pms)) - 1, r), len(pms) ** r)
 
 
 @pytest.mark.parametrize("r", [2, 3])
@@ -369,14 +373,118 @@ def test_disjoint_matches_the_nested_graph_enumeration():
 
 
 def test_disjoint_k12_counts_its_last_level_through_the_complement():
-    # K12 less a matching is 10-regular, so each of its 10,395 counts is
-    # stratum 0 of the complement's polynomial with the matching as
-    # reference
+    # K12 less a matching is 10-regular, so its one count (K12's 10,395
+    # matchings are one orbit) is stratum 0 of the complement's polynomial
+    # with the matching as reference
     g = complete_graph(12)
     assert _is_dense(g, 6)
     value, reference = disjoint_probability(g, 2)
     assert value == F(1208, 2079)
     assert math.isclose(reference, math.exp(-12 / 22))
+
+
+def _cube() -> Graph:
+    return Graph(8, [(u, u ^ 1 << b) for u in range(8) for b in range(3) if u < u ^ 1 << b])
+
+
+def _prism() -> Graph:
+    # C6 x K2: two hexagons 0..5 and 6..11, joined rung by rung
+    ring = [(i, (i + 1) % 6) for i in range(6)]
+    return Graph(12, ring + [(u + 6, v + 6) for u, v in ring] + [(i, i + 6) for i in range(6)])
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return relabel_graph(g, perm)
+
+
+def _count_avoiding_calls(monkeypatch) -> list:
+    """The masks of every last-level count disjoint_probability makes
+    from now on."""
+    calls = []
+    count_avoiding = stats._count_avoiding
+
+    def counted(g, avoid):
+        calls.append(avoid)
+        return count_avoiding(g, avoid)
+
+    monkeypatch.setattr(stats, "_count_avoiding", counted)
+    return calls
+
+
+# Hosts whose matchings fall into few orbits under the automorphisms.
+_ORBIT_HOSTS = {
+    "K8": complete_graph(8),
+    "K10": complete_graph(10),
+    "K55": complete_multipartite(2, 5),
+    "K4x2": complete_multipartite(4, 2),
+    "K5x2": complete_multipartite(5, 2),
+    "cube": _cube(),
+    "prism": _prism(),
+    "two_K4": Graph(8, [(u + s, v + s) for s in (0, 4) for u, v in combinations(range(4), 2)]),
+}
+
+# The nested Graph enumeration takes 30 s on K10 and 12 s on K_{5x2} at
+# r = 3; its values there, recorded once, stand in for it.
+_NESTED_AT_R3 = {"K10": F(159232, 893025), "K5x2": F(89919, 628864)}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("name", list(_ORBIT_HOSTS))
+def test_disjoint_by_orbit_matches_both_oracles_under_relabellings(name, r):
+    g = _ORBIT_HOSTS[name]
+    want = _pairing_disjoint_probability(g, r)
+    nested = _NESTED_AT_R3[name] if r == 3 and name in _NESTED_AT_R3 else reference_disjoint_probability(g, r)
+    assert nested == want
+    for seed in range(3):
+        h = _relabelled(g, seed)
+        assert disjoint_probability(h, r)[0] == want, (h.edges, r)
+        # the first level went by orbit: key 0's generators were found
+        assert h._key_orbits[0][0]
+
+
+@pytest.mark.parametrize("name,orbits", [("K8", 1), ("K4x2", 2)])
+def test_disjoint_counts_once_per_orbit_at_r2(monkeypatch, name, orbits):
+    calls = _count_avoiding_calls(monkeypatch)
+    g = _relabelled(_ORBIT_HOSTS[name], 4)
+    assert disjoint_probability(g, 2)[0] == _pairing_disjoint_probability(g, 2)
+    assert len(calls) == orbits
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_disjoint_without_generators_counts_every_matching(monkeypatch, r):
+    # with no generator every matching is its own orbit: the same values,
+    # one count per listed matching at r = 2 (K10 and K_{5x2} at r = 3
+    # would make some 10^5 counts)
+    hosts = [g for name, g in _ORBIT_HOSTS.items() if r == 2 or name not in _NESTED_AT_R3]
+    want = [disjoint_probability(_relabelled(g, 1), r)[0] for g in hosts]
+    monkeypatch.setattr(symmetry, "generators", lambda masks, ref: [])
+    calls = _count_avoiding_calls(monkeypatch)
+    for g, value in zip(hosts, want):
+        calls.clear()
+        h = _relabelled(g, 1)
+        assert disjoint_probability(h, r)[0] == value, g.edges
+        if r == 2:
+            assert len(calls) == count_pm(h), g.edges
+
+
+def test_disjoint_and_ratio_report_keep_their_orbits_apart():
+    # key 0 holds the host's own automorphisms, a reference's key those
+    # that keep the reference: each report on one graph, in either order,
+    # is the oracle's
+    for seed in range(2):
+        for first in ("disjoint", "ratio"):
+            g = _relabelled(complete_multipartite(4, 2), seed)
+            ref = pm.first_pm(g)
+            fresh = Graph(g.n, g.edges)
+            want_disjoint = reference_disjoint_probability(fresh, 2)
+            want_ratios = [reference_ratio_report(fresh, ref, k, ell) for k in (1, 2) for ell in (2, 3, 4)]
+            if first == "disjoint":
+                assert disjoint_probability(g, 2)[0] == want_disjoint
+            assert [ratio_report(g, ref, k, ell) for k in (1, 2) for ell in (2, 3, 4)] == want_ratios
+            assert disjoint_probability(g, 2)[0] == want_disjoint
+            assert len(g._key_orbits) == 2 and 0 in g._key_orbits
 
 
 def test_disjoint_montecarlo_tracks_exact():
