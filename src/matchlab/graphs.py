@@ -58,19 +58,18 @@ class Graph:
     complement H as `(masks, pos)`, None until a dense count or stratify
     first needs it: pos[v] is v's place in H's min-frontier order and
     masks[pos[v]] v's neighbour mask in H, relabelled by pos, so
-    `_poly_cache` is keyed in that order.  `_key_orbits` maps the int key
-    of a second edge colour to the automorphism generators that keep it
-    and a dict of ints, each listed matching's key -> the first key of
-    its orbit (`symmetry._orbits`).  Key 0, the empty colour, is exact
-    disjointness's, filled for the whole key list by
-    `stats.disjoint_probability`; every other key is a reference's,
-    filled one stratum at a time by `switching.ratio_report`.
+    `_poly_cache` is keyed in that order.  `_strata_orbits` is
+    `switching.ratio_report`'s: one record per (reference key, k) whose
+    strata passed its checks, (left orbit representatives, left orbit
+    sizes, right orbit sizes, right key -> orbit index), the orbits of
+    the automorphisms of the graph that keep the reference
+    (`symmetry.key_orbits`), so an ell sweep searches for them once.
     """
 
     __slots__ = (
         "n", "edges", "neighbor_masks",
         "_pm_cache", "_draw_rows", "_draw_steps", "_poly_cache", "_co_masks", "_pm_keys",
-        "_key_orbits",
+        "_strata_orbits",
     )
 
     def __init__(self, n: int, edges: Iterable[Edge]):
@@ -94,7 +93,7 @@ class Graph:
         self._poly_cache: dict[int, int] = {}
         self._co_masks: Optional[tuple[list[int], list[int]]] = None
         self._pm_keys: Optional[list[int]] = None
-        self._key_orbits: dict[int, tuple[list[list[int]], dict[int, int]]] = {}
+        self._strata_orbits: dict[tuple[int, int], tuple] = {}
 
     @property
     def m(self) -> int:
@@ -278,6 +277,21 @@ def _edges_in(g: Graph, edges, what: str) -> frozenset[Edge]:
         if not g.has_edge(u, v):
             raise MatchlabError(f"{what} ({u}, {v}) not in graph")
     return es
+
+
+def _matching_in(g: Graph, edges, what: str, reuse: str) -> tuple[frozenset[Edge], int]:
+    """_edges_in(g, edges, what) and the mask of the vertices its edges
+    cover, after refusing the first vertex z met twice in sorted edge
+    order as `{reuse} {z}`: the one check of a matching handed in with a
+    host (forced edges, a base matching)."""
+    es = _edges_in(g, edges, what)
+    cover = 0
+    for u, v in sorted(es):
+        for z in (u, v):
+            if cover >> z & 1:
+                raise MatchlabError(f"{reuse} {z}")
+            cover |= 1 << z
+    return es, cover
 
 
 def vertices_of(edges: Iterable[Edge]) -> frozenset[int]:

@@ -86,8 +86,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .errors import MatchlabError, NoPerfectMatchingError, ResourceLimitError
-from .graphs import Edge, Graph, Matching, _edges_in
+from .errors import NoPerfectMatchingError, ResourceLimitError
+from .graphs import Edge, Graph, Matching, _edges_in, _matching_in
 
 # Read at each call, so a value set on the module reaches every caller.
 DEFAULT_DP_LIMIT = 26
@@ -432,20 +432,12 @@ def count_pm_containing(g: Graph, forced) -> int:
     Equals the count on the graph with the forced endpoints deleted, taken
     as count_pm takes it: on a dense host every call on g shares one memo
     of the complement's polynomials, g._poly_cache, and on any other host
-    the DP memo.  `forced` must be a matching inside
-    E(G).
+    the DP memo.  `forced` must be a matching inside E(G)
+    (`graphs._matching_in`).
     """
-    seen: set[int] = set()
-    for u, v in _edges_in(g, forced, "edge"):
-        if u in seen or v in seen:
-            raise MatchlabError(f"forced edges reuse vertex {u if u in seen else v}")
-        seen.add(u)
-        seen.add(v)
+    _, cover = _matching_in(g, forced, "edge", "forced edges reuse vertex")
     _check_cap(g)
-    mask = (1 << g.n) - 1
-    for v in seen:
-        mask ^= 1 << v
-    return _count(g, mask)
+    return _count(g, ((1 << g.n) - 1) ^ cover)
 
 
 def _draw_row(g: Graph, mask: int, s: int):

@@ -150,15 +150,16 @@ def disjoint_probability(
     below it, and pm._count_avoiding at the last.  An automorphism of
     the host that maps M to M' maps G - M onto G - M', so the first level
     counts one matching per orbit of the key list under the host's
-    automorphisms (`symmetry._orbits`, with the empty second edge colour,
-    key 0, in `Graph._key_orbits`) and weights it by the orbit's size: at
-    r = 2 one count per orbit, one in all on K8.  Monte Carlo mode
-    estimates the same probability from `samples` r-tuples of the
-    sampler's stream of draws (pm._draws), read r at a time and never
-    listed, and counts nothing: its first draw raises on a host with no
-    perfect matching or past the cap.  Each draw is the list of its
-    edge ids, n/2 distinct ones, so a tuple is pairwise disjoint exactly
-    when the union of its lists has r*n/2 elements.
+    automorphisms (`symmetry.generators` with no second edge colour, then
+    `symmetry.key_orbits`, once per call; nothing is kept on the graph)
+    and weights it by the orbit's size: at r = 2 one count per orbit,
+    one in all on K8.  Monte Carlo mode estimates the same probability
+    from `samples` r-tuples of the sampler's stream of draws (pm._draws),
+    read r at a time and never listed, and counts nothing: its first draw
+    raises on a host with no perfect matching or past the cap.  Each draw
+    is the list of its edge ids, n/2 distinct ones, so a tuple is
+    pairwise disjoint exactly when the union of its lists has r*n/2
+    elements.
     `r`, `mode` and, in Monte Carlo mode, `samples` and `seed` (both
     required there, ignored in exact mode) are checked before anything is
     counted or drawn, on every host and every r.
@@ -210,10 +211,10 @@ def disjoint_probability(
             return sum(ordered_tuples(plus(used, key), depth - 1) for key in keys)
 
         # An automorphism of g maps G - M onto G - M', so every first
-        # matching of one orbit leaves the same count; key 0 is the empty
-        # second colour.
-        reps, sizes, _ = symmetry._orbits(g, (), 0, _pm_keys(g))
+        # matching of one orbit leaves the same count.
         zero = [0] * n
+        gens = symmetry.generators(masks, zero)
+        reps, sizes, _ = symmetry.key_orbits(_pm_keys(g), gens, n)
         good = sum(size * ordered_tuples(plus(zero, key), r - 1) for key, size in zip(reps, sizes))
         return Fraction(good, total**r), reference
 

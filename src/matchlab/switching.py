@@ -17,17 +17,17 @@ steps to its caller:
 
 - `_neighbours` reads one left matching's neighbours off the cycles
   through its reference edges, testing each closing edge as it takes
-  the last step.  The strata come from `_strata`, which splits the
-  host's key list (`pm._pm_keys`, made once per graph, so an ell sweep
-  on one graph lists its matchings once) by the reference bits each key
-  holds.  `_switches` walks every left matching, and
-  `build_switch_graph` decodes and materialises what it finds.
-  `ratio_report` walks one left matching per orbit of the automorphisms
-  of the host that keep the reference (`symmetry`), weighted by the
-  orbit's size, and reads each right orbit's degree off the weighted
-  neighbours that land in it.  The generators and every key's orbit are
-  kept per graph and reference (`Graph._key_orbits`), so an ell sweep
-  finds them once; with no generator, every matching is its own orbit.
+  the last step.  `_reference` checks a reference and an ell, and
+  `_split` splits the host's key list (`pm._pm_keys`, made once per
+  graph, so an ell sweep on one graph lists its matchings once) into
+  the strata by the reference bits each key holds.
+  `build_switch_graph` walks every left matching and materialises what
+  it finds.  `ratio_report` walks one left matching per orbit of the
+  automorphisms of the host that keep the reference (`symmetry`),
+  weighted by the orbit's size, and reads each right orbit's degree off
+  the weighted neighbours that land in it.  The orbits of both strata
+  are kept per graph, reference and k (`Graph._strata_orbits`), so an
+  ell sweep finds them once.
 - `count_alternating_paths` counts the paths ending at v.
 - `build_aux_digraph` has one arc x -> z per table entry inside its
   vertex set.
@@ -49,10 +49,12 @@ from . import symmetry
 from .errors import MatchlabError
 from .graphs import (
     Digraph,
+    Edge,
     Graph,
     Matching,
     _check_vertex,
     _edges_in,
+    _matching_in,
     edge_set,
     regularity,
     vertices_of,
@@ -156,27 +158,26 @@ def _walk(table, x: int, seen: int, pairs: int, flip: int, last) -> None:
             _walk(table, z, seen | bits, pairs - 1, flip ^ f, last)
 
 
-def _strata(g: Graph, reference, k: int, ell: int):
-    """The reference's edge set and int key, and the keys of the matchings
-    with k and k-1 of its edges, in enumeration order, split by the bits
-    each key shares with the reference's key.  The keys come from g's list
-    (`pm._pm_keys`), made once per graph after the enumeration cap check.
-    A reference edge outside E(G) is refused, for `build_switch_graph` and
-    `ratio_report` alike."""
-    if k < 1:
-        raise MatchlabError("k must be positive")
+def _reference(g: Graph, reference, ell: int) -> tuple[frozenset[Edge], int]:
+    """The reference's edge set and int key, after refusing its first edge
+    outside E(G) and an ell outside 2 <= ell <= n/2."""
     ref = _edges_in(g, reference, "reference edge")
     if ell < 2 or 2 * ell > g.n:
         raise MatchlabError("need 2 <= ell and 2*ell <= n")
-    ban = _edge_bits(g.n, ref)
+    return ref, _edge_bits(g.n, ref)
+
+
+def _split(keys: list[int], ban: int, k: int) -> tuple[list[int], list[int]]:
+    """The keys with k and with k-1 bits of the reference's key `ban`, in
+    the order of `keys`."""
     left, right = [], []
-    for key in _pm_keys(g):
+    for key in keys:
         shared = (key & ban).bit_count()
         if shared == k:
             left.append(key)
         elif shared == k - 1:
             right.append(key)
-    return ref, ban, left, right
+    return left, right
 
 
 def _neighbours(free: list, closers: list, key: int, ban: int, ell: int, index: dict) -> list:
@@ -206,26 +207,18 @@ def _neighbours(free: list, closers: list, key: int, ban: int, ell: int, index: 
     return found
 
 
-def _switches(g: Graph, reference, k: int, ell: int):
-    """The exchange graph in one pass.  Yields the strata (left, right) of
-    `_strata`; then the list of neighbours (indices into `right`) of each
-    left matching, in the order of `_neighbours`."""
-    _, ban, left, right = _strata(g, reference, k, ell)
-    yield left, right
-    right_index = {key: j for j, key in enumerate(right)}
+def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
+    """The exchange graph: the strata of g's key list (`_split`) decoded
+    to matchings, and one (i, j) per left matching i and right neighbour
+    j (`_neighbours`), each left's in increasing j."""
+    if k < 1:
+        raise MatchlabError("k must be positive")
+    _, ban = _reference(g, reference, ell)
+    left, right = _split(_pm_keys(g), ban, k)
+    index = {key: j for j, key in enumerate(right)}
     free = _free_steps(g, ban)
     closers = [dict(row) for row in free]
-    for key in left:
-        yield _neighbours(free, closers, key, ban, ell, right_index)
-
-
-def build_switch_graph(g: Graph, reference, k: int, ell: int) -> SwitchGraph:
-    """Materialize the exchange graph of `_switches`: its strata decoded
-    to matchings, and one (i, j) per left matching i and right neighbour
-    j, each left's in increasing j."""
-    walk = _switches(g, reference, k, ell)
-    left, right = next(walk)
-    edges = [(i, j) for i, found in enumerate(walk) for j in sorted(found)]
+    edges = [(i, j) for i, key in enumerate(left) for j in sorted(_neighbours(free, closers, key, ban, ell, index))]
     left = tuple(_decode(key, g.n) for key in left)
     right = tuple(_decode(key, g.n) for key in right)
     return SwitchGraph(left, right, tuple(edges), ell)
@@ -248,10 +241,8 @@ def build_aux_digraph(g: Graph, reference, base) -> Digraph:
     vertices outside its vertex set are simply isolated.  A caller that
     wants one class of a bipartite host restricts the vertex set itself.
     """
-    pairs = edge_set(base)
-    cover = vertices_of(pairs)
-    inside = all(g.has_edge(u, v) for u, v in pairs)
-    if 2 * len(pairs) != g.n or cover != frozenset(range(g.n)) or not inside:
+    pairs, cover = _matching_in(g, base, "base edge", "base edges reuse vertex")
+    if cover != (1 << g.n) - 1:
         raise MatchlabError("base must be a perfect matching of the graph")
     ref = _edges_in(g, reference, "reference edge")
     ban = _edge_bits(g.n, ref)
@@ -282,12 +273,7 @@ def count_alternating_paths(
     base_edges, banned = edge_set(base), edge_set(forbidden)
     for x in (u, v, *vertices_of(base_edges), *vertices_of(banned)):
         _check_vertex(x, g.n)
-    covered = 0
-    for x, y in sorted(_edges_in(g, base_edges, "base edge")):
-        for z in (x, y):
-            if covered >> z & 1:
-                raise MatchlabError(f"base edges reuse vertex {z}")
-            covered |= 1 << z
+    _matching_in(g, base_edges, "base edge", "base edges reuse vertex")
     key = _edge_bits(g.n, base_edges)
     pairs = length // 2
     if pairs == 0:
@@ -338,24 +324,36 @@ def ratio_report(g: Graph, reference, k: int, ell: int) -> RatioReport:
 
     An automorphism of g that keeps the reference maps each stratum onto
     itself and the exchange graph onto itself, so the matchings of one
-    orbit (`symmetry._orbits`) share their degree.  One representative
+    orbit (`symmetry.key_orbits`) share their degree.  One representative
     per left orbit O is walked (`_neighbours`) and weighted by |O|; a
     right orbit Q's degree is (sum over left orbits O of |O| *
     |N(rep O) & Q|) / |Q|, and `double_count_ok` is False when such a
-    quotient leaves a remainder."""
+    quotient leaves a remainder.  The orbits of both strata come from one
+    generator search per graph, reference and k, made once the strata
+    pass their checks and kept in g._strata_orbits; an empty stratum
+    keeps nothing."""
     if k < 1:
         raise MatchlabError("k must be positive")
     d = regularity(g)
     if d is None:
         raise MatchlabError("host graph must be regular")
-    ref, ban, left, right = _strata(g, reference, k, ell)
-    size_k, size_km1 = len(left), len(right)
-    if size_km1 == 0 or size_k == 0:
-        empty = k - 1 if size_km1 == 0 else k
-        raise MatchlabError(f"stratum {empty} is empty")
-    lreps, lsizes, _ = symmetry._orbits(g, ref, ban, left)
-    _, rsizes, orbit_of = symmetry._orbits(g, ref, ban, right)
-    index = dict(zip(right, orbit_of))
+    ref, ban = _reference(g, reference, ell)
+    keys = _pm_keys(g)  # checks the enumeration cap, record or not
+    record = g._strata_orbits.get((ban, k))
+    if record is None:
+        left, right = _split(keys, ban, k)
+        if not right or not left:
+            raise MatchlabError(f"stratum {k - 1 if not right else k} is empty")
+        masks = [0] * g.n
+        for u, v in ref:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        gens = symmetry.generators(g.neighbor_masks, masks)
+        lreps, lsizes, _ = symmetry.key_orbits(left, gens, g.n)
+        _, rsizes, index = symmetry.key_orbits(right, gens, g.n)
+        record = g._strata_orbits[ban, k] = (lreps, lsizes, rsizes, index)
+    lreps, lsizes, rsizes, index = record
+    size_k, size_km1 = sum(lsizes), sum(rsizes)
     free = _free_steps(g, ban)
     closers = [dict(row) for row in free]
     ldeg, hits = [], [0] * len(rsizes)

@@ -26,17 +26,13 @@ Every candidate is checked edge by edge on both colours
 (`is_automorphism`) before it is kept, so each generator is an
 automorphism whatever the search does.  The backtracking makes the
 generators generate the whole group; a generator the search missed
-would only leave orbits finer, never wrong.  `key_orbits` splits a list
-of edge-set keys (bit u*n + v per edge, u < v, the keys `pm` lists
-matchings as) into orbits under the generators.
-
-`_orbits` is the one orbit helper of the package: it finds the
-generators of a graph and a second colour once, keeps them with every
-key's representative in `Graph._key_orbits`, and hands back one
-representative per orbit with the orbit sizes.  Two callers read it:
-`switching.ratio_report`, on the strata of a reference, and exact
-`stats.disjoint_probability`, on the host's whole key list with the
-empty colour (key 0).
+would only leave orbits finer, never wrong.  `key_orbits`, a pure
+function, splits a list of edge-set keys (bit u*n + v per edge, u < v,
+the keys `pm` lists matchings as) into orbits under the generators.
+Two callers run the pair: `switching.ratio_report`, on the two strata of
+a reference, once per reference and k on a graph (`Graph._strata_orbits`
+keeps what it reads), and exact `stats.disjoint_probability`, on the
+host's whole key list with no second colour, once per call.
 """
 
 from __future__ import annotations
@@ -200,11 +196,12 @@ def generators(masks, ref) -> list[list[int]]:
     return found
 
 
-def key_orbits(keys: list[int], gens: list[list[int]], n: int, rep: dict[int, int]) -> None:
-    """Set rep[key], for every key of `keys` (edge-set keys on n vertices,
-    bit u*n + v per edge, u < v), to the first key of its orbit under the
-    vertex permutations `gens`, first in the order of `keys`.  Every
-    image of a key of `keys` must lie in `keys`."""
+def key_orbits(keys: list[int], gens: list[list[int]], n: int) -> tuple[list[int], list[int], dict[int, int]]:
+    """The orbits of `keys` (edge-set keys on n vertices, bit u*n + v per
+    edge, u < v) under the vertex permutations `gens`: (the first key of
+    each orbit, in the order of `keys`; the orbit sizes; each key's orbit
+    index).  Every image of a key of `keys` must lie in `keys`.  With no
+    generator every key is an orbit of its own."""
     tables = []
     for perm in gens:
         table = [0] * (n * n)
@@ -214,10 +211,14 @@ def key_orbits(keys: list[int], gens: list[list[int]], n: int, rep: dict[int, in
                 b = perm[v]
                 table[u * n + v] = 1 << (a * n + b if a < b else b * n + a)
         tables.append(table)
+    reps: list[int] = []
+    sizes: list[int] = []
+    orbit: dict[int, int] = {}
     for key in keys:
-        if key in rep:
+        if key in orbit:
             continue
-        rep[key] = key
+        j = orbit[key] = len(reps)
+        reps.append(key)
         todo = [key]
         for x in todo:
             for table in tables:
@@ -227,42 +228,8 @@ def key_orbits(keys: list[int], gens: list[list[int]], n: int, rep: dict[int, in
                     b = z & -z
                     z ^= b
                     y |= table[b.bit_length() - 1]
-                if y not in rep:
-                    rep[y] = key
+                if y not in orbit:
+                    orbit[y] = j
                     todo.append(y)
-
-
-def _orbits(g, ref, ban: int, keys: list[int]) -> tuple[list[int], list[int], Sequence[int]]:
-    """The orbits of `keys`, perfect matchings of the Graph g as int keys,
-    under the automorphisms of g that keep the second edge colour `ref`
-    (an edge set, int key `ban`; empty, key 0, for none): (one
-    representative per orbit, in the order of `keys`; their sizes; the
-    orbit index of each key, in the order of `keys`).  The generators
-    (`generators`) and every key's representative (`key_orbits`) are kept
-    in g._key_orbits[ban], so a second list of keys on g and ref finds the
-    generators again without a search.  With no generator every key is
-    its own orbit, and no orbit is built."""
-    memo = g._key_orbits.get(ban)
-    if memo is None:
-        masks = [0] * g.n
-        for u, v in ref:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        memo = g._key_orbits[ban] = (generators(g.neighbor_masks, masks), {})
-    gens, rep = memo
-    if not gens:
-        return keys, [1] * len(keys), range(len(keys))
-    if keys[0] not in rep:
-        key_orbits(keys, gens, g.n, rep)
-    place: dict[int, int] = {}
-    reps, sizes, orbit_of = [], [], []
-    for key in keys:
-        r = rep[key]
-        j = place.get(r)
-        if j is None:
-            j = place[r] = len(reps)
-            reps.append(r)
-            sizes.append(0)
-        sizes[j] += 1
-        orbit_of.append(j)
-    return reps, sizes, orbit_of
+        sizes.append(len(todo))
+    return reps, sizes, orbit

@@ -902,7 +902,7 @@ def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, b
     starting with a free edge: the list-walking walker, yielding (last
     vertex, edge-bit XOR) depth first, each row in `g.neighbors` order.
     The oracle for count_alternating_paths (the paths ending at v) and,
-    inside reference_switches, for the walks of switching._switches."""
+    inside reference_switches, for the walks of build_switch_graph."""
     n = g.n
     partner = partner_of(base)
     path: list[int] = [u]
@@ -927,11 +927,12 @@ def reference_alternating_paths(g: Graph, base: Matching, u: int, length: int, b
 
 
 def reference_switches(g: Graph, ref: frozenset[Edge], k: int, ell: int):
-    """Oracle for switching._switches: the generator-walker pass it
-    replaced, verbatim but for the walker, reference_alternating_paths,
+    """Oracle for switching.build_switch_graph: the generator-walker pass
+    it replaced, verbatim but for the walker, reference_alternating_paths,
     the list walker, and for taking each left matching's reference edges
-    in sorted order.  Its strata are Matching lists, where _switches
-    yields keys."""
+    in sorted order.  Yields the strata (left, right) as Matching lists,
+    then each left matching's neighbour list, indices into right, in walk
+    order."""
     if k < 1:
         raise MatchlabError("k must be positive")
     if ell < 2 or 2 * ell > g.n:

@@ -88,7 +88,7 @@ def test_package_imports_only_the_standard_library():
 def test_no_function_takes_a_cap_keyword():
     functions = [
         pm.count_pm, pm.count_pm_containing, pm.enumerate_pm, pm.sample_pm, pm.stratify,
-        switching.build_switch_graph, switching._switches, expansion.certify_exact,
+        switching.build_switch_graph, expansion.certify_exact,
         expansion.certify_bipartite, walks.matrix_power, walks._integer_power, walks.count_paths,
         stats.disjoint_probability, graphs.random_regular,
     ]

@@ -683,6 +683,11 @@ def test_count_containing_errors():
         count_pm_containing(cycle_graph(4), [(0, 2)])
     with pytest.raises(MatchlabError, match="^forced edges reuse vertex 1$"):
         count_pm_containing(complete_graph(6), [(0, 1), (1, 2)])
+    # the first vertex met twice in sorted edge order, whatever order the
+    # edges come in
+    for forced in ([(0, 1), (1, 2), (2, 3)], [(2, 3), (1, 2), (0, 1)], [(3, 2), (2, 1), (1, 0)]):
+        with pytest.raises(MatchlabError, match="^forced edges reuse vertex 1$"):
+            count_pm_containing(complete_graph(6), forced)
 
 
 @pytest.mark.parametrize("forced, bad", [([(0, 1), (1, 2), (3, 5)], (3, 5)), ([(0, 1), (1, 2), (3, 0)], (0, 3))])

@@ -432,16 +432,26 @@ _NESTED_AT_R3 = {"K10": F(159232, 893025), "K5x2": F(89919, 628864)}
 
 @pytest.mark.parametrize("r", [2, 3])
 @pytest.mark.parametrize("name", list(_ORBIT_HOSTS))
-def test_disjoint_by_orbit_matches_both_oracles_under_relabellings(name, r):
+def test_disjoint_by_orbit_matches_both_oracles_under_relabellings(monkeypatch, name, r):
     g = _ORBIT_HOSTS[name]
     want = _pairing_disjoint_probability(g, r)
     nested = _NESTED_AT_R3[name] if r == 3 and name in _NESTED_AT_R3 else reference_disjoint_probability(g, r)
     assert nested == want
+    found = []
+    search = symmetry.generators
+
+    def recorded(masks, ref):
+        found.append(search(masks, ref))
+        return found[-1]
+
+    monkeypatch.setattr(symmetry, "generators", recorded)
     for seed in range(3):
         h = _relabelled(g, seed)
+        found.clear()
         assert disjoint_probability(h, r)[0] == want, (h.edges, r)
-        # the first level went by orbit: key 0's generators were found
-        assert h._key_orbits[0][0]
+        # the first level went by orbit: one search, with no second
+        # colour, found generators
+        assert len(found) == 1 and found[0], (h.edges, r)
 
 
 @pytest.mark.parametrize("name,orbits", [("K8", 1), ("K4x2", 2)])
@@ -470,9 +480,9 @@ def test_disjoint_without_generators_counts_every_matching(monkeypatch, r):
 
 
 def test_disjoint_and_ratio_report_keep_their_orbits_apart():
-    # key 0 holds the host's own automorphisms, a reference's key those
-    # that keep the reference: each report on one graph, in either order,
-    # is the oracle's
+    # disjointness reads the host's own automorphisms and keeps nothing, a
+    # reference's records hold those that keep the reference: each report
+    # on one graph, in either order, is the oracle's
     for seed in range(2):
         for first in ("disjoint", "ratio"):
             g = _relabelled(complete_multipartite(4, 2), seed)
@@ -484,7 +494,8 @@ def test_disjoint_and_ratio_report_keep_their_orbits_apart():
                 assert disjoint_probability(g, 2)[0] == want_disjoint
             assert [ratio_report(g, ref, k, ell) for k in (1, 2) for ell in (2, 3, 4)] == want_ratios
             assert disjoint_probability(g, 2)[0] == want_disjoint
-            assert len(g._key_orbits) == 2 and 0 in g._key_orbits
+            ban = sum(1 << (u * g.n + v) for u, v in ref)
+            assert set(g._strata_orbits) == {(ban, 1), (ban, 2)}
 
 
 def test_disjoint_montecarlo_tracks_exact():

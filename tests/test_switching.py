@@ -28,7 +28,7 @@ from matchlab.graphs import (
     random_regular,
     regularity,
 )
-from matchlab.pm import _decode, enumerate_pm, stratify
+from matchlab.pm import enumerate_pm, stratify
 from matchlab.switching import (
     aux_vertex_set,
     build_aux_digraph,
@@ -183,23 +183,23 @@ def test_switch_graph_matches_pairwise_oracle(g):
 
 @pytest.mark.parametrize("g", _differential_hosts())
 def test_switches_match_the_generator_pass(g):
-    # the table-driven pass gives the strata, decoded from their keys, and
-    # every left matching's neighbour list of the generator-walker pass,
-    # order included
+    # the table-driven pass gives the strata and every left matching's
+    # neighbours of the generator-walker pass, each left's in increasing
+    # right index
     rng = random.Random(g.n * 1000 + g.m + 2)
     for ref in _differential_references(g, rng):
         if _outside(g, ref):
             with pytest.raises(MatchlabError, match=OUTSIDE):
-                list(switching._switches(g, edge_set(ref), 1, 2))
+                build_switch_graph(g, edge_set(ref), 1, 2)
             continue
         ref = edge_set(ref)
         for k in (1, 2, 3):
             for ell in range(2, g.n // 2 + 1):
-                got = list(switching._switches(g, ref, k, ell))
-                want = list(reference_switches(g, ref, k, ell))
-                left, right = got[0]
-                got[0] = ([_decode(key, g.n) for key in left], [_decode(key, g.n) for key in right])
-                assert got == want, (g, sorted(ref), k, ell)
+                got = build_switch_graph(g, ref, k, ell)
+                (left, right), *found = reference_switches(g, ref, k, ell)
+                assert (list(got.left), list(got.right)) == (left, right)
+                want = [(i, j) for i, js in enumerate(found) for j in sorted(js)]
+                assert list(got.edges) == want, (g, sorted(ref), k, ell)
 
 
 @pytest.mark.parametrize("k, ell", [(0, 2), (1, 1), (1, 4)])
@@ -250,7 +250,7 @@ def test_aux_digraph_and_vertex_set_take_a_base_of_raw_pairs():
         assert build_aux_digraph(g, ref, raw) == build_aux_digraph(g, ref, base)
         assert aux_vertex_set(ref, raw, 6) == aux_vertex_set(ref, base, 6)
     # raw pairs that cover every vertex but reuse one are no matching
-    with pytest.raises(MatchlabError, match="^base must be a perfect matching of the graph$"):
+    with pytest.raises(MatchlabError, match="^base edges reuse vertex 1$"):
         build_aux_digraph(complete_graph(4), [], [(0, 1), (1, 2), (2, 3)])
 
 
@@ -364,7 +364,7 @@ def test_alternating_paths_refuse_a_base_edge_outside_the_host():
     for length in (2, 0):
         with pytest.raises(MatchlabError, match=r"^base edge \(1, 3\) not in graph$"):
             count_alternating_paths(g, base, 0, 3, length)
-    with pytest.raises(MatchlabError, match="^base must be a perfect matching of the graph$"):
+    with pytest.raises(MatchlabError, match=r"^base edge \(1, 3\) not in graph$"):
         build_aux_digraph(g, [], base)
 
 
@@ -534,6 +534,15 @@ def test_ratio_report_regular_reference():
 def test_ratio_report_empty_stratum():
     with pytest.raises(MatchlabError, match="^stratum 1 is empty$"):
         ratio_report(complete_graph(4), [], k=1, ell=2)
+    # an empty stratum keeps no orbit record, so it is refused again at
+    # every ell
+    g = complete_graph(6)
+    for ell in (2, 3, 2):
+        with pytest.raises(MatchlabError, match="^stratum 2 is empty$"):
+            ratio_report(g, [(0, 1)], k=2, ell=ell)
+    assert g._strata_orbits == {}
+    ratio_report(g, [(0, 1)], k=1, ell=2)
+    assert list(g._strata_orbits) == [(edge_key(6, [(0, 1)]), 1)]
 
 
 def test_ratio_report_not_regular():
@@ -605,15 +614,63 @@ def test_two_references_in_a_row_on_one_graph_each_equal_the_oracle():
             for ell in (2, 3, 4):
                 got = _outcome(ratio_report, g, ref, k, ell)
                 assert got == _outcome(reference_ratio_report, g, ref, k, ell), (ref, k, ell)
-    assert len(g._key_orbits) == 3
+    # one record per reference and k; the single edge has no stratum 2
+    keys = [edge_key(g.n, ref) for ref in (pm.first_pm(g), path, [(u, v)])]
+    assert set(g._strata_orbits) == {(key, k) for key in keys for k in (1, 2)} - {(keys[2], 2)}
+
+
+def test_an_ell_sweep_searches_for_generators_once_per_reference_and_k(monkeypatch):
+    calls = []
+    search = symmetry.generators
+
+    def counted(masks, ref):
+        calls.append(ref)
+        return search(masks, ref)
+
+    monkeypatch.setattr(symmetry, "generators", counted)
+    g = _relabelled(complete_graph(8), 2)
+    pair = [g.edges[0], g.edges[-1]]
+    for ref in (pm.first_pm(g), pair):
+        for k in (1, 2):
+            for ell in (2, 3, 4):
+                got = ratio_report(g, ref, k, ell)
+                assert got == reference_ratio_report(Graph(g.n, g.edges), ref, k, ell), (ref, k, ell)
+    assert len(calls) == 4
+    # a fresh graph searches again
+    ratio_report(Graph(g.n, g.edges), pair, 1, 2)
+    assert len(calls) == 5
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_ratio_report_walks_one_left_matching_per_orbit_of_the_whole_group(monkeypatch, seed):
+    # K10, k = 1, the reference a perfect matching N: M u N has cycle
+    # type {8} or {4, 4} on the left and {10} or {6, 4} on the right, so
+    # 300 left matchings in 2 orbits and 544 right ones in 2.  A
+    # reference colour that loses symmetry still gives the same report,
+    # but from finer orbits and more walks.
+    walked = []
+    neighbours = switching._neighbours
+
+    def counted(free, closers, key, ban, ell, index):
+        walked.append(key)
+        return neighbours(free, closers, key, ban, ell, index)
+
+    monkeypatch.setattr(switching, "_neighbours", counted)
+    g = _relabelled(complete_graph(10), seed)
+    ref = pm.first_pm(g)
+    for ell in (2, 5):
+        walked.clear()
+        assert ratio_report(g, ref, 1, ell).double_count_ok
+        assert len(walked) == 2
+    _, lsizes, rsizes, _ = g._strata_orbits[edge_key(10, ref), 1]
+    assert (len(lsizes), sum(lsizes), len(rsizes), sum(rsizes)) == (2, 300, 2, 544)
 
 
 def test_double_count_fails_when_an_orbit_is_no_orbit(monkeypatch):
     # with each stratum lumped into one "orbit", the right stratum's
     # weighted hits of K8 at ell = 2 leave a remainder
-    def lump(keys, gens, n, rep):
-        for key in keys:
-            rep[key] = keys[0]
+    def lump(keys, gens, n):
+        return [keys[0]], [len(keys)], dict.fromkeys(keys, 0)
 
     g = complete_graph(8)
     assert ratio_report(complete_graph(8), pm.first_pm(g), 1, 2).double_count_ok

@@ -205,16 +205,30 @@ def test_a_permutation_that_is_no_automorphism_is_refused():
 
 
 def _stratum_orbits(g: Graph, ref, k: int) -> dict[int, list[int]]:
-    """Representative -> its orbit's keys, in list order, for stratum k."""
+    """Representative -> its orbit's keys, in list order, for stratum k,
+    after checking that key_orbits' three parts agree."""
     ban = key_of(g.n, ref)
     keys = [key for key in _pm_keys(g) if (key & ban).bit_count() == k]
-    rep: dict[int, int] = {}
     gens = symmetry.generators(g.neighbor_masks, masks_of(g.n, ref))
-    symmetry.key_orbits(keys, gens, g.n, rep)
-    orbits: dict[int, list[int]] = {}
+    reps, sizes, orbit = symmetry.key_orbits(keys, gens, g.n)
+    assert set(orbit) == set(keys) and len(orbit) == len(keys)
+    members: list[list[int]] = [[] for _ in reps]
     for key in keys:
-        orbits.setdefault(rep[key], []).append(key)
-    return orbits
+        members[orbit[key]].append(key)
+    # the orbits are numbered in the order of their first keys
+    assert [orbit_keys[0] for orbit_keys in members] == reps
+    assert sizes == [len(orbit_keys) for orbit_keys in members]
+    return dict(zip(reps, members))
+
+
+def test_key_orbits_without_generators_give_every_key_its_own_orbit():
+    g = relabel(complete_graph(8), shuffled(8, 3))
+    keys = _pm_keys(g)
+    reps, sizes, orbit = symmetry.key_orbits(keys, [], g.n)
+    assert reps == keys
+    assert sizes == [1] * len(keys)
+    assert orbit == {key: j for j, key in enumerate(keys)}
+    assert symmetry.key_orbits([], [], 8) == ([], [], {})
 
 
 @pytest.mark.parametrize("name, host", hosts()[:8], ids=[name for name, _ in hosts()[:8]])
