@@ -46,8 +46,9 @@ class Graph:
     Four memos of `pm`, each with one owner: `_pm_cache`, the
     matching count per vertex mask, is the lowest-vertex DP's, read by
     the sampler and by counts on hosts that are not dense; `_draw_rows`,
-    one record per mask (count, its bit length, cumulative row, steps),
-    is the sampler's; `_poly_cache`, the complement's packed matching
+    one record per mask (count, its bit length, the children's plain
+    cumulative counts, their partners, steps), is the sampler's;
+    `_poly_cache`, the complement's packed matching
     polynomial per mask, is the memo of counts on dense hosts, which
     never read `_pm_cache`; and `_pm_keys`, every perfect matching as an
     int key (bit u*n + v per edge, u < v) in enumeration order, is the

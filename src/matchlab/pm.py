@@ -49,24 +49,25 @@ the edges of a listed prefix, on g's masks (_count_avoiding): as stratum
 on the masks with A's bits cleared otherwise, each with a fresh memo.
 
 The sampler keeps a second per-graph memo, Graph._draw_rows: one record
-per mask it has visited, `(count, k, row, steps_u)`.  count is the mask's
-memo count and k its bit length.  row holds the cumulative counts of the
-mask's children in scan order, each packed with its partner as
-`cum << s | v` for s = n.bit_length(), children with no perfect matching
-dropped: an array('q'), 8 bytes an entry, while its counts fit in 63 bits
-(every graph under the default cap) and a list past that.  steps_u is
-the lowest vertex u's entry in the graph's shared step table,
+per mask it has visited, `(count, k, cums, partners, steps_u)`.  count is
+the mask's memo count and k its bit length.  cums holds the cumulative
+counts of the mask's children in scan order, children with no perfect
+matching dropped: an array('q'), 8 bytes an entry, while its counts fit
+in 63 bits (every graph under the default cap) and a list past that.
+partners holds each kept child's partner v, a byte string, one byte an
+entry, while every v is below 256 and an array('I') past that.  steps_u
+is the lowest vertex u's entry in the graph's shared step table,
 Graph._draw_steps, built on the first draw: `(u*n + v, 1 << u | 1 << v)`
 for each neighbour v > u, the id of the edge a step appends and the bits
 it clears.  A step is getrandbits(k), repeated while the result is at
-least count, and one bisect of the row.  Those are the calls
-randrange(count) makes, so it draws the child a scan over the children
-would, from the same rng stream.  Every draw runs in one generator,
-_draws, which makes the cap and count checks once and yields each draw
-as the list of its edge ids u*n + v, in increasing order, built only
-when asked for.  sample_pm decodes its one draw into a Matching; the
-Monte Carlo reports in stats read the ids of a stream of draws and build
-no Matching.
+least count, one bisect of cums and two indexings,
+`steps_u[partners[i]]`.  Those are the calls randrange(count) makes, so
+it draws the child a scan over the children would, from the same rng
+stream.  Every draw runs in one generator, _draws, which makes the cap
+and count checks once and yields each draw as the list of its edge ids
+u*n + v, in increasing order, built only when asked for.  sample_pm
+decodes its one draw into a Matching; the Monte Carlo reports in stats
+read the ids of a stream of draws and build no Matching.
 
 A graph with a connected component of odd size has no perfect matching.
 After its input and cap checks, each entry point takes its fast paths in
@@ -440,22 +441,24 @@ def count_pm_containing(g: Graph, forced) -> int:
     return _count(g, ((1 << g.n) - 1) ^ cover)
 
 
-def _draw_row(g: Graph, mask: int, s: int):
-    """The sampler's row for `mask`: the cumulative counts of its children
-    in scan order, each packed with its partner v as `cum << s | v`.
+def _draw_row(g: Graph, mask: int):
+    """The sampler's row for `mask`: `(cums, partners)`, the cumulative
+    counts of its children in scan order and each child's partner v.
 
     The children are those of the lowest vertex u of `mask`, one per
     neighbour v in increasing order; a child with no perfect matching is
-    dropped.  The row is an `array('q')` while its last entry fits in 63
+    dropped.  cums is an `array('q')` while its last entry fits in 63
     bits, which covers every graph under the default cap, and a list
-    otherwise; bisect searches either.
+    otherwise; bisect searches either.  partners is a byte string while
+    every v is below 256 and an `array('I')` past that.
     """
     cache = g._pm_cache
     u = (mask & -mask).bit_length() - 1
     rest = mask & (mask - 1)
     avail = g.neighbor_masks[u] & rest
     acc = 0
-    row = []
+    cums = []
+    partners = []
     while avail:
         vbit = avail & -avail
         avail ^= vbit
@@ -463,8 +466,12 @@ def _draw_row(g: Graph, mask: int, s: int):
         c = cache[child] if child else 1
         if c:
             acc += c
-            row.append(acc << s | vbit.bit_length() - 1)
-    return array("q", row) if row[-1] < 1 << 63 else row
+            cums.append(acc)
+            partners.append(vbit.bit_length() - 1)
+    return (
+        array("q", cums) if acc < 1 << 63 else cums,
+        bytes(partners) if partners[-1] < 256 else array("I", partners),
+    )
 
 
 def _child_steps(g: Graph) -> list:
@@ -485,14 +492,14 @@ def _child_steps(g: Graph) -> list:
     return steps
 
 
-def _draw_record(g: Graph, mask: int, s: int) -> tuple:
-    """The sampler's record for `mask` in g._draw_rows: `(count, k, row,
-    steps_u)`, with count the mask's memo count, k its bit length, row its
-    `_draw_row` and steps_u the entry of the mask's lowest vertex u in
-    `_child_steps`."""
+def _draw_record(g: Graph, mask: int) -> tuple:
+    """The sampler's record for `mask` in g._draw_rows: `(count, k, cums,
+    partners, steps_u)`, with count the mask's memo count, k its bit
+    length, cums and partners its `_draw_row` and steps_u the entry of
+    the mask's lowest vertex u in `_child_steps`."""
     count = g._pm_cache[mask]
     u = (mask & -mask).bit_length() - 1
-    return count, count.bit_length(), _draw_row(g, mask, s), _child_steps(g)[u]
+    return (count, count.bit_length(), *_draw_row(g, mask), _child_steps(g)[u])
 
 
 def _draws(g: Graph, rng: random.Random, count: int) -> Iterator[list[int]]:
@@ -502,28 +509,28 @@ def _draws(g: Graph, rng: random.Random, count: int) -> Iterator[list[int]]:
     full mask that raises NoPerfectMatchingError when it is 0) run once,
     when the first draw is asked for, and each draw is built only when it
     is asked for, so a caller that reads them one at a time holds one at
-    a time.  The steps are sample_pm's."""
+    a time.  The steps are sample_pm's: r below the mask's count, then
+    `bisect_right(cums, r)`, the first child whose cumulative count
+    exceeds r, whose partner indexes the lowest vertex's steps."""
     _check_cap(g)
     full = (1 << g.n) - 1
     if _count_on_mask(g, full) == 0:
         raise NoPerfectMatchingError("graph has no perfect matching")
     rows = g._draw_rows
     getrandbits = rng.getrandbits
-    s = g.n.bit_length()
-    low = (1 << s) - 1
     for _ in range(count):
         ids: list[int] = []
         append = ids.append
         mask = full
         while mask:
             try:
-                total, k, row, steps = rows[mask]
+                total, k, cums, partners, steps = rows[mask]
             except KeyError:
-                total, k, row, steps = rows[mask] = _draw_record(g, mask, s)
+                total, k, cums, partners, steps = rows[mask] = _draw_record(g, mask)
             r = getrandbits(k)
             while r >= total:
                 r = getrandbits(k)
-            eid, clear = steps[row[bisect_right(row, r << s | low)] & low]
+            eid, clear = steps[partners[bisect_right(cums, r)]]
             append(eid)
             mask ^= clear
         yield ids
@@ -537,20 +544,21 @@ def sample_pm(g: Graph, rng: random.Random) -> Matching:
     lowest unmatched vertex u, picking neighbour v with probability
     count(G - u - v)/count(G).  A step draws r uniform below count(mask)
     and takes the first child, in increasing v, whose cumulative count
-    exceeds r.  That child is found by one bisect of the mask's row (see
-    `_draw_row`): with s = n.bit_length() bits below each count,
-    `r << s | (1 << s) - 1` sorts after every entry whose count is at most
-    r and before every entry whose count exceeds it.
+    exceeds r.  That child is found by one bisect of the mask's plain
+    cumulative counts (see `_draw_row`): `bisect_right(cums, r)` is the
+    index of the first count above r, and the entry of `partners` at that
+    index is the child's v.
 
     Each mask the walk reaches has one record in `g._draw_rows`, built
     the first time a draw reaches it (`_draw_record`): its count, the
-    count's bit length k, its row and its lowest vertex's entry in the
-    graph's shared step table, so a step appends a prebuilt edge id and
-    clears a prebuilt mask.  r comes from `getrandbits(k)`, drawn again
-    while r >= count: the calls `randrange(count)` makes through
-    `Random._randbelow_with_getrandbits` (CPython 3.10-3.13), a count of
-    1 included.  So the draws, and the rng stream, are those of a scan
-    that calls randrange and subtracts each child's count from r in turn.
+    count's bit length k, its cumulative counts, its partners and its
+    lowest vertex's entry in the graph's shared step table, so a step
+    appends a prebuilt edge id and clears a prebuilt mask.  r comes from
+    `getrandbits(k)`, drawn again while r >= count: the calls
+    `randrange(count)` makes through `Random._randbelow_with_getrandbits`
+    (CPython 3.10-3.13), a count of 1 included.  So the draws, and the
+    rng stream, are those of a scan that calls randrange and subtracts
+    each child's count from r in turn.
 
     The records read the per-graph memo directly.  They rely on an
     invariant of _count_on_mask: a mask is cached only after all its

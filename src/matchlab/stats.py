@@ -157,9 +157,11 @@ def disjoint_probability(
     from `samples` r-tuples of the sampler's stream of draws (pm._draws),
     read r at a time and never listed, and counts nothing: its first draw
     raises on a host with no perfect matching or past the cap.  Each draw
-    is the list of its edge ids, n/2 distinct ones, so a tuple is
-    pairwise disjoint exactly when the union of its lists has r*n/2
-    elements.
+    is the list of its edge ids, n/2 distinct ones.  A tuple is pairwise
+    disjoint exactly when each draw is disjoint from the set of the ids
+    before it, so the set starts as the first draw's ids and the tuple
+    is dropped at the first later draw that shares one; every draw of
+    the tuple is still taken from the stream.
     `r`, `mode` and, in Monte Carlo mode, `samples` and `seed` (both
     required there, ignored in exact mode) are checked before anything is
     counted or drawn, on every host and every r.
@@ -219,10 +221,15 @@ def disjoint_probability(
         return Fraction(good, total**r), reference
 
     draws = _draws(g, random.Random(seed), samples * r)
-    size = r * (g.n // 2)
     hits = 0
-    for tup in zip(*[draws] * r):
-        hits += len(set().union(*tup)) == size
+    for first, *rest in zip(*[draws] * r):
+        seen = set(first)
+        for ids in rest:
+            if not seen.isdisjoint(ids):
+                break
+            seen.update(ids)
+        else:
+            hits += 1
     return hits / samples, reference
 
 

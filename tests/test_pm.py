@@ -783,25 +783,36 @@ def _assert_child_steps(g):
         assert all(steps[v] == (u * g.n + v, 1 << u | 1 << v) for v in partners)
 
 
-def _assert_rows_consistent(g, row_type=array):
+def _assert_rows_consistent(g, cums_type=array):
     """Every record of g's row memo holds its mask's count and the count's
-    bit length; its row ends at that count, rises strictly and lists only
-    partners of the mask's lowest vertex u; and its steps are u's entry in
-    the graph's shared step table (checked by _assert_child_steps), so
-    every child step is the graph's own object."""
-    s = g.n.bit_length()
-    low = (1 << s) - 1
+    bit length; its cumulative counts end at that count and rise strictly,
+    each step by the memo count of one child; its partners, a byte string
+    below 256 and an array('I') past it, are exactly the neighbours v of
+    the mask's lowest vertex u whose child has a perfect matching, in
+    increasing order; and its steps are u's entry in the graph's shared
+    step table (checked by _assert_child_steps), so every child step is
+    the graph's own object."""
     if g._draw_rows:
         _assert_child_steps(g)
-    for mask, (count, k, row, steps) in g._draw_rows.items():
-        assert type(row) is row_type and (row_type is list or row.typecode == "q")
+    for mask, (count, k, cums, partners, steps) in g._draw_rows.items():
+        assert type(cums) is cums_type and (cums_type is list or cums.typecode == "q")
+        if partners[-1] < 256:
+            assert type(partners) is bytes
+        else:
+            assert type(partners) is array and partners.typecode == "I"
         assert count == g._pm_cache[mask]
         assert k == count.bit_length()
-        counts = [x >> s for x in row]
-        assert counts[-1] == count
-        assert all(a < b for a, b in zip(counts, counts[1:]))
+        assert cums[-1] == count
+        assert all(a < b for a, b in zip(cums, cums[1:]))
         u = (mask & -mask).bit_length() - 1
-        assert all((g.neighbor_masks[u] & mask) >> (x & low) & 1 for x in row)
+        rest = mask ^ 1 << u
+        children = {}
+        for v in g.neighbors(u):
+            child = rest ^ 1 << v
+            if rest >> v & 1:
+                children[v] = g._pm_cache[child] if child else 1
+        assert list(partners) == [v for v, c in sorted(children.items()) if c]
+        assert [b - a for a, b in zip([0, *cums], cums)] == [children[v] for v in partners]
         assert steps is g._draw_steps[u]
 
 
@@ -878,9 +889,9 @@ def test_sample_builds_rows_only_for_visited_masks():
         visited.append(mask)
         mask ^= 1 << u | 1 << v
     assert sorted(g._draw_rows) == sorted(visited)
-    count, k, row, steps = g._draw_rows[full]
+    count, k, cums, partners, steps = g._draw_rows[full]
     assert (count, k) == (15, 4)
-    assert list(row) == [(3 * k) << 3 | v for k, v in enumerate(range(1, 6), 1)]
+    assert list(cums) == [3, 6, 9, 12, 15] and partners == bytes(range(1, 6))
     assert steps is g._draw_steps[0]
     assert steps[1:] == [(v, 1 | 1 << v) for v in range(1, 6)]
     _assert_rows_consistent(g)
@@ -893,23 +904,24 @@ def test_sample_builds_rows_only_for_visited_masks():
 
 
 def test_draw_row_falls_back_to_a_list_past_63_bits():
-    # K4 with s = 3: the full mask's children, for v = 1, 2, 3, are the
-    # masks 0b1100, 0b1010 and 0b0110; the memo below is synthetic
+    # K4: the full mask's children, for v = 1, 2, 3, are the masks 0b1100,
+    # 0b1010 and 0b0110; the memo below is synthetic
     g = complete_graph(4)
     cache = g._pm_cache
-    cache.update({0b1100: 2**58, 0b1010: 0, 0b0110: 2**60 - 1 - 2**58})
-    row = _draw_row(g, 0b1111, 3)
-    assert isinstance(row, array) and list(row) == [2**58 << 3 | 1, (2**60 - 1) << 3 | 3]
-    assert row[-1] == 2**63 - 5
+    cache.update({0b1100: 2**62, 0b1010: 0, 0b0110: 2**63 - 1 - 2**62})
+    cums, partners = _draw_row(g, 0b1111)
+    assert isinstance(cums, array) and cums.typecode == "q" and list(cums) == [2**62, 2**63 - 1]
+    assert partners == bytes([1, 3])
     cache[0b0110] += 1
-    row = _draw_row(g, 0b1111, 3)
-    assert type(row) is list and row == [2**58 << 3 | 1, 2**60 << 3 | 3]
+    cums, partners = _draw_row(g, 0b1111)
+    assert type(cums) is list and cums == [2**62, 2**63]
+    assert partners == bytes([1, 3])
     cache.update({0b1100: 2**70, 0b0110: 5})
-    assert _draw_row(g, 0b1111, 3) == [2**70 << 3 | 1, (2**70 + 5) << 3 | 3]
+    assert _draw_row(g, 0b1111) == ([2**70, 2**70 + 5], bytes([1, 3]))
     cache[0b1111] = 2**70 + 5
-    count, k, row, steps = _draw_record(g, 0b1111, 3)
+    count, k, cums, partners, steps = _draw_record(g, 0b1111)
     assert (count, k) == (2**70 + 5, 71)
-    assert row == [2**70 << 3 | 1, (2**70 + 5) << 3 | 3]
+    assert cums == [2**70, 2**70 + 5] and partners == bytes([1, 3])
     assert steps is g._draw_steps[0]
 
 
@@ -919,24 +931,32 @@ def test_sample_with_list_rows_matches_oracles():
     for seed, g in enumerate([dense_regular(16, 5), gnp(12, 0.6, 37), complete_graph(10)]):
         fast = _fresh(g)
         _count_on_mask(fast, (1 << g.n) - 1)
-        s = g.n.bit_length()
         for mask, c in fast._pm_cache.items():
             if c:
-                count, k, row, steps = _draw_record(fast, mask, s)
-                fast._draw_rows[mask] = (count, k, list(row), steps)
+                count, k, cums, partners, steps = _draw_record(fast, mask)
+                fast._draw_rows[mask] = (count, k, list(cums), partners, steps)
         before = dict(fast._draw_rows)
         _assert_matches_oracles(fast, _fresh(g), _fresh(g), seed)
         assert fast._draw_rows == before
-        _assert_rows_consistent(fast, row_type=list)
+        _assert_rows_consistent(fast, cums_type=list)
 
 
 def _path(n):
     return Graph(n, [(v, v + 1) for v in range(n - 1)])
 
 
-def _relabel(g, seed):
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
+def _relabel(g, seed, block=None):
+    """g with its labels shuffled as a whole, or inside each run of
+    `block` consecutive labels.  A path relabelled in runs of 6 keeps the
+    lowest-vertex DP to a few hundred masks; shuffled as a whole, a
+    96-vertex path already takes 31 million masks."""
+    rng = random.Random(seed)
+    step = block or g.n
+    perm = []
+    for lo in range(0, g.n, step):
+        run = list(range(lo, min(lo + step, g.n)))
+        rng.shuffle(run)
+        perm += run
     return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
 
 
@@ -958,6 +978,22 @@ def test_sample_draws_the_randrange_stream_on_count_one_masks(g, total):
     assert len(set(drawn)) == total
     counts = [record[0] for record in fast._draw_rows.values()]
     assert counts.count(1) >= g.n // 2 - 1 and max(counts) == total
+    _assert_rows_consistent(fast)
+
+
+def test_sample_past_256_vertices_keeps_wide_partners(monkeypatch):
+    # a partner from 256 up does not fit a byte: its row holds an
+    # array('I'), the others a byte string, and the draws do not move;
+    # rows end at partners 255 and 256, on both sides of the switch
+    g = _relabel(_path(300), 3, block=6)
+    monkeypatch.setattr(pm, "DEFAULT_DP_LIMIT", g.n)
+    fast, scan = _fresh(g), _fresh(g)
+    rngs = [random.Random(19) for _ in range(2)]
+    for _ in range(5):
+        assert sample_pm(fast, rngs[0]) == scan_sample_pm(scan, rngs[1], limit=g.n)
+    assert rngs[0].getstate() == rngs[1].getstate()
+    assert {type(record[3]) for record in fast._draw_rows.values()} == {bytes, array}
+    assert {255, 256} <= {record[3][-1] for record in fast._draw_rows.values()}
     _assert_rows_consistent(fast)
 
 

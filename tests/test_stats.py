@@ -700,6 +700,34 @@ def test_montecarlo_disjoint_matches_a_reference_replay(g, r):
         assert 0 < got < 1
 
 
+_UNION_HOSTS = {
+    "k6": complete_graph(6),
+    "k_4x2": complete_multipartite(4, 2),
+    "dense12": dense_regular(12, 5),
+}
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+@pytest.mark.parametrize("g", _UNION_HOSTS.values(), ids=_UNION_HOSTS)
+def test_montecarlo_disjoint_early_exit_matches_the_union_test(g, r):
+    # a tuple is disjoint when the union of its draws' edge ids has r*n/2
+    # elements; the estimate, which stops at the first draw that shares an
+    # edge with those before it, gives the same hits on the same stream,
+    # a tuple whose only shared edge lies between its last two draws
+    # included
+    size, samples = r * (g.n // 2), 300
+    last_pair_only = 0
+    for seed in range(3):
+        got, _ = disjoint_probability(Graph(g.n, g.edges), r, mode="montecarlo", samples=samples, seed=seed)
+        draws = pm._draws(Graph(g.n, g.edges), random.Random(seed), samples * r)
+        tuples = [[set(ids) for ids in tup] for tup in zip(*[draws] * r)]
+        assert got == sum(len(set().union(*tup)) == size for tup in tuples) / samples
+        last_pair_only += sum(
+            len(set().union(*tup)) == size - 1 and len(tup[-2] & tup[-1]) == 1 for tup in tuples
+        )
+    assert last_pair_only > 0
+
+
 # (host, r, samples, seed, estimate): draws that all overlap, on a host
 # with one perfect matching, and draws that are all disjoint, on the empty
 # host and on seeds of K14 where every tuple happens to be disjoint
